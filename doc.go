@@ -46,8 +46,13 @@
 //	                   info, degradation-aware)
 //	internal/queueing  Lemma 1/2, Theorem 1, Eq. 15 closed forms
 //	internal/dist      job-size laws (Bounded Pareto & friends) with
-//	                   closed-form E[X], E[X²], E[1/X] and seeded samplers
-//	internal/rng       xoshiro256** PRNG with split/jump substreams
+//	                   closed-form E[X], E[X²], E[1/X] and exact seeded
+//	                   samplers; the Bounded Pareto draws from a lazily
+//	                   built 256-layer ziggurat of its own density
+//	internal/rng       xoshiro256** PRNG with split/jump substreams and
+//	                   ziggurat exponential/normal variates (a draw takes
+//	                   a variable number of words; streams per component
+//	                   keep common random numbers)
 //	internal/des       allocation-free discrete-event core: 4-ary value
 //	                   heap, generation-checked EventID handles, typed
 //	                   (Handler, kind, data) dispatch

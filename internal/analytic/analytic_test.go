@@ -106,7 +106,11 @@ func TestAnalyticWithinDESConfidence(t *testing.T) {
 		for _, g := range grids {
 			name := fmt.Sprintf("%s-%dclass-load%.0f", fam.name, len(g.deltas), g.rho*100)
 			t.Run(name, func(t *testing.T) {
-				checkAgainstDES(t, oracleConfig(g.deltas, g.rho, fam.d), 10, 0.03)
+				// 40 replication seeds, not 10: under the heavy tail at
+				// 80 % load a 10-run mean is skewed low and its own SE
+				// too noisy for the 4·SE band (2 of 20 base seeds fell
+				// outside it; none of 20 do at 40 runs).
+				checkAgainstDES(t, oracleConfig(g.deltas, g.rho, fam.d), 40, 0.03)
 			})
 		}
 	}

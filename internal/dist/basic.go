@@ -53,12 +53,9 @@ func (d exponential) Mean() float64          { return 1 / d.mu }
 func (d exponential) SecondMoment() float64  { return 2 / (d.mu * d.mu) }
 func (d exponential) InverseMoment() float64 { return math.Inf(1) }
 
-// Sample inverts the CDF: x = −ln(u)/mu with u drawn from the open
-// interval so the result is strictly positive (a zero job size would
-// poison downstream 1/x slowdown statistics).
-func (d exponential) Sample(src *rng.Source) float64 {
-	return -math.Log(src.Float64Open()) / d.mu
-}
+// Sample is the Source's exponential, which is strictly positive (a
+// zero job size would poison downstream 1/x slowdown statistics).
+func (d exponential) Sample(src *rng.Source) float64 { return src.ExpFloat64(d.mu) }
 
 func (d exponential) String() string { return fmt.Sprintf("Exponential(rate=%g)", d.mu) }
 

@@ -7,9 +7,8 @@ import (
 	"psd/internal/rng"
 )
 
-// BenchmarkSample measures one draw per family — the baseline for
-// future sampler optimizations (ziggurat normals, alias-table
-// mixtures/empiricals, Pow-free Pareto inversion).
+// BenchmarkSample measures one draw per family (the Bounded Pareto,
+// exponential, lognormal and hyperexponential on their ziggurat paths).
 func BenchmarkSample(b *testing.B) {
 	for _, bc := range []struct {
 		name string

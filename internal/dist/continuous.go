@@ -60,11 +60,9 @@ func (d lognormal) InverseMoment() float64 {
 	return math.Exp(-d.mu + d.sigma*d.sigma/2)
 }
 
-// Sample inverts the CDF: x = exp(mu + sigma·Φ⁻¹(u)) with
-// Φ⁻¹(u) = √2·erfinv(2u−1), one open-interval variate per call.
+// Sample exponentiates a normal variate: x = exp(mu + sigma·Z).
 func (d lognormal) Sample(src *rng.Source) float64 {
-	u := src.Float64Open()
-	return math.Exp(d.mu + d.sigma*math.Sqrt2*math.Erfinv(2*u-1))
+	return math.Exp(d.mu + d.sigma*src.NormFloat64())
 }
 
 func (d lognormal) String() string {
@@ -113,11 +111,10 @@ func (d weibull) InverseMoment() float64 {
 	return math.Gamma(1-1/d.shape) / d.scale
 }
 
-// Sample inverts the CDF: x = scale·(−ln(u))^(1/shape) with u drawn
-// from the open interval so the result is strictly positive.
+// Sample transforms a unit exponential E (strictly positive, so the
+// result is too): x = scale·E^(1/shape).
 func (d weibull) Sample(src *rng.Source) float64 {
-	u := src.Float64Open()
-	return d.scale * math.Pow(-math.Log(u), 1/d.shape)
+	return d.scale * math.Pow(src.ExpFloat64(1), 1/d.shape)
 }
 
 func (d weibull) String() string {

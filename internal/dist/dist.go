@@ -6,10 +6,15 @@
 // bundles both views and guarantees they agree.
 //
 // Every moment is closed-form (no numeric integration) and every sampler
-// is an inverse-CDF (or otherwise single-pass) transform of an
-// internal/rng Source, so that a fixed seed yields a fixed sample stream
-// regardless of how many other components draw from sibling streams —
-// the common-random-numbers discipline used throughout internal/simsrv.
+// is an exact transform of an internal/rng Source — inversion where that
+// is one multiply, the Source's ziggurat exponential and normal under the
+// exponential, hyperexponential, Weibull and lognormal, and a ziggurat of
+// its own density under the Bounded Pareto (ziggurat.go), which keeps
+// Log/Exp/Pow off the simulator's per-event path. A rejection sampler
+// consumes a variable number of words per draw, so what a fixed seed
+// fixes is the sample sequence of each Source, and components stay
+// decoupled by drawing from sibling streams — the common-random-numbers
+// discipline used throughout internal/simsrv (see internal/rng).
 //
 // The paper's workload is the Bounded Pareto BP(k, p, α) (heavy-tailed
 // web job sizes, §4.1); PaperDefault returns its BP(0.1, 100, 1.5)
@@ -48,9 +53,9 @@ type Distribution interface {
 	// InverseMoment returns E[1/X], or +Inf when the integral diverges
 	// (slowdown has no finite expectation under such a law).
 	InverseMoment() float64
-	// Sample draws one job size from the law using src. Implementations
-	// consume a deterministic number of variates per call wherever
-	// possible so seeded streams stay aligned across runs.
+	// Sample draws one job size from the law using src: an exact draw,
+	// a function of src's state alone. How many words of src it consumes
+	// may vary from call to call.
 	Sample(src *rng.Source) float64
 	// String describes the law and its parameters compactly.
 	String() string

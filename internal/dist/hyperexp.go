@@ -60,14 +60,14 @@ func (d hyperExp2) SecondMoment() float64 {
 
 func (d hyperExp2) InverseMoment() float64 { return math.Inf(1) }
 
-// Sample draws the phase then the exponential within it, via an
-// open-interval uniform so the result is strictly positive.
+// Sample draws the phase then the (strictly positive) exponential
+// within it.
 func (d hyperExp2) Sample(src *rng.Source) float64 {
 	mu := d.mu2
 	if src.Float64() < d.p1 {
 		mu = d.mu1
 	}
-	return -math.Log(src.Float64Open()) / mu
+	return src.ExpFloat64(mu)
 }
 
 func (d hyperExp2) String() string {

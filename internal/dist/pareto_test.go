@@ -97,7 +97,7 @@ func TestBoundedParetoSpecialCaseContinuity(t *testing.T) {
 	}
 }
 
-// TestBoundedParetoSampleRange: the inverse CDF can never leave [k, p].
+// TestBoundedParetoSampleRange: no draw can leave [k, p].
 func TestBoundedParetoSampleRange(t *testing.T) {
 	d := dist.PaperDefault()
 	src := rng.New(7)

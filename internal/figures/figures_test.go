@@ -136,21 +136,35 @@ func TestFigure2ShapeAndAgreement(t *testing.T) {
 	}
 }
 
+// TestFigure9RatiosNearTargets averages the achieved ratios over eight
+// seeds at a 20k-tu horizon. Figure 9 plots the mean of per-run ratios,
+// a statistic skewed upward under the heavy tail: at tiny()'s 8k tu one
+// seed's value ranges over 1.9–3.8 for target 2 and even the eight-seed
+// mean sits 40 % high, so a single short realisation tests the seed, not
+// the allocator.
 func TestFigure9RatiosNearTargets(t *testing.T) {
-	opts := tiny()
-	opts.Loads = []float64{0.6}
-	f, err := Figure9(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Series) != 3 {
-		t.Fatalf("series = %d, want 3 (ratios 2, 4, 8)", len(f.Series))
-	}
+	const seeds = 8
 	targets := []float64{2, 4, 8}
-	for i, s := range f.Series {
-		got := s.Y[0]
+	mean := make([]float64, len(targets))
+	for seed := uint64(1); seed <= seeds; seed++ {
+		opts := tiny()
+		opts.Loads = []float64{0.6}
+		opts.Horizon = 20000
+		opts.Seed = seed
+		f, err := Figure9(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(f.Series) != len(targets) {
+			t.Fatalf("series = %d, want 3 (ratios 2, 4, 8)", len(f.Series))
+		}
+		for i, s := range f.Series {
+			mean[i] += s.Y[0] / seeds
+		}
+	}
+	for i, got := range mean {
 		if math.Abs(got-targets[i])/targets[i] > 0.4 {
-			t.Errorf("ratio %g achieved %v (tolerance 40%% at tiny fidelity)", targets[i], got)
+			t.Errorf("ratio %g achieved %v over %d seeds (tolerance 40%% at tiny fidelity)", targets[i], got, seeds)
 		}
 	}
 }

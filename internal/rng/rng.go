@@ -6,14 +6,26 @@
 // state. Independent replications obtain non-overlapping streams either by
 // deriving child sources with Split (hash-based) or by the 2^128-step Jump.
 //
-// The package is intentionally tiny: simulations in this module create one
-// Source per replication and one derived Source per stochastic component
-// (per-class arrival process, per-class size process, …) so that changing
-// one component's draw count never perturbs another component's stream —
-// the "common random numbers" discipline used throughout internal/simsrv.
+// Uniforms take one Uint64 each. The exponential and the normal are exact
+// rejection samplers on 256-layer ziggurats (ziggurat.go): one Uint64 and
+// no Log/Exp on ~99 % of draws, more words on the rest. A variate
+// therefore consumes a VARIABLE number of Uint64s, and so do the
+// internal/dist samplers built on them. What a Source guarantees is that
+// the sequence of variates it returns is a function of its seed and of the
+// sequence of calls made on it — nothing about how many words any one
+// call takes, and no alignment between two Sources that are asked for
+// different things.
+//
+// That is why simulations in this module create one Source per
+// replication and one derived Source per stochastic component (class i's
+// arrival process on stream 2i+1, its size process on stream 2i+2, …): a
+// component that draws more, fewer or different variates — or a draw that
+// rejects — never perturbs a sibling's stream. This is the "common random
+// numbers" discipline used throughout internal/simsrv: under the same
+// seed every allocation policy is offered identical per-class arrival
+// times and sizes (pinned by simsrv's
+// TestCommonRandomNumbersAcrossPolicies).
 package rng
-
-import "math"
 
 // Source is a xoshiro256** PRNG. It is NOT safe for concurrent use; create
 // one Source per goroutine (see Split).
@@ -126,25 +138,6 @@ func (r *Source) Float64Open() float64 {
 		u := r.Float64()
 		if u > 0 {
 			return u
-		}
-	}
-}
-
-// ExpFloat64 returns an exponentially distributed float64 with the given
-// rate (mean 1/rate), via inverse transform.
-func (r *Source) ExpFloat64(rate float64) float64 {
-	return -math.Log(1-r.Float64()) / rate
-}
-
-// NormFloat64 returns a standard normal variate using the Marsaglia polar
-// method.
-func (r *Source) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
 	}
 }

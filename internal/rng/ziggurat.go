@@ -1,0 +1,151 @@
+package rng
+
+import (
+	"fmt"
+	"math"
+)
+
+// Ziggurat samplers (Marsaglia & Tsang, "The Ziggurat Method for
+// Generating Random Variables", 2000) for the unit exponential and the
+// standard normal.
+//
+// The density f, decreasing on [0, ∞), is covered by zigLayers regions
+// of equal area V: layer 0 is the rectangle [0, R] × [0, f(R)] plus the
+// whole tail beyond R, layer i ≥ 1 is the rectangle
+// [0, x_i] × [f(x_i), f(x_{i+1})] with x_1 = R > x_2 > … > x_N = 0. A
+// draw picks a layer uniformly and a point x uniform across its width;
+// if x falls left of the next layer's edge it lies under the curve by
+// construction and is returned at once (one Uint64, one multiply, one
+// compare — ~98.9 % of draws). Otherwise the point is in the wedge
+// between the two edges (accepted iff a uniform height is under f) or,
+// in layer 0, in the tail, which has its own exact sampler. Rejection
+// from a hat that covers f exactly makes the result an exact draw from
+// f, not an approximation: the tables only decide how often the slow
+// path runs.
+const (
+	zigLayers = 256
+	zigMask   = zigLayers - 1
+
+	// Right edge of the base rectangle for each law at 256 layers; the
+	// common area V follows from it (R·f(R) + tail mass beyond R), and
+	// newZiggurat panics at init unless the stack built from (R, V)
+	// closes at f(0).
+	expR  = 7.697117470131049720
+	normR = 3.654152885361008796
+)
+
+// ziggurat holds the layer edges x[0..N] and the heights y[i] = f(x[i]).
+// x[0] = V/f(R) is the width layer 0 would have as a plain rectangle of
+// area V, so that "x < x[1]" there separates rectangle from tail with
+// the right probabilities; x[N] = 0 makes the top layer always take the
+// wedge test.
+type ziggurat struct {
+	x, y [zigLayers + 1]float64
+}
+
+// newZiggurat builds the tables for the density f (f(0) = 1, inverse
+// finv) from the base edge r and the tail mass beyond it.
+func newZiggurat(name string, r, tail float64, f, finv func(float64) float64) (z ziggurat) {
+	v := r*f(r) + tail
+	z.x[0], z.y[0] = v/f(r), 0
+	z.x[1], z.y[1] = r, f(r)
+	for i := 1; i < zigLayers; i++ {
+		z.y[i+1] = z.y[i] + v/z.x[i]
+		z.x[i+1] = finv(z.y[i+1])
+	}
+	// Closure: N equal areas stacked from (R, V) must end at the mode.
+	if top := z.y[zigLayers]; math.Abs(top-1) > 1e-12 {
+		panic(fmt.Sprintf("rng: %s ziggurat does not close: y[%d] = %.17g, want 1", name, zigLayers, top))
+	}
+	z.x[zigLayers], z.y[zigLayers] = 0, 1
+	return z
+}
+
+var (
+	expZig = newZiggurat("exponential", expR, math.Exp(-expR),
+		func(x float64) float64 { return math.Exp(-x) },
+		func(y float64) float64 { return -math.Log(y) })
+	normZig = newZiggurat("normal", normR, math.Sqrt(math.Pi/2)*math.Erfc(normR/math.Sqrt2),
+		func(x float64) float64 { return math.Exp(-x * x / 2) },
+		func(y float64) float64 { return math.Sqrt(-2 * math.Log(y)) })
+)
+
+// Unit53 maps the top 53 bits of the word b to a uniform on (0, 1]:
+// never zero, so a layer-uniform point is strictly positive, and
+// disjoint from the low 8 bits with which a 256-layer ziggurat (here, or
+// internal/dist's) picks its layer from the same word.
+func Unit53(b uint64) float64 { return float64(b>>11+1) * (1.0 / (1 << 53)) }
+
+// ExpFloat64 returns an exponentially distributed float64 with the given
+// rate (mean 1/rate), strictly positive. It is an exact ziggurat
+// rejection sampler: one Uint64 and no transcendental call on the fast
+// path, a variable number of Uint64s otherwise.
+func (r *Source) ExpFloat64(rate float64) float64 {
+	b := r.Uint64()
+	i := b & zigMask
+	x := Unit53(b) * expZig.x[i]
+	if x < expZig.x[i+1] {
+		return x / rate
+	}
+	return r.expSlow(i, x) / rate
+}
+
+// expSlow finishes a unit-exponential draw whose first point (layer i,
+// abscissa x) missed the fast path.
+func (r *Source) expSlow(i uint64, x float64) float64 {
+	z := &expZig
+	var shift float64
+	for {
+		switch {
+		case x < z.x[i+1]:
+			return shift + x
+		case i == 0:
+			// Tail: memorylessness makes X | X > R a fresh draw moved
+			// right by R.
+			shift += expR
+		case z.y[i]+r.Float64()*(z.y[i+1]-z.y[i]) < math.Exp(-x):
+			return shift + x
+		}
+		b := r.Uint64()
+		i = b & zigMask
+		x = Unit53(b) * z.x[i]
+	}
+}
+
+// NormFloat64 returns a standard normal variate from the ziggurat of the
+// half-normal density; bit 8 of the draw supplies the sign.
+func (r *Source) NormFloat64() float64 {
+	b := r.Uint64()
+	i := b & zigMask
+	x := Unit53(b) * normZig.x[i]
+	if x >= normZig.x[i+1] {
+		x = r.normSlow(i, x)
+	}
+	return math.Float64frombits(math.Float64bits(x) | b<<55&(1<<63))
+}
+
+// normSlow finishes a half-normal draw whose first point missed the fast
+// path.
+func (r *Source) normSlow(i uint64, x float64) float64 {
+	z := &normZig
+	for {
+		switch {
+		case x < z.x[i+1]:
+			return x
+		case i == 0:
+			// Tail beyond R (Marsaglia 1964): x = −ln(U₁)/R is accepted
+			// with probability exp(−x²/2), i.e. when −2·ln(U₂) > x².
+			for {
+				x = r.ExpFloat64(normR)
+				if 2*r.ExpFloat64(1) > x*x {
+					return normR + x
+				}
+			}
+		case z.y[i]+r.Float64()*(z.y[i+1]-z.y[i]) < math.Exp(-x*x/2):
+			return x
+		}
+		b := r.Uint64()
+		i = b & zigMask
+		x = Unit53(b) * z.x[i]
+	}
+}

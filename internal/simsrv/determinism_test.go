@@ -1,37 +1,112 @@
 package simsrv
 
 import (
+	"encoding/json"
+	"flag"
 	"math"
+	"os"
 	"testing"
 
 	"psd/internal/control"
 )
 
-// Cross-engine determinism regression. The golden values below were
-// captured from the closure-based container/heap engine immediately
-// BEFORE the allocation-free des rewrite; the rewritten engine must
-// reproduce every replication bit-for-bit (exact float64 equality, 17
+// Determinism goldens. Each scenario runs one seeded replication and
+// compares every reported statistic for exact float64 equality (17
 // significant digits round-trip losslessly). Any change that perturbs
 // RNG draw order, event sequence numbering, or the (time, seq) fire
-// order will trip this test — which is the point: "average of 100
-// replications" results are only comparable across engine versions if
-// each seeded replication is exactly reproducible.
+// order will trip them — which is the point: "average of 100
+// replications" results are only comparable across versions if each
+// seeded replication is exactly reproducible.
 //
 // The scenarios cover every execution mode the engine has: the plain
 // partitioned model (2 and 5 classes), the GPS-style work-conserving
-// ablation, the packetized SCFQ server, and trace-driven replay.
+// ablation, the packetized SCFQ server, and trace-driven replay, under
+// both estimators.
+//
+// The six Poisson-driven scenarios depend on the variate samplers in
+// internal/rng and internal/dist, so their expected values are data:
+// testdata/goldens_v2.json, rewritten from this binary's own output by
+//
+//	go test ./internal/simsrv -run TestGoldenDeterminism -update
+//
+// (the file's "about" field says what retired v1). The trace-replay
+// scenarios draw nothing — arrivals and sizes come from the trace — so
+// their values stay inline: captured from the closure-based
+// container/heap engine before the allocation-free des rewrite, they
+// have survived every engine and sampler change since.
+
+var update = flag.Bool("update", false, "rewrite testdata/goldens_v2.json from this binary's output")
+
+const goldenPath = "testdata/goldens_v2.json"
 
 type goldenClass struct {
-	count                       int64
-	mean, std, max, delay, svc2 float64
+	Count   int64   `json:"count"`
+	Mean    float64 `json:"mean"`
+	Std     float64 `json:"std"`
+	Max     float64 `json:"max"`
+	Delay   float64 `json:"delay"`
+	Service float64 `json:"service"`
 }
 
 type goldenResult struct {
-	events  uint64
-	realloc int
-	system  float64
-	classes []goldenClass
-	rates   []float64
+	Events  uint64        `json:"events"`
+	Realloc int           `json:"reallocations"`
+	System  float64       `json:"system_slowdown"`
+	Classes []goldenClass `json:"classes"`
+	Rates   []float64     `json:"final_rates"`
+}
+
+type goldenFile struct {
+	About string                  `json:"about"`
+	Cases map[string]goldenResult `json:"cases"`
+}
+
+func readGoldenFile(t *testing.T) goldenFile {
+	t.Helper()
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f goldenFile
+	if err := json.Unmarshal(raw, &f); err != nil {
+		t.Fatalf("%s: %v", goldenPath, err)
+	}
+	return f
+}
+
+// checkGoldenFile compares res with the named case of goldens_v2.json,
+// or records it there under -update.
+func checkGoldenFile(t *testing.T, name string, res *Result, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	f := readGoldenFile(t)
+	if *update {
+		got := goldenResult{
+			Events:  res.EventsProcessed,
+			Realloc: res.Reallocations,
+			System:  res.SystemSlowdown,
+			Rates:   res.FinalRates,
+		}
+		for _, c := range res.Classes {
+			got.Classes = append(got.Classes, goldenClass{c.Count, c.MeanSlowdown, c.StdSlowdown, c.MaxSlowdown, c.MeanDelay, c.MeanService})
+		}
+		f.Cases[name] = got
+		raw, err := json.MarshalIndent(f, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, ok := f.Cases[name]
+	if !ok {
+		t.Fatalf("%s: no such case in %s (run with -update)", name, goldenPath)
+	}
+	checkGolden(t, name, res, nil, want)
 }
 
 func checkGolden(t *testing.T, name string, res *Result, err error, want goldenResult) {
@@ -39,36 +114,36 @@ func checkGolden(t *testing.T, name string, res *Result, err error, want goldenR
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if res.EventsProcessed != want.events {
-		t.Errorf("%s: events = %d, want %d", name, res.EventsProcessed, want.events)
+	if res.EventsProcessed != want.Events {
+		t.Errorf("%s: events = %d, want %d", name, res.EventsProcessed, want.Events)
 	}
-	if res.Reallocations != want.realloc {
-		t.Errorf("%s: reallocations = %d, want %d", name, res.Reallocations, want.realloc)
+	if res.Reallocations != want.Realloc {
+		t.Errorf("%s: reallocations = %d, want %d", name, res.Reallocations, want.Realloc)
 	}
-	if res.SystemSlowdown != want.system {
-		t.Errorf("%s: system slowdown = %.17g, want %.17g", name, res.SystemSlowdown, want.system)
+	if res.SystemSlowdown != want.System {
+		t.Errorf("%s: system slowdown = %.17g, want %.17g", name, res.SystemSlowdown, want.System)
 	}
-	for i, wc := range want.classes {
+	for i, wc := range want.Classes {
 		got := res.Classes[i]
-		if got.Count != wc.count {
-			t.Errorf("%s class %d: count = %d, want %d", name, i, got.Count, wc.count)
+		if got.Count != wc.Count {
+			t.Errorf("%s class %d: count = %d, want %d", name, i, got.Count, wc.Count)
 		}
 		for _, f := range []struct {
 			label     string
 			got, want float64
 		}{
-			{"mean", got.MeanSlowdown, wc.mean},
-			{"std", got.StdSlowdown, wc.std},
-			{"max", got.MaxSlowdown, wc.max},
-			{"delay", got.MeanDelay, wc.delay},
-			{"service", got.MeanService, wc.svc2},
+			{"mean", got.MeanSlowdown, wc.Mean},
+			{"std", got.StdSlowdown, wc.Std},
+			{"max", got.MaxSlowdown, wc.Max},
+			{"delay", got.MeanDelay, wc.Delay},
+			{"service", got.MeanService, wc.Service},
 		} {
 			if f.got != f.want {
 				t.Errorf("%s class %d: %s = %.17g, want %.17g", name, i, f.label, f.got, f.want)
 			}
 		}
 	}
-	for i, wr := range want.rates {
+	for i, wr := range want.Rates {
 		if res.FinalRates[i] != wr {
 			t.Errorf("%s: final rate %d = %.17g, want %.17g", name, i, res.FinalRates[i], wr)
 		}
@@ -81,16 +156,7 @@ func TestGoldenDeterminismPlain2(t *testing.T) {
 	cfg.Horizon = 8000
 	cfg.Seed = 7
 	res, err := Run(cfg)
-	checkGolden(t, "plain2", res, err, goldenResult{
-		events:  37312,
-		realloc: 9,
-		system:  31.694447386719705,
-		classes: []goldenClass{
-			{8253, 10.057105887815927, 38.443673326543184, 424.69899254013177, 2.658401620778406, 0.47430280182241852},
-			{8374, 53.019140411612575, 86.776077088942372, 561.55797591742328, 23.392795101325579, 0.80949038757480973},
-		},
-		rates: []float64{0.61359121920436965, 0.38640878079563046},
-	})
+	checkGoldenFile(t, "plain2", res, err)
 }
 
 func TestGoldenDeterminismPlain5(t *testing.T) {
@@ -99,19 +165,7 @@ func TestGoldenDeterminismPlain5(t *testing.T) {
 	cfg.Horizon = 8000
 	cfg.Seed = 42
 	res, err := Run(cfg)
-	checkGolden(t, "plain5", res, err, goldenResult{
-		events:  49515,
-		realloc: 9,
-		system:  54.497634709976865,
-		classes: []goldenClass{
-			{4275, 48.176578454122662, 113.23675193697673, 845.83265943942774, 31.161101622408925, 1.230734271559945},
-			{4422, 12.490805171277538, 25.76157737272646, 231.57580649410664, 9.9058047362514525, 1.3280190115226014},
-			{4517, 66.719499939754101, 90.922359130542503, 490.35661899275482, 58.289940048256653, 1.608893171744973},
-			{4334, 86.105267904053761, 90.656147212050413, 476.60890728867292, 84.73373809121351, 1.7432086200200914},
-			{4465, 59.107504409388319, 62.369943804904693, 311.81222549691557, 58.664263576484736, 1.6843756274546398},
-		},
-		rates: []float64{0.25644098160819506, 0.21219346046220308, 0.19083848038939188, 0.17204078026949049, 0.1684862972707194},
-	})
+	checkGoldenFile(t, "plain5", res, err)
 }
 
 func TestGoldenDeterminismWorkConserving(t *testing.T) {
@@ -121,16 +175,7 @@ func TestGoldenDeterminismWorkConserving(t *testing.T) {
 	cfg.Seed = 11
 	cfg.WorkConserving = true
 	res, err := Run(cfg)
-	checkGolden(t, "plain2wc", res, err, goldenResult{
-		events:  43943,
-		realloc: 9,
-		system:  12.421369116815331,
-		classes: []goldenClass{
-			{9630, 14.963985078139553, 65.770404156332134, 973.65586640466006, 3.6059785376209539, 0.41535292417747477},
-			{9863, 9.9388190095911355, 28.894249672793464, 348.43703866629193, 2.4695179350916066, 0.43844870978487704},
-		},
-		rates: []float64{0.53977857147244301, 0.46022142852755704},
-	})
+	checkGoldenFile(t, "plain2wc", res, err)
 }
 
 func TestGoldenDeterminismPacketized(t *testing.T) {
@@ -139,20 +184,7 @@ func TestGoldenDeterminismPacketized(t *testing.T) {
 	cfg.Horizon = 8000
 	cfg.Seed = 7
 	res, err := RunPacketized(PacketizedConfig{Config: cfg})
-	// rates below differ deliberately from the pre-refactor capture: the
-	// old engine reported the true-demand allocation instead of the last
-	// weights actually installed in the scheduler (a stale-field bug
-	// fixed in the rewrite). Everything else is the old engine's output.
-	checkGolden(t, "packetized2", res, err, goldenResult{
-		events:  37327,
-		realloc: 9,
-		system:  17.706269464187784,
-		classes: []goldenClass{
-			{8253, 15.420931585100099, 47.500993517877177, 459.27114565005849, 2.561791467101425, 0.2943659861622559},
-			{8389, 19.954558117914168, 53.982419868542685, 532.75086075765148, 3.3352292232703471, 0.30762299539902738},
-		},
-		rates: []float64{0.58777748772412342, 0.4122225122758767},
-	})
+	checkGoldenFile(t, "packetized2", res, err)
 }
 
 func TestGoldenDeterminismTrace(t *testing.T) {
@@ -169,20 +201,19 @@ func TestGoldenDeterminismTrace(t *testing.T) {
 	}
 	res, err := RunTrace(cfg, trace)
 	checkGolden(t, "trace2", res, err, goldenResult{
-		events:  6764,
-		realloc: 4,
-		system:  1655.8928601680307,
-		classes: []goldenClass{
+		Events:  6764,
+		Realloc: 4,
+		System:  1655.8928601680307,
+		Classes: []goldenClass{
 			{1276, 1894.3689138985076, 1949.9631735179496, 7870.200041161741, 1430.9845084214207, 3.1328373956943243},
 			{1177, 1397.3580729462051, 1752.0585670416931, 6827.2762848459843, 1465.2170003472406, 3.3944714655105761},
 		},
-		rates: []float64{0.6182462743095003, 0.38175372569049959},
+		Rates: []float64{0.6182462743095003, 0.38175372569049959},
 	})
 }
 
-// EWMA-mode goldens, captured when the shared control plane
-// (control.Loop) landed. They pin the EWMA estimator's trajectory across
-// all three server models the same way the window-mode goldens above pin
+// EWMA-mode goldens pin the EWMA estimator's trajectory across all
+// three server models the same way the window-mode goldens above pin
 // the paper's default — any change to the EWMA update order, the Loop's
 // tick sequence, or the RNG draw schedule trips them.
 
@@ -193,16 +224,7 @@ func TestGoldenDeterminismEWMAPlain2(t *testing.T) {
 	cfg.Seed = 7
 	cfg.Estimator = control.EWMA
 	res, err := Run(cfg)
-	checkGolden(t, "ewma-plain2", res, err, goldenResult{
-		events:  37312,
-		realloc: 9,
-		system:  32.243675057091245,
-		classes: []goldenClass{
-			{8253, 10.010793558514751, 38.340533058997231, 424.69496230797836, 2.6415988969752027, 0.47366342009160262},
-			{8374, 54.155302834467861, 88.965063421833577, 570.10998223919353, 23.927108647965486, 0.81098793340939834},
-		},
-		rates: []float64{0.61360456928018914, 0.38639543071981092},
-	})
+	checkGoldenFile(t, "ewma-plain2", res, err)
 }
 
 func TestGoldenDeterminismEWMAPacketized(t *testing.T) {
@@ -212,16 +234,7 @@ func TestGoldenDeterminismEWMAPacketized(t *testing.T) {
 	cfg.Seed = 7
 	cfg.Estimator = control.EWMA
 	res, err := RunPacketized(PacketizedConfig{Config: cfg})
-	checkGolden(t, "ewma-packetized2", res, err, goldenResult{
-		events:  37327,
-		realloc: 9,
-		system:  17.713255705793994,
-		classes: []goldenClass{
-			{8253, 15.382751492084667, 47.401682327892594, 459.27114565005849, 2.5550525021638029, 0.2943659861622559},
-			{8389, 20.005978470812842, 54.207099027200762, 532.75086075765148, 3.3430304848743733, 0.30762299539902738},
-		},
-		rates: []float64{0.58806155189635623, 0.41193844810364377},
-	})
+	checkGoldenFile(t, "ewma-packetized2", res, err)
 }
 
 func TestGoldenDeterminismEWMATrace(t *testing.T) {
@@ -239,14 +252,14 @@ func TestGoldenDeterminismEWMATrace(t *testing.T) {
 	}
 	res, err := RunTrace(cfg, trace)
 	checkGolden(t, "ewma-trace2", res, err, goldenResult{
-		events:  6766,
-		realloc: 4,
-		system:  1657.9128667432815,
-		classes: []goldenClass{
+		Events:  6766,
+		Realloc: 4,
+		System:  1657.9128667432815,
+		Classes: []goldenClass{
 			{1278, 1899.1874923238893, 1959.0804242790148, 7923.2909159110532, 1432.7943067430942, 3.1346946003700422},
 			{1177, 1395.9341314059689, 1748.9732286010308, 6782.2771459867763, 1465.1235568524498, 3.3963570924124484},
 		},
-		rates: []float64{0.62106946521053896, 0.37893053478946104},
+		Rates: []float64{0.62106946521053896, 0.37893053478946104},
 	})
 }
 

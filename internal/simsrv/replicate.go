@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 
 	"psd/internal/stats"
 )
@@ -236,17 +237,10 @@ func (a *Aggregator) Aggregate() (*Aggregate, error) {
 }
 
 // RunReplications executes n independent replications of cfg in parallel
-// across GOMAXPROCS workers and aggregates them. Each worker owns one
-// reusable Simulator arena; finished Results circulate through a small
-// recycled pool and are folded into a streaming Aggregator in strict
-// replication order, so the Aggregate is reproducible regardless of
-// scheduling and the memory footprint is O(workers), not O(n).
-// Replication seeds derive from cfg.Seed via ReplicationSeed.
-//
-// NOTE: the jobs/out/recycle/reorder pipeline below is intentionally the
-// same shape as internal/sweep's multi-point engine (which cannot be
-// reused here — sweep imports simsrv). When changing pool sizing, error
-// ordering or channel structure, change sweep.Engine.Run in lockstep.
+// across GOMAXPROCS workers and aggregates them through RunOrdered, so
+// the Aggregate is reproducible regardless of scheduling and the memory
+// footprint is O(workers), not O(n). Replication seeds derive from
+// cfg.Seed via ReplicationSeed.
 func RunReplications(cfg Config, n int) (*Aggregate, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("simsrv: need at least 1 replication, got %d", n)
@@ -255,91 +249,114 @@ func RunReplications(cfg Config, n int) (*Aggregate, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-
 	agg := NewAggregator(cfg)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+	err := RunOrdered(n, runtime.GOMAXPROCS(0),
+		func(sim *Simulator, res *Result, rep int) error {
+			if err := sim.Reset(cfg, ReplicationSeed(cfg.Seed, rep)); err != nil {
+				return err
+			}
+			return sim.RunInto(res)
+		},
+		func(_ int, res *Result) { agg.Add(res) })
+	if err != nil {
+		return nil, err
 	}
-	if workers == 1 {
+	return agg.Aggregate()
+}
+
+// RunOrdered is the replication pipeline under RunReplications and
+// sweep.Engine: it runs tasks 0..total−1 on at most workers goroutines,
+// each owning one reusable Simulator arena, and hands every finished
+// Result to consume on the caller's goroutine in strict task order. A
+// Result is only valid during its consume call — a small pool of them
+// circulates. The error returned is that of the first failing task in
+// task order (deterministically); consume is not called from that task
+// on.
+//
+// A task travels with the Result it will fill: the feeder takes a
+// Result from the pool before it hands out the next task, so the worker
+// running the task the consumer is waiting for always owns one, however
+// the scheduler interleaves the others. (Workers that took a task first
+// and a Result second could park the whole pool in the reorder buffer
+// behind a descheduled holder of that task, and block everyone.)
+func RunOrdered(total, workers int, run func(sim *Simulator, res *Result, task int) error, consume func(task int, res *Result)) error {
+	if workers > total {
+		workers = total
+	}
+	if workers <= 1 {
 		// Sequential fast path: one arena, one Result, zero goroutines.
 		var sim Simulator
 		var res Result
-		for rep := 0; rep < n; rep++ {
-			if err := sim.Reset(cfg, ReplicationSeed(cfg.Seed, rep)); err != nil {
-				return nil, err
+		for task := 0; task < total; task++ {
+			if err := run(&sim, &res, task); err != nil {
+				return err
 			}
-			if err := sim.RunInto(&res); err != nil {
-				return nil, err
-			}
-			agg.Add(&res)
+			consume(task, &res)
 		}
-		return agg.Aggregate()
+		return nil
 	}
 
-	type done struct {
-		rep int
-		res *Result
-		err error
+	type job struct {
+		task int
+		res  *Result
+		err  error
 	}
 	poolSize := 2 * workers
-	jobs := make(chan int)
-	// out is sized for every pooled Result, so worker sends never block
-	// and the in-order consumer below can never deadlock the pipeline.
-	out := make(chan done, poolSize)
+	// recycle and out each hold every pooled Result at once, so neither
+	// the consumer returning a Result nor a worker delivering one blocks.
 	recycle := make(chan *Result, poolSize)
+	out := make(chan job, poolSize)
 	for i := 0; i < poolSize; i++ {
 		recycle <- new(Result)
 	}
+	jobs := make(chan job)
+	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
+			defer wg.Done()
 			var sim Simulator
-			for rep := range jobs {
-				res := <-recycle
-				err := sim.Reset(cfg, ReplicationSeed(cfg.Seed, rep))
-				if err == nil {
-					err = sim.RunInto(res)
-				}
-				out <- done{rep: rep, res: res, err: err}
+			for j := range jobs {
+				j.err = run(&sim, j.res, j.task)
+				out <- j
 			}
 		}()
 	}
 	go func() {
-		for rep := 0; rep < n; rep++ {
-			jobs <- rep
+		for task := 0; task < total; task++ {
+			jobs <- job{task: task, res: <-recycle}
 		}
 		close(jobs)
 	}()
 
-	// Consume in replication order through a reorder buffer; the first
-	// error in replication order wins (deterministically).
-	pending := make(map[int]done, workers)
+	// Consume in task order through a reorder buffer. Every task is
+	// received even after a failure, which is what ends the feeder and
+	// the workers.
+	pending := make(map[int]job, poolSize)
 	next := 0
 	var firstErr error
-	for received := 0; received < n; received++ {
-		d := <-out
-		pending[d.rep] = d
+	for received := 0; received < total; received++ {
+		j := <-out
+		pending[j.task] = j
 		for {
-			nd, ok := pending[next]
+			nj, ok := pending[next]
 			if !ok {
 				break
 			}
 			delete(pending, next)
-			if firstErr == nil {
-				if nd.err != nil {
-					firstErr = nd.err
-				} else {
-					agg.Add(nd.res)
-				}
+			switch {
+			case firstErr != nil:
+			case nj.err != nil:
+				firstErr = nj.err
+			default:
+				consume(next, nj.res)
 			}
-			recycle <- nd.res
+			recycle <- nj.res
 			next++
 		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return agg.Aggregate()
+	wg.Wait()
+	return firstErr
 }
 
 // ExpectedSystemSlowdown returns the arrival-weighted Eq. 18 prediction

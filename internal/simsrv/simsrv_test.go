@@ -443,19 +443,29 @@ func TestReplicationsParallelMatchesSequential(t *testing.T) {
 }
 
 func TestHighLoadStability(t *testing.T) {
-	// At 95% the estimator occasionally sees ρ̂ ≥ 1; the run must survive
-	// via the keep-previous-rates fallback and still differentiate.
-	cfg := fastConfig([]float64{1, 2}, 0.95)
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
+	// At 95% the estimator occasionally sees ρ̂ ≥ 1; every run must
+	// survive via the keep-previous-rates fallback, and the classes must
+	// still differentiate. The ordering is a statement about means: one
+	// 20k-tu realisation at this load inverts it for about one seed in
+	// four, so it is checked on the average of 16.
+	const seeds = 16
+	var mean [2]float64
+	for seed := uint64(1); seed <= seeds; seed++ {
+		cfg := fastConfig([]float64{1, 2}, 0.95)
+		cfg.Seed = seed
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Classes[0].Count == 0 || res.Classes[1].Count == 0 {
+			t.Fatalf("seed %d: classes starved at high load", seed)
+		}
+		for i := range mean {
+			mean[i] += res.Classes[i].MeanSlowdown / seeds
+		}
 	}
-	if res.Classes[0].Count == 0 || res.Classes[1].Count == 0 {
-		t.Fatal("classes starved at high load")
-	}
-	if res.Classes[0].MeanSlowdown >= res.Classes[1].MeanSlowdown {
-		t.Fatalf("ordering violated at 95%% load: %v vs %v",
-			res.Classes[0].MeanSlowdown, res.Classes[1].MeanSlowdown)
+	if mean[0] >= mean[1] {
+		t.Fatalf("ordering violated at 95%% load over %d seeds: %v vs %v", seeds, mean[0], mean[1])
 	}
 }
 

@@ -2,6 +2,7 @@ package simsrv
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"psd/internal/rng"
@@ -27,44 +28,42 @@ func TestRunTraceValidation(t *testing.T) {
 	}
 }
 
-// TestRunTraceMatchesPoissonStatistically replays a synthetic Poisson
-// trace and requires results comparable to the built-in generator at the
-// same load.
+// TestRunTraceMatchesPoissonStatistically replays synthetic Poisson
+// traces and requires results comparable to the built-in generator at
+// the same load: the PSD property must hold on replayed traffic too. The
+// ratio of mean slowdowns is taken over 16 traces — a single 22k-tu
+// heavy-tailed trace lands outside the band for about one seed in three.
 func TestRunTraceMatchesPoissonStatistically(t *testing.T) {
+	const seeds = 16
 	cfg := fastConfig([]float64{1, 2}, 0.6)
-	// Build a Poisson trace with the same per-class rates.
-	src := rng.New(77)
-	var trace []TraceRequest
 	total := cfg.Warmup + cfg.Horizon
-	for class, cc := range cfg.Classes {
-		tt := src.ExpFloat64(cc.Lambda)
-		sizeSrc := src.Split(uint64(class + 100))
-		for tt < total {
-			trace = append(trace, TraceRequest{Time: tt, Class: class, Size: cfg.Service.Sample(sizeSrc)})
-			tt += src.ExpFloat64(cc.Lambda)
+	var mean [2]float64
+	for seed := uint64(1); seed <= seeds; seed++ {
+		// Build a Poisson trace with the same per-class rates.
+		src := rng.New(76 + seed)
+		var trace []TraceRequest
+		for class, cc := range cfg.Classes {
+			tt := src.ExpFloat64(cc.Lambda)
+			sizeSrc := src.Split(uint64(class + 100))
+			for tt < total {
+				trace = append(trace, TraceRequest{Time: tt, Class: class, Size: cfg.Service.Sample(sizeSrc)})
+				tt += src.ExpFloat64(cc.Lambda)
+			}
+		}
+		sort.Slice(trace, func(i, j int) bool { return trace[i].Time < trace[j].Time })
+		res, err := RunTrace(cfg, trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Classes[0].Count == 0 || res.Classes[1].Count == 0 {
+			t.Fatalf("seed %d: trace replay produced no measurements", seed)
+		}
+		for i := range mean {
+			mean[i] += res.Classes[i].MeanSlowdown / seeds
 		}
 	}
-	sortTrace(trace)
-	res, err := RunTrace(cfg, trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Classes[0].Count == 0 || res.Classes[1].Count == 0 {
-		t.Fatal("trace replay produced no measurements")
-	}
-	// The PSD property must hold on replayed traffic too.
-	ratio := res.Classes[1].MeanSlowdown / res.Classes[0].MeanSlowdown
-	if ratio < 1.2 || ratio > 3.5 {
-		t.Fatalf("trace-replay ratio %v far from target 2", ratio)
-	}
-}
-
-func sortTrace(tr []TraceRequest) {
-	// insertion sort is fine for test-sized traces
-	for i := 1; i < len(tr); i++ {
-		for j := i; j > 0 && tr[j].Time < tr[j-1].Time; j-- {
-			tr[j], tr[j-1] = tr[j-1], tr[j]
-		}
+	if ratio := mean[1] / mean[0]; ratio < 1.2 || ratio > 3.5 {
+		t.Fatalf("trace-replay ratio %v over %d traces far from target 2", ratio, seeds)
 	}
 }
 

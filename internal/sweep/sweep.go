@@ -186,11 +186,6 @@ func Run(points []Point) ([]*simsrv.Aggregate, error) {
 // worker. DES-routed points keep the exact task ordering, seeds and
 // reorder-buffer aggregation of a pure-DES sweep: routing a grid through
 // Auto leaves every simulated point bit-identical to Kind DES.
-//
-// NOTE: the jobs/out/recycle/reorder pipeline below is intentionally the
-// same shape as simsrv.RunReplications' single-point pipeline (which
-// cannot reuse this engine — sweep imports simsrv). When changing pool
-// sizing, error ordering or channel structure, change both in lockstep.
 func (e *Engine) Run(points []Point) ([]*simsrv.Aggregate, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("sweep: empty grid")
@@ -241,9 +236,6 @@ func (e *Engine) Run(points []Point) ([]*simsrv.Aggregate, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > total {
-		workers = total
-	}
 
 	// locate maps a global task index back to (point, replication).
 	locate := func(task int) (int, int) {
@@ -266,10 +258,13 @@ func (e *Engine) Run(points []Point) ([]*simsrv.Aggregate, error) {
 		default:
 			err = sim.Reset(p.Cfg, seed)
 		}
-		if err != nil {
-			return err
+		if err == nil {
+			err = sim.RunInto(res)
 		}
-		return sim.RunInto(res)
+		if err != nil {
+			return fmt.Errorf("sweep: point %d rep %d: %w", pt, rep, err)
+		}
+		return nil
 	}
 	finalize := func() ([]*simsrv.Aggregate, error) {
 		out := make([]*simsrv.Aggregate, len(points))
@@ -292,81 +287,12 @@ func (e *Engine) Run(points []Point) ([]*simsrv.Aggregate, error) {
 		return finalize()
 	}
 
-	if workers == 1 {
-		// Sequential fast path: one arena, one Result, zero goroutines.
-		var sim simsrv.Simulator
-		var res simsrv.Result
-		for task := 0; task < total; task++ {
-			if err := runTask(&sim, &res, task); err != nil {
-				pt, rep := locate(task)
-				return nil, fmt.Errorf("sweep: point %d rep %d: %w", pt, rep, err)
-			}
-			pt, _ := locate(task)
-			aggs[pt].Add(&res)
-		}
-		return finalize()
-	}
-
-	type done struct {
-		task int
-		res  *simsrv.Result
-		err  error
-	}
-	poolSize := 2 * workers
-	jobs := make(chan int)
-	// out holds every pooled Result at once, so worker sends never block
-	// and the in-order consumer cannot deadlock the pipeline.
-	out := make(chan done, poolSize)
-	recycle := make(chan *simsrv.Result, poolSize)
-	for i := 0; i < poolSize; i++ {
-		recycle <- new(simsrv.Result)
-	}
-	for w := 0; w < workers; w++ {
-		go func() {
-			var sim simsrv.Simulator
-			for task := range jobs {
-				res := <-recycle
-				err := runTask(&sim, res, task)
-				out <- done{task: task, res: res, err: err}
-			}
-		}()
-	}
-	go func() {
-		for task := 0; task < total; task++ {
-			jobs <- task
-		}
-		close(jobs)
-	}()
-
-	// Consume in task order through a reorder buffer; the first error in
-	// task order wins (deterministically).
-	pending := make(map[int]done, workers)
-	next := 0
-	var firstErr error
-	for received := 0; received < total; received++ {
-		d := <-out
-		pending[d.task] = d
-		for {
-			nd, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			if firstErr == nil {
-				if nd.err != nil {
-					pt, rep := locate(next)
-					firstErr = fmt.Errorf("sweep: point %d rep %d: %w", pt, rep, nd.err)
-				} else {
-					pt, _ := locate(next)
-					aggs[pt].Add(nd.res)
-				}
-			}
-			recycle <- nd.res
-			next++
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
+	err := simsrv.RunOrdered(total, workers, runTask, func(task int, res *simsrv.Result) {
+		pt, _ := locate(task)
+		aggs[pt].Add(res)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return finalize()
 }
