@@ -23,6 +23,7 @@ import (
 	"psd/internal/dist"
 	"psd/internal/figures"
 	"psd/internal/simsrv"
+	"psd/internal/sweep"
 )
 
 // benchOpts is the reduced fidelity profile for figure benches.
@@ -444,43 +445,87 @@ func BenchmarkFigureSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyticSweep measures the closed-form fast path on the same
-// grid BenchmarkFigureSweep simulates: one warm Evaluator pass per grid
-// point. It reports points/s and hard-fails on any warm-path allocation —
-// the same 0 allocs/point promise cmd/psdbench gates in CI.
+// BenchmarkAnalyticSweep measures the closed-form fast path twice, and
+// hard-fails each on allocation: "evaluator" is one warm Evaluator pass
+// per point of the grid BenchmarkFigureSweep simulates (the same 0
+// allocs/point promise cmd/psdbench gates in CI); "router" is the path a
+// user runs — one sweep.Engine{Kind: Auto}.Run over a 4 200-point
+// capacity grid with a policy axis — which may allocate per chunk and per
+// worker but not per point.
 func BenchmarkAnalyticSweep(b *testing.B) {
-	loads := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
-	cfgs := make([]simsrv.Config, len(loads))
-	for i, rho := range loads {
-		cfgs[i] = simsrv.EqualLoadConfig([]float64{1, 2}, rho, nil)
-	}
-	var ev analytic.Evaluator
-	var res analytic.Evaluation
-	if err := ev.EvaluateInto(&res, cfgs[0]); err != nil { // warm the arena
-		b.Fatal(err)
-	}
+	b.Run("evaluator", func(b *testing.B) {
+		loads := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
+		cfgs := make([]simsrv.Config, len(loads))
+		for i, rho := range loads {
+			cfgs[i] = simsrv.EqualLoadConfig([]float64{1, 2}, rho, nil)
+		}
+		var ev analytic.Evaluator
+		var res analytic.Evaluation
+		if err := ev.EvaluateInto(&res, cfgs[0]); err != nil { // warm the arena
+			b.Fatal(err)
+		}
+		reportPoints := allocsPerPoint(b)
+		for i := 0; i < b.N; i++ {
+			for j := range cfgs {
+				if err := ev.EvaluateInto(&res, cfgs[j]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if a := reportPoints(b.N * len(cfgs)); a > 0.01 {
+			b.Fatalf("warm closed-form evaluation allocates %.4f times per point, want 0", a)
+		}
+	})
+	b.Run("router", func(b *testing.B) {
+		var points []sweep.Point
+		for nc := 2; nc <= 8; nc++ {
+			deltas := make([]float64, nc)
+			for i := range deltas {
+				deltas[i] = float64(i + 1)
+			}
+			for k := 0; k < 150; k++ {
+				cfg := simsrv.EqualLoadConfig(deltas, 0.05+0.9*float64(k)/149, nil)
+				for _, policy := range []string{"psd", "equal", "demand", "log"} {
+					points = append(points, sweep.Point{Cfg: cfg, Runs: 1, Policy: policy})
+				}
+			}
+		}
+		eng := sweep.Engine{Kind: sweep.Auto}
+		reportPoints := allocsPerPoint(b)
+		for i := 0; i < b.N; i++ {
+			aggs, err := eng.Run(points)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if last := aggs[len(aggs)-1]; last.EventsProcessed != 0 || !(last.MeanSlowdowns[0] > 0) {
+				b.Fatalf("last point not answered in closed form: %+v", last)
+			}
+		}
+		if a := reportPoints(b.N * len(points)); a > 0.05 {
+			b.Fatalf("the analytic route allocates %.4f times per point, want O(chunks) per Run", a)
+		}
+	})
+}
+
+// allocsPerPoint starts the timed section of a points benchmark; the
+// function it returns ends it, reports points/s and allocs/point over the
+// given number of points, and returns the latter for the caller's gate.
+func allocsPerPoint(b *testing.B) func(points int) float64 {
 	var ms0, ms1 runtime.MemStats
+	stop := func(points int) float64 { // built first: the closure is itself an allocation
+		b.StopTimer()
+		runtime.ReadMemStats(&ms1)
+		allocs := float64(ms1.Mallocs-ms0.Mallocs) / float64(points)
+		if secs := b.Elapsed().Seconds(); secs > 0 {
+			b.ReportMetric(float64(points)/secs, "points/s")
+			b.ReportMetric(allocs, "allocs/point")
+		}
+		return allocs
+	}
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range cfgs {
-			if err := ev.EvaluateInto(&res, cfgs[j]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&ms1)
-	points := b.N * len(cfgs)
-	allocsPerPoint := float64(ms1.Mallocs-ms0.Mallocs) / float64(points)
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(points)/secs, "points/s")
-		b.ReportMetric(allocsPerPoint, "allocs/point")
-	}
-	if allocsPerPoint > 0.01 {
-		b.Fatalf("warm closed-form evaluation allocates %.4f times per point, want 0", allocsPerPoint)
-	}
+	return stop
 }
 
 // BenchmarkSimulationThroughput measures raw simulator speed: events per

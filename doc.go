@@ -84,7 +84,10 @@
 //	internal/sweep     scenario-grid engine: (point, replication) task
 //	                   queue over a pool of per-worker arenas, with an
 //	                   Engine.Kind router (DES | Auto | Analytic) that
-//	                   sends analytic-eligible points to closed forms,
+//	                   sends analytic-eligible points to closed forms —
+//	                   validated and solved in 1024-point chunks across
+//	                   the workers, their aggregates carved from three
+//	                   slabs per chunk (no per-point allocation) —
 //	                   plus the policy axis (Point.Policy, Tournament)
 //	                   that races registered policies over one grid
 //	internal/obs       allocation-free observability: atomic metrics

@@ -100,11 +100,20 @@ type Evaluator struct {
 // produces a measurement) does too, additionally wrapping the
 // allocator's core.ErrInfeasible.
 func (e *Evaluator) EvaluateInto(ev *Evaluation, cfg simsrv.Config) error {
-	cfg = cfg.ApplyDefaults()
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.Prepare(); err != nil {
 		return err
 	}
-	if reason := ineligible(cfg); reason != "" {
+	return e.EvaluatePrepared(ev, &cfg, nil)
+}
+
+// EvaluatePrepared is EvaluateInto for a caller that has already
+// defaulted and validated cfg (simsrv.Config.Prepare): internal/sweep
+// handles one Config per grid point and must not pay for either twice.
+// cfg is only read, through the pointer. pol, when non-nil, is the
+// registered policy cfg.Allocator is a fresh instance of — the sweep's
+// policy axis has it in hand, which saves the registry lookup by name.
+func (e *Evaluator) EvaluatePrepared(ev *Evaluation, cfg *simsrv.Config, pol *core.Policy) error {
+	if reason := ineligible(cfg, pol); reason != "" {
 		return fmt.Errorf("%w: %s", ErrNeedsSimulation, reason)
 	}
 	w, err := core.WorkloadFromDist(cfg.Service)
@@ -187,7 +196,7 @@ func classSlowdown(lambda float64, svc dist.Distribution, rate float64) (float64
 // analytic, or "" when it is. The checks mirror the package doc's
 // eligibility list; moment divergence is checked separately because it
 // needs the workload extraction anyway.
-func ineligible(cfg simsrv.Config) string {
+func ineligible(cfg *simsrv.Config, pol *core.Policy) string {
 	switch {
 	case len(cfg.LoadSchedule) > 0:
 		return "transient LoadSchedule phases"
@@ -201,7 +210,7 @@ func ineligible(cfg simsrv.Config) string {
 		return "per-request records only exist in a simulation"
 	case cfg.Recorder != nil:
 		return "flight recording captures control-tick trajectories"
-	case !supportedAllocator(cfg.Allocator):
+	case !supportedAllocator(cfg.Allocator, pol):
 		return fmt.Sprintf("allocator %s has no closed-form steady state here", cfg.Allocator.Name())
 	}
 	return ""
@@ -209,15 +218,20 @@ func ineligible(cfg simsrv.Config) string {
 
 // supportedAllocator reports whether the allocator's stationary
 // allocation at the true arrival rates is one the closed forms cover —
-// the registry's AnalyticEligible capability, with MinRate unwrapped
-// first (MinRate is a deterministic post-pass over its base). The check
-// keys off the policy name, so Static (never registered), PDD/PacketizedPSD
-// (registered without the capability) and custom allocators (unknown
-// names) all simulate; a custom policy becomes eligible by registering
-// its own core.Policy with the flag set.
-func supportedAllocator(a core.Allocator) bool {
+// the registry's AnalyticEligible capability, read from pol when the
+// caller already holds the allocator's policy and looked up by name
+// otherwise, with MinRate unwrapped first (MinRate is a deterministic
+// post-pass over its base). The check keys off the policy name, so Static
+// (never registered), PDD/PacketizedPSD (registered without the
+// capability) and custom allocators (unknown names) all simulate; a custom
+// policy becomes eligible by registering its own core.Policy with the
+// flag set.
+func supportedAllocator(a core.Allocator, pol *core.Policy) bool {
+	if pol != nil {
+		return pol.Caps.AnalyticEligible
+	}
 	if mr, ok := a.(core.MinRate); ok {
-		return supportedAllocator(mr.Base)
+		return supportedAllocator(mr.Base, nil)
 	}
 	p, ok := core.Lookup(a.Name())
 	return ok && p.Caps.AnalyticEligible

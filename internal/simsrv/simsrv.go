@@ -138,6 +138,19 @@ type Config struct {
 // ApplyDefaults fills unset fields with the paper's §4.1 values and
 // returns the completed config.
 func (c Config) ApplyDefaults() Config {
+	c.applyDefaults()
+	return c
+}
+
+// Prepare is ApplyDefaults followed by Validate, in place: the form for a
+// caller that owns the Config and handles one per grid point, where the
+// by-value pair costs four copies of the struct.
+func (c *Config) Prepare() error {
+	c.applyDefaults()
+	return c.validate()
+}
+
+func (c *Config) applyDefaults() {
 	if c.Service == nil {
 		c.Service = dist.PaperDefault()
 	}
@@ -165,11 +178,12 @@ func (c Config) ApplyDefaults() Config {
 	if c.EWMAAlpha == 0 {
 		c.EWMAAlpha = 0.3
 	}
-	return c
 }
 
 // Validate reports configuration errors.
-func (c Config) Validate() error {
+func (c Config) Validate() error { return c.validate() }
+
+func (c *Config) validate() error {
 	if len(c.Classes) == 0 {
 		return errors.New("simsrv: no classes configured")
 	}

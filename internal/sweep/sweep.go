@@ -36,14 +36,27 @@
 // window-statistics and moment-divergent points keep simulating; the
 // default DES kind (the zero value) never consults the analytic path at
 // all, so existing call sites stay bit-identical.
+//
+// Validation and routing run as one chunked phase ahead of the
+// replication pipeline: the workers claim contiguous chunks of
+// chunkPoints points off an atomic counter, each evaluating through its
+// own analytic.Evaluator arena, and the closed-form aggregates of a chunk
+// are carved out of three slabs — a closed-form point costs no heap
+// allocation, and a 10⁵-point capacity grid uses every core. The
+// trade-off is retention: the aggregates of one chunk share backing
+// arrays, so holding on to one of them keeps its chunk's slabs alive.
 package sweep
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
 
 	"psd/internal/analytic"
+	"psd/internal/core"
 	"psd/internal/rng"
 	"psd/internal/sched"
 	"psd/internal/simsrv"
@@ -177,51 +190,41 @@ func Run(points []Point) ([]*simsrv.Aggregate, error) {
 // Run executes every point's replications and returns one Aggregate per
 // point, in point order. All configurations are validated up front
 // (traces are validated by each worker's arena once, on its first
-// replication of the point); an execution error (first in task order,
-// deterministically) aborts the sweep.
+// replication of the point) and the first invalid point in point order
+// fails the sweep; an execution error (first in task order,
+// deterministically) aborts it.
 //
-// In Auto and Analytic kinds, analytic-eligible points are solved inline
-// from the closed forms before the replication pipeline starts — they
-// contribute zero tasks, so a fully analytic grid never spins up a
-// worker. DES-routed points keep the exact task ordering, seeds and
-// reorder-buffer aggregation of a pure-DES sweep: routing a grid through
-// Auto leaves every simulated point bit-identical to Kind DES.
+// In Auto and Analytic kinds, analytic-eligible points are solved from
+// the closed forms in that same up-front phase (see prepare) — they
+// contribute zero tasks, so a fully analytic grid never starts the
+// replication pipeline. DES-routed points keep the exact task ordering,
+// seeds and reorder-buffer aggregation of a pure-DES sweep: routing a
+// grid through Auto leaves every simulated point bit-identical to Kind
+// DES.
 func (e *Engine) Run(points []Point) ([]*simsrv.Aggregate, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("sweep: empty grid")
 	}
+	workers := e.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	out := make([]*simsrv.Aggregate, len(points))
+	if err := e.prepare(points, out, workers); err != nil {
+		return nil, err
+	}
+
+	// Lay the DES-routed points out on the task queue; a closed-form
+	// point is a zero-width entry.
 	total := 0
 	offsets := make([]int, len(points))
 	aggs := make([]*simsrv.Aggregator, len(points))
-	var analyticAggs []*simsrv.Aggregate
-	var evaluator analytic.Evaluator
-	if e.Kind != DES {
-		analyticAggs = make([]*simsrv.Aggregate, len(points))
-	}
 	for i := range points {
-		p := &points[i]
-		if p.Runs < 1 {
-			return nil, fmt.Errorf("sweep: point %d needs at least 1 run, got %d", i, p.Runs)
-		}
-		if err := p.resolvePolicy(); err != nil {
-			return nil, fmt.Errorf("sweep: point %d: %w", i, err)
-		}
-		cfg := p.Cfg.ApplyDefaults()
-		if err := cfg.Validate(); err != nil {
-			return nil, fmt.Errorf("sweep: point %d: %w", i, err)
-		}
 		offsets[i] = total
-		if analyticAggs != nil {
-			agg, err := e.evalPoint(&evaluator, p)
-			if err != nil {
-				return nil, fmt.Errorf("sweep: point %d: %w", i, err)
-			}
-			if agg != nil {
-				// Closed form: a zero-width entry in the task queue.
-				analyticAggs[i] = agg
-				continue
-			}
+		if out[i] != nil {
+			continue
 		}
+		p := &points[i]
 		total += p.Runs
 		aggs[i] = simsrv.NewAggregator(p.Cfg)
 		if e.ExactQuantiles {
@@ -231,22 +234,13 @@ func (e *Engine) Run(points []Point) ([]*simsrv.Aggregate, error) {
 			aggs[i].TrackWindowRatios()
 		}
 	}
-
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if total == 0 {
+		// Every point solved in closed form: nothing to simulate.
+		return out, nil
 	}
 
-	// locate maps a global task index back to (point, replication).
-	locate := func(task int) (int, int) {
-		pt := 0
-		for pt+1 < len(points) && offsets[pt+1] <= task {
-			pt++
-		}
-		return pt, task - offsets[pt]
-	}
 	runTask := func(sim *simsrv.Simulator, res *simsrv.Result, task int) error {
-		pt, rep := locate(task)
+		pt, rep := locate(offsets, task)
 		p := &points[pt]
 		seed := simsrv.ReplicationSeed(p.Cfg.Seed, rep)
 		var err error
@@ -266,78 +260,190 @@ func (e *Engine) Run(points []Point) ([]*simsrv.Aggregate, error) {
 		}
 		return nil
 	}
-	finalize := func() ([]*simsrv.Aggregate, error) {
-		out := make([]*simsrv.Aggregate, len(points))
-		for i, a := range aggs {
-			if a == nil {
-				out[i] = analyticAggs[i]
-				continue
-			}
-			agg, err := a.Aggregate()
-			if err != nil {
-				return nil, fmt.Errorf("sweep: point %d: %w", i, err)
-			}
-			out[i] = agg
-		}
-		return out, nil
-	}
-
-	if total == 0 {
-		// Every point solved in closed form: nothing to simulate.
-		return finalize()
-	}
-
 	err := simsrv.RunOrdered(total, workers, runTask, func(task int, res *simsrv.Result) {
-		pt, _ := locate(task)
+		pt, _ := locate(offsets, task)
 		aggs[pt].Add(res)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return finalize()
+	for i, a := range aggs {
+		if a == nil {
+			continue
+		}
+		if out[i], err = a.Aggregate(); err != nil {
+			return nil, fmt.Errorf("sweep: point %d: %w", i, err)
+		}
+	}
+	return out, nil
 }
 
-// evalPoint routes one point: a synthesized Aggregate when the closed
-// forms apply, (nil, nil) to fall back to the DES in Auto mode, or an
-// error (always in Analytic mode, where simulation is refused).
-func (e *Engine) evalPoint(ev *analytic.Evaluator, p *Point) (*simsrv.Aggregate, error) {
+// locate maps a global task index back to (point, replication): the last
+// point whose offset is ≤ task. Closed-form points are zero-width, so
+// they share their offset with the next DES-routed point, which is the
+// last of the run and therefore the one found.
+func locate(offsets []int, task int) (pt, rep int) {
+	pt = sort.Search(len(offsets), func(i int) bool { return offsets[i] > task }) - 1
+	return pt, task - offsets[pt]
+}
+
+// chunkPoints is how many consecutive points one worker claims at a time
+// in prepare: large enough that three slab allocations and one atomic add
+// vanish per point, small enough that a 10⁴-point grid still spreads over
+// every worker.
+const chunkPoints = 1024
+
+// pointWorker is what one goroutine of prepare owns for the whole sweep:
+// the closed-form arena, the Evaluation it fills, and the scratch Config
+// each point is defaulted and validated in (once, in place).
+type pointWorker struct {
+	cfg       simsrv.Config
+	evaluator analytic.Evaluator
+	ev        analytic.Evaluation
+}
+
+// prepare resolves, validates and routes every point: out[i] is set to
+// the synthesized Aggregate of each point the closed forms answered and
+// left nil for the points Run must simulate. Chunks are claimed off an
+// atomic counter by min(workers, chunks) goroutines; a grid of a single
+// chunk runs on the caller's goroutine. The error returned is that of
+// the first failing point in point order, whatever the interleaving.
+func (e *Engine) prepare(points []Point, out []*simsrv.Aggregate, workers int) error {
+	chunks := (len(points) + chunkPoints - 1) / chunkPoints
+	errs := make([]error, chunks) // each chunk's first error in point order
+	var next atomic.Int64
+	work := func() {
+		var w pointWorker
+		for c := int(next.Add(1)) - 1; c < chunks; c = int(next.Add(1)) - 1 {
+			lo := c * chunkPoints
+			errs[c] = e.prepareChunk(&w, points, out, lo, min(lo+chunkPoints, len(points)))
+		}
+	}
+	if n := min(workers, chunks); n <= 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(n)
+		for ; n > 0; n-- {
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// prepareChunk runs points[lo:hi] in order and stops at the first error.
+// The slab is sized at the chunk's first closed-form point, for the rest
+// of the chunk, so a chunk the DES takes whole allocates nothing.
+func (e *Engine) prepareChunk(w *pointWorker, points []Point, out []*simsrv.Aggregate, lo, hi int) error {
+	var s slab
+	for i := lo; i < hi; i++ {
+		p := &points[i]
+		if p.Runs < 1 {
+			return fmt.Errorf("sweep: point %d needs at least 1 run, got %d", i, p.Runs)
+		}
+		pol, err := p.resolvePolicy()
+		if err != nil {
+			return fmt.Errorf("sweep: point %d: %w", i, err)
+		}
+		w.cfg = p.Cfg
+		if err := w.cfg.Prepare(); err != nil {
+			return fmt.Errorf("sweep: point %d: %w", i, err)
+		}
+		if e.Kind == DES {
+			continue
+		}
+		var named *core.Policy
+		if p.Policy != "" {
+			named = &pol
+		}
+		closed, err := e.evalPoint(w, p, named)
+		if err != nil {
+			return fmt.Errorf("sweep: point %d: %w", i, err)
+		}
+		if closed {
+			if s.aggs == nil {
+				s = newSlab(points[i:hi])
+			}
+			out[i] = s.take(&w.ev)
+		}
+	}
+	return nil
+}
+
+// evalPoint routes one validated point (w.cfg): true when the closed
+// forms answered it into w.ev, false to fall back to the DES in Auto
+// mode, or an error (always in Analytic mode, where simulation is
+// refused).
+func (e *Engine) evalPoint(w *pointWorker, p *Point, pol *core.Policy) (bool, error) {
 	if reason := p.needsDES(); reason != "" {
 		if e.Kind == Analytic {
-			return nil, fmt.Errorf("%w: %s", analytic.ErrNeedsSimulation, reason)
+			return false, fmt.Errorf("%w: %s", analytic.ErrNeedsSimulation, reason)
 		}
-		return nil, nil
+		return false, nil
 	}
-	var res analytic.Evaluation
-	if err := ev.EvaluateInto(&res, p.Cfg); err != nil {
+	if err := w.evaluator.EvaluatePrepared(&w.ev, &w.cfg, pol); err != nil {
 		if e.Kind == Auto && errors.Is(err, analytic.ErrNeedsSimulation) {
-			return nil, nil
+			return false, nil
 		}
-		return nil, err
+		return false, err
 	}
-	return analyticAggregate(&res), nil
+	return true, nil
 }
 
-// analyticAggregate shapes a closed-form Evaluation as the Aggregate of
-// a single exact "replication": the means ARE the stationary values,
-// the confidence intervals are zero-width, the per-window ratio
-// summaries stay empty (no windows were simulated) and no DES events
-// were processed — which is also how callers can tell an analytic point
-// from a simulated one.
-func analyticAggregate(ev *analytic.Evaluation) *simsrv.Aggregate {
-	nc := len(ev.Slowdowns)
-	agg := &simsrv.Aggregate{
-		Runs:              1,
-		MeanSlowdowns:     make([]float64, nc),
-		CI95:              make([]float64, nc),
-		ExpectedSlowdowns: make([]float64, nc),
-		RatioSummaries:    make([]stats.Summary, nc),
-		MeanRatios:        make([]float64, nc),
-		SystemSlowdown:    ev.SystemSlowdown,
+// slab backs the closed-form aggregates of one chunk: the Aggregate
+// structs, their four float vectors per point, and their ratio summaries
+// are three allocations per chunk instead of six per point.
+type slab struct {
+	aggs   []simsrv.Aggregate
+	floats []float64
+	sums   []stats.Summary
+}
+
+// newSlab sizes a slab for every point of rest taking the closed form.
+func newSlab(rest []Point) slab {
+	classes := 0
+	for i := range rest {
+		classes += len(rest[i].Cfg.Classes)
 	}
+	return slab{
+		aggs:   make([]simsrv.Aggregate, len(rest)),
+		floats: make([]float64, 4*classes),
+		sums:   make([]stats.Summary, classes),
+	}
+}
+
+// take carves the next Aggregate off the slab and shapes ev as a single
+// exact "replication": the means ARE the stationary values, the
+// confidence intervals are zero-width, the per-window ratio summaries
+// stay empty (no windows were simulated) and no DES events were processed
+// — which is also how callers can tell an analytic point from a simulated
+// one. Every slice is cut with cap == len, so an append on one aggregate
+// cannot write into its neighbour.
+func (s *slab) take(ev *analytic.Evaluation) *simsrv.Aggregate {
+	nc := len(ev.Slowdowns)
+	agg := &s.aggs[0]
+	s.aggs = s.aggs[1:]
+	f := s.floats[:4*nc]
+	s.floats = s.floats[4*nc:]
+	agg.Runs = 1
+	agg.MeanSlowdowns = f[0*nc : 1*nc : 1*nc]
+	agg.CI95 = f[1*nc : 2*nc : 2*nc]
+	agg.ExpectedSlowdowns = f[2*nc : 3*nc : 3*nc]
+	agg.MeanRatios = f[3*nc : 4*nc : 4*nc]
+	agg.RatioSummaries = s.sums[:nc:nc]
+	s.sums = s.sums[nc:]
+	agg.SystemSlowdown = ev.SystemSlowdown
 	copy(agg.MeanSlowdowns, ev.Slowdowns)
 	copy(agg.ExpectedSlowdowns, ev.Slowdowns)
-	for i := 1; i < nc; i++ {
-		agg.MeanRatios[i] = ev.Ratios[i]
-	}
+	copy(agg.MeanRatios[1:], ev.Ratios[1:])
 	return agg
 }

@@ -20,34 +20,38 @@ func disciplineFor(name string) func(classes int, src *rng.Source) sched.Schedul
 	return nil
 }
 
-// resolvePolicy materializes a Point's Policy name: the registered
-// allocator replaces Cfg.Allocator, and a size-aware policy switches the
-// point to the packetized model with its discipline (unless the caller
-// already pinned a NewScheduler). No-op when Policy is empty, so every
-// pre-policy-axis grid is untouched.
-func (p *Point) resolvePolicy() error {
+// resolvePolicy materializes a Point's Policy name with one registry
+// lookup: a fresh allocator from the registered policy replaces
+// Cfg.Allocator (instances are never shared between points — a policy may
+// be stateful), and a size-aware policy switches the point to the
+// packetized model with its discipline (unless the caller already pinned
+// a NewScheduler). The policy is returned so the router reads its
+// capabilities without looking the allocator's name up again. No-op (and
+// the zero Policy) when Policy is empty, so every pre-policy-axis grid is
+// untouched.
+func (p *Point) resolvePolicy() (core.Policy, error) {
 	if p.Policy == "" {
-		return nil
+		return core.Policy{}, nil
 	}
-	al, err := core.Parse(p.Policy)
-	if err != nil {
-		return err
+	pol, ok := core.Lookup(p.Policy)
+	if !ok {
+		_, err := core.Parse(p.Policy) // the registry's own "unknown policy" error
+		return pol, err
 	}
-	pol, _ := core.Lookup(p.Policy)
-	p.Cfg.Allocator = al
+	p.Cfg.Allocator = pol.New()
 	if pol.Caps.NeedsSizeInfo {
 		if p.Trace != nil {
-			return fmt.Errorf("sweep: size-aware policy %q cannot drive trace replay", p.Policy)
+			return pol, fmt.Errorf("sweep: size-aware policy %q cannot drive trace replay", p.Policy)
 		}
 		p.Packetized = true
 		if p.NewScheduler == nil {
 			p.NewScheduler = disciplineFor(p.Policy)
 			if p.NewScheduler == nil {
-				return fmt.Errorf("sweep: size-aware policy %q has no registered discipline", p.Policy)
+				return pol, fmt.Errorf("sweep: size-aware policy %q has no registered discipline", p.Policy)
 			}
 		}
 	}
-	return nil
+	return pol, nil
 }
 
 // Tournament crosses a base scenario grid with a list of registered
