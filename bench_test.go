@@ -323,16 +323,17 @@ func BenchmarkAblationPacketized(b *testing.B) {
 // BenchmarkReplication is the repo's end-to-end performance benchmark:
 // one full paper-fidelity replication (10,000 tu warmup + 60,000 tu
 // measured, §4.1) per iteration through a reusable Simulator arena, over
-// the standard 2-class and 5-class partitioned workloads AND the
-// packetized SCFQ server. It reports the numbers the perf baseline
-// tracks:
+// both service models and both arrival sources of the one simsrv runner:
+// the 2-class and 5-class partitioned task servers, their work-conserving
+// variant, the packetized SCFQ server and trace replay. It reports the
+// numbers the perf baseline tracks:
 //
 //	events/s      DES events executed per wall-clock second
 //	ns/event      inverse of the above
 //	allocs/event  heap allocations per event
 //	allocs/rep    heap allocations per steady-state replication
 //
-// Two hard gates back the metrics (both models):
+// Two hard gates back the metrics (every case):
 //
 //   - allocs/event < 0.01 — the pre-PR2 engine sat at ~2.7, the
 //     packetized path at 0.053 until its allocator bisection went
@@ -351,23 +352,41 @@ func BenchmarkReplication(b *testing.B) {
 		deltas     []float64
 		load       float64
 		packetized bool
+		workCons   bool
+		trace      bool
 	}{
-		{"2class", []float64{1, 4}, 0.6, false},
-		{"5class", []float64{1, 2, 4, 8, 16}, 0.8, false},
-		{"2class-packetized", []float64{1, 4}, 0.6, true},
+		{name: "2class", deltas: []float64{1, 4}, load: 0.6},
+		{name: "5class", deltas: []float64{1, 2, 4, 8, 16}, load: 0.8},
+		{name: "2class-workcons", deltas: []float64{1, 4}, load: 0.6, workCons: true},
+		{name: "2class-packetized", deltas: []float64{1, 4}, load: 0.6, packetized: true},
+		{name: "2class-trace", deltas: []float64{1, 2}, load: 0.6, trace: true},
 	}
 	for _, tc := range cases {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
 			cfg := simsrv.EqualLoadConfig(tc.deltas, tc.load, nil)
+			cfg.WorkConserving = tc.workCons
+			var trace []simsrv.TraceRequest
+			if tc.trace {
+				// The determinism goldens' synthetic trace, stretched to
+				// the horizon (cmd/psdbench replays the same one).
+				sz := []float64{0.2, 1.7, 0.4, 3.1, 0.9, 0.15, 6.0, 0.5}
+				for i, tm := 0, 0.0; tm < 70000; i++ {
+					tm += 0.35 + float64(i%7)*0.11
+					trace = append(trace, simsrv.TraceRequest{Time: tm, Class: i % 2, Size: sz[i%len(sz)]})
+				}
+			}
 			var sim simsrv.Simulator
 			var res simsrv.Result
 			run := func(seed uint64) {
 				b.Helper()
 				var err error
-				if tc.packetized {
+				switch {
+				case tc.packetized:
 					err = sim.ResetPacketized(simsrv.PacketizedConfig{Config: cfg}, seed)
-				} else {
+				case tc.trace:
+					err = sim.ResetTrace(cfg, trace, seed)
+				default:
 					err = sim.Reset(cfg, seed)
 				}
 				if err == nil {

@@ -56,7 +56,7 @@
 //	internal/des       allocation-free discrete-event core: 4-ary value
 //	                   heap, generation-checked EventID handles, typed
 //	                   (Handler, kind, data) dispatch
-//	internal/stats     streaming moments, histograms, P² quantiles
+//	internal/stats     streaming moments, window series, P² quantiles
 //	internal/sched     GPS/WFQ/DRR/WRR/Lottery substrate + the size-aware
 //	                   heSRPT (weighted shortest-job-first) discipline
 //	internal/control   the shared control plane: one allocation-free
@@ -79,8 +79,13 @@
 //	                   stationary fixed-rate points in ~100ns with zero
 //	                   allocations, ErrNeedsSimulation for everything else
 //	internal/simsrv    the paper's simulation model (Fig. 1) as a
-//	                   reusable arena: Simulator Reset/RunInto plus
-//	                   streaming replication aggregation
+//	                   reusable arena: one event skeleton (generators,
+//	                   admission gate + ladder, control tick, metrics) ×
+//	                   two service models (paced task servers | one
+//	                   scheduler-driven processor) × three arrival
+//	                   sources (Poisson, LoadSchedule redraw, trace
+//	                   replay); Simulator Reset*/RunInto plus streaming
+//	                   replication aggregation
 //	internal/sweep     scenario-grid engine: (point, replication) task
 //	                   queue over a pool of per-worker arenas, with an
 //	                   Engine.Kind router (DES | Auto | Analytic) that

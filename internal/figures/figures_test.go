@@ -27,7 +27,8 @@ func TestGenerateRejectsUnknownID(t *testing.T) {
 // TestFigure14PolicyTournament checks the beyond-paper tournament
 // figure: three series (ratio error, mean slowdown, shed rate) per
 // racing policy, one point per scenario cell, finite non-negative
-// values, and a zero shed series for the packetized heSRPT policy.
+// values, and a shed series for the packetized heSRPT policy that shows
+// the admission gate at work there too.
 func TestFigure14PolicyTournament(t *testing.T) {
 	f, err := Figure14(tiny())
 	if err != nil {
@@ -49,16 +50,19 @@ func TestFigure14PolicyTournament(t *testing.T) {
 			}
 		}
 	}
-	// The heSRPT policy runs on the packetized server, which has no
-	// admission gate: its shed series must be identically zero.
+	// The heSRPT policy runs on the packetized server behind the same
+	// admission gate as the fluid policies: a surge to ~136% must make it
+	// shed somewhere.
 	for _, s := range f.Series {
-		if !strings.HasSuffix(s.Name, "shed rate") || !strings.HasPrefix(s.Name, "hesrpt") {
+		if s.Name != "hesrpt shed rate" {
 			continue
 		}
-		for i, v := range s.Y {
-			if v != 0 {
-				t.Errorf("hesrpt shed rate cell %d = %v, want 0", i+1, v)
-			}
+		shed := 0.0
+		for _, v := range s.Y {
+			shed += v
+		}
+		if shed == 0 {
+			t.Errorf("hesrpt shed series %v is identically zero", s.Y)
 		}
 	}
 }

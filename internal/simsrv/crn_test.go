@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"psd/internal/core"
+	"psd/internal/rng"
+	"psd/internal/sched"
 )
 
 // TestCommonRandomNumbersAcrossPolicies pins what the per-component
@@ -13,10 +15,17 @@ import (
 // from stream 2i+1 and its sizes from stream 2i+2 of the replication's
 // source, nothing else draws from either, so the (arrival time, size)
 // sequence each class is offered is a function of the seed alone — the
-// same under every allocation policy, which is what makes a policy
-// comparison at equal seeds a paired one.
+// same under every allocation policy and on either service model (the
+// generators belong to the skeleton, not to the server box), which is
+// what makes a policy comparison at equal seeds a paired one.
 func TestCommonRandomNumbersAcrossPolicies(t *testing.T) {
 	type offered struct{ arrival, size float64 }
+	// disciplines maps the policies that run on the packetized model to
+	// their scheduler (nil = the default SCFQ).
+	disciplines := map[string]func(int, *rng.Source) sched.Scheduler{
+		"ppsd":   nil,
+		"hesrpt": func(n int, _ *rng.Source) sched.Scheduler { return sched.NewHeSRPT(n) },
+	}
 	run := func(policy string) [][]offered {
 		t.Helper()
 		al, err := core.Parse(policy)
@@ -27,7 +36,12 @@ func TestCommonRandomNumbersAcrossPolicies(t *testing.T) {
 		cfg.Allocator = al
 		cfg.Warmup, cfg.Horizon, cfg.Seed = 1000, 9000, 5
 		cfg.RecordRequests, cfg.RecordFrom, cfg.RecordTo = true, 0, cfg.Warmup+cfg.Horizon
-		res, err := Run(cfg)
+		var res *Result
+		if mk, packetized := disciplines[policy]; packetized {
+			res, err = RunPacketized(PacketizedConfig{Config: cfg, NewScheduler: mk})
+		} else {
+			res, err = Run(cfg)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +63,7 @@ func TestCommonRandomNumbersAcrossPolicies(t *testing.T) {
 		return seq[lo:hi]
 	}
 	ref := run("psd")
-	for _, policy := range []string{"equal", "downgrade"} {
+	for _, policy := range []string{"equal", "downgrade", "ppsd", "hesrpt"} {
 		got := run(policy)
 		for class := range ref {
 			a, b := ref[class], got[class]
@@ -61,6 +75,25 @@ func TestCommonRandomNumbersAcrossPolicies(t *testing.T) {
 			a, b = between(a, from, to), between(b, from, to)
 			if len(a) < 1000 {
 				t.Fatalf("%s class %d: only %d requests in the common span", policy, class, len(a))
+			}
+			if policy == "hesrpt" {
+				// Size-aware service is not FCFS within a class: a large
+				// job can still be waiting when the run ends, and only
+				// completions are recorded. What did complete must be, in
+				// order, a subsequence of what psd was offered.
+				j := 0
+				for i, req := range b {
+					for j < len(a) && a[j] != req {
+						j++
+					}
+					if j == len(a) {
+						t.Fatalf("hesrpt class %d request %d: served %+v, which psd was never offered", class, i, req)
+					}
+				}
+				if len(b) < len(a)*9/10 {
+					t.Fatalf("hesrpt class %d: only %d of %d offered requests completed", class, len(b), len(a))
+				}
+				continue
 			}
 			if len(a) != len(b) {
 				t.Fatalf("%s class %d: %d requests offered, psd saw %d in the same span", policy, class, len(b), len(a))

@@ -137,3 +137,50 @@ func TestDowngradingAggregateShedRate(t *testing.T) {
 		t.Errorf("MeanShedRate = %v without an admission gate, want 0", calmAgg.MeanShedRate)
 	}
 }
+
+// totalRejected sums the admission rejections over all classes.
+func totalRejected(res *Result) (n int64) {
+	for _, cs := range res.Classes {
+		n += cs.Rejected
+	}
+	return n
+}
+
+// TestPacketizedGateAndLadder: the skeleton owns the admission gate and
+// the degradation ladder, so the packetized model has both. The same
+// sustained overload as above behind a 0.95 bound must shed on the
+// full-speed processor too, and with the downgrading allocator the ladder
+// engages no later than the first shed.
+func TestPacketizedGateAndLadder(t *testing.T) {
+	run := func(alloc core.Allocator) *Result {
+		t.Helper()
+		cfg := overloadConfig(t, alloc)
+		adm, err := admission.NewUtilizationBound(0.95, cfg.Window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Admission = adm
+		res, err := RunPacketized(PacketizedConfig{Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	plain := run(core.PacketizedPSD{})
+	if totalRejected(plain) == 0 || math.IsNaN(plain.FirstShedAt) {
+		t.Fatalf("packetized ρ≈1.3 behind a 0.95 bound shed nothing: rejected=%d firstShed=%v",
+			totalRejected(plain), plain.FirstShedAt)
+	}
+	if !math.IsNaN(plain.LadderEngagedAt) || plain.LadderMaxedOut {
+		t.Errorf("ppsd must not arm the ladder: engagedAt=%v maxedOut=%v", plain.LadderEngagedAt, plain.LadderMaxedOut)
+	}
+
+	down := run(core.Downgrading{})
+	if totalRejected(down) == 0 {
+		t.Fatal("downgrade on the packetized model shed nothing at ρ≈1.3")
+	}
+	if math.IsNaN(down.LadderEngagedAt) || !(down.LadderEngagedAt <= down.FirstShedAt) {
+		t.Errorf("degrade-before-shed violated on the packetized model: ladder engaged at %v, first shed at %v",
+			down.LadderEngagedAt, down.FirstShedAt)
+	}
+}

@@ -1,15 +1,8 @@
 package simsrv
 
 import (
-	"fmt"
-	"math"
-
-	"psd/internal/control"
-	"psd/internal/core"
-	"psd/internal/des"
 	"psd/internal/rng"
 	"psd/internal/sched"
-	"psd/internal/stats"
 )
 
 // PacketizedConfig parametrizes a packetized-server simulation: one
@@ -33,387 +26,100 @@ type PacketizedConfig struct {
 	NewScheduler func(classes int, src *rng.Source) sched.Scheduler
 }
 
-// Packetized event kinds (pkRunner.HandleEvent payloads: data = class for
-// pkArrival, unused otherwise).
-const (
-	pkArrival int32 = iota
-	pkDone
-	pkRealloc
-	pkPhase
-)
+// processor is the packetized service model: one full-speed processor
+// serializes whole requests and a sched.Scheduler picks the next one, with
+// the allocation installed as (positive-floored) weights. Jobs flow
+// through the scheduler by value (SCFQ's tag heap stores them inline), so
+// the model sits on the same ~zero allocs/event budget as the task
+// servers.
+type processor struct {
+	r *runner
+	// newScheduler is the PacketizedConfig factory for the armed run (nil
+	// = the retained SCFQ below).
+	newScheduler func(classes int, src *rng.Source) sched.Scheduler
+	scheduler    sched.Scheduler
+	ownSCFQ      *sched.SCFQ // retained default-discipline arena
+	ownSCFQSize  int         // class count ownSCFQ was built for
+	schedSrc     rng.Source  // retained stream handed to newScheduler
 
-// pkClassMetrics aggregates one class's measurements in packetized mode.
-type pkClassMetrics struct {
-	slow    stats.Welford
-	delay   stats.Welford
-	svc     stats.Welford
-	windows stats.WindowSeries
-}
-
-// pkRunner wires the packetized model for one replication; it is the
-// packetized half of a Simulator arena. Like runner it is the single
-// des.Handler, so event scheduling allocates nothing; jobs flow through
-// the scheduler by value (SCFQ's tag heap stores them inline), and the
-// allocator runs in place, so the whole mode sits on the same ~zero
-// allocs/event budget as the partitioned model. (The previous engine's
-// ~0.05 allocs/event came from the PacketizedPSD bisection allocating a
-// candidate slice per probe — ~200 per reallocation tick.)
-type pkRunner struct {
-	cfg         Config
-	sim         des.Simulator
-	scheduler   sched.Scheduler
-	ownSCFQ     *sched.SCFQ // retained default-discipline arena
-	ownSCFQSize int         // class count ownSCFQ was built for
-	schedSrc    rng.Source  // retained stream handed to NewScheduler
-	loop        control.Loop
-	workload    core.Workload
-	total       float64
-	phaseIdx    int // next LoadSchedule phase to apply
-
-	metrics    []pkClassMetrics
-	arrivalRng []rng.Source
-	sizeRng    []rng.Source
-	services   []distSampler
-	// curLambda is the phase-adjusted per-class Poisson rate;
-	// nextArrival the pending arrival event, cancellable at phase
-	// switches for the memoryless redraw.
-	curLambda   []float64
-	nextArrival []des.EventID
-
-	busy bool
-	// cur* describe the request occupying the processor; the single
-	// full-speed server serializes service, so no per-job state needs to
-	// outlive its completion event.
+	// cur* describe the request occupying the processor; service is
+	// serialized, so no per-job state outlives its completion event.
+	busy       bool
 	curClass   int
 	curSize    float64
-	curStart   float64
 	curArrival float64
+	curStart   float64
 
-	allocDeltas  []float64
-	allocLambdas []float64
-	allocWeights []float64
-	// lastWeights is the most recent weight vector actually installed in
-	// the scheduler (floored), reported as Result.FinalRates.
+	weights []float64
+	// lastWeights is the most recent weight vector the scheduler accepted,
+	// reported as Result.FinalRates.
 	lastWeights []float64
-
-	reallocOK   int
-	reallocFail int
-	records     []RequestRecord
 }
 
-func (p *pkRunner) HandleEvent(kind, data int32) {
-	switch kind {
-	case pkArrival:
-		p.onArrival(int(data))
-	case pkDone:
-		p.onDone()
-	case pkRealloc:
-		p.onRealloc()
-	case pkPhase:
-		p.onPhase()
+func (p *processor) reset(r *runner) {
+	p.r = r
+	p.busy = false
+	nc := len(r.classes)
+	switch {
+	case p.newScheduler != nil:
+		// Re-derive the scheduler stream into a retained Source so a
+		// factory that returns a retained scheduler keeps the reset
+		// allocation-free (same derived state as r.src.Split(1000)).
+		r.src.SplitInto(&p.schedSrc, 1000)
+		p.scheduler = p.newScheduler(nc, &p.schedSrc)
+	case p.ownSCFQ != nil && p.ownSCFQSize == nc:
+		p.ownSCFQ.Reset()
+		p.scheduler = p.ownSCFQ
+	default:
+		p.ownSCFQ, p.ownSCFQSize = sched.NewSCFQ(nc), nc
+		p.scheduler = p.ownSCFQ
 	}
+	p.weights = resizeFloat(p.weights, nc)
+	p.lastWeights = resizeFloat(p.lastWeights, nc)
 }
 
-func (p *pkRunner) scheduleArrival(i int) {
-	p.nextArrival[i] = des.None
-	if p.curLambda[i] <= 0 {
-		return
-	}
-	p.nextArrival[i] = p.sim.Schedule(p.arrivalRng[i].ExpFloat64(p.curLambda[i]), p, pkArrival, int32(i))
-}
-
-func (p *pkRunner) onArrival(i int) {
-	size := p.services[i].Sample(&p.sizeRng[i])
-	p.loop.Observe(i, size)
-	p.scheduler.Enqueue(sched.Job{Class: i, Size: size, Arrival: p.sim.Now()})
+func (p *processor) accept(class int, size, now float64) {
+	p.scheduler.Enqueue(sched.Job{Class: class, Size: size, Arrival: now})
 	if !p.busy {
 		p.dispatch()
 	}
-	p.scheduleArrival(i)
-}
-
-// scheduleNextPhase / onPhase mirror the fluid runner's LoadSchedule
-// handling (see simsrv.go) for the packetized model.
-func (p *pkRunner) scheduleNextPhase() {
-	if p.phaseIdx >= len(p.cfg.LoadSchedule) {
-		return
-	}
-	next := p.cfg.LoadSchedule[p.phaseIdx]
-	if next.Start > p.total {
-		return
-	}
-	p.sim.ScheduleAt(next.Start, p, pkPhase, 0)
-}
-
-func (p *pkRunner) onPhase() {
-	ph := p.cfg.LoadSchedule[p.phaseIdx]
-	p.phaseIdx++
-	for i, cc := range p.cfg.Classes {
-		p.curLambda[i] = cc.Lambda * ph.scaleFor(i)
-		if p.nextArrival[i] != des.None {
-			p.sim.Cancel(p.nextArrival[i])
-			p.nextArrival[i] = des.None
-		}
-		p.scheduleArrival(i)
-	}
-	p.scheduleNextPhase()
 }
 
 // dispatch pulls the scheduler's next choice onto the processor.
-func (p *pkRunner) dispatch() {
+func (p *processor) dispatch() {
 	j, ok := p.scheduler.Dequeue()
+	p.busy = ok
 	if !ok {
-		p.busy = false
 		return
 	}
-	p.busy = true
-	p.curClass, p.curSize, p.curStart, p.curArrival = j.Class, j.Size, p.sim.Now(), j.Arrival
-	p.sim.Schedule(j.Size, p, pkDone, 0) // full-speed service
+	p.curClass, p.curSize, p.curArrival, p.curStart = j.Class, j.Size, j.Arrival, p.r.sim.Now()
+	p.r.sim.Schedule(j.Size, p.r, evCompletion, 0) // full-speed service
 }
 
-func (p *pkRunner) onDone() {
-	now := p.sim.Now()
-	if now >= p.cfg.Warmup {
-		delay := p.curStart - p.curArrival
-		slowdown := delay / p.curSize
-		m := &p.metrics[p.curClass]
-		m.slow.Add(slowdown)
-		m.delay.Add(delay)
-		m.svc.Add(p.curSize)
-		m.windows.Observe(now-p.cfg.Warmup, slowdown)
-		if p.cfg.RecordRequests && now >= p.cfg.RecordFrom && now < p.cfg.RecordTo {
-			p.records = append(p.records, RequestRecord{
-				Class: p.curClass, Arrival: p.curArrival, ServiceStart: p.curStart,
-				Completion: now, Size: p.curSize, Slowdown: slowdown,
-			})
-		}
-	}
+func (p *processor) complete(int32) {
+	p.r.served(p.curClass, p.curSize, p.curArrival, p.curStart, p.curSize)
 	p.dispatch()
 }
 
-// onRealloc drives one tick of the shared control plane and installs the
-// resulting rates as (floored) scheduler weights. Packetized mode runs
-// the loop open-loop: the Feedback flag is not applicable here.
-func (p *pkRunner) onRealloc() {
-	var in control.TickInput
-	if p.cfg.Oracle {
-		oracle := p.allocLambdas
-		copy(oracle, p.curLambda)
-		in.OracleLambdas = oracle
+// setRates installs the rates as scheduler weights, floored positive
+// (schedulers reject non-positive weights; an idle class's zero rate
+// becomes a negligible share).
+func (p *processor) setRates(rates []float64) error {
+	floor := p.r.cfg.MinRate
+	if floor <= 0 {
+		floor = 1e-6
 	}
-	if rates, err := p.loop.Tick(in); err == nil {
-		positiveFloorInto(p.allocWeights, rates, p.cfg.MinRate)
-		if err := p.scheduler.SetWeights(p.allocWeights); err == nil {
-			copy(p.lastWeights, p.allocWeights)
-			p.reallocOK++
-		} else {
-			p.reallocFail++
-		}
-	} else {
-		p.reallocFail++
+	for i, w := range rates {
+		p.weights[i] = max(w, floor)
 	}
-	if p.sim.Now() < p.total {
-		p.sim.Schedule(p.cfg.Window, p, pkRealloc, 0)
-	}
-}
-
-// reset re-arms the packetized arena for one replication of pc (whose
-// Config.Seed is authoritative). It mirrors runner.reset: all buffers are
-// reused, streams re-derived, and the default SCFQ scheduler's packet
-// heap retained.
-func (p *pkRunner) reset(pc PacketizedConfig) error {
-	cfg := pc.Config.ApplyDefaults()
-	if cfg.Allocator == nil || pc.Config.Allocator == nil {
-		// The fluid default would systematically overshoot here; make
-		// the packetized-correct allocator the default for this mode.
-		cfg.Allocator = core.PacketizedPSD{}
-	}
-	if err := cfg.Validate(); err != nil {
+	if err := p.scheduler.SetWeights(p.weights); err != nil {
 		return err
 	}
-	if cfg.WorkConserving {
-		return fmt.Errorf("simsrv: packetized mode is inherently work-conserving; WorkConserving flag is not applicable")
-	}
-	w, err := coreWorkload(cfg)
-	if err != nil {
-		return err
-	}
-
-	nc := len(cfg.Classes)
-	p.cfg = cfg
-	p.workload = w
-	p.total = cfg.Warmup + cfg.Horizon
-	p.phaseIdx = 0
-	p.sim.Reset()
-	p.busy = false
-	p.curClass, p.curSize, p.curStart, p.curArrival = 0, 0, 0, 0
-	p.reallocOK = 0
-	p.reallocFail = 0
-	p.records = p.records[:0]
-
-	var src rng.Source
-	src.Reseed(cfg.Seed)
-	if pc.NewScheduler != nil {
-		// Re-derive the scheduler stream into a retained Source so a
-		// factory that returns a retained scheduler keeps the reset
-		// allocation-free (same derived state as src.Split(1000)).
-		src.SplitInto(&p.schedSrc, 1000)
-		p.scheduler = pc.NewScheduler(nc, &p.schedSrc)
-	} else if p.ownSCFQ != nil && p.ownSCFQSize == nc {
-		p.ownSCFQ.Reset()
-		p.scheduler = p.ownSCFQ
-	} else {
-		p.ownSCFQ = sched.NewSCFQ(nc)
-		p.ownSCFQSize = nc
-		p.scheduler = p.ownSCFQ
-	}
-
-	if cap(p.metrics) < nc {
-		old := p.metrics
-		p.metrics = make([]pkClassMetrics, nc)
-		copy(p.metrics, old) // keep retained window buffers
-	} else {
-		p.metrics = p.metrics[:nc]
-	}
-	if cap(p.arrivalRng) < nc {
-		p.arrivalRng = make([]rng.Source, nc)
-		p.sizeRng = make([]rng.Source, nc)
-	} else {
-		p.arrivalRng = p.arrivalRng[:nc]
-		p.sizeRng = p.sizeRng[:nc]
-	}
-	if cap(p.services) < nc {
-		p.services = make([]distSampler, nc)
-	} else {
-		p.services = p.services[:nc]
-	}
-	p.allocDeltas = resizeFloat(p.allocDeltas, nc)
-	p.allocLambdas = resizeFloat(p.allocLambdas, nc)
-	p.allocWeights = resizeFloat(p.allocWeights, nc)
-	p.lastWeights = resizeFloat(p.lastWeights, nc)
-	p.curLambda = resizeFloat(p.curLambda, nc)
-	if cap(p.nextArrival) < nc {
-		p.nextArrival = make([]des.EventID, nc)
-	} else {
-		p.nextArrival = p.nextArrival[:nc]
-	}
-	for i, cc := range cfg.Classes {
-		p.allocDeltas[i] = cc.Delta
-		p.curLambda[i] = cc.Lambda
-		p.nextArrival[i] = des.None
-	}
-	if err := p.loop.Reset(control.LoopConfig{
-		Deltas:           p.allocDeltas,
-		Window:           cfg.Window,
-		Estimator:        cfg.Estimator,
-		HistoryWindows:   cfg.HistoryWindows,
-		EWMAAlpha:        cfg.EWMAAlpha,
-		Allocator:        cfg.Allocator,
-		Workload:         w,
-		EstimateFromWork: cfg.EstimateFromWork,
-		Recorder:         cfg.Recorder,
-	}); err != nil {
-		return err
-	}
-
-	for i, cc := range cfg.Classes {
-		m := &p.metrics[i]
-		m.slow = stats.Welford{}
-		m.delay = stats.Welford{}
-		m.svc = stats.Welford{}
-		m.windows.Width = cfg.Window
-		m.windows.Reset()
-		src.SplitInto(&p.arrivalRng[i], uint64(2*i+1))
-		src.SplitInto(&p.sizeRng[i], uint64(2*i+2))
-		svc := cc.Service
-		if svc == nil {
-			svc = cfg.Service
-		}
-		p.services[i] = svc
-	}
-
-	// Initial weights from declared rates (fall back to even split),
-	// floored positive because schedulers reject non-positive weights.
-	declared := p.allocLambdas
-	for i, cc := range cfg.Classes {
-		declared[i] = cc.Lambda
-	}
-	if a, err := p.loop.AllocateDeclared(declared); err == nil {
-		positiveFloorInto(p.allocWeights, a.Rates, cfg.MinRate)
-	} else {
-		for i := range p.allocWeights {
-			p.allocWeights[i] = 1 / float64(nc)
-		}
-	}
-	if err := p.scheduler.SetWeights(p.allocWeights); err != nil {
-		return err
-	}
-	copy(p.lastWeights, p.allocWeights)
+	copy(p.lastWeights, p.weights)
 	return nil
 }
 
-// collectInto assembles the Result in the same shape as the fluid mode.
-func (p *pkRunner) collectInto(res *Result) {
-	nc := len(p.cfg.Classes)
-	if cap(res.Classes) < nc {
-		res.Classes = make([]ClassStats, nc)
-	} else {
-		res.Classes = res.Classes[:nc]
-	}
-	res.ExpectedSlowdowns = resizeFloat(res.ExpectedSlowdowns, nc)
-	res.FinalRates = resizeFloat(res.FinalRates, nc)
-	copy(res.FinalRates, p.lastWeights)
-	res.Reallocations = p.reallocOK
-	res.AllocFailures = p.reallocFail
-	res.EventsProcessed = p.sim.Processed()
-	res.SystemSlowdown = 0
-	// The packetized model has no admission gate or ladder; clear the
-	// fields explicitly because Results recycle across runner modes.
-	res.LadderEngagedAt = math.NaN()
-	res.FirstShedAt = math.NaN()
-	res.LadderMaxedOut = false
-	p.records, res.Records = res.Records[:0], p.records
-
-	numWindows := int(math.Ceil(p.cfg.Horizon / p.cfg.Window))
-	var sysSlow, sysCount float64
-	for i := range p.metrics {
-		m := &p.metrics[i]
-		st := &res.Classes[i]
-		st.Count = m.slow.N()
-		st.Rejected = 0
-		st.MeanSlowdown = m.slow.Mean()
-		st.StdSlowdown = m.slow.Std()
-		st.MaxSlowdown = m.slow.Max()
-		st.MeanDelay = m.delay.Mean()
-		st.MeanService = m.svc.Mean()
-		st.WindowMeans = resizeFloat(st.WindowMeans, numWindows)
-		for wi := 0; wi < numWindows; wi++ {
-			if mean, ok := m.windows.WindowMean(wi); ok {
-				st.WindowMeans[wi] = mean
-			} else {
-				st.WindowMeans[wi] = math.NaN()
-			}
-		}
-		if st.Count > 0 {
-			sysSlow += st.MeanSlowdown * float64(st.Count)
-			sysCount += float64(st.Count)
-		}
-	}
-	if sysCount > 0 {
-		res.SystemSlowdown = sysSlow / sysCount
-	}
-	declared := p.allocLambdas
-	for i, cc := range p.cfg.Classes {
-		declared[i] = cc.Lambda
-	}
-	if a, err := p.loop.AllocateDeclared(declared); err == nil {
-		copy(res.ExpectedSlowdowns, a.ExpectedSlowdowns)
-	} else {
-		for i := range res.ExpectedSlowdowns {
-			res.ExpectedSlowdowns[i] = math.NaN()
-		}
-	}
-}
+func (p *processor) finalRates(dst []float64) { copy(dst, p.lastWeights) }
 
 // RunPacketized executes one packetized-server replication. Batch callers
 // should hold a Simulator and use ResetPacketized to amortize arena
@@ -428,24 +134,4 @@ func RunPacketized(pc PacketizedConfig) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-// distSampler is the sampling subset of dist.Distribution used above.
-type distSampler interface {
-	Sample(*rng.Source) float64
-}
-
-// positiveFloorInto clamps weights at a positive minimum into dst
-// (schedulers reject non-positive weights; an idle class's zero rate
-// becomes a negligible share).
-func positiveFloorInto(dst, ws []float64, floor float64) {
-	if floor <= 0 {
-		floor = 1e-6
-	}
-	for i, w := range ws {
-		if w < floor {
-			w = floor
-		}
-		dst[i] = w
-	}
 }

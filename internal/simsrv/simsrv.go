@@ -1,8 +1,25 @@
 // Package simsrv implements the paper's simulation model (§4.1, Fig. 1):
-// an Internet server of normalized capacity 1 partitioned among per-class
-// task servers, driven by Poisson request generators with Bounded Pareto
-// (or any dist.Distribution) job sizes, with a windowed load estimator and
-// a pluggable processing-rate allocator.
+// an Internet server of normalized capacity 1 driven by per-class request
+// generators with Bounded Pareto (or any dist.Distribution) job sizes,
+// with a windowed load estimator and a pluggable processing-rate
+// allocator.
+//
+// Fig. 1 is drawn once. One event skeleton (runner) owns what the picture
+// shares — the generators and their streams, the admission gate and
+// degradation ladder, the estimate→allocate control tick, the per-class
+// metrics — and two things plug into it:
+//
+//   - the service model, the "server" box §2.2 swaps: N task servers each
+//     pacing its class at the allocated rate (Reset; strictly partitioned,
+//     or work-conserving as an ablation), or one full-speed processor
+//     behind a weighted-fair scheduler from internal/sched
+//     (ResetPacketized);
+//   - the arrival source: Poisson generators, their piecewise-constant
+//     LoadSchedule modulation, or a replayed trace (ResetTrace).
+//
+// Every source reaches every model through the same admit → observe →
+// accept path, so any combination has the gate, the ladder and the
+// request records.
 //
 // Timing conventions follow the paper: one time unit is the processing
 // time of an average-size request at full capacity when the size law is
@@ -87,6 +104,7 @@ type Config struct {
 	// (internal/control.RatioController) that trims the δ vector handed
 	// to the allocator from *measured* per-window slowdown ratios — the
 	// paper's future-work extension for short-timescale predictability.
+	// Ignored by the packetized model, which runs the loop open-loop.
 	Feedback bool
 	// FeedbackGain is the controller gain in (0,1] (default 0.3).
 	FeedbackGain float64
@@ -315,74 +333,16 @@ func (r *Result) WindowRatio(i, j int) []float64 {
 	return out
 }
 
-// request is a job flowing through the model. Requests are plain values:
-// they live in the per-class ring queues and never touch the GC heap.
-type request struct {
-	class        int
-	size         float64
-	arrival      float64
-	serviceStart float64
-}
-
-// reqQueue is a growable power-of-two ring buffer of request values.
-// Steady-state push/pop never allocates; the buffer only grows while a
-// queue reaches a new high-water mark, and the capacity is retained
-// across replication resets.
-type reqQueue struct {
-	buf  []request
-	head int
-	n    int
-}
-
-func (q *reqQueue) len() int { return q.n }
-
-func (q *reqQueue) reset() {
-	q.head = 0
-	q.n = 0
-}
-
-func (q *reqQueue) push(r request) {
-	if q.n == len(q.buf) {
-		q.grow()
-	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = r
-	q.n++
-}
-
-func (q *reqQueue) pop() request {
-	r := q.buf[q.head]
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return r
-}
-
-func (q *reqQueue) grow() {
-	newCap := 8
-	if len(q.buf) > 0 {
-		newCap = len(q.buf) * 2
-	}
-	nb := make([]request, newCap)
-	for i := 0; i < q.n; i++ {
-		nb[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
-	}
-	q.buf = nb
-	q.head = 0
-}
-
-// classState is one task server plus its queue, generator streams and
-// metrics. Class states live by value in the runner's arena; every
-// per-class buffer (queue ring, window series) is retained across resets.
+// classState is everything Fig. 1 draws around the server box for one
+// class: the generator's streams and arrival process, and the metrics.
+// Class states live by value in the runner's arena; the window series is
+// retained across resets.
 type classState struct {
-	idx     int32 // own index, the des event payload for this class
 	cfg     ClassConfig
 	service dist.Distribution
 
 	arrivalRng rng.Source
 	sizeRng    rng.Source
-
-	queue   reqQueue
-	current request
-	busy    bool
 
 	// curLambda is the phase-adjusted Poisson rate (= cfg.Lambda while no
 	// LoadSchedule phase is active); nextArrival is the pending arrival
@@ -390,27 +350,39 @@ type classState struct {
 	curLambda   float64
 	nextArrival des.EventID
 
-	rate       float64 // nominal allocated rate
-	effRate    float64 // effective rate (= rate unless work-conserving)
-	remaining  float64 // unfinished work of current
-	lastSync   float64 // sim time when remaining was last updated
-	completion des.EventID
-
 	slow    stats.Welford
 	delay   stats.Welford
 	svc     stats.Welford
 	windows stats.WindowSeries
 	// winSlow accumulates the current reallocation window's slowdowns
 	// (including warmup) as the feedback controller's input; reset at
-	// every reallocation tick.
+	// every reallocation tick. Untouched without Config.Feedback.
 	winSlow stats.Welford
 	// rejected counts arrivals dropped by the admission controller.
 	rejected int64
 }
 
+// serviceModel is the "server" box of Fig. 1 — the one part §2.2 swaps.
+// The runner hands it admitted requests and allocations; it schedules its
+// own evCompletion events (with the runner as handler) and reports each
+// finished request through runner.served.
+type serviceModel interface {
+	// reset re-arms the model for r's classes (r.src is the replication's
+	// root source, for a model that needs a stream of its own).
+	reset(r *runner)
+	// accept takes an admitted request into the model at time now.
+	accept(class int, size, now float64)
+	// complete handles a fired evCompletion carrying the given payload.
+	complete(data int32)
+	// setRates installs an allocation.
+	setRates(rates []float64) error
+	// finalRates reports the installed allocation (Result.FinalRates).
+	finalRates(dst []float64)
+}
+
 // Typed event kinds dispatched through runner.HandleEvent. The data
-// payload is the class index (evArrival, evCompletion) or the trace
-// index (evTraceArrival).
+// payload is the class index (evArrival), the trace index
+// (evTraceArrival) or the service model's own (evCompletion).
 const (
 	evArrival int32 = iota
 	evCompletion
@@ -419,18 +391,22 @@ const (
 	evPhase
 )
 
-// runner wires the model together for one replication. It is the single
-// des.Handler for all event kinds, so scheduling an event costs no
-// allocation, and every buffer it owns survives reset() — a runner is the
-// fluid/trace half of a Simulator arena.
+// runner is the event skeleton of one replication: per-class generators
+// and metrics, the three arrival sources (Poisson, LoadSchedule redraw,
+// trace chain) feeding one admit → observe → accept path, the control
+// tick with the degradation ladder, and result collection. The server box
+// itself is the serviceModel. It is the single des.Handler for all event
+// kinds, so scheduling an event costs no allocation, and every buffer it
+// owns survives reset().
 type runner struct {
 	cfg      Config
 	sim      des.Simulator
+	model    serviceModel
+	src      rng.Source // the replication's root source; streams split off it
 	classes  []classState
-	workload core.Workload
 	loop     control.Loop   // the shared estimate→control→allocate plane
 	total    float64        // warmup + horizon
-	trace    []TraceRequest // non-nil only in trace mode
+	trace    []TraceRequest // non-nil only for trace replay
 	phaseIdx int            // next LoadSchedule phase to apply
 
 	// Reallocation scratch, reused every window tick (the loop owns its
@@ -444,7 +420,7 @@ type runner struct {
 	// exactly like the live server does — δ multipliers into the tick,
 	// ρ̂ + feasibility back into the state machine, and the admission
 	// gate held open until every rung is engaged. nil otherwise, which
-	// keeps every pre-existing policy's trajectory bit-identical.
+	// keeps every other policy's trajectory bit-identical.
 	ladder          *admission.Ladder
 	ladderDeltas    []float64 // deltas the retained ladder was built for
 	ladderScale     []float64 // per-class δ multipliers fed to the tick
@@ -457,30 +433,39 @@ type runner struct {
 	records     []RequestRecord
 }
 
-// HandleEvent dispatches one fired event. It preserves the exact
-// schedule-call ordering of the closure-based engine so that seeded
-// replications reproduce bit-for-bit across the refactor (see
-// TestGoldenDeterminism).
+// HandleEvent dispatches one fired event. The order in which handlers
+// call Schedule is the determinism contract (see TestGoldenDeterminism):
+// a completion or dispatch is scheduled before the class's next arrival.
 func (r *runner) HandleEvent(kind, data int32) {
 	switch kind {
-	case evArrival:
-		r.onArrival(int(data))
+	case evArrival, evTraceArrival:
+		// The one door both arrival sources go through: draw or read the
+		// request, pass the admission gate, feed the load estimator, enter
+		// the service model — then re-arm the source.
+		class, now := int(data), r.sim.Now()
+		var size float64
+		if kind == evArrival {
+			cs := &r.classes[class]
+			size = cs.service.Sample(&cs.sizeRng)
+		} else {
+			class, size = r.trace[data].Class, r.trace[data].Size
+		}
+		if r.cfg.Admission == nil || !r.shed(class, size, now) {
+			r.loop.Observe(class, size)
+			r.model.accept(class, size, now)
+		}
+		if kind == evArrival {
+			r.scheduleNextArrival(class)
+		} else {
+			r.scheduleTrace(int(data) + 1)
+		}
 	case evCompletion:
-		cs := &r.classes[data]
-		cs.completion = des.None
-		r.finishService(cs)
+		r.model.complete(data)
 	case evRealloc:
 		r.onRealloc()
-	case evTraceArrival:
-		r.onTraceArrival(int(data))
 	case evPhase:
 		r.onPhase()
 	}
-}
-
-// coreWorkload extracts the allocator-facing moments from the config.
-func coreWorkload(cfg Config) (core.Workload, error) {
-	return core.WorkloadFromDist(cfg.Service)
 }
 
 // resizeFloat returns a length-n float slice reusing s's capacity.
@@ -506,16 +491,22 @@ func floatsEqual(a, b []float64) bool {
 }
 
 // reset re-arms the runner for one replication of cfg (already defaulted
-// and validated) with the given workload moments, reusing every retained
+// and validated) with the given workload moments, service model and
+// arrival trace (nil = Poisson generators), reusing every retained
 // buffer. A reset runner is observationally identical to a freshly
 // constructed one: the RNG streams are re-derived from cfg.Seed and the
 // event core restarts its sequence numbering, so seeded replications stay
 // bit-for-bit reproducible across arena reuse.
-func (r *runner) reset(cfg Config, w core.Workload) error {
-	r.cfg = cfg
-	r.workload = w
+func (r *runner) reset(cfg *Config, w core.Workload, model serviceModel, trace []TraceRequest) error {
+	r.cfg = *cfg
+	r.model = model
 	r.total = cfg.Warmup + cfg.Horizon
-	r.trace = nil
+	r.trace = trace
+	if trace != nil {
+		// Externally given arrivals: the schedule only modulates Poisson
+		// rates, so replay runs without phases.
+		r.cfg.LoadSchedule = nil
+	}
 	r.phaseIdx = 0
 	r.sim.Reset()
 	r.reallocOK = 0
@@ -526,12 +517,11 @@ func (r *runner) reset(cfg Config, w core.Workload) error {
 	if cap(r.classes) < nc {
 		old := r.classes
 		r.classes = make([]classState, nc)
-		copy(r.classes, old) // keep the retained queue/window buffers
+		copy(r.classes, old) // keep the retained window buffers
 	} else {
 		r.classes = r.classes[:nc]
 	}
-	var src rng.Source
-	src.Reseed(cfg.Seed)
+	r.src.Reseed(cfg.Seed)
 	for i := range r.classes {
 		cs := &r.classes[i]
 		cc := cfg.Classes[i]
@@ -539,21 +529,12 @@ func (r *runner) reset(cfg Config, w core.Workload) error {
 		if svc == nil {
 			svc = cfg.Service
 		}
-		cs.idx = int32(i)
 		cs.cfg = cc
 		cs.service = svc
-		src.SplitInto(&cs.arrivalRng, uint64(2*i+1))
-		src.SplitInto(&cs.sizeRng, uint64(2*i+2))
-		cs.queue.reset()
-		cs.current = request{}
-		cs.busy = false
+		r.src.SplitInto(&cs.arrivalRng, uint64(2*i+1))
+		r.src.SplitInto(&cs.sizeRng, uint64(2*i+2))
 		cs.curLambda = cc.Lambda
 		cs.nextArrival = des.None
-		cs.rate = 0
-		cs.effRate = 0
-		cs.remaining = 0
-		cs.lastSync = 0
-		cs.completion = des.None
 		cs.slow = stats.Welford{}
 		cs.delay = stats.Welford{}
 		cs.svc = stats.Welford{}
@@ -590,8 +571,8 @@ func (r *runner) reset(cfg Config, w core.Workload) error {
 
 	// A downgrading allocator arms the degradation ladder (default
 	// rungs/hysteresis, the live server's dimensioning); everything else
-	// clears it so pre-existing policies keep their exact trajectories.
-	// The ladder itself is retained across replications of the same class
+	// clears it so other policies keep their exact trajectories. The
+	// ladder itself is retained across replications of the same class
 	// vector — a reset replays thousands of reps without reallocating.
 	r.ladderEngagedAt = math.NaN()
 	r.firstShedAt = math.NaN()
@@ -618,19 +599,33 @@ func (r *runner) reset(cfg Config, w core.Workload) error {
 	// drive reallocation. Any error (e.g. declared overload or all-zero
 	// lambdas) falls back to an equal split — the warmup discards the
 	// transient either way.
+	model.reset(r)
 	declared := r.allocLambdas // scratch; overwritten at the first tick
 	for i, cc := range cfg.Classes {
 		declared[i] = cc.Lambda
 	}
 	if a, err := r.loop.AllocateDeclared(declared); err == nil {
-		r.applyRates(a.Rates)
-	} else {
-		for i := range declared {
-			declared[i] = 1 / float64(nc)
-		}
-		r.applyRates(declared)
+		return model.setRates(a.Rates)
 	}
-	return nil
+	for i := range declared {
+		declared[i] = 1 / float64(nc)
+	}
+	return model.setRates(declared)
+}
+
+// start schedules the run's first events, in the order the determinism
+// contract fixes: the arrival source, the first control tick, the first
+// LoadSchedule phase.
+func (r *runner) start() {
+	if r.trace != nil {
+		r.scheduleTrace(0)
+	} else {
+		for i := range r.classes {
+			r.scheduleNextArrival(i)
+		}
+	}
+	r.sim.Schedule(r.cfg.Window, r, evRealloc, 0)
+	r.scheduleNextPhase()
 }
 
 func (r *runner) scheduleNextArrival(i int) {
@@ -640,177 +635,61 @@ func (r *runner) scheduleNextArrival(i int) {
 		return
 	}
 	delay := cs.arrivalRng.ExpFloat64(cs.curLambda)
-	cs.nextArrival = r.sim.Schedule(delay, r, evArrival, cs.idx)
+	cs.nextArrival = r.sim.Schedule(delay, r, evArrival, int32(i))
 }
 
-// onArrival handles one Poisson arrival for class i: sample a size, pass
-// the admission gate, enqueue, possibly start service, and schedule the
-// next arrival of the class.
-func (r *runner) onArrival(i int) {
-	cs := &r.classes[i]
+// scheduleTrace chains trace arrivals one at a time (each fired arrival
+// schedules the next) to keep the event heap small regardless of trace
+// length.
+func (r *runner) scheduleTrace(idx int) {
+	if idx >= len(r.trace) || r.trace[idx].Time > r.total {
+		return
+	}
+	r.sim.ScheduleAt(r.trace[idx].Time, r, evTraceArrival, int32(idx))
+}
+
+// shed asks the admission controller about one arrival and counts a
+// refusal. With a degradation ladder armed, the gate stays open until
+// every rung is engaged — degrade first, shed only when degradation has
+// nothing left to give (same ordering as the live server's admit path).
+func (r *runner) shed(class int, size, now float64) bool {
+	if (r.ladder != nil && !r.ladder.MaxedOut()) || r.cfg.Admission.Admit(class, size, now) {
+		return false
+	}
+	r.classes[class].rejected++
+	if math.IsNaN(r.firstShedAt) {
+		r.firstShedAt = now
+	}
+	return true
+}
+
+// served records one finished request. service is the time it occupied
+// its server: completion − start on a paced task server, the size itself
+// on the full-speed processor.
+func (r *runner) served(class int, size, arrival, start, service float64) {
+	cs := &r.classes[class]
 	now := r.sim.Now()
-	size := cs.service.Sample(&cs.sizeRng)
-	// With a degradation ladder armed, the admission gate stays open
-	// until every rung is engaged — degrade first, shed only when
-	// degradation has nothing left to give (same ordering as the live
-	// server's admit path).
-	if r.cfg.Admission != nil && (r.ladder == nil || r.ladder.MaxedOut()) &&
-		!r.cfg.Admission.Admit(i, size, now) {
-		cs.rejected++
-		if math.IsNaN(r.firstShedAt) {
-			r.firstShedAt = now
-		}
-		r.scheduleNextArrival(i)
-		return
-	}
-	r.loop.Observe(i, size)
-	cs.queue.push(request{class: i, size: size, arrival: now})
-	if !cs.busy {
-		r.startService(cs)
-		if r.cfg.WorkConserving {
-			r.recomputeEffectiveRates()
-		}
-	}
-	r.scheduleNextArrival(i)
-}
-
-// startService moves the head-of-line request into service. Callers must
-// ensure the class is idle and the queue non-empty.
-func (r *runner) startService(cs *classState) {
-	req := cs.queue.pop()
-	req.serviceStart = r.sim.Now()
-	cs.current = req
-	cs.busy = true
-	cs.remaining = req.size
-	cs.lastSync = r.sim.Now()
-	r.scheduleCompletion(cs)
-}
-
-// syncRemaining folds elapsed service into the remaining-work counter.
-func (r *runner) syncRemaining(cs *classState) {
-	if !cs.busy {
-		return
-	}
-	elapsed := r.sim.Now() - cs.lastSync
-	if elapsed > 0 && cs.effRate > 0 {
-		cs.remaining -= elapsed * cs.effRate
-		if cs.remaining < 0 {
-			cs.remaining = 0
-		}
-	}
-	cs.lastSync = r.sim.Now()
-}
-
-// scheduleCompletion (re)schedules the in-service request's completion
-// from the current remaining work and effective rate.
-func (r *runner) scheduleCompletion(cs *classState) {
-	if cs.completion != des.None {
-		r.sim.Cancel(cs.completion)
-		cs.completion = des.None
-	}
-	if !cs.busy {
-		return
-	}
-	if cs.effRate <= 0 {
-		// Starved: no completion until a rate change revives the class.
-		return
-	}
-	dt := cs.remaining / cs.effRate
-	cs.completion = r.sim.Schedule(dt, r, evCompletion, cs.idx)
-}
-
-func (r *runner) finishService(cs *classState) {
-	now := r.sim.Now()
-	req := cs.current
-	cs.busy = false
-	cs.remaining = 0
-
-	serviceDuration := now - req.serviceStart
-	delay := req.serviceStart - req.arrival
+	delay := start - arrival
 	var slowdown float64
-	if serviceDuration > 0 {
-		slowdown = delay / serviceDuration
+	if service > 0 {
+		slowdown = delay / service
 	}
-	cs.winSlow.Add(slowdown)
-	if now >= r.cfg.Warmup {
-		cs.slow.Add(slowdown)
-		cs.delay.Add(delay)
-		cs.svc.Add(serviceDuration)
-		cs.windows.Observe(now-r.cfg.Warmup, slowdown)
-		if r.cfg.RecordRequests && now >= r.cfg.RecordFrom && now < r.cfg.RecordTo {
-			r.records = append(r.records, RequestRecord{
-				Class: req.class, Arrival: req.arrival,
-				ServiceStart: req.serviceStart, Completion: now,
-				Size: req.size, Slowdown: slowdown,
-			})
-		}
+	if r.cfg.Feedback {
+		cs.winSlow.Add(slowdown)
 	}
-
-	if cs.queue.len() > 0 {
-		r.startService(cs)
-	} else if r.cfg.WorkConserving {
-		r.recomputeEffectiveRates()
-	}
-}
-
-// applyRates installs a new nominal rate vector, flooring backlogged
-// classes at MinRate, and reschedules all in-flight completions.
-func (r *runner) applyRates(rates []float64) {
-	for i := range r.classes {
-		cs := &r.classes[i]
-		r.syncRemaining(cs)
-		rate := rates[i]
-		if rate < r.cfg.MinRate && (cs.busy || cs.queue.len() > 0) {
-			rate = r.cfg.MinRate
-		}
-		cs.rate = rate
-	}
-	r.recomputeEffectiveRates()
-}
-
-// recomputeEffectiveRates refreshes every class's effective service rate
-// and reschedules completions. In partitioned mode eff = nominal. In
-// work-conserving mode the whole capacity is redistributed GPS-style among
-// busy classes in proportion to their nominal rates.
-func (r *runner) recomputeEffectiveRates() {
-	if !r.cfg.WorkConserving {
-		for i := range r.classes {
-			cs := &r.classes[i]
-			r.syncRemaining(cs)
-			if cs.effRate != cs.rate {
-				cs.effRate = cs.rate
-			}
-			r.scheduleCompletion(cs)
-		}
+	if now < r.cfg.Warmup {
 		return
 	}
-	busyRate := 0.0
-	numBusy := 0
-	for i := range r.classes {
-		cs := &r.classes[i]
-		if cs.busy {
-			busyRate += cs.rate
-			numBusy++
-		}
+	cs.slow.Add(slowdown)
+	cs.delay.Add(delay)
+	cs.svc.Add(service)
+	cs.windows.Observe(now-r.cfg.Warmup, slowdown)
+	if r.cfg.RecordRequests && now >= r.cfg.RecordFrom && now < r.cfg.RecordTo {
+		r.records = append(r.records, RequestRecord{
+			Class: class, Arrival: arrival, ServiceStart: start,
+			Completion: now, Size: size, Slowdown: slowdown,
+		})
 	}
-	for i := range r.classes {
-		cs := &r.classes[i]
-		r.syncRemaining(cs)
-		switch {
-		case !cs.busy:
-			cs.effRate = cs.rate
-		case busyRate > 0:
-			cs.effRate = cs.rate / busyRate
-		default:
-			cs.effRate = 1 / float64(numBusy)
-		}
-		r.scheduleCompletion(cs)
-	}
-}
-
-// scheduleReallocation ticks the estimator and allocator every Window.
-func (r *runner) scheduleReallocation() {
-	r.sim.Schedule(r.cfg.Window, r, evRealloc, 0)
 }
 
 // onRealloc drives one tick of the shared control plane: feed it this
@@ -851,12 +730,12 @@ func (r *runner) onRealloc() {
 		}
 	}
 	rates, err := r.loop.Tick(in)
-	if err == nil {
-		r.applyRates(rates)
+	if err == nil && r.model.setRates(rates) == nil {
 		r.reallocOK++
 	} else {
-		// Transient estimate infeasibility (ρ̂ ≥ 1 at very high
-		// loads): retain the previous rates for this window.
+		// Transient estimate infeasibility (ρ̂ ≥ 1 at very high loads) or
+		// a vector the model refuses: retain the previous rates for this
+		// window.
 		r.reallocFail++
 	}
 	if r.ladder != nil {
@@ -873,7 +752,7 @@ func (r *runner) onRealloc() {
 		}
 	}
 	if r.sim.Now() < r.total {
-		r.scheduleReallocation()
+		r.sim.Schedule(r.cfg.Window, r, evRealloc, 0)
 	}
 }
 
@@ -919,6 +798,7 @@ func (r *runner) collectInto(res *Result) {
 	}
 	res.ExpectedSlowdowns = resizeFloat(res.ExpectedSlowdowns, nc)
 	res.FinalRates = resizeFloat(res.FinalRates, nc)
+	r.model.finalRates(res.FinalRates)
 	res.Reallocations = r.reallocOK
 	res.AllocFailures = r.reallocFail
 	res.EventsProcessed = r.sim.Processed()
@@ -954,7 +834,6 @@ func (r *runner) collectInto(res *Result) {
 			sysSlow += st.MeanSlowdown * float64(st.Count)
 			sysCount += float64(st.Count)
 		}
-		res.FinalRates[i] = cs.rate
 	}
 	if sysCount > 0 {
 		res.SystemSlowdown = sysSlow / sysCount

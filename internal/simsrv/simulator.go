@@ -3,14 +3,15 @@ package simsrv
 import (
 	"errors"
 
+	"psd/internal/core"
 	"psd/internal/rng"
 )
 
 // Simulator is a reusable simulation arena. It owns every buffer a
-// replication needs — the event heap, per-class request rings, estimator
-// ring, statistics accumulators, allocator scratch and (in packetized
-// mode) the scheduler's packet heap — and replays them across
-// replications and grid points:
+// replication needs — the event heap, estimator ring, statistics
+// accumulators, allocator scratch, and both service models' state (the
+// task servers' request rings, the packetized scheduler's packet heap) —
+// and replays them across replications and grid points:
 //
 //	var sim Simulator
 //	var res Result
@@ -26,14 +27,15 @@ import (
 // sweeps where a single curve is thousands of replications). Reset fully
 // re-derives the random streams from the seed and restarts event sequence
 // numbering, so arena reuse is bit-for-bit identical to fresh
-// construction — the golden tests in determinism_test.go pin this.
+// construction, whatever the arena ran before — the golden tests in
+// determinism_test.go and TestArenaModeCycling pin this.
 //
 // A Simulator is single-goroutine; use one per worker (see
 // RunReplications and internal/sweep).
 type Simulator struct {
-	fluid runner
-	pk    pkRunner
-	mode  simMode
+	run   runner
+	tasks taskServers
+	proc  processor
 	armed bool
 	// validatedTrace remembers the last trace that passed validation (by
 	// slice identity, for the class count below), so replaying one trace
@@ -43,37 +45,35 @@ type Simulator struct {
 	validatedTraceClasses int
 }
 
-type simMode int
-
-const (
-	modeNone simMode = iota
-	modeFluid
-	modeTrace
-	modePacketized
-)
-
 // NewSimulator returns an empty arena. The zero value is also ready.
 func NewSimulator() *Simulator { return &Simulator{} }
+
+// prepare is the arming every Reset* shares: apply defaults, validate,
+// and reset the runner around the given service model and arrival source
+// (trace == nil selects the Poisson generators). cfg is the caller's own
+// copy.
+func (s *Simulator) prepare(cfg *Config, seed uint64, model serviceModel, trace []TraceRequest) error {
+	s.armed = false
+	cfg.Seed = seed
+	if err := cfg.Prepare(); err != nil {
+		return err
+	}
+	w, err := core.WorkloadFromDist(cfg.Service)
+	if err != nil {
+		return err
+	}
+	if err := s.run.reset(cfg, w, model, trace); err != nil {
+		return err
+	}
+	s.armed = true
+	return nil
+}
 
 // Reset arms the arena for one partitioned-model replication of cfg under
 // the given seed (overriding cfg.Seed). Defaults are applied and the
 // config validated here, so RunInto cannot fail on configuration.
 func (s *Simulator) Reset(cfg Config, seed uint64) error {
-	cfg = cfg.ApplyDefaults()
-	cfg.Seed = seed
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	w, err := coreWorkload(cfg)
-	if err != nil {
-		return err
-	}
-	if err := s.fluid.reset(cfg, w); err != nil {
-		return err
-	}
-	s.mode = modeFluid
-	s.armed = true
-	return nil
+	return s.prepare(&cfg, seed, &s.tasks, nil)
 }
 
 // ResetTrace arms the arena for a trace-driven replication: the trace
@@ -84,48 +84,41 @@ func (s *Simulator) Reset(cfg Config, seed uint64) error {
 // and length) is cached across resets, so replaying one trace over many
 // replications pays the O(len) checks once.
 func (s *Simulator) ResetTrace(cfg Config, trace []TraceRequest, seed uint64) error {
-	cfg = cfg.ApplyDefaults()
-	cfg.Seed = seed
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
 	sameTrace := len(trace) > 0 && len(s.validatedTrace) == len(trace) &&
 		&s.validatedTrace[0] == &trace[0] &&
 		s.validatedTraceClasses == len(cfg.Classes)
 	if !sameTrace {
-		if err := validateTrace(cfg, trace); err != nil {
+		if err := validateTrace(len(cfg.Classes), trace); err != nil {
 			s.validatedTrace = nil
 			return err
 		}
 		s.validatedTrace = trace
 		s.validatedTraceClasses = len(cfg.Classes)
 	}
-	w, err := coreWorkload(cfg)
-	if err != nil {
-		return err
-	}
-	if err := s.fluid.reset(cfg, w); err != nil {
-		return err
-	}
-	s.fluid.trace = trace
-	s.mode = modeTrace
-	s.armed = true
-	return nil
+	return s.prepare(&cfg, seed, &s.tasks, trace)
 }
 
-// ResetPacketized arms the arena for one packetized-server replication.
+// ResetPacketized arms the arena for one packetized-server replication:
+// the same skeleton around one full-speed processor behind a scheduler.
 // With the default SCFQ discipline the scheduler itself is part of the
 // arena (its packet heap is retained across replications); a custom
 // NewScheduler factory is invoked fresh on every reset so stateful or
 // randomized disciplines start each replication clean.
 func (s *Simulator) ResetPacketized(pc PacketizedConfig, seed uint64) error {
-	pc.Config.Seed = seed
-	if err := s.pk.reset(pc); err != nil {
-		return err
+	cfg := pc.Config
+	if cfg.WorkConserving {
+		return errors.New("simsrv: packetized mode is inherently work-conserving; WorkConserving flag is not applicable")
 	}
-	s.mode = modePacketized
-	s.armed = true
-	return nil
+	if cfg.Allocator == nil {
+		// The fluid default would systematically overshoot here; make
+		// the packetized-correct allocator the default for this model.
+		cfg.Allocator = core.PacketizedPSD{}
+	}
+	// The packetized model runs the loop open-loop: the ratio controller
+	// trims paced rates, which a full-speed processor does not have.
+	cfg.Feedback = false
+	s.proc.newScheduler = pc.NewScheduler
+	return s.prepare(&cfg, seed, &s.proc, nil)
 }
 
 // RunInto executes the armed replication and writes its outcome into res,
@@ -136,37 +129,9 @@ func (s *Simulator) RunInto(res *Result) error {
 		return errors.New("simsrv: RunInto requires a prior Reset (each Reset arms one run)")
 	}
 	s.armed = false
-	switch s.mode {
-	case modeFluid:
-		r := &s.fluid
-		// Start the per-class arrival processes.
-		for i := range r.classes {
-			r.scheduleNextArrival(i)
-		}
-		// Reallocation ticks at every window boundary.
-		r.scheduleReallocation()
-		// First LoadSchedule phase switch, when configured.
-		r.scheduleNextPhase()
-		r.sim.RunUntil(r.total)
-		r.collectInto(res)
-	case modeTrace:
-		r := &s.fluid
-		r.scheduleTrace(0)
-		r.scheduleReallocation()
-		r.sim.RunUntil(r.total)
-		r.collectInto(res)
-	case modePacketized:
-		p := &s.pk
-		for i := range p.cfg.Classes {
-			p.scheduleArrival(i)
-		}
-		p.sim.Schedule(p.cfg.Window, p, pkRealloc, 0)
-		p.scheduleNextPhase()
-		p.sim.RunUntil(p.total)
-		p.collectInto(res)
-	default:
-		return errors.New("simsrv: RunInto on an unarmed simulator")
-	}
+	s.run.start()
+	s.run.sim.RunUntil(s.run.total)
+	s.run.collectInto(res)
 	return nil
 }
 

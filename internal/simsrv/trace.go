@@ -15,9 +15,9 @@ type TraceRequest struct {
 	Size  float64
 }
 
-// validateTrace checks a trace against an (already defaulted) config:
-// time-sorted, in-range classes, positive sizes.
-func validateTrace(cfg Config, trace []TraceRequest) error {
+// validateTrace checks a trace against the class count: time-sorted,
+// in-range classes, positive sizes.
+func validateTrace(classes int, trace []TraceRequest) error {
 	if len(trace) == 0 {
 		return fmt.Errorf("simsrv: empty trace")
 	}
@@ -28,7 +28,7 @@ func validateTrace(cfg Config, trace []TraceRequest) error {
 		return fmt.Errorf("simsrv: trace not time-sorted")
 	}
 	for i, tr := range trace {
-		if tr.Class < 0 || tr.Class >= len(cfg.Classes) {
+		if tr.Class < 0 || tr.Class >= classes {
 			return fmt.Errorf("simsrv: trace[%d] class %d out of range", i, tr.Class)
 		}
 		if !(tr.Size > 0) {
@@ -62,30 +62,4 @@ func RunTrace(cfg Config, trace []TraceRequest) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-// scheduleTrace chains trace arrivals one at a time (each fired arrival
-// schedules the next) to keep the event heap small regardless of trace
-// length.
-func (r *runner) scheduleTrace(idx int) {
-	if idx >= len(r.trace) || r.trace[idx].Time > r.total {
-		return
-	}
-	r.sim.ScheduleAt(r.trace[idx].Time, r, evTraceArrival, int32(idx))
-}
-
-// onTraceArrival injects trace entry idx into its class queue and chains
-// the next entry.
-func (r *runner) onTraceArrival(idx int) {
-	tr := r.trace[idx]
-	cs := &r.classes[tr.Class]
-	r.loop.Observe(tr.Class, tr.Size)
-	cs.queue.push(request{class: tr.Class, size: tr.Size, arrival: tr.Time})
-	if !cs.busy {
-		r.startService(cs)
-		if r.cfg.WorkConserving {
-			r.recomputeEffectiveRates()
-		}
-	}
-	r.scheduleTrace(idx + 1)
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"psd/internal/admission"
 	"psd/internal/rng"
 	"psd/internal/workload"
 )
@@ -130,5 +131,46 @@ func TestRunTraceDeterministic(t *testing.T) {
 	}
 	if a.Classes[0].MeanSlowdown != b.Classes[0].MeanSlowdown || a.EventsProcessed != b.EventsProcessed {
 		t.Fatal("trace replay not deterministic")
+	}
+}
+
+// TestTraceHonoursAdmission: trace arrivals go through the same door as
+// generated ones. An overloaded trace (ρ ≈ 1.6 for 3000 tu, then silence
+// so every admitted request drains inside the horizon) behind a
+// utilization bound must shed, stamp the first shed, and account for
+// every offered request as either served or rejected.
+func TestTraceHonoursAdmission(t *testing.T) {
+	cfg := EqualLoadConfig([]float64{1, 2}, 0.5, nil)
+	cfg.Window = 100
+	cfg.Warmup = 1e-9 // 0 would select the 10000-tu default
+	cfg.Horizon = 6000
+	cfg.EstimateFromWork = true
+	adm, err := admission.NewUtilizationBound(0.85, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Admission = adm
+	var trace []TraceRequest
+	sz := []float64{0.2, 1.7, 0.4, 3.1, 0.9, 0.15, 6.0, 0.5}
+	for i := 0; i < 3000; i++ {
+		trace = append(trace, TraceRequest{Time: float64(i + 1), Class: i % 2, Size: sz[i%len(sz)]})
+	}
+	res, err := RunTrace(cfg, trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served int64
+	for _, cs := range res.Classes {
+		served += cs.Count
+	}
+	rejected := totalRejected(res)
+	if rejected == 0 {
+		t.Fatal("overloaded trace shed nothing behind a 0.85 utilization bound")
+	}
+	if math.IsNaN(res.FirstShedAt) {
+		t.Error("FirstShedAt unset although requests were rejected")
+	}
+	if served+rejected != int64(len(trace)) {
+		t.Errorf("served %d + rejected %d = %d, trace offered %d", served, rejected, served+rejected, len(trace))
 	}
 }

@@ -1,11 +1,10 @@
 // Package stats provides the streaming and batch statistics used by the
 // simulation harness: numerically stable moments (Welford), exact and
-// streaming quantiles, log-scale histograms, windowed time series, and
-// normal-approximation confidence intervals.
+// streaming quantiles, windowed time series, and normal-approximation
+// confidence intervals. (Histograms live in internal/obs.)
 //
-// Heavy-tailed slowdown data is the common case here, so the quantile and
-// histogram machinery is designed for values spanning several orders of
-// magnitude.
+// Heavy-tailed slowdown data is the common case here, so the quantile
+// machinery is designed for values spanning several orders of magnitude.
 package stats
 
 import (
