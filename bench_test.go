@@ -345,7 +345,7 @@ func BenchmarkAblationPacketized(b *testing.B) {
 //
 // cmd/psdbench runs the same scenarios and emits BENCH_psd.json; CI runs
 // this benchmark with -benchtime 1x as an allocation smoke test and
-// psdbench -compare as the throughput gate.
+// psdbench -compare for the same gates across every scenario.
 func BenchmarkReplication(b *testing.B) {
 	cases := []struct {
 		name       string

@@ -19,10 +19,11 @@
 //	psdbench -compare BENCH_psd.json            # regression gate (CI)
 //	psdbench -compare BENCH_psd.json -compare-tolerance 0.30
 //
-// In -compare mode the tool exits non-zero when any scenario's
-// events_per_sec (or replications/sec, or ticks/sec) falls more than the
-// tolerance below the baseline, or when any absolute allocation gate is
-// breached: event-driven scenarios must stay under 0.01 allocs/event,
+// In -compare mode the tool exits non-zero when a machine-independent
+// gate is breached; events_per_sec (or replications/sec, or ticks/sec)
+// more than the tolerance below the baseline is printed as a note, since
+// the baseline was written on another machine. The allocation gates:
+// event-driven scenarios must stay under 0.01 allocs/event,
 // the figure sweep under 25 allocs/replication, and the control-tick
 // scenario (the shared control.Loop in isolation) under 0.01
 // allocs/tick. The obs-hotpath scenario gates the observability layer
@@ -30,9 +31,10 @@
 // 0.01 allocs/event AND flight-recorded control ticks at 0.01
 // allocs/tick. The live-contention scenario (schema v4) storms the live
 // server's sharded front door in-process at GOMAXPROCS=1 and again at
-// GOMAXPROCS=min(NumCPU,8), gating 0.01 allocs/request under contention
-// plus a core-aware speedup floor (>= 0.5·P with 4+ cores, >= 1x on
-// 2-3 cores, skipped on a single core). The analytic-sweep scenario
+// GOMAXPROCS=min(NumCPU,8), gating 0.01 allocs/request under contention;
+// its core-aware speedup floor (>= 0.5·P with 4+ cores, >= 1x on 2-3
+// cores, skipped on a single core) depends on what else the box is
+// running and is a note too. The analytic-sweep scenario
 // (schema v5) evaluates the figure2-sweep grid through the closed-form
 // fast path (internal/analytic): a warm evaluation must stay under 0.01
 // allocs/point, and its points/s must beat the DES figure sweep's
@@ -42,10 +44,7 @@
 // one retained Simulator arena each, size-aware policies through the
 // packetized model with a retained scheduler — and gates 0.01
 // allocs/replication: registering a policy whose reset or steady state
-// allocates fails CI. The allocation gates are
-// machine-independent; the throughput comparison is only meaningful
-// against a baseline from comparable hardware, so CI pairs a generous
-// tolerance with the exact allocation gates.
+// allocates fails CI.
 package main
 
 import (
@@ -209,8 +208,8 @@ func main() {
 		warmup  = flag.Float64("warmup", 10000, "warmup duration (time units)")
 		horizon = flag.Float64("horizon", 60000, "measured duration (time units)")
 		seed    = flag.Uint64("seed", 1, "base random seed")
-		compare = flag.String("compare", "", "baseline JSON to compare against; failures exit non-zero")
-		tol     = flag.Float64("compare-tolerance", 0.15, "allowed fractional throughput regression in -compare mode")
+		compare = flag.String("compare", "", "baseline JSON to compare against; a breached allocation or speedup-ratio gate exits non-zero")
+		tol     = flag.Float64("compare-tolerance", 0.15, "fractional throughput drop below the baseline that -compare mode notes")
 	)
 	flag.Parse()
 	outSet := false
@@ -267,8 +266,8 @@ func main() {
 		if len(failures) > 0 {
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "psdbench: all scenarios within %.0f%% of %s and under allocation gates\n",
-			*tol*100, *compare)
+		fmt.Fprintf(os.Stderr, "psdbench: all scenarios under the allocation gates and the analytic speedup floor (throughput against %s is advisory, see notes)\n",
+			*compare)
 		if !outSet {
 			return // compare-only run: leave the committed baseline alone
 		}
@@ -289,10 +288,12 @@ func main() {
 	fmt.Fprintf(os.Stderr, "wrote %s\n", *out)
 }
 
-// compareAgainst checks the fresh report against a committed baseline:
-// per-scenario throughput regression beyond tol, plus the absolute
-// allocation gates (which apply even to scenarios absent from the
-// baseline — new scenarios must be born clean).
+// compareAgainst returns the failures of the fresh report: a baseline
+// scenario that no longer runs, the absolute allocation gates (which apply
+// even to scenarios absent from the baseline — new scenarios must be born
+// clean) and the same-process analytic speedup floor. What depends on the
+// machine — throughput more than tol below the baseline, the
+// live-contention speedup floor — is printed as a note.
 func compareAgainst(path string, cur report, tol float64) []string {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -307,6 +308,9 @@ func compareAgainst(path string, cur report, tol float64) []string {
 		baseByName[s.Name] = s
 	}
 	var failures []string
+	note := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "psdbench: note: "+format+"\n", args...)
+	}
 	// A baseline scenario that no longer runs is itself a failure:
 	// otherwise deleting or renaming a scenario silently disables its
 	// regression gate.
@@ -367,14 +371,9 @@ func compareAgainst(path string, cur report, tol float64) []string {
 					"%s: %.4f allocs/request breaches the %.2f gate (admitted path must not allocate under contention)",
 					s.Name, s.AllocsPerReq, allocsPerReqGate))
 			}
-			if floor, ok := liveSpeedupFloor(s.StormProcs, s.StormCores); !ok {
-				fmt.Fprintf(os.Stderr,
-					"psdbench: note: %s speedup gate skipped (%d core(s); parallel storm measures only scheduling overhead)\n",
-					s.Name, s.StormCores)
-			} else if s.Speedup < floor {
-				failures = append(failures, fmt.Sprintf(
-					"%s: %.2fx speedup at GOMAXPROCS=%d on %d cores, want >= %.2fx (front door no longer scales)",
-					s.Name, s.Speedup, s.StormProcs, s.StormCores, floor))
+			if floor, ok := liveSpeedupFloor(s.StormProcs, s.StormCores); ok && s.Speedup < floor {
+				note("%s: %.2fx speedup at GOMAXPROCS=%d on %d cores, expected >= %.2fx",
+					s.Name, s.Speedup, s.StormProcs, s.StormCores, floor)
 			}
 		default:
 			if s.AllocsPerEvent > allocsPerEventGate {
@@ -384,7 +383,7 @@ func compareAgainst(path string, cur report, tol float64) []string {
 		}
 		b, ok := baseByName[s.Name]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "psdbench: note: %s not in baseline (new scenario, throughput unchecked)\n", s.Name)
+			note("%s not in baseline (new scenario, throughput unchecked)", s.Name)
 			continue
 		}
 		check := func(metric string, baseV, curV float64) {
@@ -392,9 +391,8 @@ func compareAgainst(path string, cur report, tol float64) []string {
 				return
 			}
 			if reg := (baseV - curV) / baseV; reg > tol {
-				failures = append(failures, fmt.Sprintf(
-					"%s: %s regressed %.1f%% (%.0f -> %.0f, tolerance %.0f%%)",
-					s.Name, metric, reg*100, baseV, curV, tol*100))
+				note("%s: %s %.1f%% below the baseline's machine (%.0f -> %.0f, tolerance %.0f%%)",
+					s.Name, metric, reg*100, baseV, curV, tol*100)
 			}
 		}
 		check("events/s", b.EventsPerSec, s.EventsPerSec)

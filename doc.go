@@ -53,9 +53,10 @@
 //	                   ziggurat exponential/normal variates (a draw takes
 //	                   a variable number of words; streams per component
 //	                   keep common random numbers)
-//	internal/des       allocation-free discrete-event core: 4-ary value
-//	                   heap, generation-checked EventID handles, typed
-//	                   (Handler, kind, data) dispatch
+//	internal/des       allocation-free discrete-event core: Slots, the
+//	                   fixed-role event set the simulator runs (linear
+//	                   scan over ≤ 2N+3 roles), and Simulator, the general
+//	                   4-ary value heap kept as its reference
 //	internal/stats     streaming moments, window series, P² quantiles
 //	internal/sched     GPS/WFQ/DRR/WRR/Lottery substrate + the size-aware
 //	                   heSRPT (weighted shortest-job-first) discipline
@@ -132,12 +133,13 @@
 // gating the shared control plane and the fully instrumented request
 // path (metrics + flight recorder) at zero allocations, and a
 // live-contention scenario storming the live server's sharded front
-// door at GOMAXPROCS=1 vs min(NumCPU,8) with core-aware speedup and
-// 0.01 allocs/request gates, and an analytic-sweep scenario gating the
-// closed-form fast path (internal/analytic via the sweep router) at
-// >= 100x over the DES sweep and < 0.01 allocs/point — writes the
-// committed BENCH_psd.json baseline, and in -compare mode turns
-// regressions into non-zero exits (CI runs it).
+// door at GOMAXPROCS=1 vs min(NumCPU,8) with a 0.01 allocs/request
+// gate, and an analytic-sweep scenario gating the closed-form fast path
+// (internal/analytic via the sweep router) at >= 100x over the DES
+// sweep and < 0.01 allocs/point — writes the committed BENCH_psd.json
+// baseline, and in -compare mode turns a breached allocation or
+// speedup-ratio gate into a non-zero exit (CI runs it; throughput
+// against the baseline's machine is printed, not gated).
 // For stationary fixed-rate points, EvaluateAnalytic (or -engine auto
 // on the CLIs) skips simulation entirely and returns the paper's
 // closed forms exactly.

@@ -43,7 +43,7 @@ type processor struct {
 	schedSrc     rng.Source  // retained stream handed to newScheduler
 
 	// cur* describe the request occupying the processor; service is
-	// serialized, so no per-job state outlives its completion event.
+	// serialized, so one completion role serves every job.
 	busy       bool
 	curClass   int
 	curSize    float64
@@ -56,7 +56,7 @@ type processor struct {
 	lastWeights []float64
 }
 
-func (p *processor) reset(r *runner) {
+func (p *processor) reset(r *runner) int {
 	p.r = r
 	p.busy = false
 	nc := len(r.classes)
@@ -76,6 +76,7 @@ func (p *processor) reset(r *runner) {
 	}
 	p.weights = resizeFloat(p.weights, nc)
 	p.lastWeights = resizeFloat(p.lastWeights, nc)
+	return 1
 }
 
 func (p *processor) accept(class int, size, now float64) {
@@ -93,10 +94,10 @@ func (p *processor) dispatch() {
 		return
 	}
 	p.curClass, p.curSize, p.curArrival, p.curStart = j.Class, j.Size, j.Arrival, p.r.sim.Now()
-	p.r.sim.Schedule(j.Size, p.r, evCompletion, 0) // full-speed service
+	p.r.sim.SetAfter(p.r.compBase, j.Size) // full-speed service
 }
 
-func (p *processor) complete(int32) {
+func (p *processor) complete(int) {
 	p.r.served(p.curClass, p.curSize, p.curArrival, p.curStart, p.curSize)
 	p.dispatch()
 }

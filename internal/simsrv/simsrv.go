@@ -31,7 +31,7 @@
 // the predictability analysis (Figures 5–8).
 //
 // The execution engine is arena-based: a Simulator owns every buffer a
-// replication needs (event heap, request rings, estimator ring, per-class
+// replication needs (event set, request rings, estimator ring, per-class
 // statistics, allocator scratch, the packetized scheduler) and replays
 // them across replications via Reset+RunInto with single-digit heap
 // allocations per run. Run, RunTrace, RunPacketized and RunReplications
@@ -345,10 +345,8 @@ type classState struct {
 	sizeRng    rng.Source
 
 	// curLambda is the phase-adjusted Poisson rate (= cfg.Lambda while no
-	// LoadSchedule phase is active); nextArrival is the pending arrival
-	// event, cancellable at phase switches for the memoryless redraw.
-	curLambda   float64
-	nextArrival des.EventID
+	// LoadSchedule phase is active).
+	curLambda float64
 
 	slow    stats.Welford
 	delay   stats.Welford
@@ -363,51 +361,47 @@ type classState struct {
 }
 
 // serviceModel is the "server" box of Fig. 1 — the one part §2.2 swaps.
-// The runner hands it admitted requests and allocations; it schedules its
-// own evCompletion events (with the runner as handler) and reports each
-// finished request through runner.served.
+// The runner hands it admitted requests and allocations; it arms its own
+// completion roles, r.compBase+i, in r.sim and reports each finished
+// request through runner.served.
 type serviceModel interface {
 	// reset re-arms the model for r's classes (r.src is the replication's
-	// root source, for a model that needs a stream of its own).
-	reset(r *runner)
+	// root source, for a model that needs a stream of its own) and returns
+	// how many completion roles it uses.
+	reset(r *runner) int
 	// accept takes an admitted request into the model at time now.
 	accept(class int, size, now float64)
-	// complete handles a fired evCompletion carrying the given payload.
-	complete(data int32)
+	// complete handles its fired completion role i.
+	complete(i int)
 	// setRates installs an allocation.
 	setRates(rates []float64) error
 	// finalRates reports the installed allocation (Result.FinalRates).
 	finalRates(dst []float64)
 }
 
-// Typed event kinds dispatched through runner.HandleEvent. The data
-// payload is the class index (evArrival), the trace index
-// (evTraceArrival) or the service model's own (evCompletion).
-const (
-	evArrival int32 = iota
-	evCompletion
-	evRealloc
-	evTraceArrival
-	evPhase
-)
-
 // runner is the event skeleton of one replication: per-class generators
 // and metrics, the three arrival sources (Poisson, LoadSchedule redraw,
-// trace chain) feeding one admit → observe → accept path, the control
+// trace cursor) feeding one admit → observe → accept path, the control
 // tick with the degradation ladder, and result collection. The server box
-// itself is the serviceModel. It is the single des.Handler for all event
-// kinds, so scheduling an event costs no allocation, and every buffer it
-// owns survives reset().
+// itself is the serviceModel. Every pending event is a role of r.sim, laid
+// out as HandleRole reads them: [0, compBase) each class's next Poisson
+// arrival (none under trace replay), [compBase, tickRole) the model's
+// completions, then the control tick, the LoadSchedule phase switch and
+// (replay only) the trace cursor. Arming one costs no allocation, and
+// every buffer the runner owns survives reset().
 type runner struct {
 	cfg      Config
-	sim      des.Simulator
+	sim      des.Slots
 	model    serviceModel
 	src      rng.Source // the replication's root source; streams split off it
 	classes  []classState
 	loop     control.Loop   // the shared estimate→control→allocate plane
 	total    float64        // warmup + horizon
 	trace    []TraceRequest // non-nil only for trace replay
+	traceIdx int            // next trace entry to arrive
 	phaseIdx int            // next LoadSchedule phase to apply
+
+	compBase, tickRole int // role layout, see above
 
 	// Reallocation scratch, reused every window tick (the loop owns its
 	// own estimator/allocator buffers; these feed its Tick inputs).
@@ -433,38 +427,36 @@ type runner struct {
 	records     []RequestRecord
 }
 
-// HandleEvent dispatches one fired event. The order in which handlers
-// call Schedule is the determinism contract (see TestGoldenDeterminism):
-// a completion or dispatch is scheduled before the class's next arrival.
-func (r *runner) HandleEvent(kind, data int32) {
-	switch kind {
-	case evArrival, evTraceArrival:
-		// The one door both arrival sources go through: draw or read the
-		// request, pass the admission gate, feed the load estimator, enter
-		// the service model — then re-arm the source.
-		class, now := int(data), r.sim.Now()
-		var size float64
-		if kind == evArrival {
-			cs := &r.classes[class]
-			size = cs.service.Sample(&cs.sizeRng)
-		} else {
-			class, size = r.trace[data].Class, r.trace[data].Size
-		}
-		if r.cfg.Admission == nil || !r.shed(class, size, now) {
-			r.loop.Observe(class, size)
-			r.model.accept(class, size, now)
-		}
-		if kind == evArrival {
-			r.scheduleNextArrival(class)
-		} else {
-			r.scheduleTrace(int(data) + 1)
-		}
-	case evCompletion:
-		r.model.complete(data)
-	case evRealloc:
+// HandleRole dispatches one fired role. The order in which handlers arm
+// roles is the determinism contract (see TestGoldenDeterminism): a
+// completion or dispatch is armed before the class's next arrival.
+func (r *runner) HandleRole(role int) {
+	switch {
+	case role < r.compBase:
+		cs := &r.classes[role]
+		r.arrive(role, cs.service.Sample(&cs.sizeRng))
+		r.armArrival(role)
+	case role < r.tickRole:
+		r.model.complete(role - r.compBase)
+	case role == r.tickRole:
 		r.onRealloc()
-	case evPhase:
+	case role == r.tickRole+1:
 		r.onPhase()
+	default:
+		tr := &r.trace[r.traceIdx]
+		r.traceIdx++
+		r.arrive(tr.Class, tr.Size)
+		r.armTrace()
+	}
+}
+
+// arrive is the one door every arrival source goes through: pass the
+// admission gate, feed the load estimator, enter the service model.
+func (r *runner) arrive(class int, size float64) {
+	now := r.sim.Now()
+	if r.cfg.Admission == nil || !r.shed(class, size, now) {
+		r.loop.Observe(class, size)
+		r.model.accept(class, size, now)
 	}
 }
 
@@ -507,8 +499,7 @@ func (r *runner) reset(cfg *Config, w core.Workload, model serviceModel, trace [
 		// rates, so replay runs without phases.
 		r.cfg.LoadSchedule = nil
 	}
-	r.phaseIdx = 0
-	r.sim.Reset()
+	r.traceIdx, r.phaseIdx = 0, 0
 	r.reallocOK = 0
 	r.reallocFail = 0
 	r.records = r.records[:0]
@@ -534,7 +525,6 @@ func (r *runner) reset(cfg *Config, w core.Workload, model serviceModel, trace [
 		r.src.SplitInto(&cs.arrivalRng, uint64(2*i+1))
 		r.src.SplitInto(&cs.sizeRng, uint64(2*i+2))
 		cs.curLambda = cc.Lambda
-		cs.nextArrival = des.None
 		cs.slow = stats.Welford{}
 		cs.delay = stats.Welford{}
 		cs.svc = stats.Welford{}
@@ -594,12 +584,20 @@ func (r *runner) reset(cfg *Config, w core.Workload, model serviceModel, trace [
 		r.ladder = nil
 	}
 
+	// The event set holds exactly the roles this run can arm.
+	roles := 2 // tick and phase, plus the cursor under replay
+	r.compBase = nc
+	if trace != nil {
+		r.compBase, roles = 0, 3
+	}
+	r.tickRole = r.compBase + model.reset(r)
+	r.sim.Reset(r.tickRole + roles)
+
 	// Initial rates: the operator provisions from the declared arrival
 	// rates (the estimator has no history yet); thereafter measurements
 	// drive reallocation. Any error (e.g. declared overload or all-zero
 	// lambdas) falls back to an equal split — the warmup discards the
 	// transient either way.
-	model.reset(r)
 	declared := r.allocLambdas // scratch; overwritten at the first tick
 	for i, cc := range cfg.Classes {
 		declared[i] = cc.Lambda
@@ -613,39 +611,37 @@ func (r *runner) reset(cfg *Config, w core.Workload, model serviceModel, trace [
 	return model.setRates(declared)
 }
 
-// start schedules the run's first events, in the order the determinism
+// start arms the run's first events, in the order the determinism
 // contract fixes: the arrival source, the first control tick, the first
 // LoadSchedule phase.
 func (r *runner) start() {
 	if r.trace != nil {
-		r.scheduleTrace(0)
+		r.armTrace()
 	} else {
 		for i := range r.classes {
-			r.scheduleNextArrival(i)
+			r.armArrival(i)
 		}
 	}
-	r.sim.Schedule(r.cfg.Window, r, evRealloc, 0)
-	r.scheduleNextPhase()
+	r.sim.SetAfter(r.tickRole, r.cfg.Window)
+	r.armPhase()
 }
 
-func (r *runner) scheduleNextArrival(i int) {
+// armArrival draws class i's next Poisson arrival, replacing a pending
+// one (the memoryless redraw at a phase switch).
+func (r *runner) armArrival(i int) {
 	cs := &r.classes[i]
-	cs.nextArrival = des.None
 	if cs.curLambda <= 0 {
+		r.sim.Clear(i)
 		return
 	}
-	delay := cs.arrivalRng.ExpFloat64(cs.curLambda)
-	cs.nextArrival = r.sim.Schedule(delay, r, evArrival, int32(i))
+	r.sim.SetAfter(i, cs.arrivalRng.ExpFloat64(cs.curLambda))
 }
 
-// scheduleTrace chains trace arrivals one at a time (each fired arrival
-// schedules the next) to keep the event heap small regardless of trace
-// length.
-func (r *runner) scheduleTrace(idx int) {
-	if idx >= len(r.trace) || r.trace[idx].Time > r.total {
-		return
+// armTrace arms the trace cursor at the next entry within the run.
+func (r *runner) armTrace() {
+	if r.traceIdx < len(r.trace) && r.trace[r.traceIdx].Time <= r.total {
+		r.sim.Set(r.tickRole+2, r.trace[r.traceIdx].Time)
 	}
-	r.sim.ScheduleAt(r.trace[idx].Time, r, evTraceArrival, int32(idx))
 }
 
 // shed asks the admission controller about one arrival and counts a
@@ -752,21 +748,16 @@ func (r *runner) onRealloc() {
 		}
 	}
 	if r.sim.Now() < r.total {
-		r.sim.Schedule(r.cfg.Window, r, evRealloc, 0)
+		r.sim.SetAfter(r.tickRole, r.cfg.Window)
 	}
 }
 
-// scheduleNextPhase arms the next LoadSchedule phase switch, if any lies
-// within the run.
-func (r *runner) scheduleNextPhase() {
-	if r.phaseIdx >= len(r.cfg.LoadSchedule) {
-		return
+// armPhase arms the next LoadSchedule phase switch, if any lies within
+// the run.
+func (r *runner) armPhase() {
+	if r.phaseIdx < len(r.cfg.LoadSchedule) && r.cfg.LoadSchedule[r.phaseIdx].Start <= r.total {
+		r.sim.Set(r.tickRole+1, r.cfg.LoadSchedule[r.phaseIdx].Start)
 	}
-	next := r.cfg.LoadSchedule[r.phaseIdx]
-	if next.Start > r.total {
-		return
-	}
-	r.sim.ScheduleAt(next.Start, r, evPhase, 0)
 }
 
 // onPhase applies one LoadSchedule phase: rescale every class's arrival
@@ -779,13 +770,9 @@ func (r *runner) onPhase() {
 	for i := range r.classes {
 		cs := &r.classes[i]
 		cs.curLambda = cs.cfg.Lambda * ph.scaleFor(i)
-		if cs.nextArrival != des.None {
-			r.sim.Cancel(cs.nextArrival)
-			cs.nextArrival = des.None
-		}
-		r.scheduleNextArrival(i)
+		r.armArrival(i)
 	}
-	r.scheduleNextPhase()
+	r.armPhase()
 }
 
 // collectInto assembles the Result, reusing res's slice capacity.

@@ -3,6 +3,7 @@ package simsrv
 import (
 	"math"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"psd/internal/control"
@@ -514,14 +515,67 @@ func TestEstimatorAxis(t *testing.T) {
 	}
 }
 
-func BenchmarkRunTwoClasses(b *testing.B) {
-	cfg := EqualLoadConfig([]float64{1, 2}, 0.7, nil)
-	cfg.Warmup = 1000
-	cfg.Horizon = 10000
-	for i := 0; i < b.N; i++ {
-		cfg.Seed = uint64(i)
-		if _, err := Run(cfg); err != nil {
-			b.Fatal(err)
+// A backlogged class whose effective rate is not positive keeps its request
+// with no completion armed, whether it starves in service or enters
+// service starved; the next allocation that gives it rate revives it.
+func TestStarvedClassRevivedBySetRates(t *testing.T) {
+	cfg := fastConfig([]float64{1, 2}, 0.5)
+	cfg.MinRate = -1 // no floor, so a zero allocation starves a backlogged class
+	var s Simulator
+	if err := s.Reset(cfg, 1); err != nil {
+		t.Fatal(err)
+	}
+	// No start(): the only events are the ones the task servers arm.
+	r, m := &s.run, &s.tasks
+	step := func(rates []float64, until float64, wantFired uint64, wantBusy bool) {
+		t.Helper()
+		if err := m.setRates(rates); err != nil {
+			t.Fatal(err)
 		}
+		r.sim.RunUntil(until, r)
+		if got := r.sim.Processed(); got != wantFired || m.servers[1].busy != wantBusy {
+			t.Fatalf("at t=%v under rates %v: %d completions, busy=%v; want %d, %v",
+				until, rates, got, m.servers[1].busy, wantFired, wantBusy)
+		}
+	}
+	even, starve := []float64{0.5, 0.5}, []float64{1, 0}
+	m.accept(1, 2, 0) // 2 work units at rate 0.5: due at 4
+	step(even, 2, 0, true)
+	step(starve, 10, 0, true) // starved in service: the armed completion is cleared
+	step(even, 11.5, 0, true) // revived at 10 with 1 unit left: due at 12
+	m.accept(1, 1, 11.5)      // queued behind it
+	step(even, 12, 1, true)
+	step(even, 14, 2, false)
+	step(starve, 14, 2, false)
+	m.accept(1, 1, 14) // enters service starved: nothing to arm
+	step(starve, 20, 2, true)
+	step(even, 21.5, 2, true) // revived at 20: due at 22
+	step(even, 22, 3, false)
+}
+
+func BenchmarkRunClasses(b *testing.B) {
+	for _, n := range []int{2, 8, 32} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			deltas := make([]float64, n)
+			for i := range deltas {
+				deltas[i] = float64(i + 1)
+			}
+			cfg := EqualLoadConfig(deltas, 0.7, nil)
+			cfg.Warmup = 1000
+			cfg.Horizon = 10000
+			var sim Simulator
+			var res Result
+			var events uint64
+			for i := 0; i < b.N; i++ {
+				if err := sim.Reset(cfg, uint64(i)); err != nil {
+					b.Fatal(err)
+				}
+				if err := sim.RunInto(&res); err != nil {
+					b.Fatal(err)
+				}
+				events += res.EventsProcessed
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+		})
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // Simulator is a reusable simulation arena. It owns every buffer a
-// replication needs — the event heap, estimator ring, statistics
+// replication needs — the event set, estimator ring, statistics
 // accumulators, allocator scratch, and both service models' state (the
 // task servers' request rings, the packetized scheduler's packet heap) —
 // and replays them across replications and grid points:
@@ -130,7 +130,7 @@ func (s *Simulator) RunInto(res *Result) error {
 	}
 	s.armed = false
 	s.run.start()
-	s.run.sim.RunUntil(s.run.total)
+	s.run.sim.RunUntil(s.run.total, &s.run)
 	s.run.collectInto(res)
 	return nil
 }

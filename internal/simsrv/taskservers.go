@@ -1,7 +1,5 @@
 package simsrv
 
-import "psd/internal/des"
-
 // request is a job waiting at or occupying a task server. Requests are
 // plain values: they live in the per-class ring queues and never touch
 // the GC heap.
@@ -58,16 +56,15 @@ func (q *reqQueue) grow() {
 
 // taskServer is one class's FCFS queue and paced server.
 type taskServer struct {
-	idx     int32 // own index, the evCompletion payload
+	role    int // its completion's role in the runner's event set
 	queue   reqQueue
 	current request
 	busy    bool
 
-	rate       float64 // nominal allocated rate
-	effRate    float64 // effective rate (= rate unless work-conserving)
-	remaining  float64 // unfinished work of current
-	lastSync   float64 // sim time when remaining was last updated
-	completion des.EventID
+	rate      float64 // nominal allocated rate
+	effRate   float64 // effective rate (= rate unless work-conserving)
+	remaining float64 // unfinished work of current
+	lastSync  float64 // sim time when remaining was last updated
 }
 
 // taskServers is the paper's service model (§2.2): the capacity is
@@ -80,7 +77,7 @@ type taskServers struct {
 	servers []taskServer
 }
 
-func (m *taskServers) reset(r *runner) {
+func (m *taskServers) reset(r *runner) int {
 	m.r = r
 	nc := len(r.classes)
 	if cap(m.servers) < nc {
@@ -93,8 +90,9 @@ func (m *taskServers) reset(r *runner) {
 	for i := range m.servers {
 		ts := &m.servers[i]
 		ts.queue.reset()
-		*ts = taskServer{idx: int32(i), queue: ts.queue}
+		*ts = taskServer{role: r.compBase + i, queue: ts.queue}
 	}
+	return nc
 }
 
 func (m *taskServers) accept(class int, size, now float64) {
@@ -109,8 +107,7 @@ func (m *taskServers) accept(class int, size, now float64) {
 }
 
 // startService moves the head-of-line request into service. Callers must
-// ensure the server is idle (so no completion is pending) and the queue
-// non-empty.
+// ensure the server is idle and the queue non-empty.
 func (m *taskServers) startService(ts *taskServer) {
 	now := m.r.sim.Now()
 	ts.current = ts.queue.pop()
@@ -118,9 +115,7 @@ func (m *taskServers) startService(ts *taskServer) {
 	ts.busy = true
 	ts.remaining = ts.current.size
 	ts.lastSync = now
-	if ts.effRate > 0 { // else starved, see scheduleCompletion
-		ts.completion = m.r.sim.Schedule(ts.remaining/ts.effRate, m.r, evCompletion, ts.idx)
-	}
+	m.armCompletion(ts)
 }
 
 // syncRemaining folds elapsed service into the remaining-work counter.
@@ -139,30 +134,23 @@ func (m *taskServers) syncRemaining(ts *taskServer) {
 	ts.lastSync = now
 }
 
-// scheduleCompletion (re)schedules the in-service request's completion
-// from the current remaining work and effective rate.
-func (m *taskServers) scheduleCompletion(ts *taskServer) {
-	if ts.completion != des.None {
-		m.r.sim.Cancel(ts.completion)
-		ts.completion = des.None
+// armCompletion re-arms the in-service request's completion from the
+// current remaining work and effective rate. An idle server has none, and
+// neither has a starved one until a rate change revives the class.
+func (m *taskServers) armCompletion(ts *taskServer) {
+	if ts.busy && ts.effRate > 0 {
+		m.r.sim.SetAfter(ts.role, ts.remaining/ts.effRate)
+	} else {
+		m.r.sim.Clear(ts.role)
 	}
-	if !ts.busy {
-		return
-	}
-	if ts.effRate <= 0 {
-		// Starved: no completion until a rate change revives the class.
-		return
-	}
-	ts.completion = m.r.sim.Schedule(ts.remaining/ts.effRate, m.r, evCompletion, ts.idx)
 }
 
-func (m *taskServers) complete(class int32) {
+func (m *taskServers) complete(class int) {
 	ts := &m.servers[class]
-	ts.completion = des.None
 	req := ts.current
 	ts.busy = false
 	ts.remaining = 0
-	m.r.served(int(class), req.size, req.arrival, req.serviceStart, m.r.sim.Now()-req.serviceStart)
+	m.r.served(class, req.size, req.arrival, req.serviceStart, m.r.sim.Now()-req.serviceStart)
 	if ts.queue.len() > 0 {
 		m.startService(ts)
 	} else if m.r.cfg.WorkConserving {
@@ -171,8 +159,8 @@ func (m *taskServers) complete(class int32) {
 }
 
 // setRates installs a new nominal rate vector, flooring backlogged
-// classes at MinRate so no in-flight request is stranded, and reschedules
-// all in-flight completions.
+// classes at MinRate so no in-flight request is stranded, and re-arms all
+// in-flight completions.
 func (m *taskServers) setRates(rates []float64) error {
 	for i := range m.servers {
 		ts := &m.servers[i]
@@ -194,7 +182,7 @@ func (m *taskServers) finalRates(dst []float64) {
 }
 
 // recomputeEffectiveRates refreshes every server's effective service rate
-// and reschedules completions. In partitioned mode eff = nominal. In
+// and re-arms completions. In partitioned mode eff = nominal. In
 // work-conserving mode the whole capacity is redistributed GPS-style among
 // busy classes in proportion to their nominal rates.
 func (m *taskServers) recomputeEffectiveRates() {
@@ -219,6 +207,6 @@ func (m *taskServers) recomputeEffectiveRates() {
 		default:
 			ts.effRate = 1 / float64(numBusy)
 		}
-		m.scheduleCompletion(ts)
+		m.armCompletion(ts)
 	}
 }

@@ -2,7 +2,6 @@ package simsrv
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -20,9 +19,6 @@ type TraceRequest struct {
 func validateTrace(classes int, trace []TraceRequest) error {
 	if len(trace) == 0 {
 		return fmt.Errorf("simsrv: empty trace")
-	}
-	if len(trace) > math.MaxInt32 {
-		return fmt.Errorf("simsrv: trace too long (%d entries)", len(trace))
 	}
 	if !sort.SliceIsSorted(trace, func(i, j int) bool { return trace[i].Time < trace[j].Time }) {
 		return fmt.Errorf("simsrv: trace not time-sorted")
