@@ -139,9 +139,9 @@ func (s *Static) Allocate(classes []Class, w Workload) (Allocation, error) {
 //
 // and PDD requires E[W_i] = A·δ_i for some A > 0 with Σ r_i = 1.
 // For fixed A each class's rate is the positive root of
-// r² − λE[X]·r − λE[X²]/(2Aδ) = 0; Σr_i is strictly decreasing in A, so a
-// bisection on A finds the allocation. Including PDD lets the experiments
-// demonstrate *why* slowdown differentiation needs its own allocation:
+// r² − λE[X]·r − λE[X²]/(2Aδ) = 0; Σr_i is strictly decreasing in A, so
+// the smallest A with Σr ≤ 1 is the allocation. Including PDD lets the
+// experiments demonstrate *why* slowdown differentiation needs its own:
 // slowdown on task server i is E[S_i] = E[W_i]·E[1/X_i] = E[W_i]·r_i·E[1/X]
 // (Lemma 2), so delay ratios of δ_i/δ_j yield slowdown ratios of
 // (δ_i·r_i)/(δ_j·r_j) — skewed by the rate split itself. This is the
@@ -155,8 +155,8 @@ func (PDD) Name() string { return "pdd" }
 // Allocate implements Allocator. The delay constraint
 // E[W_i] = λ_iE[X²]/(2 r_i(r_i − λ_iE[X])) = A·δ_i makes each rate the
 // positive root of r² − λE[X]·r − λE[X²]/(2Aδ) = 0; Σr_i is strictly
-// decreasing in A (limit ρ as A→∞, +∞ as A→0), so the shared bisection in
-// solveQuadraticShares pins A with Σr = 1.
+// decreasing in A (limit ρ as A→∞, +∞ as A→0), so the shared solver
+// solveQuadraticSharesInto pins A with Σr = 1.
 func (a PDD) Allocate(classes []Class, w Workload) (Allocation, error) {
 	var alloc Allocation
 	if err := a.AllocateInto(&alloc, classes, w); err != nil {

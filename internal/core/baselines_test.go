@@ -1,14 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
-
-	"psd/internal/dist"
 )
-
-func mustPaper() *dist.BoundedPareto { return dist.PaperDefault() }
 
 func TestEqualShare(t *testing.T) {
 	w := paperWorkload(t)
@@ -222,22 +219,48 @@ func TestAllAllocatorsStableRates(t *testing.T) {
 	}
 }
 
-func BenchmarkPSDAllocate(b *testing.B) {
-	w, _ := WorkloadFromDist(mustPaper())
-	classes := equalLoadClasses([]float64{1, 2, 3}, 0.7, w)
-	for i := 0; i < b.N; i++ {
-		if _, err := (PSD{}).Allocate(classes, w); err != nil {
-			b.Fatal(err)
+// tickClassDeltas are the class counts the allocator gate and benchmark
+// run at: the paper's 3 classes and the zoo's 8.
+var tickClassDeltas = [][]float64{{1, 2, 3}, {1, 2, 3, 4, 5, 6, 7, 8}}
+
+// TestAllocateIntoNoAlloc is the gate behind InPlaceAllocator's promise:
+// once dst has capacity, a control tick's allocation touches no heap, for
+// every registered policy.
+func TestAllocateIntoNoAlloc(t *testing.T) {
+	w := paperWorkload(t)
+	for _, p := range Policies() {
+		ipa := p.New().(InPlaceAllocator) // Register enforces the assertion
+		for _, deltas := range tickClassDeltas {
+			classes := equalLoadClasses(deltas, 0.7, w)
+			var dst Allocation
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := ipa.AllocateInto(&dst, classes, w); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s, %d classes: %v allocs per AllocateInto, want 0", p.Name, len(deltas), allocs)
+			}
 		}
 	}
 }
 
-func BenchmarkPDDAllocate(b *testing.B) {
-	w, _ := WorkloadFromDist(mustPaper())
-	classes := equalLoadClasses([]float64{1, 2, 3}, 0.7, w)
-	for i := 0; i < b.N; i++ {
-		if _, err := (PDD{}).Allocate(classes, w); err != nil {
-			b.Fatal(err)
+// BenchmarkAllocateInto times every registered policy on the path the
+// control tick takes (AllocateInto into a retained Allocation).
+func BenchmarkAllocateInto(b *testing.B) {
+	w := paperWorkload(b)
+	for _, p := range Policies() {
+		for _, deltas := range tickClassDeltas {
+			classes := equalLoadClasses(deltas, 0.7, w)
+			b.Run(fmt.Sprintf("%s/%d", p.Name, len(deltas)), func(b *testing.B) {
+				al := p.New()
+				var dst Allocation
+				for b.Loop() {
+					if err := AllocateInto(al, &dst, classes, w); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -23,7 +23,7 @@
 //
 // Besides the PSD allocator, the package provides the baseline allocators
 // used by the ablation benchmarks: equal share, demand-proportional, a PDD
-// (proportional *delay*) allocator solved by bisection, and static
+// (proportional *delay*) allocator solved numerically, and static
 // weights. All allocators implement the Allocator interface consumed by
 // the simulator (internal/simsrv) and the HTTP front end
 // (internal/httpsrv).

@@ -20,8 +20,8 @@ import (
 //	E[S_i] = E[W_i]·E[1/X] ≈ λ_i·E[X²]·E[1/X] / (2·w_i·(w_i − λ_iE[X]))
 //
 // Imposing E[S_i] = A·δ_i makes each weight the positive root of
-// w² − λE[X]·w − λ·E[X²]·E[1/X]/(2Aδ) = 0, with Σw_i = 1 pinning A by
-// bisection (Σw is strictly decreasing in A).
+// w² − λE[X]·w − λ·E[X²]·E[1/X]/(2Aδ) = 0, with Σw_i = 1 pinning A
+// (Σw is strictly decreasing in A; solveQuadraticSharesInto finds it).
 //
 // Second — and decisively — the per-class drain-rate-w_i model only holds
 // while the class stays backlogged. A work-conserving scheduler at
@@ -48,10 +48,9 @@ func (p PacketizedPSD) Allocate(classes []Class, w Workload) (Allocation, error)
 	return alloc, nil
 }
 
-// AllocateInto implements InPlaceAllocator. The bisection evaluates the
-// share total ~200 times per call with no per-iteration allocation, which
-// is what keeps the packetized simulation's reallocation tick off the heap
-// (it used to be the dominant allocation source of the whole mode).
+// AllocateInto implements InPlaceAllocator. The share solver probes only
+// the share total and allocates nothing (TestAllocateIntoNoAlloc), which
+// keeps the packetized simulation's reallocation tick off the heap.
 func (PacketizedPSD) AllocateInto(dst *Allocation, classes []Class, w Workload) error {
 	rho, err := validateClasses(classes, w)
 	if err != nil {
@@ -106,11 +105,19 @@ func PacketizedSlowdown(lambda float64, w Workload, weight float64) (float64, er
 // by the PDD baseline and PacketizedPSD — both impose a per-class metric
 // of the form coeff_i/(w_i(w_i − b_i)) = A·δ_i; slowdownWeighted selects
 // PacketizedPSD's coefficient λ_i·E[X²]·E[1/X]/2 over PDD's λ_i·E[X²]/2.
-// The bisection evaluates only the share total, so the ~200 probes cost
-// no allocation; dst is filled once at the converged pivot, with the
-// coefficient arithmetic kept in the historical evaluation order so the
-// result is bit-identical to the slice-per-probe implementation this
-// replaced.
+//
+// Contract: the pivot A is the smallest float64 in [1e-12, 2⁵⁹] whose
+// share total, as totalFor rounds it, is ≤ 1 (1e-12 when even that
+// satisfies it); ErrInfeasible when the total at 2⁵⁹ is still > 1. Every
+// operation in totalFor is a correctly rounded monotone one, so the total
+// is weakly decreasing in A in floating point too and "> 1" flips exactly
+// once along the float line; a 200-step geometric bisection of
+// [1e-12, 2^k] used to come to rest on that flip, and any probe sequence
+// that finds it returns the same bits. This one estimates the root
+// (Newton), then searches exactly around the estimate with totalFor
+// itself: ~8 probes, no allocation (dst is the only scratch). dst is
+// filled once at the pivot with the coefficient arithmetic of totalFor,
+// which is why seeded results are bit-identical to every earlier version.
 func solveQuadraticSharesInto(dst []float64, classes []Class, w Workload, slowdownWeighted bool) error {
 	active := 0
 	for _, c := range classes {
@@ -143,21 +150,75 @@ func solveQuadraticSharesInto(dst []float64, classes []Class, w Workload, slowdo
 		}
 		return total
 	}
-	lo, hi := 1e-12, 1.0
-	for totalFor(hi) > 1 {
-		hi *= 2
-		if hi > 1e18 {
-			return fmt.Errorf("%w: share bisection failed to bracket", ErrInfeasible)
+	// Estimate. In s = 1/√A the total is G(s) = Σ(b_i + √(b_i² + k_i·s²))/2
+	// with k_i = 4·coeff_i/δ_i (parked in dst): convex and increasing, so
+	// Newton started right of the root descends onto it without
+	// overshooting, and √(b²+ks²) ≥ √k·s puts s₀ = (2 − Σb)/Σ√k there.
+	// Once a step is below 1e-8·s the next would be rounding noise.
+	sumB, sumRootK := 0.0, 0.0
+	for i, c := range classes {
+		if c.Lambda > 0 {
+			dst[i] = 4 * coeff(c) / c.Delta
+			sumB += c.Lambda * w.MeanSize
+			sumRootK += math.Sqrt(dst[i])
 		}
 	}
-	for iter := 0; iter < 200; iter++ {
-		mid := math.Sqrt(lo * hi)
-		if totalFor(mid) > 1 {
+	s := (2 - sumB) / sumRootK
+	for iter := 0; iter < 64; iter++ {
+		g, slope := -1.0, 0.0
+		for i, c := range classes {
+			if c.Lambda > 0 {
+				b, ks := c.Lambda*w.MeanSize, dst[i]*s
+				r := math.Sqrt(b*b + ks*s)
+				g += (b + r) / 2
+				slope += ks / (2 * r)
+			}
+		}
+		step := g / slope
+		s -= step
+		if !(step > 1e-8*s) {
+			break
+		}
+	}
+	// Exact search over bit patterns (ordered like the positive floats they
+	// encode). The estimate only chooses where it starts: clamped into the
+	// historical range (so NaN or ±Inf start at an end of it), then 1, 2,
+	// 4 … ulps toward the flip until the predicate changes — 60 doublings
+	// span the range — and a bisection of the two patterns until they are
+	// adjacent.
+	floor, ceil := math.Float64bits(1e-12), math.Float64bits(1<<59)
+	over := func(u uint64) bool { return totalFor(math.Float64frombits(u)) > 1 }
+	lo := max(floor, min(ceil, math.Float64bits(1/(s*s))))
+	hi := lo
+	if over(lo) {
+		for step := uint64(1); ; step *= 2 {
+			if lo == ceil {
+				return fmt.Errorf("%w: share bisection failed to bracket", ErrInfeasible)
+			}
+			hi = lo + min(step, ceil-lo)
+			if !over(hi) {
+				break
+			}
+			lo = hi
+		}
+	} else {
+		for step := uint64(1); hi > floor; step *= 2 {
+			lo = hi - min(step, hi-floor)
+			if over(lo) {
+				break
+			}
+			hi = lo
+		}
+	}
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		if over(mid) {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
+	pivot := math.Float64frombits(hi)
 	total := 0.0
 	for i, c := range classes {
 		if c.Lambda == 0 {
@@ -165,7 +226,7 @@ func solveQuadraticSharesInto(dst []float64, classes []Class, w Workload, slowdo
 			continue
 		}
 		b := c.Lambda * w.MeanSize
-		q := coeff(c) / (hi * c.Delta)
+		q := coeff(c) / (pivot * c.Delta)
 		dst[i] = (b + math.Sqrt(b*b+4*q)) / 2
 		total += dst[i]
 	}

@@ -12,7 +12,7 @@ import (
 type Capabilities struct {
 	// AnalyticEligible marks policies whose stationary allocation at the
 	// true arrival rates is a closed form internal/analytic can evaluate
-	// (Theorem 1 at deterministic fixed rates). PDD's bisection targets
+	// (Theorem 1 at deterministic fixed rates). PDD's share solve targets
 	// delays and the packetized correction assumes a different service
 	// model, so they simulate.
 	AnalyticEligible bool
@@ -144,7 +144,7 @@ func init() {
 	})
 	Register(Policy{
 		Name:    "pdd",
-		Summary: "proportional *delay* differentiation (bisection), the closest prior-art target",
+		Summary: "proportional *delay* differentiation (exact share solve), the closest prior-art target",
 		New:     func() Allocator { return PDD{} },
 	})
 	Register(Policy{
