@@ -63,7 +63,6 @@ import (
 	"psd/internal/core"
 	"psd/internal/dist"
 	"psd/internal/obs"
-	"psd/internal/rng"
 	"psd/internal/sched"
 	"psd/internal/simsrv"
 	"psd/internal/sweep"
@@ -666,7 +665,7 @@ func runAnalyticSweep(sc scenario, runs int, seed uint64, prior []scenarioResult
 // policies replicate through Simulator.Reset; size-aware policies
 // (Caps.NeedsSizeInfo) go through the packetized model with a retained
 // heSRPT scheduler, mirroring internal/sweep's policy→discipline mapping.
-// The downgrading policy's degradation ladder and the heSRPT slot arena
+// The downgrading policy's degradation ladder and the heSRPT heap
 // are both created during the untimed warmup replication and retained, so
 // the timed loop gates the whole zoo at allocsPerTournamentRepGate: a new
 // policy whose reset or steady state allocates is rejected in -compare.
@@ -702,7 +701,7 @@ func runPolicyTournament(sc scenario, runs int, seed uint64) (scenarioResult, er
 			var hs *sched.HeSRPT // retained across resets; closure lives outside the timed loop
 			ln.pcfg = simsrv.PacketizedConfig{
 				Config: cfg,
-				NewScheduler: func(classes int, _ *rng.Source) sched.Scheduler {
+				NewScheduler: func(classes int) sched.Scheduler {
 					if hs == nil {
 						hs = sched.NewHeSRPT(classes)
 					} else {

@@ -58,8 +58,9 @@
 //	                   scan over ≤ 2N+3 roles), and Simulator, the general
 //	                   4-ary value heap kept as its reference
 //	internal/stats     streaming moments, window series, P² quantiles
-//	internal/sched     GPS/WFQ/DRR/WRR/Lottery substrate + the size-aware
-//	                   heSRPT (weighted shortest-job-first) discipline
+//	internal/sched     the packetized disciplines on one value heap: SCFQ
+//	                   (PGPS family) and the size-aware heSRPT (weighted
+//	                   shortest-job-first)
 //	internal/control   the shared control plane: one allocation-free
 //	                   estimate→control→allocate Loop (window | EWMA
 //	                   estimation, optional feedback trim) driven by both

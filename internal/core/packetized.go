@@ -7,9 +7,9 @@ import (
 
 // PacketizedPSD computes PSD weights for a *packetized* single-processor
 // server under continuous backlog: one processor serves whole requests at
-// full speed, and a weighted-fair scheduler (internal/sched's SCFQ, DRR,
-// Lottery, …) picks which class's head-of-line request runs next, so a
-// backlogged class's queue drains at rate w_i.
+// full speed, and a weighted-fair scheduler (internal/sched's SCFQ) picks
+// which class's head-of-line request runs next, so a backlogged class's
+// queue drains at rate w_i.
 //
 // Two things change versus the fluid task-server model behind Eq. 17.
 // First, a dispatched request runs at full speed (service time x, not

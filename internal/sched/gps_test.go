@@ -6,23 +6,15 @@ import (
 	"sort"
 )
 
-// GPSJob is a job with an arrival time for the fluid GPS reference
-// computation.
-type GPSJob struct {
-	Class   int
-	Size    float64
-	Arrival float64
-}
-
-// GPSFinishTimes simulates ideal fluid generalized processor sharing
+// gpsFinishTimes simulates ideal fluid generalized processor sharing
 // (Parekh & Gallager) of the given jobs on a unit-capacity server with the
 // given per-class weights and returns each job's fluid completion time (in
 // input order). Within a class, service is FIFO (the head job receives the
 // class's whole fluid share, matching the per-class FCFS task-server
-// model). It is the conformance oracle for the packetized schedulers: PGPS
-// completes every job no later than GPS plus one maximum job size, and
-// SCFQ within a small number of maximum jobs.
-func GPSFinishTimes(jobs []GPSJob, weights []float64) ([]float64, error) {
+// model). It is the conformance oracle TestSCFQTracksGPS holds SCFQ to:
+// PGPS completes every job no later than GPS plus one maximum job size,
+// and SCFQ within a small number of maximum jobs.
+func gpsFinishTimes(jobs []Job, weights []float64) ([]float64, error) {
 	for i, j := range jobs {
 		if j.Class < 0 || j.Class >= len(weights) {
 			return nil, fmt.Errorf("sched: job %d class %d out of range", i, j.Class)
@@ -34,8 +26,10 @@ func GPSFinishTimes(jobs []GPSJob, weights []float64) ([]float64, error) {
 			return nil, fmt.Errorf("sched: job %d arrival %v invalid", i, j.Arrival)
 		}
 	}
-	if err := checkWeights(weights, len(weights)); err != nil {
-		return nil, err
+	for c, w := range weights {
+		if !(w > 0) {
+			return nil, fmt.Errorf("sched: weight[%d] = %v must be positive", c, w)
+		}
 	}
 
 	// Index jobs by arrival order per class.

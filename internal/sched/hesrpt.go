@@ -1,8 +1,5 @@
 package sched
 
-// ---------------------------------------------------------------------------
-// heSRPT
-//
 // HeSRPT is the size-aware rival discipline from the related work (Berg,
 // Vesilo & Harchol-Balter, "heSRPT: Parallel Scheduling to Minimize Mean
 // Slowdown"): scheduling that exploits known job sizes to minimize mean
@@ -16,138 +13,25 @@ package sched
 // weights tilt priority toward high-entitlement (low-δ) classes, the
 // heSRPT-style per-class scaling.
 //
-// The pending set reuses the SCFQ idiom: a value-typed 4-ary (key, seq,
-// slot) heap over a recycled Job slot arena, strict (key, seq) total
-// order for FIFO tie-breaking, zero steady-state allocation, capacity
-// retained across Reset.
-
-// HeSRPT is the size-aware weighted shortest-job-first discipline. Use
-// NewHeSRPT; the scheduler reads every job's Size, so it only makes
+// Use NewHeSRPT; the scheduler reads every job's Size, so it only makes
 // sense where sizes are known at enqueue (the packetized simulator).
 type HeSRPT struct {
-	classes int
-	weights []float64
-	heap    []scfqEntry // key = Size/w(class), FIFO-tie-broken by seq
-	jobs    []Job       // slot arena backing the heap entries
-	free    []int32     // recycled slot indices (LIFO)
-	seq     uint64
+	queue
 }
 
 // NewHeSRPT builds the scheduler with equal initial weights (pure
 // shortest-job-first until SetWeights installs the allocator's vector).
 func NewHeSRPT(classes int) *HeSRPT {
-	h := &HeSRPT{
-		classes: classes,
-		weights: make([]float64, classes),
-	}
-	equalWeights(h.weights)
-	return h
-}
-
-// Name implements Scheduler.
-func (h *HeSRPT) Name() string { return "hesrpt" }
-
-// SetWeights implements Scheduler. Weights only affect jobs enqueued
-// after the call: a queued job's priority key was fixed at enqueue, the
-// same convention SCFQ uses for its finish tags.
-func (h *HeSRPT) SetWeights(w []float64) error {
-	if err := checkWeights(w, h.classes); err != nil {
-		return err
-	}
-	copy(h.weights, w)
-	return nil
-}
-
-// Reset implements Scheduler.
-func (h *HeSRPT) Reset() {
-	equalWeights(h.weights)
-	h.seq = 0
-	h.heap = h.heap[:0]
-	for i := range h.jobs {
-		h.jobs[i] = Job{} // drop Payload references
-	}
-	h.jobs = h.jobs[:0]
-	h.free = h.free[:0]
+	return &HeSRPT{newQueue(classes)}
 }
 
 // Enqueue implements Scheduler.
 func (h *HeSRPT) Enqueue(j Job) {
-	key := j.Size / h.weights[j.Class]
-	var slot int32
-	if n := len(h.free); n > 0 {
-		slot = h.free[n-1]
-		h.free = h.free[:n-1]
-	} else {
-		slot = int32(len(h.jobs))
-		h.jobs = append(h.jobs, Job{})
-	}
-	h.jobs[slot] = j
-	h.heap = append(h.heap, scfqEntry{tag: key, seq: h.seq, slot: slot})
-	h.seq++
-	h.siftUp(len(h.heap) - 1)
+	h.push(j.Size/h.weights[j.Class], j)
 }
 
 // Dequeue implements Scheduler.
 func (h *HeSRPT) Dequeue() (Job, bool) {
-	if len(h.heap) == 0 {
-		return Job{}, false
-	}
-	root := h.heap[0]
-	n := len(h.heap) - 1
-	h.heap[0] = h.heap[n]
-	h.heap = h.heap[:n]
-	if n > 0 {
-		h.siftDown(0)
-	}
-	j := h.jobs[root.slot]
-	h.jobs[root.slot] = Job{} // drop the Payload reference
-	h.free = append(h.free, root.slot)
-	return j, true
+	e, ok := h.pop()
+	return e.job, ok
 }
-
-// Backlog implements Scheduler.
-func (h *HeSRPT) Backlog() int { return len(h.heap) }
-
-func (h *HeSRPT) siftUp(i int) {
-	hp := h.heap
-	e := hp[i]
-	for i > 0 {
-		parent := (i - 1) >> 2
-		if !scfqLess(e, hp[parent]) {
-			break
-		}
-		hp[i] = hp[parent]
-		i = parent
-	}
-	hp[i] = e
-}
-
-func (h *HeSRPT) siftDown(i int) {
-	hp := h.heap
-	n := len(hp)
-	e := hp[i]
-	for {
-		first := i<<2 + 1
-		if first >= n {
-			break
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if scfqLess(hp[c], hp[min]) {
-				min = c
-			}
-		}
-		if !scfqLess(hp[min], e) {
-			break
-		}
-		hp[i] = hp[min]
-		i = min
-	}
-	hp[i] = e
-}
-
-var _ Scheduler = (*HeSRPT)(nil)

@@ -77,16 +77,15 @@ func TestHeSRPTSetWeightsValidation(t *testing.T) {
 	}
 }
 
-// TestHeSRPTReset: Reset restores equal weights, empties the backlog and
-// drops Payload references, while retaining capacity for reuse.
+// TestHeSRPTReset: Reset restores equal weights and empties the backlog,
+// while retaining capacity for reuse.
 func TestHeSRPTReset(t *testing.T) {
 	h := NewHeSRPT(2)
 	if err := h.SetWeights([]float64{9, 1}); err != nil {
 		t.Fatal(err)
 	}
-	payload := new(int)
 	for i := 0; i < 10; i++ {
-		h.Enqueue(Job{Class: i % 2, Size: float64(i + 1), Payload: payload})
+		h.Enqueue(Job{Class: i % 2, Size: float64(i + 1)})
 	}
 	h.Reset()
 	if h.Backlog() != 0 {
@@ -100,29 +99,5 @@ func TestHeSRPTReset(t *testing.T) {
 	h.Enqueue(Job{Class: 0, Size: 1})
 	if j, _ := h.Dequeue(); j.Class != 1 {
 		t.Fatalf("post-Reset weights not equal: class %d won", j.Class)
-	}
-}
-
-// TestHeSRPTZeroAllocSteadyState gates the arena promise: once the slot
-// arena and heap have grown to the working set, enqueue/dequeue cycles
-// allocate nothing.
-func TestHeSRPTZeroAllocSteadyState(t *testing.T) {
-	h := NewHeSRPT(2)
-	for i := 0; i < 64; i++ {
-		h.Enqueue(Job{Class: i % 2, Size: float64(i%7 + 1)})
-	}
-	for h.Backlog() > 0 {
-		h.Dequeue()
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 64; i++ {
-			h.Enqueue(Job{Class: i % 2, Size: float64(i%7 + 1)})
-		}
-		for h.Backlog() > 0 {
-			h.Dequeue()
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state cycle allocates %.1f times, want 0", allocs)
 	}
 }

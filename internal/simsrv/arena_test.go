@@ -6,7 +6,6 @@ import (
 
 	"psd/internal/admission"
 	"psd/internal/core"
-	"psd/internal/rng"
 	"psd/internal/sched"
 )
 
@@ -56,7 +55,7 @@ func TestArenaModeCycling(t *testing.T) {
 			return s.Reset(cfg, cfg.Seed)
 		}},
 		{"packetized hesrpt factory", func(s *Simulator) error {
-			mk := func(n int, _ *rng.Source) sched.Scheduler { return sched.NewHeSRPT(n) }
+			mk := func(n int) sched.Scheduler { return sched.NewHeSRPT(n) }
 			return s.ResetPacketized(PacketizedConfig{Config: hesrpt, NewScheduler: mk}, hesrpt.Seed)
 		}},
 		{"trace replay", func(s *Simulator) error { return s.ResetTrace(replay, trace, replay.Seed) }},

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"psd/internal/core"
-	"psd/internal/rng"
 	"psd/internal/sched"
 )
 
@@ -22,9 +21,9 @@ func TestCommonRandomNumbersAcrossPolicies(t *testing.T) {
 	type offered struct{ arrival, size float64 }
 	// disciplines maps the policies that run on the packetized model to
 	// their scheduler (nil = the default SCFQ).
-	disciplines := map[string]func(int, *rng.Source) sched.Scheduler{
+	disciplines := map[string]func(int) sched.Scheduler{
 		"ppsd":   nil,
-		"hesrpt": func(n int, _ *rng.Source) sched.Scheduler { return sched.NewHeSRPT(n) },
+		"hesrpt": func(n int) sched.Scheduler { return sched.NewHeSRPT(n) },
 	}
 	run := func(policy string) [][]offered {
 		t.Helper()

@@ -1,9 +1,6 @@
 package simsrv
 
-import (
-	"psd/internal/rng"
-	"psd/internal/sched"
-)
+import "psd/internal/sched"
 
 // PacketizedConfig parametrizes a packetized-server simulation: one
 // processor runs whole requests at full speed and a weighted-fair
@@ -19,28 +16,26 @@ type PacketizedConfig struct {
 	// for proportional slowdowns on this server model (core.PSD's fluid
 	// weights overshoot by design — see the ablation bench).
 	Config
-	// NewScheduler builds the discipline; it receives the class count
-	// and a dedicated random stream (only Lottery uses it). Defaults to
+	// NewScheduler builds the discipline for the class count. Defaults to
 	// SCFQ, in which case the scheduler is retained as part of the
 	// simulation arena across replications.
-	NewScheduler func(classes int, src *rng.Source) sched.Scheduler
+	NewScheduler func(classes int) sched.Scheduler
 }
 
 // processor is the packetized service model: one full-speed processor
 // serializes whole requests and a sched.Scheduler picks the next one, with
 // the allocation installed as (positive-floored) weights. Jobs flow
-// through the scheduler by value (SCFQ's tag heap stores them inline), so
+// through the scheduler by value (its heap stores them inline), so
 // the model sits on the same ~zero allocs/event budget as the task
 // servers.
 type processor struct {
 	r *runner
 	// newScheduler is the PacketizedConfig factory for the armed run (nil
 	// = the retained SCFQ below).
-	newScheduler func(classes int, src *rng.Source) sched.Scheduler
+	newScheduler func(classes int) sched.Scheduler
 	scheduler    sched.Scheduler
 	ownSCFQ      *sched.SCFQ // retained default-discipline arena
 	ownSCFQSize  int         // class count ownSCFQ was built for
-	schedSrc     rng.Source  // retained stream handed to newScheduler
 
 	// cur* describe the request occupying the processor; service is
 	// serialized, so one completion role serves every job.
@@ -62,11 +57,7 @@ func (p *processor) reset(r *runner) int {
 	nc := len(r.classes)
 	switch {
 	case p.newScheduler != nil:
-		// Re-derive the scheduler stream into a retained Source so a
-		// factory that returns a retained scheduler keeps the reset
-		// allocation-free (same derived state as r.src.Split(1000)).
-		r.src.SplitInto(&p.schedSrc, 1000)
-		p.scheduler = p.newScheduler(nc, &p.schedSrc)
+		p.scheduler = p.newScheduler(nc)
 	case p.ownSCFQ != nil && p.ownSCFQSize == nc:
 		p.ownSCFQ.Reset()
 		p.scheduler = p.ownSCFQ

@@ -6,7 +6,6 @@ import (
 
 	"psd/internal/core"
 	"psd/internal/dist"
-	"psd/internal/rng"
 	"psd/internal/sched"
 )
 
@@ -115,33 +114,23 @@ func TestPacketizedWorkConservationLimitsDifferentiation(t *testing.T) {
 	}
 }
 
-// TestPacketizedDisciplinesAgree: SCFQ, DRR and Lottery all realize the
-// allocated weights, so their achieved ratios should be mutually close.
-func TestPacketizedDisciplinesAgree(t *testing.T) {
-	mks := map[string]func(int, *rng.Source) sched.Scheduler{
-		"scfq": func(n int, _ *rng.Source) sched.Scheduler { return sched.NewSCFQ(n) },
-		"drr": func(n int, _ *rng.Source) sched.Scheduler {
-			d, err := sched.NewDRR(n, 1.0)
-			if err != nil {
-				panic(err)
-			}
-			return d
-		},
-		"lottery": func(n int, src *rng.Source) sched.Scheduler { return sched.NewLottery(n, src) },
-	}
-	ratios := map[string]float64{}
-	for name, mk := range mks {
-		pc := packetizedConfig([]float64{1, 2}, 0.6)
-		pc.NewScheduler = mk
-		ratios[name] = packetizedRatio(t, pc, 4)
-	}
-	for a, ra := range ratios {
-		for b, rb := range ratios {
-			if math.Abs(ra-rb)/math.Max(ra, rb) > 0.35 {
-				t.Fatalf("disciplines disagree: %s=%v vs %s=%v", a, ra, b, rb)
-			}
+// strictPriority always serves the lowest-numbered backlogged class, FIFO
+// within a class, and ignores the weights: the related-work baseline
+// ([Almeida et al.], paper §5).
+type strictPriority struct{ queues [][]sched.Job }
+
+func (p *strictPriority) SetWeights([]float64) error { return nil }
+
+func (p *strictPriority) Enqueue(j sched.Job) { p.queues[j.Class] = append(p.queues[j.Class], j) }
+
+func (p *strictPriority) Dequeue() (sched.Job, bool) {
+	for c, q := range p.queues {
+		if len(q) > 0 {
+			p.queues[c] = q[1:]
+			return q[0], true
 		}
 	}
+	return sched.Job{}, false
 }
 
 // TestPacketizedStrictPriorityBreaksProportionality reproduces the
@@ -149,7 +138,7 @@ func TestPacketizedDisciplinesAgree(t *testing.T) {
 // hold a target spacing.
 func TestPacketizedStrictPriorityBreaksProportionality(t *testing.T) {
 	pc := packetizedConfig([]float64{1, 2}, 0.7)
-	pc.NewScheduler = func(n int, _ *rng.Source) sched.Scheduler { return sched.NewStrictPriority(n) }
+	pc.NewScheduler = func(n int) sched.Scheduler { return &strictPriority{queues: make([][]sched.Job, n)} }
 	ratio := packetizedRatio(t, pc, 4)
 	// Strict priority starves class 2 relative to any fixed proportional
 	// target; the ratio runs far above 2.

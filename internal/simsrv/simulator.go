@@ -102,8 +102,8 @@ func (s *Simulator) ResetTrace(cfg Config, trace []TraceRequest, seed uint64) er
 // the same skeleton around one full-speed processor behind a scheduler.
 // With the default SCFQ discipline the scheduler itself is part of the
 // arena (its packet heap is retained across replications); a custom
-// NewScheduler factory is invoked fresh on every reset so stateful or
-// randomized disciplines start each replication clean.
+// NewScheduler factory is invoked on every reset and must hand back a
+// scheduler in its freshly constructed state.
 func (s *Simulator) ResetPacketized(pc PacketizedConfig, seed uint64) error {
 	cfg := pc.Config
 	if cfg.WorkConserving {

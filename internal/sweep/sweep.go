@@ -57,7 +57,6 @@ import (
 
 	"psd/internal/analytic"
 	"psd/internal/core"
-	"psd/internal/rng"
 	"psd/internal/sched"
 	"psd/internal/simsrv"
 	"psd/internal/stats"
@@ -118,7 +117,7 @@ type Point struct {
 	Packetized bool
 	// NewScheduler optionally overrides the packetized discipline; see
 	// simsrv.PacketizedConfig.
-	NewScheduler func(classes int, src *rng.Source) sched.Scheduler
+	NewScheduler func(classes int) sched.Scheduler
 	// Trace, when non-nil, replays this arrival trace instead of the
 	// Poisson generators (simsrv.RunTrace semantics). Replications then
 	// differ only in their estimator/allocator-independent random

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"psd/internal/core"
-	"psd/internal/rng"
 	"psd/internal/sched"
 )
 
@@ -12,10 +11,10 @@ import (
 // discipline. The allocator half of such a policy comes from the core
 // registry; the discipline half lives here because the sweep engine owns
 // the packetized model wiring (core cannot import sched).
-func disciplineFor(name string) func(classes int, src *rng.Source) sched.Scheduler {
+func disciplineFor(name string) func(classes int) sched.Scheduler {
 	switch name {
 	case "hesrpt":
-		return func(classes int, _ *rng.Source) sched.Scheduler { return sched.NewHeSRPT(classes) }
+		return func(classes int) sched.Scheduler { return sched.NewHeSRPT(classes) }
 	}
 	return nil
 }
