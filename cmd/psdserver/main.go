@@ -22,10 +22,13 @@
 //
 // Robustness: -ladder enables graceful degradation (per-class delta
 // targets step down -ladder-rungs under sustained overload before any
-// shedding, recovering with hysteresis); -watchdog tunes the stale-tick
-// watchdog. The -chaos-* flags arm the deterministic fault-injection
-// harness (worker stalls, service spikes, corrupted control inputs,
-// dropped ticks) for resilience drills — never set them in production.
+// shedding, recovering with hysteresis) by wrapping the allocator in the
+// downgrade policy, so it is the same as -allocator downgrade; the
+// -ladder-* flags tune the ladder under either spelling. -watchdog
+// tunes the stale-tick watchdog. The -chaos-* flags arm the
+// deterministic fault-injection harness (worker stalls, service spikes,
+// corrupted control inputs, dropped ticks) for resilience drills —
+// never set them in production.
 package main
 
 import (
@@ -109,20 +112,17 @@ func main() {
 	if err != nil {
 		fatalf("bad admission flags: %v", err)
 	}
-	var ladder *admission.Ladder
-	if *ladderOn {
+	var ladder admission.LadderConfig
+	if _, ok := alloc.(core.Downgrading); ok || *ladderOn {
+		if !ok {
+			// Every registered policy is in-place (core.Register enforces it).
+			alloc = core.Downgrading{Base: alloc.(core.InPlaceAllocator)}
+		}
 		rungs, err := parseFloats(*ladderRungs)
 		if err != nil {
 			fatalf("bad -ladder-rungs: %v", err)
 		}
-		ladder, err = admission.NewLadder(admission.LadderConfig{
-			Multipliers: rungs,
-			EngageRho:   *ladderEngage,
-			RecoverRho:  *ladderRecover,
-		}, ds)
-		if err != nil {
-			fatalf("bad ladder flags: %v", err)
-		}
+		ladder = admission.LadderConfig{Multipliers: rungs, EngageRho: *ladderEngage, RecoverRho: *ladderRecover}
 	}
 	var injector *chaos.Injector
 	if *chaosStall > 0 || *chaosSpike > 0 || *chaosCorrupt > 0 || *chaosDrop > 0 {

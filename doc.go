@@ -63,14 +63,17 @@
 //	                   shortest-job-first)
 //	internal/control   the shared control plane: one allocation-free
 //	                   estimate→control→allocate Loop (window | EWMA
-//	                   estimation, optional feedback trim) driven by both
-//	                   the simulator and the live HTTP server
+//	                   estimation, optional feedback trim, the
+//	                   degradation ladder step under the downgrade
+//	                   policy) driven by both the simulator and the live
+//	                   HTTP server
 //	internal/admission overload protection complementing differentiation
 //	                   (utilization bound, per-class token bucket), shared
 //	                   by the simulator and the live server's pre-queue gate,
-//	                   plus the graceful-degradation ladder (scale per-class
-//	                   δ targets through rungs before shedding, hysteresis
-//	                   recovery)
+//	                   plus the graceful-degradation ladder state machine
+//	                   (scale per-class δ targets through rungs before
+//	                   shedding, hysteresis recovery) that control.Loop
+//	                   steps
 //	internal/chaos     seeded deterministic fault injection for the live
 //	                   path: worker stalls, service spikes, corrupted tick
 //	                   inputs, dropped/late ticks, clock jumps, slow-loris
@@ -82,7 +85,7 @@
 //	                   allocations, ErrNeedsSimulation for everything else
 //	internal/simsrv    the paper's simulation model (Fig. 1) as a
 //	                   reusable arena: one event skeleton (generators,
-//	                   admission gate + ladder, control tick, metrics) ×
+//	                   admission gate, control tick, metrics) ×
 //	                   two service models (paced task servers | one
 //	                   scheduler-driven processor) × three arrival
 //	                   sources (Poisson, LoadSchedule redraw, trace
@@ -110,7 +113,8 @@
 //	                   worker pacing (GPS fluid model under rate churn),
 //	                   pluggable admission gate, overload-honest estimation,
 //	                   guarded control inputs, stale-tick watchdog, and the
-//	                   degrade-before-shed ladder
+//	                   degrade-before-shed gate the control loop's ladder
+//	                   holds open
 //	internal/figures   Figures 2–12 regeneration (on internal/sweep) plus
 //	                   the beyond-paper estimator transient (13) and
 //	                   policy tournament (14) studies

@@ -161,9 +161,6 @@ func NewLadder(cfg LadderConfig, deltas []float64) (*Ladder, error) {
 	return ld, nil
 }
 
-// Classes returns the class count the ladder was dimensioned for.
-func (ld *Ladder) Classes() int { return ld.classes }
-
 // Observe feeds one control tick's utilization estimate (ρ = Σ offered
 // loads) and allocation feasibility into the state machine, stepping at
 // most one rung per call. It reports whether any class's level changed.
@@ -215,9 +212,9 @@ func (ld *Ladder) MaxedOut() bool { return ld.pos == len(ld.seq) }
 // Engaged reports whether any class is currently degraded.
 func (ld *Ladder) Engaged() bool { return ld.pos > 0 }
 
-// ScaleInto fills dst (length Classes()) with the per-class effective-δ
-// multipliers: 1 for a nominal class, Multipliers[level-1] otherwise.
-// The vector plugs directly into control.TickInput.DeltaScale.
+// ScaleInto fills dst (one entry per class) with the per-class
+// effective-δ multipliers: 1 for a nominal class, Multipliers[level-1]
+// otherwise — the factors control.Loop applies to its effective δ.
 func (ld *Ladder) ScaleInto(dst []float64) {
 	for i := 0; i < ld.classes; i++ {
 		if ld.level[i] == 0 {

@@ -49,9 +49,10 @@ func TestNewLadderValidation(t *testing.T) {
 	}
 
 	// Explicit order may include the reference class if the operator says so.
-	ld := mustLadder(t, LadderConfig{Order: []int{0}}, deltas)
-	if got := ld.Classes(); got != 3 {
-		t.Fatalf("Classes() = %d, want 3", got)
+	ld := mustLadder(t, LadderConfig{Order: []int{0}, EngageAfter: 1}, deltas)
+	overload(ld, 1)
+	if got := ld.Level(0); got != 1 {
+		t.Fatalf("explicit order {0}: reference class level %d, want 1", got)
 	}
 }
 

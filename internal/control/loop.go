@@ -1,9 +1,12 @@
 package control
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 
+	"psd/internal/admission"
 	"psd/internal/core"
 	"psd/internal/obs"
 )
@@ -84,6 +87,10 @@ type LoopConfig struct {
 	// recorder tracks one Loop lifetime. Recording is allocation-free;
 	// every Loop consumer (simulator and live server) shares this hook.
 	Recorder *obs.FlightRecorder
+	// Ladder dimensions the graceful-degradation ladder, which Reset arms
+	// iff Allocator is downgrading (core.IsDowngrading); the zero value
+	// takes admission's defaults. Ignored for every other policy.
+	Ladder admission.LadderConfig
 }
 
 func (c LoopConfig) withDefaults() LoopConfig {
@@ -122,12 +129,6 @@ type TickInput struct {
 	// estimates handed to the allocator (the §4.4 estimation-error
 	// ablation).
 	OracleLambdas []float64
-	// DeltaScale, when non-nil, multiplies the effective δ vector after
-	// the feedback trim — the degradation-ladder hook: entries must be
-	// finite and ≥ 1 (1 leaves a class untouched; larger values degrade
-	// it toward more tolerated slowdown). Nil is bit-identical to all
-	// ones.
-	DeltaScale []float64
 }
 
 // validVec reports whether every entry of v is finite and ≥ 0 — the
@@ -157,22 +158,16 @@ func validSlowdowns(v []float64) bool {
 	return true
 }
 
-// validDeltaScale reports whether v is a legal degradation-scale vector
-// (every entry finite and ≥ 1).
-func validDeltaScale(v []float64) bool {
-	for _, x := range v {
-		if !(x >= 1) || math.IsInf(x, 0) {
-			return false
-		}
-	}
-	return true
-}
-
 // Loop is the shared estimate→control→allocate engine: one Tick closes an
 // estimation window, updates the (optional) ratio-feedback controller,
-// and re-runs the allocator in place. It is the single control plane
-// behind both the simulator (internal/simsrv, every server model) and the
-// live HTTP server (internal/httpsrv), so the two cannot drift.
+// re-runs the allocator in place and, under a downgrading allocator,
+// steps the degradation ladder (Fricker et al.: scale δ up one rung at a
+// time under overload; only a maxed-out ladder lets the admission gate
+// shed). It is the single control plane behind both the simulator
+// (internal/simsrv, every server model) and the live HTTP server
+// (internal/httpsrv), so the two cannot drift: each only reads the
+// ladder's state back (GateHeldOpen, LadderEngaged, DegradationLevel,
+// LadderMaxedOut).
 //
 // A Loop is a reusable arena: Reset re-dimensions it for a new
 // configuration reusing all retained buffers, and a steady-state Tick
@@ -205,14 +200,21 @@ type Loop struct {
 
 	ctrl RatioController // active iff feedback
 
+	// Degradation ladder, non-nil iff the allocator is downgrading.
+	// ladderCfg is the config it was built from (with lp.deltas, the
+	// reuse key across Resets); scale holds its per-class δ multipliers.
+	ladder    *admission.Ladder
+	ladderCfg admission.LadderConfig
+	scale     []float64
+
 	// Flight recording (nil when not configured).
 	rec   *obs.FlightRecorder
 	ticks uint64 // completed Tick calls since Reset
 
 	// Input-guard state: rejected counts ticks that carried at least one
-	// corrupt field (NaN/Inf/negative counts, work, slowdowns, oracle λ,
-	// or δ scale); tickFlags carries the current tick's flag bits into
-	// the flight record.
+	// corrupt field (NaN/Inf/negative counts, work, slowdowns or oracle
+	// λ); tickFlags carries the current tick's flag bits into the flight
+	// record.
 	rejected  uint64
 	tickFlags uint8
 
@@ -264,6 +266,24 @@ func (lp *Loop) Reset(cfg LoopConfig) error {
 	if err := cfg.Workload.Validate(); err != nil {
 		return err
 	}
+	// A retained ladder is reused at level 0 when neither the deltas nor
+	// its config changed: a replication arena re-arms without allocating.
+	ladder := lp.ladder
+	lp.ladder = nil
+	if core.IsDowngrading(cfg.Allocator) {
+		if ladder != nil && slices.Equal(lp.deltas, cfg.Deltas) && sameLadderConfig(lp.ladderCfg, cfg.Ladder) {
+			ladder.Reset()
+		} else {
+			var err error
+			if ladder, err = admission.NewLadder(cfg.Ladder, cfg.Deltas); err != nil {
+				return err
+			}
+			lp.ladderCfg = cfg.Ladder
+			lp.ladderCfg.Multipliers = slices.Clone(cfg.Ladder.Multipliers)
+			lp.ladderCfg.Order = slices.Clone(cfg.Ladder.Order)
+		}
+		lp.ladder = ladder
+	}
 
 	lp.window = cfg.Window
 	lp.kind = cfg.Estimator
@@ -290,6 +310,7 @@ func (lp *Loop) Reset(cfg LoopConfig) error {
 	lp.effDeltas = resizeFloats(lp.effDeltas, nc)
 	lp.lambdas = resizeFloats(lp.lambdas, nc)
 	lp.loads = resizeFloats(lp.loads, nc)
+	lp.scale = resizeFloats(lp.scale, nc)
 	if cap(lp.allocClasses) < nc {
 		lp.allocClasses = make([]core.Class, nc)
 	} else {
@@ -373,23 +394,53 @@ func (lp *Loop) LoadsInto(dst []float64) {
 	}
 }
 
-// EffectiveDeltasInto fills dst with the δ vector currently handed to the
-// allocator: the targets, trimmed by the feedback controller when it is
-// active.
+// EffectiveDeltasInto fills dst with the δ vector the next Tick hands to
+// the allocator: the targets, trimmed by the feedback controller when it
+// is active, then scaled by the degradation ladder when it is armed.
 func (lp *Loop) EffectiveDeltasInto(dst []float64) {
 	copy(dst, lp.deltas)
 	if lp.feedback {
 		lp.ctrl.DeltasInto(dst)
 	}
+	if lp.ladder != nil {
+		lp.ladder.ScaleInto(lp.scale)
+		for i := range dst {
+			dst[i] *= lp.scale[i]
+		}
+	}
+}
+
+// GateHeldOpen reports whether the admission gate must admit everything:
+// the ladder is armed and still has a rung to give (degrade before shed).
+func (lp *Loop) GateHeldOpen() bool { return lp.ladder != nil && !lp.ladder.MaxedOut() }
+
+// LadderEngaged reports whether any class is currently degraded.
+func (lp *Loop) LadderEngaged() bool { return lp.ladder != nil && lp.ladder.Engaged() }
+
+// LadderMaxedOut reports whether every rung is engaged, the point past
+// which the admission gate may shed (always false without a ladder).
+func (lp *Loop) LadderMaxedOut() bool { return lp.ladder != nil && lp.ladder.MaxedOut() }
+
+// DegradationLevel returns class i's ladder level (0 = nominal, and
+// always 0 without a ladder).
+func (lp *Loop) DegradationLevel(class int) int {
+	if lp.ladder == nil {
+		return 0
+	}
+	return lp.ladder.Level(class)
 }
 
 // Tick runs one control period: close the estimation window (from
 // in.Counts/Work, or from the Observe accumulators when in.Counts is
-// nil), update the feedback controller from in.MeasuredSlowdowns, and
-// re-run the allocator. On success it returns the new rate vector — a
-// Loop-owned scratch slice, valid until the next Tick/Reset, which the
-// caller applies (flooring, scheduler weights, pacing) as its server
-// model requires. On error (typically core.ErrInfeasible under a
+// nil), update the feedback controller from in.MeasuredSlowdowns, re-run
+// the allocator and, with the ladder armed, feed it this tick's ρ̂ = Σ
+// offered loads and the allocation's feasibility. While the ladder is
+// engaged the measured slowdowns are dropped before the input guards see
+// them: the ratio controller would trim toward exactly the base targets
+// the ladder is scaling away from. On success it returns the new rate
+// vector — a Loop-owned scratch slice, valid until the next Tick/Reset,
+// which the caller applies (flooring, scheduler weights, pacing) as its
+// server model requires. On error (typically core.ErrInfeasible under a
 // transient ρ̂ ≥ 1, or ErrDimension for malformed input, which leaves
 // the estimator untouched) the caller should keep its previous rates.
 func (lp *Loop) Tick(in TickInput) ([]float64, error) {
@@ -400,9 +451,6 @@ func (lp *Loop) Tick(in TickInput) ([]float64, error) {
 		return nil, ErrDimension
 	}
 	if in.OracleLambdas != nil && len(in.OracleLambdas) != lp.classes {
-		return nil, ErrDimension
-	}
-	if in.DeltaScale != nil && len(in.DeltaScale) != lp.classes {
 		return nil, ErrDimension
 	}
 	counts, work := in.Counts, in.Work
@@ -427,6 +475,9 @@ func (lp *Loop) Tick(in TickInput) ([]float64, error) {
 		}
 	}
 	slowdowns := in.MeasuredSlowdowns
+	if lp.LadderEngaged() {
+		slowdowns = nil
+	}
 	if slowdowns != nil && !validSlowdowns(slowdowns) {
 		// Corrupt measurements must not steer the feedback trim; drop the
 		// vector (the controller simply skips this window's update).
@@ -438,27 +489,14 @@ func (lp *Loop) Tick(in TickInput) ([]float64, error) {
 		oracle = nil
 		lp.tickFlags |= obs.FlagInputRejected
 	}
-	scale := in.DeltaScale
-	if scale != nil && !validDeltaScale(scale) {
-		scale = nil
-		lp.tickFlags |= obs.FlagInputRejected
-	}
 	if lp.tickFlags&obs.FlagInputRejected != 0 {
 		lp.rejected++
 	}
 
-	copy(lp.effDeltas, lp.deltas)
-	if lp.feedback {
-		if slowdowns != nil {
-			_ = lp.ctrl.Update(slowdowns)
-		}
-		lp.ctrl.DeltasInto(lp.effDeltas)
+	if lp.feedback && slowdowns != nil {
+		_ = lp.ctrl.Update(slowdowns)
 	}
-	if scale != nil {
-		for i := range lp.effDeltas {
-			lp.effDeltas[i] *= scale[i]
-		}
-	}
+	lp.EffectiveDeltasInto(lp.effDeltas)
 
 	lp.LambdasInto(lp.lambdas)
 	if lp.fromWork {
@@ -480,6 +518,14 @@ func (lp *Loop) Tick(in TickInput) ([]float64, error) {
 		lp.recordTick(slowdowns, err)
 	}
 	lp.ticks++
+	if lp.ladder != nil {
+		lp.LoadsInto(lp.loads)
+		rho := 0.0
+		for _, l := range lp.loads {
+			rho += l
+		}
+		lp.ladder.Observe(rho, errors.Is(err, core.ErrInfeasible))
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -525,6 +571,16 @@ func (lp *Loop) AllocateDeclared(lambdas []float64) (*core.Allocation, error) {
 		return nil, err
 	}
 	return &lp.alloc, nil
+}
+
+// sameLadderConfig reports whether a and b build the same ladder: equal
+// scalars and element-wise equal slices, a nil slice (the default) only
+// matching nil.
+func sameLadderConfig(a, b admission.LadderConfig) bool {
+	return a.EngageAfter == b.EngageAfter && a.RecoverAfter == b.RecoverAfter &&
+		a.EngageRho == b.EngageRho && a.RecoverRho == b.RecoverRho &&
+		(a.Multipliers == nil) == (b.Multipliers == nil) && slices.Equal(a.Multipliers, b.Multipliers) &&
+		(a.Order == nil) == (b.Order == nil) && slices.Equal(a.Order, b.Order)
 }
 
 func resizeFloats(s []float64, n int) []float64 {

@@ -1,9 +1,11 @@
 package control
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"psd/internal/admission"
 	"psd/internal/core"
 	"psd/internal/obs"
 )
@@ -58,10 +60,6 @@ func TestLoopGuardsCorruptInputs(t *testing.T) {
 			OracleLambdas: []float64{nan, 1}}},
 		{"negative oracle", TickInput{Counts: []float64{40, 40}, Work: []float64{12, 12},
 			OracleLambdas: []float64{1, -1}}},
-		{"sub-1 delta scale", TickInput{Counts: []float64{40, 40}, Work: []float64{12, 12},
-			DeltaScale: []float64{0.5, 1}}},
-		{"NaN delta scale", TickInput{Counts: []float64{40, 40}, Work: []float64{12, 12},
-			DeltaScale: []float64{1, nan}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -87,7 +85,7 @@ func TestLoopGuardsCorruptInputs(t *testing.T) {
 
 			// Window-level corruption keeps the estimator at last-good and
 			// therefore the allocation bit-identical; corruption confined to
-			// slowdowns/oracle/scale never poisons the estimator either way.
+			// slowdowns/oracle never poisons the estimator either way.
 			lambdasAfter := make([]float64, 2)
 			lp.LambdasInto(lambdasAfter)
 			corruptWindow := !validVec(tc.in.Counts) || !validVec(tc.in.Work)
@@ -161,60 +159,65 @@ func TestLoopGuardFuzzTable(t *testing.T) {
 	}
 }
 
-// TestLoopDeltaScaleDegradesAllocation: a valid DeltaScale must reshape
-// the allocation exactly like scaling the configured δ targets would,
-// and an all-ones scale must be bit-identical to passing nil.
+// TestLoopDeltaScaleDegradesAllocation drives the degradation ladder
+// through Tick: at level 0 a downgrading loop is bit-identical to plain
+// PSD, and once rung k of class c is engaged its rates equal, bit for
+// bit, those of a plain loop configured at δ_c × Multipliers[k-1].
 func TestLoopDeltaScaleDegradesAllocation(t *testing.T) {
-	in := TickInput{Counts: []float64{40, 40}, Work: []float64{12, 12}}
-
-	lpPlain, err := NewLoop(loopConfig([]float64{1, 2}))
+	overload := TickInput{Counts: []float64{4000, 4000}, Work: []float64{4000, 4000}}
+	clean := TickInput{Counts: []float64{40, 40}, Work: []float64{12, 12}}
+	mults := []float64{2, 4}
+	cfg := loopConfig([]float64{1, 2})
+	cfg.HistoryWindows = 1 // each tick estimates from its own window only
+	cfg.Allocator = core.Downgrading{}
+	cfg.Ladder = admission.LadderConfig{Multipliers: mults, EngageAfter: 1}
+	lp, err := NewLoop(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := lpPlain.Tick(in)
-	if err != nil {
-		t.Fatal(err)
+	ticksAt := func(deltas []float64) []float64 {
+		t.Helper()
+		ref := loopConfig(deltas)
+		ref.HistoryWindows = 1
+		plain, err := NewLoop(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rates, err := plain.Tick(clean)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rates
 	}
-	plainCopy := append([]float64(nil), plain...)
-
-	lpOnes, err := NewLoop(loopConfig([]float64{1, 2}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	scaled := in
-	scaled.DeltaScale = []float64{1, 1}
-	ones, err := lpOnes.Tick(scaled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ones {
-		if ones[i] != plainCopy[i] {
-			t.Fatalf("all-ones DeltaScale not bit-identical to nil: %v vs %v", ones, plainCopy)
+	same := func(when string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: rates %v, want %v", when, got, want)
+			}
 		}
 	}
 
-	// Scaling class 1's δ by 4 must equal configuring δ = {1, 8} directly.
-	lpScaled, err := NewLoop(loopConfig([]float64{1, 2}))
+	got, err := lp.Tick(clean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaled.DeltaScale = []float64{1, 4}
-	got, err := lpScaled.Tick(scaled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lpRef, err := NewLoop(loopConfig([]float64{1, 8}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := lpRef.Tick(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("DeltaScale {1,4} on deltas {1,2}: rates %v, want %v (deltas {1,8})", got, want)
+	same("level 0", got, ticksAt([]float64{1, 2}))
+	for k, m := range mults {
+		if _, err := lp.Tick(overload); err == nil {
+			t.Fatal("overload tick unexpectedly feasible")
 		}
+		if lv := lp.DegradationLevel(1); lv != k+1 || lp.DegradationLevel(0) != 0 {
+			t.Fatalf("after %d overload ticks: levels %d/%d, want 0/%d", k+1, lp.DegradationLevel(0), lv, k+1)
+		}
+		if got, err = lp.Tick(clean); err != nil {
+			t.Fatal(err)
+		}
+		same(fmt.Sprintf("rung %d", k+1), got, ticksAt([]float64{1, 2 * m}))
+	}
+	if !lp.LadderMaxedOut() || lp.GateHeldOpen() {
+		t.Fatalf("two rungs on one degradable class: maxed %v, gate held %v; want true/false",
+			lp.LadderMaxedOut(), lp.GateHeldOpen())
 	}
 }
 

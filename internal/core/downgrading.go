@@ -3,17 +3,15 @@ package core
 // Downgrading is the multi-grade allocation policy (Fricker et al.,
 // "Allocation Schemes of Resources with Downgrading") on top of a base
 // rate allocator: the *arithmetic* is the base's (PSD by default, so all
-// determinism goldens hold bit-for-bit), but the policy is flagged
-// DegradationAware in the registry, which tells the serving layer
-// (internal/simsrv's runner, mirroring internal/httpsrv's ladder wiring)
-// to drive an admission.Ladder from the allocation side: under sustained
-// saturation a class's effective δ is scaled up rung by rung through
-// control.TickInput.DeltaScale — lowering its grade so the allocator
-// legitimately gives it less surplus — and only once every rung is
-// exhausted may the admission gate shed.
+// determinism goldens hold bit-for-bit), but choosing it arms the
+// degradation ladder in control.Loop, the one tick both the simulator
+// and the live server run: under sustained saturation a class's
+// effective δ is scaled up rung by rung — lowering its grade so the
+// allocator legitimately gives it less surplus — and only once every
+// rung is exhausted may the admission gate shed.
 //
 // The wrapper itself is stateless; the ladder state machine lives with
-// whichever control loop owns the tick, exactly like the feedback
+// the control loop that owns the tick, exactly like the feedback
 // controller does.
 type Downgrading struct {
 	// Base is the underlying rate allocator; nil means PSD.
@@ -43,8 +41,8 @@ func (d Downgrading) AllocateInto(dst *Allocation, classes []Class, w Workload) 
 var _ InPlaceAllocator = Downgrading{}
 
 // IsDowngrading reports whether a is the Downgrading policy, unwrapping
-// a MinRate shell — the check the serving layers use to decide whether
-// to arm the degradation ladder.
+// a MinRate shell — the check control.Loop uses to decide whether to arm
+// the degradation ladder.
 func IsDowngrading(a Allocator) bool {
 	switch al := a.(type) {
 	case Downgrading:

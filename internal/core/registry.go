@@ -21,11 +21,6 @@ type Capabilities struct {
 	// model with a size-aware discipline (internal/sched), never on the
 	// paper's partitioned fluid model or the live byte-stream server.
 	NeedsSizeInfo bool
-	// DegradationAware marks policies that drive the graceful-degradation
-	// ladder (internal/admission.Ladder) from the allocation side: under
-	// sustained overload they scale per-class effective δ targets through
-	// control.TickInput.DeltaScale before any admission shedding.
-	DegradationAware bool
 }
 
 // Policy is one registered allocation policy: a parse name, the flags
@@ -173,7 +168,6 @@ func init() {
 	Register(Policy{
 		Name:    "downgrade",
 		Summary: "PSD with Fricker-style downgrading: degrade effective δ under saturation before shedding",
-		Caps:    Capabilities{DegradationAware: true},
 		New:     func() Allocator { return Downgrading{} },
 	})
 	Register(Policy{

@@ -17,6 +17,7 @@ import (
 
 	"psd/internal/admission"
 	"psd/internal/chaos"
+	"psd/internal/core"
 	"psd/internal/dist"
 	"psd/internal/httpsrv"
 	"psd/internal/loadgen"
@@ -51,19 +52,17 @@ func TestE2EChaosRecovery(t *testing.T) {
 	// Aggressive engage settings: ρ̂ hovers at the saturation boundary
 	// under a full-queue overload (admitted work ≈ capacity), so a lazy
 	// engage streak would let in-band ticks keep resetting it.
-	ladder, err := admission.NewLadder(admission.LadderConfig{
+	ladder := admission.LadderConfig{
 		Multipliers: []float64{2, 4},
 		EngageAfter: 1,
 		EngageRho:   0.9,
-	}, []float64{1, target})
-	if err != nil {
-		t.Fatal(err)
 	}
 	srv, err := httpsrv.New(httpsrv.Config{
-		Deltas:   []float64{1, target},
-		Service:  sizes,
-		TimeUnit: time.Millisecond,
-		Window:   25, // reallocate every 25ms
+		Deltas:    []float64{1, target},
+		Allocator: core.Downgrading{},
+		Service:   sizes,
+		TimeUnit:  time.Millisecond,
+		Window:    25, // reallocate every 25ms
 		// Small queues so sustained overload hits queue-full fast: the
 		// fail-fast 503s keep the client's attempt rate high, which keeps
 		// the ADMITTED work rate pinned at server capacity (ρ̂ ≈ 1) — shed

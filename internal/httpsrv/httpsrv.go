@@ -145,15 +145,15 @@ type Config struct {
 	FlightRecorderSize int
 	// Seed drives the server-side size sampling.
 	Seed uint64
-	// Ladder optionally enables Fricker-style graceful degradation:
-	// under sustained overload per-class effective δ targets step down
-	// the ladder (each class tolerates proportionally more slowdown)
+	// Ladder dimensions Fricker-style graceful degradation, which the
+	// control loop arms iff Allocator is core.Downgrading (the simulator's
+	// rule): under sustained overload per-class effective δ targets step
+	// down the ladder (each class tolerates proportionally more slowdown)
 	// *before* any request is shed — the admission gate stays open until
 	// every rung is engaged — and climb back with hysteresis once the
-	// overload clears. The ladder must be dimensioned for len(Deltas)
-	// classes; New resets it, so a reconfigured server never inherits a
-	// stale degradation level.
-	Ladder *admission.Ladder
+	// overload clears. The zero value takes admission's defaults; every
+	// New starts the ladder at level 0.
+	Ladder admission.LadderConfig
 	// WatchdogFactor arms the stale-tick watchdog: a reallocation gap
 	// longer than WatchdogFactor reallocation periods marks the control
 	// loop stalled (psd_watchdog_stalled gauge + a FlagStaleTick flight
@@ -275,18 +275,15 @@ type Server struct {
 	tickSlows   []float64
 	tickLambdas []float64
 	tickDeltas  []float64
-	tickScale   []float64 // ladder δ multipliers fed to the tick
-	tickLoads   []float64 // per-class load estimates (ρ for the ladder)
 
 	// lastRejected mirrors loop.InputRejected into the registry counter
 	// (delta per tick, under loopMu).
 	lastRejected uint64
 
-	// Degradation ladder (nil when not configured). The state machine is
-	// driven by the tick under loopMu; the shed decision crosses to the
-	// lock-free admit path through ladderShed.
-	ladder     *admission.Ladder
-	ladderShed atomic.Bool
+	// ladderHold mirrors loop.GateHeldOpen after each tick: the ladder
+	// lives in the loop under loopMu, and the degrade-before-shed decision
+	// crosses to the lock-free admit path through this atomic.
+	ladderHold atomic.Bool
 
 	// Stale-tick watchdog: lastTickNano is the wall clock of the last
 	// reallocation attempt, staleAfter the stall threshold (0 disables).
@@ -349,9 +346,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.WorkersPerClass < 0 {
 		return nil, fmt.Errorf("httpsrv: workers per class %d must be positive", cfg.WorkersPerClass)
 	}
-	if cfg.Ladder != nil && cfg.Ladder.Classes() != len(cfg.Deltas) {
-		return nil, fmt.Errorf("httpsrv: ladder dimensioned for %d classes, server has %d", cfg.Ladder.Classes(), len(cfg.Deltas))
-	}
 	w, err := core.WorkloadFromDist(cfg.Service)
 	if err != nil {
 		return nil, err
@@ -379,9 +373,6 @@ func New(cfg Config) (*Server, error) {
 		tickSlows:    make([]float64, n),
 		tickLambdas:  make([]float64, n),
 		tickDeltas:   make([]float64, n),
-		tickScale:    make([]float64, n),
-		tickLoads:    make([]float64, n),
-		ladder:       cfg.Ladder,
 		chaos:        cfg.Chaos,
 		reg:          reg,
 		met:          newServerMetrics(reg, n),
@@ -410,16 +401,13 @@ func New(cfg Config) (*Server, error) {
 		FeedbackGain:    cfg.FeedbackGain,
 		FeedbackMaxTrim: cfg.FeedbackMaxTrim,
 		Recorder:        rec,
+		Ladder:          cfg.Ladder,
 	}); err != nil {
 		cancel()
 		return nil, err
 	}
 	s.estName = s.loop.EstimatorName()
-	if s.ladder != nil {
-		// A reconfigured server must start at level 0 even when the caller
-		// reuses a ladder that degraded under a previous configuration.
-		s.ladder.Reset()
-	}
+	s.ladderHold.Store(s.loop.GateHeldOpen())
 	if s.chaos != nil {
 		s.chaosTick = s.chaos.Tick()
 	}
@@ -772,47 +760,14 @@ func (s *Server) reallocate() {
 		// place — the control plane's guards must reject them.
 		tf.Corrupt(s.tickCounts, s.tickWork, s.tickSlows)
 	}
-	in := control.TickInput{
+	rates, err := s.loop.Tick(control.TickInput{
 		Counts:            s.tickCounts,
 		Work:              s.tickWork,
 		MeasuredSlowdowns: s.tickSlows,
-	}
-	if s.ladder != nil {
-		s.ladder.ScaleInto(s.tickScale)
-		in.DeltaScale = s.tickScale
-		if s.ladder.Engaged() {
-			// While degraded, the ratio controller must not fight the
-			// ladder (it trims toward the base targets the ladder is
-			// deliberately scaling away from): skip its update this tick.
-			in.MeasuredSlowdowns = nil
-		}
-	}
-	rates, err := s.loop.Tick(in)
+	})
 	if rej := s.loop.InputRejected(); rej != s.lastRejected {
 		s.met.tickInputRejected.Add(int64(rej - s.lastRejected))
 		s.lastRejected = rej
-	}
-	if s.ladder != nil {
-		// Feed ρ̂ (+ feasibility) into the degradation state machine and
-		// publish its decisions; the shed gate crosses to the lock-free
-		// admit path through ladderShed.
-		s.loop.LoadsInto(s.tickLoads)
-		rho := 0.0
-		for _, l := range s.tickLoads {
-			rho += l
-		}
-		s.ladder.Observe(rho, errors.Is(err, core.ErrInfeasible))
-		for i := range s.classes {
-			s.met.degradationLevel.At(i).Set(float64(s.ladder.Level(i)))
-		}
-		shed := s.ladder.MaxedOut()
-		s.ladderShed.Store(shed)
-		if shed {
-			s.met.ladderShedding.Set(1)
-		} else {
-			s.met.ladderShedding.Set(0)
-		}
-		s.ladder.ScaleInto(s.tickScale) // republish: Observe may have stepped
 	}
 	// Publish the tick's control state into the scrape gauges while still
 	// holding loopMu (the loop's buffers are only stable under it); the
@@ -822,12 +777,15 @@ func (s *Server) reallocate() {
 	s.loop.EffectiveDeltasInto(s.tickDeltas)
 	for i := range s.classes {
 		s.met.lambda.At(i).Set(s.tickLambdas[i])
-		eff := s.tickDeltas[i]
-		if s.ladder != nil {
-			eff *= s.tickScale[i]
-		}
-		s.met.effDelta.At(i).Set(eff)
+		s.met.effDelta.At(i).Set(s.tickDeltas[i])
 		s.met.windowSlow.At(i).Set(s.tickSlows[i])
+		s.met.degradationLevel.At(i).Set(float64(s.loop.DegradationLevel(i)))
+	}
+	s.ladderHold.Store(s.loop.GateHeldOpen())
+	if s.loop.LadderMaxedOut() {
+		s.met.ladderShedding.Set(1)
+	} else {
+		s.met.ladderShedding.Set(0)
 	}
 	if err != nil {
 		s.met.allocFailures.Inc() // transient infeasibility: keep previous rates
@@ -894,14 +852,14 @@ func (s *Server) nowUnits() float64 {
 // admit consults the configured admission controller (nil admits all)
 // under the class's admission lock. charged reports whether the
 // controller actually accounted the request (so a queue-full drop knows
-// whether a refund is owed). With a degradation ladder configured, the
+// whether a refund is owed). With the degradation ladder armed, the
 // gate stays open — uncharged — until every rung is engaged: degrade
 // first, shed only when degradation has nothing left to give.
 func (s *Server) admit(class int, size float64) (ok, charged bool) {
 	if s.adm == nil {
 		return true, false
 	}
-	if s.ladder != nil && !s.ladderShed.Load() {
+	if s.ladderHold.Load() {
 		return true, false
 	}
 	now := s.nowUnits()

@@ -133,7 +133,7 @@ type ClassMetrics struct {
 	// stay zero.
 	RateFloorClamps int64 `json:"rate_floor_clamps"`
 	// DegradationLevel is the class's graceful-degradation ladder level
-	// (0 = nominal δ target; always 0 without a configured ladder).
+	// (0 = nominal δ target; always 0 unless the allocator is downgrading).
 	DegradationLevel int `json:"degradation_level"`
 }
 

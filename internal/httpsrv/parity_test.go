@@ -46,40 +46,78 @@ func windowTotals(trace []simsrv.TraceRequest, window float64, windows, classes 
 	return counts, work
 }
 
+// overloadTrace builds a 2-class trace whose first heavy windows hold
+// ρ̂ = Σ work / window at 1.0 (≥ EngageRho, yet a feasible allocation:
+// the counts keep Σ λ̂·E[X] small) and whose remaining windows hold it at
+// 0.2 (≤ RecoverRho), so the downgrading ladder climbs to the top and
+// unwinds again. No arrival lands on a window boundary.
+func overloadTrace(window float64, heavy, windows int) []simsrv.TraceRequest {
+	var trace []simsrv.TraceRequest
+	for k := 0; k < windows; k++ {
+		size := 2.5
+		if k >= heavy {
+			size = 0.5
+		}
+		for j := 0; j < 20; j++ {
+			tm := float64(k)*window + 1.25 + float64(j)*2.4
+			trace = append(trace, simsrv.TraceRequest{Time: tm, Class: j % 2, Size: size})
+		}
+	}
+	return trace
+}
+
 // TestSimVsLiveRateParity is the cross-consumer pin for the shared
 // control plane: the identical windowed (counts, work) sequence must
-// produce bit-identical rate trajectories through (a) a bare
-// control.Loop configured like the simulator, (b) the live httpsrv
+// produce bit-identical rate trajectories and flight records through (a)
+// a bare control.Loop configured like the simulator, (b) the live httpsrv
 // Server ticked manually, and (c) the full event-driven simulator
 // replaying the trace those windows were computed from. Exact float64
 // equality throughout — simulator and server share one control plane, so
-// there is nothing to be approximately equal about.
+// there is nothing to be approximately equal about. The overload case
+// runs the downgrading policy through a trace that engages, maxes out
+// and unwinds the degradation ladder; levels and the shed gate must then
+// match per tick as well.
 func TestSimVsLiveRateParity(t *testing.T) {
-	for _, kind := range []control.EstimatorKind{control.Window, control.EWMA} {
-		const (
-			window  = 50.0
-			horizon = 500.0
-			windows = 10
-		)
+	const window = 50.0
+	cases := []struct {
+		name      string
+		kind      control.EstimatorKind
+		allocator core.Allocator
+		windows   int
+		trace     []simsrv.TraceRequest
+	}{
+		{"window", control.Window, core.PSD{}, 10, parityTrace(500)},
+		{"ewma", control.EWMA, core.PSD{}, 10, parityTrace(500)},
+		{"overload", control.Window, core.Downgrading{}, 30, overloadTrace(window, 8, 30)},
+	}
+	for _, tc := range cases {
+		kind := tc.kind
+		horizon := window * float64(tc.windows)
 		deltas := []float64{1, 2}
-		trace := parityTrace(horizon)
+		trace := tc.trace
 
 		// (c) The event-driven simulator replaying the trace.
+		simRec, err := obs.NewFlightRecorder(len(deltas), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
 		cfg := simsrv.Config{
 			Classes:        []simsrv.ClassConfig{{Delta: 1, Lambda: 0.3}, {Delta: 2, Lambda: 0.3}},
 			Window:         window,
 			HistoryWindows: 3,
-			Warmup:         1, // Validate requires Horizon > 0; keep total = 501 > last tick
+			Warmup:         1, // Validate requires Horizon > 0; keep total > last tick
 			Horizon:        horizon,
 			Seed:           1,
 			Estimator:      kind,
+			Allocator:      tc.allocator,
+			Recorder:       simRec,
 		}
 		res, err := simsrv.RunTrace(cfg, trace)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.AllocFailures != 0 {
-			t.Fatalf("%v: trace run hit %d alloc failures; parity needs a clean run", kind, res.AllocFailures)
+			t.Fatalf("%s: trace run hit %d alloc failures; parity needs a clean run", tc.name, res.AllocFailures)
 		}
 		ticks := res.Reallocations
 
@@ -97,7 +135,7 @@ func TestSimVsLiveRateParity(t *testing.T) {
 			Window:         window,
 			Estimator:      kind,
 			HistoryWindows: 3,
-			Allocator:      core.PSD{},
+			Allocator:      tc.allocator,
 			Workload:       w,
 			Recorder:       loopRec,
 		})
@@ -110,6 +148,7 @@ func TestSimVsLiveRateParity(t *testing.T) {
 		// the test's manual ticks.
 		srv, err := New(Config{
 			Deltas:         deltas,
+			Allocator:      tc.allocator,
 			Window:         window,
 			HistoryWindows: 3,
 			TimeUnit:       time.Second,
@@ -120,12 +159,13 @@ func TestSimVsLiveRateParity(t *testing.T) {
 		}
 		defer srv.Close()
 
-		counts, work := windowTotals(trace, window, windows, len(deltas))
+		counts, work := windowTotals(trace, window, tc.windows, len(deltas))
 		var loopRates []float64
+		engagedAt := math.NaN()
 		for k := 0; k < ticks; k++ {
 			loopRates, err = lp.Tick(control.TickInput{Counts: counts[k], Work: work[k]})
 			if err != nil {
-				t.Fatalf("%v: loop tick %d: %v", kind, k, err)
+				t.Fatalf("%s: loop tick %d: %v", tc.name, k, err)
 			}
 			// Feed the server the same window and tick it (the previous
 			// tick drained every stripe, so injecting adds == sets).
@@ -136,56 +176,95 @@ func TestSimVsLiveRateParity(t *testing.T) {
 			live := srv.Rates()
 			for i := range live {
 				if live[i] != loopRates[i] {
-					t.Fatalf("%v: tick %d class %d: live rate %.17g != loop rate %.17g",
-						kind, k, i, live[i], loopRates[i])
+					t.Fatalf("%s: tick %d class %d: live rate %.17g != loop rate %.17g",
+						tc.name, k, i, live[i], loopRates[i])
 				}
+			}
+			doc := srv.Snapshot()
+			for i, c := range doc.Classes {
+				if c.DegradationLevel != lp.DegradationLevel(i) {
+					t.Fatalf("%s: tick %d class %d: live ladder level %d != loop %d", tc.name, k, i, c.DegradationLevel, lp.DegradationLevel(i))
+				}
+			}
+			if doc.LadderShedding != lp.LadderMaxedOut() || srv.ladderHold.Load() != lp.GateHeldOpen() {
+				t.Fatalf("%s: tick %d: live shedding %v / gate held %v != loop %v / %v", tc.name, k,
+					doc.LadderShedding, srv.ladderHold.Load(), lp.LadderMaxedOut(), lp.GateHeldOpen())
+			}
+			if math.IsNaN(engagedAt) && lp.LadderEngaged() {
+				engagedAt = float64(k+1) * window
 			}
 		}
 		// The simulator's final rates are the last tick's allocation.
 		for i := range loopRates {
 			if res.FinalRates[i] != loopRates[i] {
-				t.Fatalf("%v: class %d: simulator final rate %.17g != shared-loop rate %.17g",
-					kind, i, res.FinalRates[i], loopRates[i])
+				t.Fatalf("%s: class %d: simulator final rate %.17g != shared-loop rate %.17g",
+					tc.name, i, res.FinalRates[i], loopRates[i])
 			}
+		}
+		if !sameFloat(res.LadderEngagedAt, engagedAt) || res.LadderMaxedOut != lp.LadderMaxedOut() {
+			t.Fatalf("%s: simulator ladder engaged at %v / maxed %v, loop %v / %v",
+				tc.name, res.LadderEngagedAt, res.LadderMaxedOut, engagedAt, lp.LadderMaxedOut())
 		}
 		doc := srv.Snapshot()
 		if doc.Reallocations != int64(ticks) || doc.AllocFailures != 0 {
-			t.Fatalf("%v: live counters %d/%d, want %d/0", kind, doc.Reallocations, doc.AllocFailures, ticks)
+			t.Fatalf("%s: live counters %d/%d, want %d/0", tc.name, doc.Reallocations, doc.AllocFailures, ticks)
 		}
 
-		// Flight-recorder parity: the bare loop's and the live server's
-		// recorders must hold bit-identical tick records — same control-clock
-		// stamps, flags, λ̂, rates, slowdowns (NaN here: no completions) and
-		// effective δ. The recorder hook lives inside the shared loop, so any
-		// divergence means the consumers no longer run the same control plane.
+		// Flight-recorder parity: the three recorders must hold
+		// bit-identical tick records — same control-clock stamps, flags,
+		// λ̂, rates, slowdowns (NaN here: no completions) and ladder-scaled
+		// effective δ. The recorder hook lives inside the shared loop, so
+		// any divergence means the consumers no longer run the same
+		// control plane.
 		loopTicks := loopRec.Snapshot()
-		liveTicks := srv.FlightRecorder().Snapshot()
-		if len(loopTicks) != ticks || len(liveTicks) != ticks {
-			t.Fatalf("%v: recorded %d/%d ticks, want %d", kind, len(loopTicks), len(liveTicks), ticks)
-		}
-		for k := range loopTicks {
-			a, b := loopTicks[k], liveTicks[k]
-			if a.Seq != b.Seq || a.Time != b.Time || a.Flags != b.Flags {
-				t.Fatalf("%v: tick %d headers differ: %+v vs %+v", kind, k, a, b)
+		for _, other := range []struct {
+			name  string
+			ticks []obs.TickRecord
+		}{{"live", srv.FlightRecorder().Snapshot()}, {"sim", simRec.Snapshot()}} {
+			if len(loopTicks) != ticks || len(other.ticks) != ticks {
+				t.Fatalf("%s: recorded %d/%d %s ticks, want %d", tc.name, len(loopTicks), len(other.ticks), other.name, ticks)
 			}
-			if a.Time != float64(k+1)*window {
-				t.Fatalf("%v: tick %d stamped %v, want control clock %v", kind, k, a.Time, float64(k+1)*window)
-			}
-			sameVec := func(name string, x, y []float64) {
-				t.Helper()
-				for i := range x {
-					if x[i] != y[i] && !(math.IsNaN(x[i]) && math.IsNaN(y[i])) {
-						t.Fatalf("%v: tick %d %s: loop %.17g != live %.17g", kind, k, name, x[i], y[i])
+			for k := range loopTicks {
+				a, b := loopTicks[k], other.ticks[k]
+				if a.Seq != b.Seq || a.Time != b.Time || a.Flags != b.Flags {
+					t.Fatalf("%s: tick %d headers differ: loop %+v vs %s %+v", tc.name, k, a, other.name, b)
+				}
+				if a.Time != float64(k+1)*window {
+					t.Fatalf("%s: tick %d stamped %v, want control clock %v", tc.name, k, a.Time, float64(k+1)*window)
+				}
+				sameVec := func(field string, x, y []float64) {
+					t.Helper()
+					for i := range x {
+						if !sameFloat(x[i], y[i]) {
+							t.Fatalf("%s: tick %d %s: loop %.17g != %s %.17g", tc.name, k, field, x[i], other.name, y[i])
+						}
 					}
 				}
+				sameVec("lambda", a.Lambdas, b.Lambdas)
+				sameVec("rates", a.Rates, b.Rates)
+				sameVec("slowdowns", a.Slowdowns, b.Slowdowns)
+				sameVec("effdeltas", a.EffDeltas, b.EffDeltas)
 			}
-			sameVec("lambda", a.Lambdas, b.Lambdas)
-			sameVec("rates", a.Rates, b.Rates)
-			sameVec("slowdowns", a.Slowdowns, b.Slowdowns)
-			sameVec("effdeltas", a.EffDeltas, b.EffDeltas)
+		}
+		if tc.allocator.Name() == "downgrade" {
+			// The overload trace must really have driven the ladder to the
+			// top and back, or the case pins nothing beyond the PSD ones.
+			if math.IsNaN(engagedAt) || lp.LadderEngaged() {
+				t.Fatalf("%s: ladder engaged at %v, still engaged at the end: %v", tc.name, engagedAt, lp.LadderEngaged())
+			}
+			maxed := false
+			for _, r := range loopTicks {
+				maxed = maxed || r.EffDeltas[1] == 16
+			}
+			if !maxed {
+				t.Fatalf("%s: no tick allocated at the top rung (class 1 effective delta 2 x 8)", tc.name)
+			}
 		}
 	}
 }
+
+// sameFloat is bit-for-bit equality that also matches NaN with NaN.
+func sameFloat(x, y float64) bool { return x == y || (math.IsNaN(x) && math.IsNaN(y)) }
 
 func TestMetricsExposeControlPlane(t *testing.T) {
 	s, err := New(Config{

@@ -6,6 +6,8 @@ import (
 
 	"psd/internal/admission"
 	"psd/internal/chaos"
+	"psd/internal/control"
+	"psd/internal/core"
 	"psd/internal/obs"
 )
 
@@ -97,6 +99,37 @@ func TestWatchdogDiscardsStaleWindow(t *testing.T) {
 	if !(rates[0] > 0.9) {
 		t.Fatalf("rates %v after clean class-0 window: stale class-1 window leaked into the estimator", rates)
 	}
+
+	// With the ladder engaged, the freeze record must carry the same
+	// ladder-scaled δ vector the effective-delta gauge publishes.
+	s, err = New(Config{
+		Deltas: []float64{1, 2}, Allocator: core.Downgrading{}, TimeUnit: time.Millisecond, Window: 1e9, WatchdogFactor: -1,
+		Ladder: admission.LadderConfig{EngageAfter: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	overloadTick(s)
+	if doc := s.Snapshot(); doc.Classes[1].DegradationLevel != 1 {
+		t.Fatalf("setup: ladder level %d after an overload tick, want 1", doc.Classes[1].DegradationLevel)
+	}
+	s.staleAfter = 50 * time.Millisecond
+	s.lastTickNano.Store(time.Now().Add(-time.Second).UnixNano())
+	s.reallocate()
+	recs = s.rec.Snapshot()
+	last = recs[len(recs)-1]
+	if last.Flags&obs.FlagStaleTick == 0 {
+		t.Fatalf("stale tick not flight-recorded: flags %08b", last.Flags)
+	}
+	for i, c := range s.Snapshot().Classes {
+		if last.EffDeltas[i] != c.EffectiveDelta {
+			t.Fatalf("class %d: freeze record delta %v, effective-delta gauge %v", i, last.EffDeltas[i], c.EffectiveDelta)
+		}
+	}
+	if last.EffDeltas[1] != 4 {
+		t.Fatalf("freeze record delta %v, want base 2 x rung 2 = 4 for class 1", last.EffDeltas)
+	}
 }
 
 // TestWatchdogCatchesStalledLoop runs the watchdog goroutine for real: a
@@ -158,24 +191,21 @@ func TestWatchdogCatchesStalledLoop(t *testing.T) {
 // the effective δ targets visibly step down the ladder, and recovery
 // climbs back with hysteresis until the gate is open again.
 func TestLadderDegradesBeforeShedding(t *testing.T) {
-	ladder, err := admission.NewLadder(admission.LadderConfig{
-		Multipliers:  []float64{2, 4},
-		EngageAfter:  1,
-		RecoverAfter: 2,
-	}, []float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	s, err := New(Config{
-		Deltas:   []float64{1, 2},
-		TimeUnit: time.Millisecond,
-		Window:   1e9,
+		Deltas:    []float64{1, 2},
+		Allocator: core.Downgrading{},
+		TimeUnit:  time.Millisecond,
+		Window:    1e9,
 		// Depth-1 history so a healthy window replaces the overload
 		// estimate immediately; deeper histories only stretch the
 		// recovery timeline.
 		HistoryWindows: 1,
 		Admission:      rejectAll{},
-		Ladder:         ladder,
+		Ladder: admission.LadderConfig{
+			Multipliers:  []float64{2, 4},
+			EngageAfter:  1,
+			RecoverAfter: 2,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -245,29 +275,30 @@ func TestLadderDegradesBeforeShedding(t *testing.T) {
 	}
 }
 
-// TestReusedLadderResetByNew is the reconfiguration regression: handing
-// New a ladder that degraded under a previous server must start the new
-// server at level 0 with the shed gate closed.
-func TestReusedLadderResetByNew(t *testing.T) {
-	ladder, err := admission.NewLadder(admission.LadderConfig{
-		Multipliers: []float64{2},
-		EngageAfter: 1,
-	}, []float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ladder.Observe(1.5, true) // max out: 1 degradable class x 1 rung
-	if !ladder.MaxedOut() {
-		t.Fatal("setup: ladder not maxed")
-	}
-
-	s, err := New(Config{
+// TestReconfiguredServerStartsLadderNominal is the reconfiguration
+// regression: a server built from the Config of one whose ladder maxed
+// out must start at level 0 with the degrade-before-shed gate held open.
+func TestReconfiguredServerStartsLadderNominal(t *testing.T) {
+	cfg := Config{
 		Deltas:    []float64{1, 2},
+		Allocator: core.Downgrading{},
 		TimeUnit:  time.Millisecond,
 		Window:    1e9,
 		Admission: rejectAll{},
-		Ladder:    ladder,
-	})
+		Ladder:    admission.LadderConfig{Multipliers: []float64{2}, EngageAfter: 1},
+	}
+	old, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	overloadTick(old) // max out: 1 degradable class x 1 rung
+	maxed := old.Snapshot().LadderShedding
+	old.Close()
+	if !maxed {
+		t.Fatal("setup: ladder not maxed")
+	}
+
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,6 +310,52 @@ func TestReusedLadderResetByNew(t *testing.T) {
 	}
 	if ok, _ := s.admit(0, 1); !ok {
 		t.Fatal("new server started shedding off a stale ladder")
+	}
+}
+
+// TestDowngradeAllocatorArmsLadder: core.Downgrading alone arms the
+// ladder on the live server, exactly as in the simulator, and the
+// server's levels and shed gate step on the same ticks as a bare control
+// loop fed the same windows.
+func TestDowngradeAllocatorArmsLadder(t *testing.T) {
+	deltas := []float64{1, 2}
+	s, err := New(Config{Deltas: deltas, Allocator: core.Downgrading{}, TimeUnit: time.Millisecond, Window: 1e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	lp, err := control.NewLoop(control.LoopConfig{
+		Deltas:    deltas,
+		Window:    1e9,
+		Allocator: core.MinRate{Base: core.Downgrading{}, Min: minPaceRate},
+		Workload:  s.workload,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engagedAt, shedAt := -1, -1
+	for k := 0; k < 12; k++ {
+		overloadTick(s)
+		_, _ = lp.Tick(control.TickInput{Counts: []float64{4e9, 4e9}, Work: []float64{4e9, 4e9}})
+		doc := s.Snapshot()
+		for i, c := range doc.Classes {
+			if c.DegradationLevel != lp.DegradationLevel(i) {
+				t.Fatalf("tick %d class %d: live level %d, loop level %d", k, i, c.DegradationLevel, lp.DegradationLevel(i))
+			}
+		}
+		if doc.LadderShedding != lp.LadderMaxedOut() || s.ladderHold.Load() != lp.GateHeldOpen() {
+			t.Fatalf("tick %d: live shedding %v / gate held %v, loop %v / %v",
+				k, doc.LadderShedding, s.ladderHold.Load(), lp.LadderMaxedOut(), lp.GateHeldOpen())
+		}
+		if engagedAt < 0 && doc.Classes[1].DegradationLevel > 0 {
+			engagedAt = k
+		}
+		if shedAt < 0 && doc.LadderShedding {
+			shedAt = k
+		}
+	}
+	if engagedAt < 0 || shedAt <= engagedAt {
+		t.Fatalf("downgrade never degraded before shedding: engaged at tick %d, shedding at tick %d", engagedAt, shedAt)
 	}
 }
 

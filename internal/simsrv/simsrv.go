@@ -300,7 +300,7 @@ type Result struct {
 	// LadderEngagedAt is the sim time the downgrading allocator's
 	// degradation ladder first stepped off level 0 (NaN when the run used
 	// no ladder or it never engaged). Only core.Downgrading arms the
-	// ladder; see runner.reset.
+	// ladder; see control.Loop.Reset.
 	LadderEngagedAt float64
 	// FirstShedAt is the sim time of the first admission rejection (NaN
 	// when nothing was shed). With a ladder armed this is necessarily
@@ -409,18 +409,10 @@ type runner struct {
 	allocMeasured []float64
 	allocLambdas  []float64
 
-	// Degradation ladder, armed only when cfg.Allocator is downgrading
-	// (core.IsDowngrading): the allocation side drives admission.Ladder
-	// exactly like the live server does — δ multipliers into the tick,
-	// ρ̂ + feasibility back into the state machine, and the admission
-	// gate held open until every rung is engaged. nil otherwise, which
-	// keeps every other policy's trajectory bit-identical.
-	ladder          *admission.Ladder
-	ladderDeltas    []float64 // deltas the retained ladder was built for
-	ladderScale     []float64 // per-class δ multipliers fed to the tick
-	ladderLoads     []float64 // per-class ρ̂ scratch for Observe
-	ladderEngagedAt float64   // first time off level 0 (NaN = never)
-	firstShedAt     float64   // first admission rejection (NaN = never)
+	// The degradation ladder lives in r.loop (armed for a downgrading
+	// allocator); the runner only records when it first engaged.
+	ladderEngagedAt float64 // first time off level 0 (NaN = never)
+	firstShedAt     float64 // first admission rejection (NaN = never)
 
 	reallocOK   int
 	reallocFail int
@@ -467,19 +459,6 @@ func resizeFloat(s []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return s[:n]
-}
-
-// floatsEqual reports exact element-wise equality (ladder-reuse check).
-func floatsEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // reset re-arms the runner for one replication of cfg (already defaulted
@@ -558,31 +537,8 @@ func (r *runner) reset(cfg *Config, w core.Workload, model serviceModel, trace [
 	}); err != nil {
 		return err
 	}
-
-	// A downgrading allocator arms the degradation ladder (default
-	// rungs/hysteresis, the live server's dimensioning); everything else
-	// clears it so other policies keep their exact trajectories. The
-	// ladder itself is retained across replications of the same class
-	// vector — a reset replays thousands of reps without reallocating.
 	r.ladderEngagedAt = math.NaN()
 	r.firstShedAt = math.NaN()
-	if core.IsDowngrading(cfg.Allocator) {
-		if r.ladder != nil && floatsEqual(r.ladderDeltas, r.allocDeltas) {
-			r.ladder.Reset()
-		} else {
-			ld, err := admission.NewLadder(admission.LadderConfig{}, r.allocDeltas)
-			if err != nil {
-				return err
-			}
-			r.ladder = ld
-			r.ladderDeltas = resizeFloat(r.ladderDeltas, nc)
-			copy(r.ladderDeltas, r.allocDeltas)
-		}
-		r.ladderScale = resizeFloat(r.ladderScale, nc)
-		r.ladderLoads = resizeFloat(r.ladderLoads, nc)
-	} else {
-		r.ladder = nil
-	}
 
 	// The event set holds exactly the roles this run can arm.
 	roles := 2 // tick and phase, plus the cursor under replay
@@ -649,7 +605,7 @@ func (r *runner) armTrace() {
 // every rung is engaged — degrade first, shed only when degradation has
 // nothing left to give (same ordering as the live server's admit path).
 func (r *runner) shed(class int, size, now float64) bool {
-	if (r.ladder != nil && !r.ladder.MaxedOut()) || r.cfg.Admission.Admit(class, size, now) {
+	if r.loop.GateHeldOpen() || r.cfg.Admission.Admit(class, size, now) {
 		return false
 	}
 	r.classes[class].rejected++
@@ -690,8 +646,9 @@ func (r *runner) served(class int, size, arrival, start, service float64) {
 
 // onRealloc drives one tick of the shared control plane: feed it this
 // window's measured slowdowns (feedback mode) and the true rates (oracle
-// mode), let control.Loop close the estimation window and re-run the
-// allocator, and install the resulting rates. The loop owns every buffer
+// mode), let control.Loop close the estimation window, re-run the
+// allocator and step its degradation ladder, and install the resulting
+// rates. The loop owns every buffer
 // it needs, so a window tick performs no steady-state allocation at all.
 func (r *runner) onRealloc() {
 	var in control.TickInput
@@ -715,16 +672,6 @@ func (r *runner) onRealloc() {
 		}
 		in.OracleLambdas = oracle
 	}
-	if r.ladder != nil {
-		r.ladder.ScaleInto(r.ladderScale)
-		in.DeltaScale = r.ladderScale
-		if r.ladder.Engaged() {
-			// While degraded the ratio controller must not fight the
-			// ladder (it trims toward the base targets the ladder is
-			// deliberately scaling away from): skip its update this tick.
-			in.MeasuredSlowdowns = nil
-		}
-	}
 	rates, err := r.loop.Tick(in)
 	if err == nil && r.model.setRates(rates) == nil {
 		r.reallocOK++
@@ -734,18 +681,8 @@ func (r *runner) onRealloc() {
 		// window.
 		r.reallocFail++
 	}
-	if r.ladder != nil {
-		// Feed ρ̂ (+ feasibility) back into the degradation state
-		// machine, mirroring the live server's tick.
-		r.loop.LoadsInto(r.ladderLoads)
-		rho := 0.0
-		for _, l := range r.ladderLoads {
-			rho += l
-		}
-		r.ladder.Observe(rho, errors.Is(err, core.ErrInfeasible))
-		if math.IsNaN(r.ladderEngagedAt) && r.ladder.Engaged() {
-			r.ladderEngagedAt = r.sim.Now()
-		}
+	if math.IsNaN(r.ladderEngagedAt) && r.loop.LadderEngaged() {
+		r.ladderEngagedAt = r.sim.Now()
 	}
 	if r.sim.Now() < r.total {
 		r.sim.SetAfter(r.tickRole, r.cfg.Window)
@@ -792,7 +729,7 @@ func (r *runner) collectInto(res *Result) {
 	res.SystemSlowdown = 0
 	res.LadderEngagedAt = r.ladderEngagedAt
 	res.FirstShedAt = r.firstShedAt
-	res.LadderMaxedOut = r.ladder != nil && r.ladder.MaxedOut()
+	res.LadderMaxedOut = r.loop.LadderMaxedOut()
 	// Hand the accumulated records to the Result and adopt its buffer
 	// for the next replication (ping-pong, so neither side reallocates).
 	r.records, res.Records = res.Records[:0], r.records
