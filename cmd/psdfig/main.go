@@ -17,25 +17,26 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"time"
 
+	"psd/internal/cli"
 	"psd/internal/figures"
-	"psd/internal/sweep"
 )
 
 func main() {
+	var seed uint64
+	cli.Seed(flag.CommandLine, &seed)
+	sweepFlags := cli.Sweep(flag.CommandLine)
 	var (
 		fig     = flag.String("fig", "all", "figure id 2-14 or 'all'")
 		runs    = flag.Int("runs", 0, "replications per point (0 = fidelity default)")
 		horizon = flag.Float64("horizon", 0, "measured tu per run (0 = fidelity default)")
 		warmup  = flag.Float64("warmup", 0, "warmup tu (0 = fidelity default)")
-		seed    = flag.Uint64("seed", 1, "base random seed")
 		quick   = flag.Bool("quick", false, "reduced fidelity (10 runs, 15k tu)")
-		workers = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
-		engine  = flag.String("engine", "des", "point evaluation: des (simulate everything, the published behavior) | auto (closed forms where the steady state is analytic) | analytic (refuse to simulate)")
 		out     = flag.String("out", "", "output directory for CSV (default: tables to stdout)")
 	)
 	flag.Parse()
@@ -53,13 +54,10 @@ func main() {
 	if *warmup > 0 {
 		opts.Warmup = *warmup
 	}
-	opts.Seed = *seed
-	opts.Workers = *workers
-	kind, err := sweep.ParseEngineKind(*engine)
-	if err != nil {
-		fatalf("bad -engine: %v", err)
-	}
-	opts.Engine = kind
+	opts.Seed = seed
+	eng := sweepFlags()
+	opts.Workers = eng.Workers
+	opts.Engine = eng.Kind
 
 	var ids []int
 	if *fig == "all" {
@@ -69,14 +67,14 @@ func main() {
 	} else {
 		id, err := strconv.Atoi(*fig)
 		if err != nil {
-			fatalf("bad -fig %q", *fig)
+			cli.Fatalf("bad -fig %q", *fig)
 		}
 		ids = append(ids, id)
 	}
 
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fatalf("creating %s: %v", *out, err)
+			cli.Fatalf("creating %s: %v", *out, err)
 		}
 	}
 
@@ -84,7 +82,7 @@ func main() {
 		start := time.Now()
 		f, err := figures.Generate(id, opts)
 		if err != nil {
-			fatalf("figure %d: %v", id, err)
+			cli.Fatalf("figure %d: %v", id, err)
 		}
 		elapsed := time.Since(start).Round(time.Millisecond)
 		if *out == "" {
@@ -93,22 +91,9 @@ func main() {
 			continue
 		}
 		path := filepath.Join(*out, fmt.Sprintf("figure%d.csv", id))
-		file, err := os.Create(path)
-		if err != nil {
-			fatalf("creating %s: %v", path, err)
-		}
-		if err := figures.WriteCSV(file, f); err != nil {
-			file.Close()
-			fatalf("writing %s: %v", path, err)
-		}
-		if err := file.Close(); err != nil {
-			fatalf("closing %s: %v", path, err)
+		if err := cli.WriteFile(path, func(w io.Writer) error { return figures.WriteCSV(w, f) }); err != nil {
+			cli.Fatalf("writing %s: %v", path, err)
 		}
 		fmt.Printf("figure %d → %s (%s)\n", id, path, elapsed)
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "psdfig: "+format+"\n", args...)
-	os.Exit(1)
 }

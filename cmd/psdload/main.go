@@ -29,81 +29,63 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
-	"os"
-	"strconv"
-	"strings"
 	"time"
 
-	"psd/internal/dist"
+	"psd/internal/cli"
 	"psd/internal/loadgen"
 	"psd/internal/obs"
 )
 
 func main() {
+	var cfg loadgen.Config
+	sizeLaw := cli.SizeLaw(flag.CommandLine)
+	cli.Seed(flag.CommandLine, &cfg.Seed)
+	flag.StringVar(&cfg.BaseURL, "url", "http://localhost:8080/", "work endpoint URL")
+	flag.DurationVar(&cfg.TimeUnit, "timeunit", 10*time.Millisecond, "wall-clock duration of one time unit (match server)")
+	flag.DurationVar(&cfg.Drain, "drain", 0, "extra wait for in-flight requests after arrivals stop")
+	flag.IntVar(&cfg.Workers, "workers", 0, "HTTP worker pool size (0: default 256); connections are kept alive and reused")
+	flag.IntVar(&cfg.MaxPending, "max-pending", 0, "dispatch queue bound before client-side shedding (0: default 4x -workers)")
+	flag.DurationVar(&cfg.Timeout, "timeout", 0, "per-attempt request timeout (0: client default only)")
+	flag.IntVar(&cfg.MaxRetries, "retries", 0, "max retries per arrival after transport errors or 5xx (capped exponential backoff with jitter)")
 	var (
-		url         = flag.String("url", "http://localhost:8080/", "work endpoint URL")
 		lambdas     = flag.String("lambdas", "0.1,0.1", "per-class arrival rates (requests per time unit)")
-		timeUnit    = flag.Duration("timeunit", 10*time.Millisecond, "wall-clock duration of one time unit (match server)")
 		duration    = flag.Duration("duration", 30*time.Second, "run length")
 		stepAfter   = flag.Duration("step-after", 0, "step the load at this point of the run (0: no step)")
 		stepLambdas = flag.String("step-lambdas", "", "per-class arrival rates after -step-after")
-		drain       = flag.Duration("drain", 0, "extra wait for in-flight requests after arrivals stop")
-		workers     = flag.Int("workers", 0, "HTTP worker pool size (0: default 256); connections are kept alive and reused")
-		maxPending  = flag.Int("max-pending", 0, "dispatch queue bound before client-side shedding (0: default 4x -workers)")
-		timeout     = flag.Duration("timeout", 0, "per-attempt request timeout (0: client default only)")
-		retries     = flag.Int("retries", 0, "max retries per arrival after transport errors or 5xx (capped exponential backoff with jitter)")
 		reportJSON  = flag.String("report-json", "", `write the full report as JSON to this file ("-": stdout)`)
-		alpha       = flag.Float64("alpha", 1.5, "Bounded Pareto shape for request sizes")
-		lower       = flag.Float64("lower", 0.1, "Bounded Pareto lower bound")
-		upper       = flag.Float64("upper", 100, "Bounded Pareto upper bound")
-		seed        = flag.Uint64("seed", 1, "random seed")
 	)
 	flag.Parse()
 
-	ls, err := parseFloats(*lambdas)
+	ls, err := cli.Floats(*lambdas)
 	if err != nil {
-		fatalf("bad -lambdas: %v", err)
+		cli.Fatalf("bad -lambdas: %v", err)
 	}
-	svc, err := dist.NewBoundedPareto(*lower, *upper, *alpha)
-	if err != nil {
-		fatalf("bad Bounded Pareto parameters: %v", err)
-	}
-
-	cfg := loadgen.Config{
-		BaseURL:    *url,
-		TimeUnit:   *timeUnit,
-		Service:    svc,
-		Drain:      *drain,
-		Workers:    *workers,
-		MaxPending: *maxPending,
-		Timeout:    *timeout,
-		MaxRetries: *retries,
-		Seed:       *seed,
-	}
+	cfg.Service = sizeLaw()
 	if *stepAfter > 0 {
 		if !(*stepAfter < *duration) {
-			fatalf("-step-after %v must fall inside -duration %v", *stepAfter, *duration)
+			cli.Fatalf("-step-after %v must fall inside -duration %v", *stepAfter, *duration)
 		}
-		ls2, err := parseFloats(*stepLambdas)
+		ls2, err := cli.Floats(*stepLambdas)
 		if err != nil {
-			fatalf("bad -step-lambdas: %v", err)
+			cli.Fatalf("bad -step-lambdas: %v", err)
 		}
 		cfg.Phases = []loadgen.Phase{
 			{Lambdas: ls, Duration: *stepAfter},
 			{Lambdas: ls2, Duration: *duration - *stepAfter},
 		}
 		fmt.Printf("driving %v of load at %s (lambdas %v → %v at %v, per %v time unit)\n",
-			*duration, *url, ls, ls2, *stepAfter, *timeUnit)
+			*duration, cfg.BaseURL, ls, ls2, *stepAfter, cfg.TimeUnit)
 	} else {
 		cfg.Lambdas = ls
 		cfg.Duration = *duration
 		fmt.Printf("driving %v of load at %s (lambdas %v per %v time unit)\n",
-			*duration, *url, ls, *timeUnit)
+			*duration, cfg.BaseURL, ls, cfg.TimeUnit)
 	}
 	rep, err := loadgen.Run(context.Background(), cfg)
 	if err != nil {
-		fatalf("load run failed: %v", err)
+		cli.Fatalf("load run failed: %v", err)
 	}
 
 	printClasses("whole run", rep.Classes)
@@ -124,7 +106,7 @@ func main() {
 
 	if *reportJSON != "" {
 		if err := writeReportJSON(*reportJSON, rep); err != nil {
-			fatalf("writing -report-json: %v", err)
+			cli.Fatalf("writing -report-json: %v", err)
 		}
 	}
 }
@@ -216,18 +198,11 @@ func writeReportJSON(path string, rep *loadgen.Report) error {
 			doc.Phases[pi] = toJSONClasses(classes)
 		}
 	}
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	return cli.WriteFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(doc)
+	})
 }
 
 func printClasses(title string, classes []loadgen.ClassReport) {
@@ -238,22 +213,4 @@ func printClasses(title string, classes []loadgen.ClassReport) {
 			i+1, c.Sent, c.Completed, c.Errors, c.Retries, c.MeanSlowdown, c.P95Slowdown, c.MeanLatencyMs,
 			c.AchievedRate, c.NominalRate)
 	}
-}
-
-func parseFloats(s string) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "psdload: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -37,129 +37,81 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
-	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"psd/internal/admission"
 	"psd/internal/chaos"
-	"psd/internal/control"
+	"psd/internal/cli"
 	"psd/internal/core"
-	"psd/internal/dist"
 	"psd/internal/httpsrv"
 )
 
 func main() {
+	var cfg httpsrv.Config
+	deltasFlag := cli.Deltas(flag.CommandLine)
+	sizeLaw := cli.SizeLaw(flag.CommandLine)
+	controlFlags := cli.Control(flag.CommandLine, &cfg.Allocator, &cfg.Estimator, &cfg.EWMAAlpha)
+	cli.Seed(flag.CommandLine, &cfg.Seed)
+	flag.DurationVar(&cfg.TimeUnit, "timeunit", 10*time.Millisecond, "wall-clock duration of one work unit at full rate")
+	flag.Float64Var(&cfg.Window, "window", 100, "reallocation window in time units")
+	flag.BoolVar(&cfg.Feedback, "feedback", false, "enable the slowdown-ratio feedback controller")
+	flag.IntVar(&cfg.FlightRecorderSize, "flightrec", 256, "control-plane flight recorder capacity in ticks (dump: GET /debug/control)")
+	flag.IntVar(&cfg.WorkersPerClass, "workers-per-class", 1, "pacing workers per class; each paces at rate/N so the class aggregate is unchanged")
+	flag.Float64Var(&cfg.MinRate, "min-rate", 0, "allocator-side per-class rate floor in capacity fractions (0: default 1e-3, negative: disable)")
+	flag.Float64Var(&cfg.WatchdogFactor, "watchdog", 0, "stale-tick watchdog threshold in reallocation periods (0: default 4, negative: disable)")
+	var ladder admission.LadderConfig
+	flag.Float64Var(&ladder.EngageRho, "ladder-engage-rho", 0.95, "utilization at or above which a tick counts as overloaded")
+	flag.Float64Var(&ladder.RecoverRho, "ladder-recover-rho", 0.85, "utilization at or below which a tick counts as healthy (hysteresis)")
+	var chaosCfg chaos.Config
+	flag.Uint64Var(&chaosCfg.Seed, "chaos-seed", 0, "fault-injection seed (any chaos probability > 0 arms the injector)")
+	flag.Float64Var(&chaosCfg.StallProb, "chaos-stall", 0, "per-job probability of a worker stall")
+	flag.DurationVar(&chaosCfg.StallDur, "chaos-stall-dur", 100*time.Millisecond, "injected worker stall length")
+	flag.Float64Var(&chaosCfg.SpikeProb, "chaos-spike", 0, "per-job probability of a service-latency spike (8x demand)")
+	flag.Float64Var(&chaosCfg.CorruptProb, "chaos-corrupt", 0, "per-tick probability of corrupting the control inputs (NaN/Inf/negative)")
+	flag.Float64Var(&chaosCfg.DropProb, "chaos-drop", 0, "per-tick probability of dropping the reallocation tick")
 	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		deltas    = flag.String("deltas", "1,2", "comma-separated differentiation parameters")
-		timeUnit  = flag.Duration("timeunit", 10*time.Millisecond, "wall-clock duration of one work unit at full rate")
-		window    = flag.Float64("window", 100, "reallocation window in time units")
-		alpha     = flag.Float64("alpha", 1.5, "Bounded Pareto shape for undeclared sizes")
-		lower     = flag.Float64("lower", 0.1, "Bounded Pareto lower bound")
-		upper     = flag.Float64("upper", 100, "Bounded Pareto upper bound")
-		allocator = flag.String("allocator", "psd", "rate-allocation policy from the core registry: "+strings.Join(core.Names(), " | "))
-		feedback  = flag.Bool("feedback", false, "enable the slowdown-ratio feedback controller")
-		estimator = flag.String("estimator", "window", "load estimator: window (paper) | ewma")
-		ewmaAlpha = flag.Float64("ewma-alpha", 0.3, "EWMA smoothing factor in (0,1] (with -estimator ewma)")
-		admPolicy = flag.String("admission", "none", "pre-queue admission gate: none | utilization | tokenbucket")
-		admBound  = flag.Float64("admission-bound", 0.9, "utilization gate: admitted-load bound in (0,1]")
-		admTau    = flag.Float64("admission-tau", 0, "utilization gate: smoothing time constant in time units (0: the reallocation window)")
-		admRates  = flag.String("admission-rates", "", "token bucket: per-class work rates in work units per time unit (default: -admission-bound split evenly)")
-		admBurst  = flag.Float64("admission-burst", 10, "token bucket: per-class credit cap in work units")
-		flightrec = flag.Int("flightrec", 256, "control-plane flight recorder capacity in ticks (dump: GET /debug/control)")
-		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		workers   = flag.Int("workers-per-class", 1, "pacing workers per class; each paces at rate/N so the class aggregate is unchanged")
-		minRate   = flag.Float64("min-rate", 0, "allocator-side per-class rate floor in capacity fractions (0: default 1e-3, negative: disable)")
-		seed      = flag.Uint64("seed", 1, "server-side sampling seed")
-
-		ladderOn      = flag.Bool("ladder", false, "enable the graceful-degradation ladder (degrade class deltas before shedding)")
-		ladderRungs   = flag.String("ladder-rungs", "2,4,8", "ladder delta multipliers, ascending, each > 1")
-		ladderEngage  = flag.Float64("ladder-engage-rho", 0.95, "utilization at or above which a tick counts as overloaded")
-		ladderRecover = flag.Float64("ladder-recover-rho", 0.85, "utilization at or below which a tick counts as healthy (hysteresis)")
-		watchdog      = flag.Float64("watchdog", 0, "stale-tick watchdog threshold in reallocation periods (0: default 4, negative: disable)")
-
-		chaosSeed     = flag.Uint64("chaos-seed", 0, "fault-injection seed (any chaos probability > 0 arms the injector)")
-		chaosStall    = flag.Float64("chaos-stall", 0, "per-job probability of a worker stall")
-		chaosStallDur = flag.Duration("chaos-stall-dur", 100*time.Millisecond, "injected worker stall length")
-		chaosSpike    = flag.Float64("chaos-spike", 0, "per-job probability of a service-latency spike (8x demand)")
-		chaosCorrupt  = flag.Float64("chaos-corrupt", 0, "per-tick probability of corrupting the control inputs (NaN/Inf/negative)")
-		chaosDrop     = flag.Float64("chaos-drop", 0, "per-tick probability of dropping the reallocation tick")
+		addr        = flag.String("addr", ":8080", "listen address")
+		admPolicy   = flag.String("admission", "none", "pre-queue admission gate: none | utilization | tokenbucket")
+		admBound    = flag.Float64("admission-bound", 0.9, "utilization gate: admitted-load bound in (0,1]")
+		admTau      = flag.Float64("admission-tau", 0, "utilization gate: smoothing time constant in time units (0: the reallocation window)")
+		admRates    = flag.String("admission-rates", "", "token bucket: per-class work rates in work units per time unit (default: -admission-bound split evenly)")
+		admBurst    = flag.Float64("admission-burst", 10, "token bucket: per-class credit cap in work units")
+		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
+		ladderOn    = flag.Bool("ladder", false, "enable the graceful-degradation ladder (degrade class deltas before shedding)")
+		ladderRungs = flag.String("ladder-rungs", "2,4,8", "ladder delta multipliers, ascending, each > 1")
 	)
 	flag.Parse()
 
-	ds, err := parseFloats(*deltas)
-	if err != nil {
-		fatalf("bad -deltas: %v", err)
+	cfg.Deltas = deltasFlag()
+	cfg.Service = sizeLaw()
+	policy := controlFlags()
+	if pol, _ := core.Lookup(policy); pol.Caps.NeedsSizeInfo {
+		cli.Fatalf("policy %q needs per-job size information and requires the packetized simulator (psdsim -allocator %s); the live server paces partitioned task servers", policy, policy)
 	}
-	svc, err := dist.NewBoundedPareto(*lower, *upper, *alpha)
-	if err != nil {
-		fatalf("bad Bounded Pareto parameters: %v", err)
+	var err error
+	if cfg.Admission, err = buildAdmission(*admPolicy, *admBound, *admTau, cfg.Window, *admRates, *admBurst, len(cfg.Deltas)); err != nil {
+		cli.Fatalf("bad admission flags: %v", err)
 	}
-	kind, err := control.ParseEstimatorKind(*estimator)
-	if err != nil {
-		fatalf("bad -estimator: %v", err)
-	}
-	alloc, err := core.Parse(*allocator)
-	if err != nil {
-		fatalf("bad -allocator: %v", err)
-	}
-	if pol, _ := core.Lookup(*allocator); pol.Caps.NeedsSizeInfo {
-		fatalf("policy %q needs per-job size information and requires the packetized simulator (psdsim -allocator %s); the live server paces partitioned task servers", *allocator, *allocator)
-	}
-	gate, err := buildAdmission(*admPolicy, *admBound, *admTau, *window, *admRates, *admBurst, len(ds))
-	if err != nil {
-		fatalf("bad admission flags: %v", err)
-	}
-	var ladder admission.LadderConfig
-	if _, ok := alloc.(core.Downgrading); ok || *ladderOn {
+	if _, ok := cfg.Allocator.(core.Downgrading); ok || *ladderOn {
 		if !ok {
 			// Every registered policy is in-place (core.Register enforces it).
-			alloc = core.Downgrading{Base: alloc.(core.InPlaceAllocator)}
+			cfg.Allocator = core.Downgrading{Base: cfg.Allocator.(core.InPlaceAllocator)}
 		}
-		rungs, err := parseFloats(*ladderRungs)
-		if err != nil {
-			fatalf("bad -ladder-rungs: %v", err)
+		if ladder.Multipliers, err = cli.Floats(*ladderRungs); err != nil {
+			cli.Fatalf("bad -ladder-rungs: %v", err)
 		}
-		ladder = admission.LadderConfig{Multipliers: rungs, EngageRho: *ladderEngage, RecoverRho: *ladderRecover}
+		cfg.Ladder = ladder
 	}
-	var injector *chaos.Injector
-	if *chaosStall > 0 || *chaosSpike > 0 || *chaosCorrupt > 0 || *chaosDrop > 0 {
-		injector, err = chaos.New(chaos.Config{
-			Seed:        *chaosSeed,
-			StallProb:   *chaosStall,
-			StallDur:    *chaosStallDur,
-			SpikeProb:   *chaosSpike,
-			CorruptProb: *chaosCorrupt,
-			DropProb:    *chaosDrop,
-		})
-		if err != nil {
-			fatalf("bad chaos flags: %v", err)
+	if chaosCfg.StallProb > 0 || chaosCfg.SpikeProb > 0 || chaosCfg.CorruptProb > 0 || chaosCfg.DropProb > 0 {
+		if cfg.Chaos, err = chaos.New(chaosCfg); err != nil {
+			cli.Fatalf("bad chaos flags: %v", err)
 		}
 		log.Printf("CHAOS ARMED: seed=%d stall=%g spike=%g corrupt=%g drop=%g — this server injects faults into itself",
-			*chaosSeed, *chaosStall, *chaosSpike, *chaosCorrupt, *chaosDrop)
+			chaosCfg.Seed, chaosCfg.StallProb, chaosCfg.SpikeProb, chaosCfg.CorruptProb, chaosCfg.DropProb)
 	}
-	srv, err := httpsrv.New(httpsrv.Config{
-		Deltas:             ds,
-		Service:            svc,
-		Allocator:          alloc,
-		TimeUnit:           *timeUnit,
-		Window:             *window,
-		WorkersPerClass:    *workers,
-		MinRate:            *minRate,
-		Feedback:           *feedback,
-		Estimator:          kind,
-		EWMAAlpha:          *ewmaAlpha,
-		Admission:          gate,
-		FlightRecorderSize: *flightrec,
-		Seed:               *seed,
-		Ladder:             ladder,
-		WatchdogFactor:     *watchdog,
-		Chaos:              injector,
-	})
+	srv, err := httpsrv.New(cfg)
 	if err != nil {
-		fatalf("starting server: %v", err)
+		cli.Fatalf("starting server: %v", err)
 	}
 	defer srv.Close()
 
@@ -176,10 +128,10 @@ func main() {
 	}
 
 	log.Printf("psdserver listening on %s — %d classes, deltas %v, window %g tu (%v), workers/class=%d, allocator=%s, estimator=%s, feedback=%v, admission=%s, pprof=%v",
-		*addr, len(ds), ds, *window, time.Duration(*window*float64(*timeUnit)), *workers, alloc.Name(), kind, *feedback, *admPolicy, *pprofOn)
+		*addr, len(cfg.Deltas), cfg.Deltas, cfg.Window, time.Duration(cfg.Window*float64(cfg.TimeUnit)), cfg.WorkersPerClass, cfg.Allocator.Name(), cfg.Estimator, cfg.Feedback, *admPolicy, *pprofOn)
 	log.Printf("work endpoint: GET /?class=N&size=X   metrics: GET /metrics (JSON), /metrics/prom (Prometheus), /debug/control (flight recorder)")
 	if err := http.ListenAndServe(*addr, mux); err != nil {
-		fatalf("%v", err)
+		cli.Fatalf("%v", err)
 	}
 }
 
@@ -203,7 +155,7 @@ func buildAdmission(policy string, bound, tau, window float64, ratesCSV string, 
 			}
 		} else {
 			var err error
-			if rates, err = parseFloats(ratesCSV); err != nil {
+			if rates, err = cli.Floats(ratesCSV); err != nil {
 				return nil, err
 			}
 			if len(rates) != classes {
@@ -214,22 +166,4 @@ func buildAdmission(policy string, bound, tau, window float64, ratesCSV string, 
 	default:
 		return nil, fmt.Errorf("unknown policy %q (want none, utilization or tokenbucket)", policy)
 	}
-}
-
-func parseFloats(s string) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "psdserver: "+format+"\n", args...)
-	os.Exit(1)
 }

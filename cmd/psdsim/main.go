@@ -10,105 +10,97 @@
 //	psdsim -deltas 1,2 -load 0.5 -work-conserving      # GPS-mode ablation
 //	psdsim -deltas 1,2 -load 0.5 -engine auto          # closed form, no DES
 //	psdsim -deltas 1,2 -load 0.5 -flightrec 64         # dump control ticks
+//	psdtrace gen | psdsim -trace - -warmup 5000        # replay a session trace
 //
-// -flightrec N runs one extra dedicated replication (base seed) with a
-// control-plane flight recorder attached and dumps its last N ticks as
-// JSON — the same record format the live server serves at /debug/control
-// — to -flightrec-out ("-": stdout).
+// -trace FILE ("-": stdin) replays a recorded arrival trace (the CSV that
+// psdtrace gen writes, see internal/workload) in place of the Poisson
+// generators: one replication, each class's λ estimated from the trace,
+// and the horizon, unless -horizon is given, running to the last arrival
+// minus -warmup. The allocator, estimator, window and size-law flags
+// apply as in a Poisson run; -load, -load-step and -runs do not.
+//
+// -flightrec N runs one extra dedicated replication (base seed, or the
+// trace) with a control-plane flight recorder attached and dumps its last
+// N ticks as JSON — the same record format the live server serves at
+// /debug/control — to -flightrec-out ("-": stdout).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
-	"psd/internal/control"
-	"psd/internal/core"
-	"psd/internal/dist"
+	"psd/internal/cli"
 	"psd/internal/obs"
 	"psd/internal/simsrv"
 	"psd/internal/sweep"
+	"psd/internal/workload"
 )
 
 func main() {
+	var cfg simsrv.Config
+	deltasFlag := cli.Deltas(flag.CommandLine)
+	sizeLaw := cli.SizeLaw(flag.CommandLine)
+	controlFlags := cli.Control(flag.CommandLine, &cfg.Allocator, &cfg.Estimator, &cfg.EWMAAlpha)
+	sweepFlags := cli.Sweep(flag.CommandLine)
+	cli.Seed(flag.CommandLine, &cfg.Seed)
+	flag.Float64Var(&cfg.Horizon, "horizon", 60000, "measured duration (time units)")
+	flag.Float64Var(&cfg.Warmup, "warmup", 10000, "warmup duration (time units)")
+	flag.Float64Var(&cfg.Window, "window", 1000, "estimation/reallocation window")
+	flag.IntVar(&cfg.HistoryWindows, "history", 5, "estimator history windows")
+	flag.BoolVar(&cfg.WorkConserving, "work-conserving", false, "redistribute idle class capacity (GPS ablation)")
+	flag.BoolVar(&cfg.Oracle, "oracle", false, "feed the allocator true arrival rates (no estimation error)")
 	var (
-		deltasFlag  = flag.String("deltas", "1,2", "comma-separated differentiation parameters")
-		load        = flag.Float64("load", 0.5, "total system utilization in (0,1)")
-		runs        = flag.Int("runs", 10, "independent replications (paper: 100)")
-		alpha       = flag.Float64("alpha", 1.5, "Bounded Pareto shape")
-		lower       = flag.Float64("lower", 0.1, "Bounded Pareto lower bound")
-		upper       = flag.Float64("upper", 100, "Bounded Pareto upper bound")
-		horizon     = flag.Float64("horizon", 60000, "measured duration (time units)")
-		warmup      = flag.Float64("warmup", 10000, "warmup duration (time units)")
-		window      = flag.Float64("window", 1000, "estimation/reallocation window")
-		history     = flag.Int("history", 5, "estimator history windows")
-		seed        = flag.Uint64("seed", 1, "base random seed")
-		workers     = flag.Int("workers", 0, "sweep worker pool size (0 = GOMAXPROCS)")
-		allocator   = flag.String("allocator", "psd", "policy from the core registry: "+strings.Join(core.Names(), " | "))
-		engine      = flag.String("engine", "des", "des (simulate) | auto (closed form when the steady state is analytic) | analytic (refuse to simulate)")
-		estimator   = flag.String("estimator", "window", "load estimator: window (paper) | ewma")
-		ewmaAlpha   = flag.Float64("ewma-alpha", 0.3, "EWMA smoothing factor in (0,1]")
-		workConserv = flag.Bool("work-conserving", false, "redistribute idle class capacity (GPS ablation)")
-		oracle      = flag.Bool("oracle", false, "feed the allocator true arrival rates (no estimation error)")
-		loadStep    = flag.Float64("load-step", 0, "transient ablation: scale all arrival rates by this factor at mid-horizon (0 = stationary)")
-		flightrec   = flag.Int("flightrec", 0, "flight-record the last N control ticks of one dedicated replication (0: off)")
-		flightOut   = flag.String("flightrec-out", "-", `flight recorder dump destination ("-": stdout)`)
+		load      = flag.Float64("load", 0.5, "total system utilization in (0,1)")
+		runs      = flag.Int("runs", 10, "independent replications (paper: 100)")
+		tracePath = flag.String("trace", "", `replay this arrival trace (psdtrace gen CSV; "-": stdin) instead of Poisson arrivals`)
+		loadStep  = flag.Float64("load-step", 0, "transient ablation: scale all arrival rates by this factor at mid-horizon (0 = stationary)")
+		flightrec = flag.Int("flightrec", 0, "flight-record the last N control ticks of one dedicated replication (0: off)")
+		flightOut = flag.String("flightrec-out", "-", `flight recorder dump destination ("-": stdout)`)
 	)
 	flag.Parse()
 
-	deltas, err := parseFloats(*deltasFlag)
-	if err != nil {
-		fatalf("bad -deltas: %v", err)
-	}
-	svc, err := dist.NewBoundedPareto(*lower, *upper, *alpha)
-	if err != nil {
-		fatalf("bad Bounded Pareto parameters: %v", err)
-	}
-	cfg := simsrv.EqualLoadConfig(deltas, *load, svc)
-	cfg.Horizon = *horizon
-	cfg.Warmup = *warmup
-	cfg.Window = *window
-	cfg.HistoryWindows = *history
-	cfg.Seed = *seed
-	cfg.WorkConserving = *workConserv
-	cfg.Oracle = *oracle
-	estKind, err := control.ParseEstimatorKind(*estimator)
-	if err != nil {
-		fatalf("bad -estimator: %v", err)
-	}
-	cfg.Estimator = estKind
-	cfg.EWMAAlpha = *ewmaAlpha
+	deltas := deltasFlag()
+	svc := sizeLaw()
+	policy := controlFlags()
+	eng := sweepFlags()
+	cfg.Classes = simsrv.EqualLoadConfig(deltas, *load, svc).Classes
+	cfg.Service = svc
 	if *loadStep > 0 {
-		cfg.LoadSchedule = simsrv.LoadStep(*warmup+*horizon/2, *loadStep)
+		cfg.LoadSchedule = simsrv.LoadStep(cfg.Warmup+cfg.Horizon/2, *loadStep)
 	}
-	// The registry resolves the allocator for the summary/flight-record
+	// The registry resolved cfg.Allocator for the summary/flight-record
 	// paths; the sweep point carries the policy name so size-aware
 	// policies (hesrpt) transparently switch to the packetized model.
-	alloc, err := core.Parse(*allocator)
-	if err != nil {
-		fatalf("bad -allocator: %v", err)
-	}
-	cfg.Allocator = alloc
-
-	kind, err := sweep.ParseEngineKind(*engine)
-	if err != nil {
-		fatalf("bad -engine: %v", err)
+	pt := sweep.Point{Cfg: cfg, Runs: *runs, Policy: policy}
+	if *tracePath != "" {
+		horizonSet := false
+		flag.Visit(func(f *flag.Flag) { horizonSet = horizonSet || f.Name == "horizon" })
+		var err error
+		if pt.Trace, err = loadTrace(&pt.Cfg, *tracePath, horizonSet); err != nil {
+			cli.Fatalf("-trace %s: %v", *tracePath, err)
+		}
+		pt.Runs = 1
+		cfg = pt.Cfg
 	}
 
 	start := time.Now()
-	eng := sweep.Engine{Workers: *workers, Kind: kind}
-	aggs, err := eng.Run([]sweep.Point{{Cfg: cfg, Runs: *runs, Policy: *allocator}})
+	aggs, err := eng.Run([]sweep.Point{pt})
 	if err != nil {
-		fatalf("evaluation failed: %v", err)
+		cli.Fatalf("evaluation failed: %v", err)
 	}
 	agg := aggs[0]
 	elapsed := time.Since(start)
 
-	fmt.Printf("PSD %s evaluation — %d classes, load %.0f%%, %s allocator, %d runs × %g tu\n",
-		kind, len(deltas), *load*100, cfg.Allocator.Name(), *runs, *horizon)
+	if pt.Trace != nil {
+		fmt.Printf("PSD trace replay — %d classes, %d requests, %s allocator, %g tu measured\n",
+			len(deltas), len(pt.Trace), cfg.Allocator.Name(), cfg.Horizon)
+	} else {
+		fmt.Printf("PSD %s evaluation — %d classes, load %.0f%%, %s allocator, %d runs × %g tu\n",
+			eng.Kind, len(deltas), *load*100, cfg.Allocator.Name(), *runs, cfg.Horizon)
+	}
 	fmt.Printf("service: %s (E[X]=%.4f, E[X²]=%.4f, E[1/X]=%.4f)\n\n",
 		svc, svc.Mean(), svc.SecondMoment(), svc.InverseMoment())
 	fmt.Printf("%-8s %-8s %-14s %-14s %-12s %-12s\n",
@@ -144,57 +136,74 @@ func main() {
 	}
 
 	if *flightrec > 0 {
-		if err := dumpFlightRecord(cfg, *flightrec, *flightOut); err != nil {
-			fatalf("flight record: %v", err)
+		if err := dumpFlightRecord(pt, *flightrec, *flightOut); err != nil {
+			cli.Fatalf("flight record: %v", err)
 		}
 	}
 }
 
-// dumpFlightRecord replays one dedicated replication (the base seed) with
-// a flight recorder attached and writes the recorded tick JSON. The sweep
-// engine's replications run in parallel and cannot share one recorder, so
-// the recorded run is a separate, deterministic rerun.
-func dumpFlightRecord(cfg simsrv.Config, capacity int, out string) error {
-	rec, err := obs.NewFlightRecorder(len(cfg.Classes), capacity)
+// loadTrace reads the arrival trace at path ("-": stdin) for replay under
+// cfg: each class's λ becomes its empirical rate over the trace and,
+// unless keepHorizon, the measured horizon runs to the last arrival.
+func loadTrace(cfg *simsrv.Config, path string, keepHorizon bool) ([]simsrv.TraceRequest, error) {
+	in := os.Stdin
+	if path != "-" {
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		in = f
+	}
+	reqs, err := workload.ReadTrace(in)
+	if err != nil {
+		return nil, err
+	}
+	if len(reqs) == 0 {
+		return nil, errors.New("empty trace")
+	}
+	end := reqs[len(reqs)-1].Time
+	rates, err := workload.ClassRates(reqs, len(cfg.Classes), end)
+	if err != nil {
+		return nil, err
+	}
+	for i, r := range rates {
+		cfg.Classes[i].Lambda = r
+	}
+	if !keepHorizon {
+		cfg.Horizon = end - cfg.Warmup
+	}
+	trace := make([]simsrv.TraceRequest, len(reqs))
+	for i, r := range reqs {
+		trace[i] = simsrv.TraceRequest{Time: r.Time, Class: r.Class, Size: r.Size}
+	}
+	return trace, nil
+}
+
+// dumpFlightRecord reruns the point's base-seed replication (or its trace)
+// with a flight recorder attached and writes the recorded tick JSON. The
+// sweep engine's replications run in parallel and cannot share one
+// recorder, so the recorded run is a separate, deterministic rerun.
+func dumpFlightRecord(pt sweep.Point, capacity int, out string) error {
+	rec, err := obs.NewFlightRecorder(len(pt.Cfg.Classes), capacity)
 	if err != nil {
 		return err
 	}
+	cfg := pt.Cfg
 	cfg.Recorder = rec
-	if _, err := simsrv.Run(cfg); err != nil {
+	if pt.Trace != nil {
+		_, err = simsrv.RunTrace(cfg, pt.Trace)
+	} else {
+		_, err = simsrv.Run(cfg)
+	}
+	if err != nil {
 		return err
 	}
-	w := os.Stdout
-	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if err := rec.WriteJSON(w); err != nil {
+	if err := cli.WriteFile(out, rec.WriteJSON); err != nil {
 		return err
 	}
 	if out != "-" {
 		fmt.Printf("flight record: %d ticks (of %d recorded) written to %s\n", rec.Len(), rec.Seq(), out)
 	}
 	return nil
-}
-
-func parseFloats(s string) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "psdsim: "+format+"\n", args...)
-	os.Exit(1)
 }

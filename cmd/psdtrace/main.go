@@ -1,11 +1,11 @@
 // Command psdtrace generates session-based e-commerce workload traces
-// (CBMG model, §2.2 of the paper) and replays recorded traces through the
+// (CBMG model, §2.2 of the paper). psdsim -trace replays them through the
 // PSD simulation model.
 //
 // Usage:
 //
 //	psdtrace gen -sessions 0.3 -classes 0.3,0.7 -horizon 40000 > trace.csv
-//	psdtrace replay -deltas 1,2 -warmup 5000 < trace.csv
+//	psdsim -trace trace.csv -deltas 1,2 -warmup 5000
 //
 // Traces are CSV: time,class,state,size,session (see internal/workload).
 package main
@@ -14,128 +14,51 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
+	"psd/internal/cli"
 	"psd/internal/rng"
-	"psd/internal/simsrv"
 	"psd/internal/workload"
 )
 
 func main() {
 	if len(os.Args) < 2 {
-		fatalf("usage: psdtrace gen|replay [flags]")
+		cli.Fatalf("usage: psdtrace gen [flags]")
 	}
 	switch os.Args[1] {
 	case "gen":
 		generate(os.Args[2:])
-	case "replay":
-		replay(os.Args[2:])
 	default:
-		fatalf("unknown subcommand %q (want gen or replay)", os.Args[1])
+		cli.Fatalf("unknown subcommand %q (want gen; to replay a trace, use psdsim -trace FILE)", os.Args[1])
 	}
 }
 
 func generate(args []string) {
 	fs := flag.NewFlagSet("gen", flag.ExitOnError)
+	var seed uint64
+	cli.Seed(fs, &seed)
 	sessions := fs.Float64("sessions", 0.3, "session start rate (per time unit)")
 	classesFlag := fs.String("classes", "0.5,0.5", "per-class session probabilities (sum 1)")
 	horizon := fs.Float64("horizon", 40000, "trace horizon in time units")
-	seed := fs.Uint64("seed", 1, "random seed")
 	think := fs.Float64("think", 5, "mean think time between session requests")
 	_ = fs.Parse(args)
 
-	probs, err := parseFloats(*classesFlag)
+	probs, err := cli.Floats(*classesFlag)
 	if err != nil {
-		fatalf("bad -classes: %v", err)
+		cli.Fatalf("bad -classes: %v", err)
 	}
 	model := workload.DefaultModel()
 	model.ThinkMean = *think
-	gen, err := workload.NewGenerator(model, *sessions, probs, rng.New(*seed))
+	gen, err := workload.NewGenerator(model, *sessions, probs, rng.New(seed))
 	if err != nil {
-		fatalf("building generator: %v", err)
+		cli.Fatalf("building generator: %v", err)
 	}
 	reqs, err := gen.Generate(*horizon)
 	if err != nil {
-		fatalf("generating: %v", err)
+		cli.Fatalf("generating: %v", err)
 	}
 	if err := workload.WriteTrace(os.Stdout, reqs); err != nil {
-		fatalf("writing trace: %v", err)
+		cli.Fatalf("writing trace: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "psdtrace: %d requests over %g tu (%.2f requests/session expected)\n",
 		len(reqs), *horizon, model.MeanRequestsPerSession())
-}
-
-func replay(args []string) {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	deltasFlag := fs.String("deltas", "1,2", "differentiation parameters, one per class")
-	warmup := fs.Float64("warmup", 5000, "warmup time units")
-	seed := fs.Uint64("seed", 1, "random seed")
-	_ = fs.Parse(args)
-
-	deltas, err := parseFloats(*deltasFlag)
-	if err != nil {
-		fatalf("bad -deltas: %v", err)
-	}
-	reqs, err := workload.ReadTrace(os.Stdin)
-	if err != nil {
-		fatalf("reading trace: %v", err)
-	}
-	if len(reqs) == 0 {
-		fatalf("empty trace")
-	}
-	horizon := reqs[len(reqs)-1].Time
-	rates, err := workload.ClassRates(reqs, len(deltas), horizon)
-	if err != nil {
-		fatalf("estimating class rates: %v", err)
-	}
-	trace := make([]simsrv.TraceRequest, len(reqs))
-	for i, r := range reqs {
-		trace[i] = simsrv.TraceRequest{Time: r.Time, Class: r.Class, Size: r.Size}
-	}
-	classes := make([]simsrv.ClassConfig, len(deltas))
-	for i, d := range deltas {
-		classes[i] = simsrv.ClassConfig{Delta: d, Lambda: rates[i]}
-	}
-	cfg := simsrv.Config{
-		Classes: classes,
-		Warmup:  *warmup,
-		Horizon: horizon - *warmup,
-		Seed:    *seed,
-	}
-	res, err := simsrv.RunTrace(cfg, trace)
-	if err != nil {
-		fatalf("replaying: %v", err)
-	}
-	fmt.Printf("replayed %d requests over %g tu\n\n", len(reqs), horizon)
-	fmt.Printf("%-8s %-8s %-10s %-14s %-12s %-12s\n",
-		"class", "delta", "count", "mean slowdown", "mean delay", "ratio to c1")
-	for i := range classes {
-		ratio := 1.0
-		if i > 0 && res.Classes[0].MeanSlowdown > 0 {
-			ratio = res.Classes[i].MeanSlowdown / res.Classes[0].MeanSlowdown
-		}
-		fmt.Printf("%-8d %-8g %-10d %-14.4f %-12.4f %-12.4f\n",
-			i+1, deltas[i], res.Classes[i].Count,
-			res.Classes[i].MeanSlowdown, res.Classes[i].MeanDelay, ratio)
-	}
-	fmt.Printf("\nsystem slowdown: %.4f\n", res.SystemSlowdown)
-}
-
-func parseFloats(s string) ([]float64, error) {
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "psdtrace: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -118,6 +118,9 @@
 //	internal/figures   Figures 2–12 regeneration (on internal/sweep) plus
 //	                   the beyond-paper estimator transient (13) and
 //	                   policy tournament (14) studies
+//	internal/cli       the flag vocabulary the cmd/ tools share: one
+//	                   float-list parser and fatal exit, the -deltas,
+//	                   -seed, size-law, control and sweep-engine groups
 //
 // Start with AllocateRates for the analytic strategy, Simulate for the
 // paper's experiment rig, or internal/httpsrv for a live server. The

@@ -35,7 +35,6 @@ import (
 	"math"
 
 	"psd/internal/dist"
-	"psd/internal/queueing"
 )
 
 // Class describes one request class's contract and current demand.
@@ -299,18 +298,4 @@ func Feasible(classes []Class, w Workload) bool {
 	return err == nil
 }
 
-// MaxStableLoad returns the largest total utilization ρ < 1 at which the
-// PSD allocation keeps every class's queue stable. For the PSD allocator
-// any ρ < 1 is stable (each class receives strictly more than its demand
-// whenever λ_i > 0), so this returns 1 as the supremum; it exists for API
-// symmetry with allocators whose stability region is smaller.
-func MaxStableLoad(Allocator) float64 { return 1 }
-
 var _ InPlaceAllocator = PSD{}
-
-// TheoremSlowdown re-exports Theorem 1 via the queueing package for
-// convenience: mean slowdown of a λ-rate class on a rate-r task server
-// whose job sizes follow d.
-func TheoremSlowdown(lambda float64, d dist.Distribution, rate float64) (float64, error) {
-	return queueing.TaskServerSlowdown(lambda, d, rate)
-}

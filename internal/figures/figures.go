@@ -668,19 +668,6 @@ func Generate(id int, opts Options) (Figure, error) {
 	return g(opts)
 }
 
-// All regenerates every figure.
-func All(opts Options) ([]Figure, error) {
-	out := make([]Figure, 0, 13)
-	for id := 2; id <= 14; id++ {
-		f, err := Generate(id, opts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}
-
 // MaxAbsRelGap returns the largest |sim−expected|/expected across paired
 // "simulated"/"expected" series of a figure, used by regression tests to
 // quantify model agreement. Returns NaN if the figure has no such pairs.

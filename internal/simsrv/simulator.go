@@ -45,9 +45,6 @@ type Simulator struct {
 	validatedTraceClasses int
 }
 
-// NewSimulator returns an empty arena. The zero value is also ready.
-func NewSimulator() *Simulator { return &Simulator{} }
-
 // prepare is the arming every Reset* shares: apply defaults, validate,
 // and reset the runner around the given service model and arrival source
 // (trace == nil selects the Poisson generators). cfg is the caller's own

@@ -2,6 +2,7 @@ package simsrv
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -15,7 +16,10 @@ type TraceRequest struct {
 }
 
 // validateTrace checks a trace against the class count: time-sorted,
-// in-range classes, positive sizes.
+// in-range classes, finite non-negative times, finite positive sizes. A
+// NaN time would slip past the sortedness test (every comparison with it
+// is false) and stall the replay at that row; an infinite size would
+// never complete.
 func validateTrace(classes int, trace []TraceRequest) error {
 	if len(trace) == 0 {
 		return fmt.Errorf("simsrv: empty trace")
@@ -27,11 +31,11 @@ func validateTrace(classes int, trace []TraceRequest) error {
 		if tr.Class < 0 || tr.Class >= classes {
 			return fmt.Errorf("simsrv: trace[%d] class %d out of range", i, tr.Class)
 		}
-		if !(tr.Size > 0) {
-			return fmt.Errorf("simsrv: trace[%d] size %v must be positive", i, tr.Size)
+		if !(tr.Size > 0) || math.IsInf(tr.Size, 1) {
+			return fmt.Errorf("simsrv: trace[%d] size %v must be positive and finite", i, tr.Size)
 		}
-		if tr.Time < 0 {
-			return fmt.Errorf("simsrv: trace[%d] time %v negative", i, tr.Time)
+		if !(tr.Time >= 0) || math.IsInf(tr.Time, 1) {
+			return fmt.Errorf("simsrv: trace[%d] time %v must be non-negative and finite", i, tr.Time)
 		}
 	}
 	return nil

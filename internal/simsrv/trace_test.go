@@ -27,6 +27,17 @@ func TestRunTraceValidation(t *testing.T) {
 	if _, err := RunTrace(cfg, []TraceRequest{{Time: -1, Class: 0, Size: 1}}); err == nil {
 		t.Error("accepted negative time")
 	}
+	// A NaN time passes the sortedness check (every comparison with NaN
+	// is false); unrejected, the replay stopped at it without an error.
+	if _, err := RunTrace(cfg, []TraceRequest{{Time: 1, Class: 0, Size: 1}, {Time: math.NaN(), Class: 1, Size: 1}, {Time: 3, Class: 0, Size: 1}}); err == nil {
+		t.Error("accepted NaN time")
+	}
+	if _, err := RunTrace(cfg, []TraceRequest{{Time: 1, Class: 0, Size: math.Inf(1)}}); err == nil {
+		t.Error("accepted infinite size")
+	}
+	if _, err := RunTrace(cfg, []TraceRequest{{Time: math.Inf(1), Class: 0, Size: 1}}); err == nil {
+		t.Error("accepted infinite time")
+	}
 }
 
 // TestRunTraceMatchesPoissonStatistically replays synthetic Poisson

@@ -206,21 +206,72 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// malformedTraces are traces ReadTrace must reject.
+var malformedTraces = []string{
+	"",        // no header
+	"a,b,c\n", // wrong header
+	"time,class,state,size,session\nx,0,home,1,0\n",    // bad time
+	"time,class,state,size,session\n1,x,home,1,0\n",    // bad class
+	"time,class,state,size,session\n1,0,nowhere,1,0\n", // bad state
+	"time,class,state,size,session\n1,0,home,x,0\n",    // bad size
+	"time,class,state,size,session\n1,0,home,1,x\n",    // bad session
+}
+
 func TestReadTraceErrors(t *testing.T) {
-	cases := []string{
-		"",        // no header
-		"a,b,c\n", // wrong header
-		"time,class,state,size,session\nx,0,home,1,0\n",    // bad time
-		"time,class,state,size,session\n1,x,home,1,0\n",    // bad class
-		"time,class,state,size,session\n1,0,nowhere,1,0\n", // bad state
-		"time,class,state,size,session\n1,0,home,x,0\n",    // bad size
-		"time,class,state,size,session\n1,0,home,1,x\n",    // bad session
-	}
-	for i, c := range cases {
+	for i, c := range malformedTraces {
 		if _, err := ReadTrace(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d: accepted malformed trace", i)
 		}
 	}
+}
+
+// FuzzReadTrace feeds ReadTrace arbitrary bytes: it must never panic, and
+// any trace it accepts must round-trip through WriteTrace to the same
+// requests (equal float bits, or both NaN).
+func FuzzReadTrace(f *testing.F) {
+	for _, c := range malformedTraces {
+		f.Add([]byte(c))
+	}
+	g, err := NewGenerator(DefaultModel(), 0.3, []float64{0.5, 0.5}, rng.New(1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	reqs, err := g.Generate(200)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, reqs); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("time,class,state,size,session\nNaN,0,home,+Inf,0\n-0,1,browse,1e-320,-3\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reqs, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, reqs); err != nil {
+			t.Fatalf("writing an accepted trace: %v", err)
+		}
+		back, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("re-reading a written trace: %v\n%s", err, buf.Bytes())
+		}
+		if len(back) != len(reqs) {
+			t.Fatalf("round trip kept %d of %d requests", len(back), len(reqs))
+		}
+		same := func(a, b float64) bool {
+			return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+		}
+		for i, r := range reqs {
+			b := back[i]
+			if !same(r.Time, b.Time) || !same(r.Size, b.Size) || r.Class != b.Class || r.State != b.State || r.Session != b.Session {
+				t.Fatalf("request %d: %+v round-tripped to %+v", i, r, b)
+			}
+		}
+	})
 }
 
 func TestClassRates(t *testing.T) {
