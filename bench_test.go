@@ -17,6 +17,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"psd/internal/analytic"
 	"psd/internal/core"
@@ -470,7 +471,9 @@ func BenchmarkFigureSweep(b *testing.B) {
 // allocs/point promise cmd/psdbench gates in CI); "router" is the path a
 // user runs — one sweep.Engine{Kind: Auto}.Run over a 4 200-point
 // capacity grid with a policy axis — which may allocate per chunk and per
-// worker but not per point.
+// worker but not per point, and whose bytes per point stay within 5 % of
+// what a point reports: its Aggregate, four nc-float vectors and its
+// slot in the output slice.
 func BenchmarkAnalyticSweep(b *testing.B) {
 	b.Run("evaluator", func(b *testing.B) {
 		loads := []float64{0.1, 0.3, 0.5, 0.7, 0.9}
@@ -491,7 +494,7 @@ func BenchmarkAnalyticSweep(b *testing.B) {
 				}
 			}
 		}
-		if a := reportPoints(b.N * len(cfgs)); a > 0.01 {
+		if a, _ := reportPoints(b.N * len(cfgs)); a > 0.01 {
 			b.Fatalf("warm closed-form evaluation allocates %.4f times per point, want 0", a)
 		}
 	})
@@ -509,6 +512,11 @@ func BenchmarkAnalyticSweep(b *testing.B) {
 				}
 			}
 		}
+		budget := 0.0
+		for _, p := range points {
+			budget += float64(unsafe.Sizeof(simsrv.Aggregate{})) + 32*float64(len(p.Cfg.Classes)) + 8
+		}
+		budget *= 1.05 / float64(len(points))
 		eng := sweep.Engine{Kind: sweep.Auto}
 		reportPoints := allocsPerPoint(b)
 		for i := 0; i < b.N; i++ {
@@ -520,26 +528,33 @@ func BenchmarkAnalyticSweep(b *testing.B) {
 				b.Fatalf("last point not answered in closed form: %+v", last)
 			}
 		}
-		if a := reportPoints(b.N * len(points)); a > 0.05 {
+		a, bytes := reportPoints(b.N * len(points))
+		if a > 0.05 {
 			b.Fatalf("the analytic route allocates %.4f times per point, want O(chunks) per Run", a)
+		}
+		if bytes > budget {
+			b.Fatalf("the analytic route allocates %.0f B per point, want ≤ %.0f", bytes, budget)
 		}
 	})
 }
 
 // allocsPerPoint starts the timed section of a points benchmark; the
-// function it returns ends it, reports points/s and allocs/point over the
-// given number of points, and returns the latter for the caller's gate.
-func allocsPerPoint(b *testing.B) func(points int) float64 {
+// function it returns ends it, reports points/s, allocs/point and
+// B/point over the given number of points, and returns the latter two for
+// the caller's gates.
+func allocsPerPoint(b *testing.B) func(points int) (allocs, bytes float64) {
 	var ms0, ms1 runtime.MemStats
-	stop := func(points int) float64 { // built first: the closure is itself an allocation
+	stop := func(points int) (allocs, bytes float64) { // built first: the closure is itself an allocation
 		b.StopTimer()
 		runtime.ReadMemStats(&ms1)
-		allocs := float64(ms1.Mallocs-ms0.Mallocs) / float64(points)
+		allocs = float64(ms1.Mallocs-ms0.Mallocs) / float64(points)
+		bytes = float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(points)
 		if secs := b.Elapsed().Seconds(); secs > 0 {
 			b.ReportMetric(float64(points)/secs, "points/s")
 			b.ReportMetric(allocs, "allocs/point")
+			b.ReportMetric(bytes, "B/point")
 		}
-		return allocs
+		return allocs, bytes
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&ms0)

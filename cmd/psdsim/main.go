@@ -125,8 +125,9 @@ func main() {
 	if agg.AllocFailures > 0 {
 		fmt.Printf("allocator fallbacks (kept previous rates): %d windows\n", agg.AllocFailures)
 	}
-	// Per-window ratio percentiles only exist when windows were simulated.
-	for i := 1; i < len(deltas); i++ {
+	// Per-window ratio percentiles only exist when windows were simulated;
+	// a closed-form aggregate carries none.
+	for i := 1; i < len(agg.RatioSummaries); i++ {
 		rs := agg.RatioSummaries[i]
 		if rs.N == 0 {
 			continue

@@ -3,7 +3,9 @@ package main
 import (
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"psd/internal/dist"
@@ -12,6 +14,42 @@ import (
 	"psd/internal/sweep"
 	"psd/internal/workload"
 )
+
+// argsEnv carries psdsim's command line to a re-executed test binary,
+// which then runs main in place of the tests.
+const argsEnv = "PSDSIM_TEST_ARGS"
+
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv(argsEnv); ok {
+		os.Args = append([]string{"psdsim"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestClosedFormEngines runs psdsim end to end under both engines that
+// answer a stationary point in closed form: the command must exit
+// cleanly, report zero DES events, and print no per-window ratio line,
+// since no window was simulated.
+func TestClosedFormEngines(t *testing.T) {
+	for _, engine := range []string{"analytic", "auto"} {
+		t.Run(engine, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], "-test.run=^$")
+			cmd.Env = append(os.Environ(), argsEnv+"=-engine "+engine+" -deltas 1,2,4 -load 0.7")
+			out, err := cmd.CombinedOutput()
+			if err != nil {
+				t.Fatalf("psdsim -engine %s: %v\n%s", engine, err, out)
+			}
+			if !strings.Contains(string(out), "(0 DES events)") {
+				t.Errorf("psdsim -engine %s did not report a closed-form evaluation:\n%s", engine, out)
+			}
+			if strings.Contains(string(out), "per-window ratio") {
+				t.Errorf("psdsim -engine %s printed a per-window line:\n%s", engine, out)
+			}
+		})
+	}
+}
 
 // TestTraceMatchesRunTrace replays a generated session trace the way
 // psdsim -trace does — the default flags' Config, one sweep.Engine

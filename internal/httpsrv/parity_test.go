@@ -331,8 +331,30 @@ func BenchmarkReallocate(b *testing.B) {
 	}
 	feed()
 	s.reallocate() // warm the loop's buffers
+	// Settle before timing. A warm tick allocates nothing, but the process
+	// around it may: New's goroutines make their start-up allocations
+	// (timers, tickers) whenever they are first scheduled, a GC cycle
+	// wakes runtime cleanup goroutines that allocate, and the runtime
+	// fills each type-assertion cache on a random one in 1024 misses,
+	// allocating the cache as it does. At -benchtime 1x any of these
+	// landing in the timed tick reads as a whole alloc/tick, so collect
+	// first, then tick in batches of 4096 until a batch and a millisecond
+	// for every runnable goroutine see no malloc in the process. A tick
+	// that itself allocates never settles, and the gate below reports it.
 	var ms0, ms1 runtime.MemStats
 	runtime.GC()
+	for try := 0; try < 16; try++ {
+		runtime.ReadMemStats(&ms0)
+		for i := 0; i < 4096; i++ {
+			feed()
+			s.reallocate()
+		}
+		time.Sleep(time.Millisecond)
+		runtime.ReadMemStats(&ms1)
+		if ms1.Mallocs == ms0.Mallocs {
+			break
+		}
+	}
 	runtime.ReadMemStats(&ms0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

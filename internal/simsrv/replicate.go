@@ -25,7 +25,8 @@ type Aggregate struct {
 	// RatioSummaries[i] summarizes the pooled per-window achieved
 	// slowdown ratios of class i to class 0 across all runs (entry 0 is
 	// the degenerate self-ratio and is left zero). Percentiles are P²
-	// streaming estimates unless the aggregator ran in exact mode.
+	// streaming estimates unless the aggregator ran in exact mode. Nil
+	// when no window was simulated (a closed-form sweep point).
 	RatioSummaries []stats.Summary
 	// MeanRatios[i] is the across-run mean of (class i mean slowdown /
 	// class 0 mean slowdown), the statistic plotted in Figures 9–10.

@@ -9,8 +9,8 @@ import (
 	"testing"
 
 	"psd/internal/analytic"
+	"psd/internal/core"
 	"psd/internal/simsrv"
-	"psd/internal/stats"
 )
 
 // TestLocate pins the task → (point, replication) map on offset vectors
@@ -45,9 +45,10 @@ func TestLocate(t *testing.T) {
 	}
 }
 
-// referenceAggregate is the test's own copy of how the router has always
-// shaped a closed-form Evaluation: one freshly allocated Aggregate per
-// point. The slab-carved aggregates must match it bit for bit.
+// referenceAggregate is the test's own copy of how the router shapes a
+// closed-form Evaluation: one freshly allocated Aggregate per point, with
+// no RatioSummaries because no window was simulated. The slab-carved
+// aggregates must match it bit for bit.
 func referenceAggregate(ev *analytic.Evaluation) *simsrv.Aggregate {
 	nc := len(ev.Slowdowns)
 	agg := &simsrv.Aggregate{
@@ -55,7 +56,6 @@ func referenceAggregate(ev *analytic.Evaluation) *simsrv.Aggregate {
 		MeanSlowdowns:     make([]float64, nc),
 		CI95:              make([]float64, nc),
 		ExpectedSlowdowns: make([]float64, nc),
-		RatioSummaries:    make([]stats.Summary, nc),
 		MeanRatios:        make([]float64, nc),
 		SystemSlowdown:    ev.SystemSlowdown,
 	}
@@ -79,6 +79,9 @@ func aggBits(a *simsrv.Aggregate) []uint64 {
 		}
 	}
 	bits = append(bits, uint64(len(a.RatioSummaries)))
+	if a.RatioSummaries == nil {
+		bits = append(bits, math.MaxUint64)
+	}
 	for _, s := range a.RatioSummaries {
 		bits = append(bits, uint64(s.N))
 		for _, x := range []float64{s.Mean, s.Std, s.Min, s.Max, s.P05, s.P50, s.P95} {
@@ -86,6 +89,47 @@ func aggBits(a *simsrv.Aggregate) []uint64 {
 		}
 	}
 	return bits
+}
+
+// closedFormShape checks a closed-form aggregate of nc classes against
+// the router's contract: one exact replication of zero events, nil
+// RatioSummaries and WindowRatioMeans (no window was simulated), and the
+// four float vectors cut with len == cap == nc.
+func closedFormShape(a *simsrv.Aggregate, nc int) error {
+	if a.Runs != 1 || a.EventsProcessed != 0 {
+		return fmt.Errorf("%d runs, %d events, want 1 run of 0 events", a.Runs, a.EventsProcessed)
+	}
+	if a.RatioSummaries != nil || a.WindowRatioMeans != nil {
+		return fmt.Errorf("RatioSummaries %v, WindowRatioMeans %v, want both nil", a.RatioSummaries, a.WindowRatioMeans)
+	}
+	for k, v := range [][]float64{a.MeanSlowdowns, a.CI95, a.ExpectedSlowdowns, a.MeanRatios} {
+		if len(v) != nc || cap(v) != nc {
+			return fmt.Errorf("float vector %d has len %d, cap %d, want %d classes", k, len(v), cap(v), nc)
+		}
+	}
+	return nil
+}
+
+// scribbleFloats overwrites each float vector of a in turn with -1 (a
+// value the router never reports), checking that the other three keep
+// theirs, then appends to all four; any error names the vector whose
+// write leaked.
+func scribbleFloats(a *simsrv.Aggregate) error {
+	vecs := []*[]float64{&a.MeanSlowdowns, &a.CI95, &a.ExpectedSlowdowns, &a.MeanRatios}
+	for k, v := range vecs {
+		for j := range *v {
+			(*v)[j] = -1
+		}
+		for o := k + 1; o < len(vecs); o++ {
+			if slices.Contains(*vecs[o], -1) {
+				return fmt.Errorf("writing float vector %d changed float vector %d", k, o)
+			}
+		}
+	}
+	for _, v := range vecs {
+		*v = append(*v, -2, -3)
+	}
+	return nil
 }
 
 // mixedGrid builds n points: closed-form points of 2–5 classes, named and
@@ -158,10 +202,17 @@ func TestChunkedMixedGrid(t *testing.T) {
 			var desGrid []Point
 			fresh := mixedGrid(n, desEvery)
 			for i, agg := range first {
+				nc := len(grid[i].Cfg.Classes)
 				if agg.EventsProcessed != 0 {
+					if len(agg.RatioSummaries) != nc {
+						t.Fatalf("simulated point %d: %d ratio summaries, want %d", i, len(agg.RatioSummaries), nc)
+					}
 					desIdx = append(desIdx, i)
 					desGrid = append(desGrid, fresh[i])
 					continue
+				}
+				if err := closedFormShape(agg, nc); err != nil {
+					t.Fatalf("point %d: %v", i, err)
 				}
 				// grid[i].Cfg carries the allocator Run resolved.
 				ev, err := analytic.Evaluate(grid[i].Cfg)
@@ -191,10 +242,10 @@ func TestChunkedMixedGrid(t *testing.T) {
 }
 
 // TestSlabAggregatesDoNotAlias: the aggregates of a chunk share backing
-// arrays, so every slice must be cut with cap == len — writing to and
-// appending on each slice of one aggregate leaves its neighbours intact,
-// and each slice has one entry per class (consumers index
-// RatioSummaries[i]).
+// arrays, so every float vector must be cut with len == cap == nc —
+// writing to and appending on each vector of one aggregate leaves its
+// other vectors and its neighbours intact — and RatioSummaries must stay
+// nil, since no window was simulated.
 func TestSlabAggregatesDoNotAlias(t *testing.T) {
 	mk := func() []Point {
 		var grid []Point
@@ -217,25 +268,15 @@ func TestSlabAggregatesDoNotAlias(t *testing.T) {
 	}
 	grid := mk()
 	for i, a := range got {
-		nc := len(grid[i].Cfg.Classes)
-		if len(a.MeanSlowdowns) != nc || len(a.CI95) != nc || len(a.ExpectedSlowdowns) != nc ||
-			len(a.MeanRatios) != nc || len(a.RatioSummaries) != nc {
-			t.Fatalf("point %d: slice lengths %d/%d/%d/%d/%d, want %d classes", i, len(a.MeanSlowdowns),
-				len(a.CI95), len(a.ExpectedSlowdowns), len(a.MeanRatios), len(a.RatioSummaries), nc)
+		if err := closedFormShape(a, len(grid[i].Cfg.Classes)); err != nil {
+			t.Fatalf("point %d: %v", i, err)
 		}
 	}
 	for i := 1; i < len(got)-1; i += 2 {
 		a := got[i]
-		for _, v := range []*[]float64{&a.MeanSlowdowns, &a.CI95, &a.ExpectedSlowdowns, &a.MeanRatios} {
-			for k := range *v {
-				(*v)[k] = -1
-			}
-			*v = append(*v, -2, -3)
+		if err := scribbleFloats(a); err != nil {
+			t.Fatalf("aggregate %d: %v", i, err)
 		}
-		for k := range a.RatioSummaries {
-			a.RatioSummaries[k] = stats.Summary{N: -1, Mean: -1}
-		}
-		a.RatioSummaries = append(a.RatioSummaries, stats.Summary{N: -2}, stats.Summary{N: -3})
 		a.Runs, a.SystemSlowdown = -1, -1
 		for _, j := range []int{i - 1, i + 1} {
 			if !slices.Equal(aggBits(got[j]), aggBits(want[j])) {
@@ -288,4 +329,87 @@ func TestAnalyticKindRefusesFirstIneligiblePoint(t *testing.T) {
 			t.Errorf("%d workers: error %q, want point %d's LoadSchedule refusal", workers, err, first)
 		}
 	}
+}
+
+// fuzzGrid decodes bytes into a grid of at most 16 stationary points,
+// each from 4+nc bytes: nc in 1–8, the total load in (0, 1), one of the
+// analytic-eligible registered policies, a seed byte, and one δ in
+// [0.25, 8.2] per class. Every point it builds is one the closed forms
+// answer.
+func fuzzGrid(data []byte, policies []string) []Point {
+	var grid []Point
+	for len(data) >= 4 && len(grid) < 16 {
+		nc := 1 + int(data[0]%8)
+		load := 0.01 + 0.98*float64(data[1])/255
+		policy := policies[int(data[2])%len(policies)]
+		seed := uint64(data[3])
+		data = data[4:]
+		deltas := make([]float64, nc)
+		for c := range deltas {
+			var b byte
+			if c < len(data) {
+				b = data[c]
+			}
+			deltas[c] = 0.25 + float64(b)/32
+		}
+		data = data[min(nc, len(data)):]
+		cfg := simsrv.EqualLoadConfig(deltas, load, nil)
+		cfg.Warmup, cfg.Horizon, cfg.Seed = 100, 400, seed
+		grid = append(grid, Point{Cfg: cfg, Runs: 1, Policy: policy})
+	}
+	return grid
+}
+
+// FuzzClosedFormAggregates: on any small stationary grid, Kind Auto
+// answers every point in closed form, each aggregate is bit-equal to a
+// fresh analytic.Evaluate of its point and keeps the closed-form shape,
+// and scribbling on one aggregate's float vectors leaves every other
+// aggregate of the grid intact.
+func FuzzClosedFormAggregates(f *testing.F) {
+	var policies []string
+	for _, p := range core.Policies() {
+		if p.Caps.AnalyticEligible {
+			policies = append(policies, p.Name)
+		}
+	}
+	f.Add([]byte{1, 128, 0, 7, 0, 32})
+	f.Add([]byte{7, 250, 1, 1, 0, 8, 16, 24, 32, 40, 48, 56, 2, 10, 2, 3, 255, 0, 1})
+	f.Add([]byte{0, 0, 3, 9, 200, 5, 255, 3, 44, 4, 4, 5, 6, 7, 8, 9, 10, 11})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		grid := fuzzGrid(data, policies)
+		if len(grid) == 0 {
+			return
+		}
+		want, err := (&Engine{Kind: Auto}).Run(grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, agg := range want {
+			if err := closedFormShape(agg, len(grid[i].Cfg.Classes)); err != nil {
+				t.Fatalf("point %d: %v", i, err)
+			}
+			// grid[i].Cfg carries the allocator Run resolved.
+			ev, err := analytic.Evaluate(grid[i].Cfg)
+			if err != nil {
+				t.Fatalf("point %d took the closed form but Evaluate says %v", i, err)
+			}
+			if !slices.Equal(aggBits(agg), aggBits(referenceAggregate(ev))) {
+				t.Fatalf("point %d: aggregate differs from a fresh Evaluate", i)
+			}
+		}
+		for i := range want {
+			got, err := (&Engine{Kind: Auto}).Run(fuzzGrid(data, policies))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := scribbleFloats(got[i]); err != nil {
+				t.Fatalf("aggregate %d: %v", i, err)
+			}
+			for j := range got {
+				if j != i && !slices.Equal(aggBits(got[j]), aggBits(want[j])) {
+					t.Fatalf("scribbling on aggregate %d changed aggregate %d", i, j)
+				}
+			}
+		}
+	})
 }

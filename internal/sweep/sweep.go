@@ -41,16 +41,18 @@
 // replication pipeline: the workers claim contiguous chunks of
 // chunkPoints points off an atomic counter, each evaluating through its
 // own analytic.Evaluator arena, and the closed-form aggregates of a chunk
-// are carved out of three slabs — a closed-form point costs no heap
-// allocation, and a 10⁵-point capacity grid uses every core. The
-// trade-off is retention: the aggregates of one chunk share backing
-// arrays, so holding on to one of them keeps its chunk's slabs alive.
+// are carved out of two slabs per chunk — a closed-form point costs one
+// Aggregate plus 4·nc floats and no allocation of its own, and a
+// 10⁵-point capacity grid uses every core. The trade-off is retention:
+// the aggregates of one chunk share backing arrays, so holding on to one
+// of them keeps its chunk's slabs alive.
 package sweep
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -59,7 +61,6 @@ import (
 	"psd/internal/core"
 	"psd/internal/sched"
 	"psd/internal/simsrv"
-	"psd/internal/stats"
 )
 
 // EngineKind selects how the engine evaluates each point.
@@ -213,6 +214,11 @@ func (e *Engine) Run(points []Point) ([]*simsrv.Aggregate, error) {
 		return nil, err
 	}
 
+	if !slices.Contains(out, nil) {
+		// Every point solved in closed form: nothing to simulate.
+		return out, nil
+	}
+
 	// Lay the DES-routed points out on the task queue; a closed-form
 	// point is a zero-width entry.
 	total := 0
@@ -233,11 +239,6 @@ func (e *Engine) Run(points []Point) ([]*simsrv.Aggregate, error) {
 			aggs[i].TrackWindowRatios()
 		}
 	}
-	if total == 0 {
-		// Every point solved in closed form: nothing to simulate.
-		return out, nil
-	}
-
 	runTask := func(sim *simsrv.Simulator, res *simsrv.Result, task int) error {
 		pt, rep := locate(offsets, task)
 		p := &points[pt]
@@ -287,16 +288,14 @@ func locate(offsets []int, task int) (pt, rep int) {
 }
 
 // chunkPoints is how many consecutive points one worker claims at a time
-// in prepare: large enough that three slab allocations and one atomic add
+// in prepare: large enough that two slab allocations and one atomic add
 // vanish per point, small enough that a 10⁴-point grid still spreads over
 // every worker.
 const chunkPoints = 1024
 
 // pointWorker is what one goroutine of prepare owns for the whole sweep:
-// the closed-form arena, the Evaluation it fills, and the scratch Config
-// each point is defaulted and validated in (once, in place).
+// the closed-form arena and the Evaluation it fills.
 type pointWorker struct {
-	cfg       simsrv.Config
 	evaluator analytic.Evaluator
 	ev        analytic.Evaluation
 }
@@ -353,8 +352,11 @@ func (e *Engine) prepareChunk(w *pointWorker, points []Point, out []*simsrv.Aggr
 		if err != nil {
 			return fmt.Errorf("sweep: point %d: %w", i, err)
 		}
-		w.cfg = p.Cfg
-		if err := w.cfg.Prepare(); err != nil {
+		// The defaulted copy stays on the stack: a heap copy of the
+		// pointerful Config would pay write barriers on every point while
+		// the GC is marking.
+		cfg := p.Cfg
+		if err := cfg.Prepare(); err != nil {
 			return fmt.Errorf("sweep: point %d: %w", i, err)
 		}
 		if e.Kind == DES {
@@ -364,7 +366,7 @@ func (e *Engine) prepareChunk(w *pointWorker, points []Point, out []*simsrv.Aggr
 		if p.Policy != "" {
 			named = &pol
 		}
-		closed, err := e.evalPoint(w, p, named)
+		closed, err := e.evalPoint(w, p, &cfg, named)
 		if err != nil {
 			return fmt.Errorf("sweep: point %d: %w", i, err)
 		}
@@ -378,18 +380,18 @@ func (e *Engine) prepareChunk(w *pointWorker, points []Point, out []*simsrv.Aggr
 	return nil
 }
 
-// evalPoint routes one validated point (w.cfg): true when the closed
-// forms answered it into w.ev, false to fall back to the DES in Auto
-// mode, or an error (always in Analytic mode, where simulation is
+// evalPoint routes one point p, defaulted and validated as cfg: true when
+// the closed forms answered it into w.ev, false to fall back to the DES
+// in Auto mode, or an error (always in Analytic mode, where simulation is
 // refused).
-func (e *Engine) evalPoint(w *pointWorker, p *Point, pol *core.Policy) (bool, error) {
+func (e *Engine) evalPoint(w *pointWorker, p *Point, cfg *simsrv.Config, pol *core.Policy) (bool, error) {
 	if reason := p.needsDES(); reason != "" {
 		if e.Kind == Analytic {
 			return false, fmt.Errorf("%w: %s", analytic.ErrNeedsSimulation, reason)
 		}
 		return false, nil
 	}
-	if err := w.evaluator.EvaluatePrepared(&w.ev, &w.cfg, pol); err != nil {
+	if err := w.evaluator.EvaluatePrepared(&w.ev, cfg, pol); err != nil {
 		if e.Kind == Auto && errors.Is(err, analytic.ErrNeedsSimulation) {
 			return false, nil
 		}
@@ -399,12 +401,11 @@ func (e *Engine) evalPoint(w *pointWorker, p *Point, pol *core.Policy) (bool, er
 }
 
 // slab backs the closed-form aggregates of one chunk: the Aggregate
-// structs, their four float vectors per point, and their ratio summaries
-// are three allocations per chunk instead of six per point.
+// structs and their four float vectors per point are two allocations per
+// chunk instead of five per point.
 type slab struct {
 	aggs   []simsrv.Aggregate
 	floats []float64
-	sums   []stats.Summary
 }
 
 // newSlab sizes a slab for every point of rest taking the closed form.
@@ -416,17 +417,16 @@ func newSlab(rest []Point) slab {
 	return slab{
 		aggs:   make([]simsrv.Aggregate, len(rest)),
 		floats: make([]float64, 4*classes),
-		sums:   make([]stats.Summary, classes),
 	}
 }
 
 // take carves the next Aggregate off the slab and shapes ev as a single
 // exact "replication": the means ARE the stationary values, the
-// confidence intervals are zero-width, the per-window ratio summaries
-// stay empty (no windows were simulated) and no DES events were processed
-// — which is also how callers can tell an analytic point from a simulated
-// one. Every slice is cut with cap == len, so an append on one aggregate
-// cannot write into its neighbour.
+// confidence intervals are zero-width, RatioSummaries stays nil (no
+// window was simulated) and no DES events were processed — which is also
+// how callers can tell an analytic point from a simulated one. Every
+// slice is cut with cap == len, so an append on one aggregate cannot
+// write into its neighbour.
 func (s *slab) take(ev *analytic.Evaluation) *simsrv.Aggregate {
 	nc := len(ev.Slowdowns)
 	agg := &s.aggs[0]
@@ -438,8 +438,6 @@ func (s *slab) take(ev *analytic.Evaluation) *simsrv.Aggregate {
 	agg.CI95 = f[1*nc : 2*nc : 2*nc]
 	agg.ExpectedSlowdowns = f[2*nc : 3*nc : 3*nc]
 	agg.MeanRatios = f[3*nc : 4*nc : 4*nc]
-	agg.RatioSummaries = s.sums[:nc:nc]
-	s.sums = s.sums[nc:]
 	agg.SystemSlowdown = ev.SystemSlowdown
 	copy(agg.MeanSlowdowns, ev.Slowdowns)
 	copy(agg.ExpectedSlowdowns, ev.Slowdowns)
