@@ -136,18 +136,14 @@
 // aggregation. BenchmarkReplication (root package) runs full
 // paper-fidelity replications through one arena and gates allocs/event
 // (< 0.01, both server models) and allocs/replication (< 10);
-// BenchmarkFigureSweep tracks full-figure throughput; cmd/psdbench runs
-// the same scenarios — plus control-tick and obs-hotpath scenarios
-// gating the shared control plane and the fully instrumented request
-// path (metrics + flight recorder) at zero allocations, and a
-// live-contention scenario storming the live server's sharded front
-// door at GOMAXPROCS=1 vs min(NumCPU,8) with a 0.01 allocs/request
-// gate, and an analytic-sweep scenario gating the closed-form fast path
-// (internal/analytic via the sweep router) at >= 100x over the DES
-// sweep and < 0.01 allocs/point — writes the committed BENCH_psd.json
-// baseline, and in -compare mode turns a breached allocation or
-// speedup-ratio gate into a non-zero exit (CI runs it; throughput
-// against the baseline's machine is printed, not gated).
+// BenchmarkFigureSweep gates a reduced Figure 2 grid at < 25
+// allocs/replication, BenchmarkPolicyTournament every registered policy
+// at <= 0.01, and BenchmarkAnalyticSweep the closed-form fast path at
+// zero allocations and >= 100x the DES timed in the same process. The
+// control loop, the instrumented request path and the live server's
+// sharded front door carry the same <= 0.01 allocation gates in their
+// packages' tests and benchmarks; CI runs every gate on each push, and
+// the bench/ harness measures end-to-end throughput.
 // For stationary fixed-rate points, EvaluateAnalytic (or -engine auto
 // on the CLIs) skips simulation entirely and returns the paper's
 // closed forms exactly.

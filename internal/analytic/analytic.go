@@ -31,8 +31,8 @@
 //
 // The evaluator itself is an arena: Evaluator.EvaluateInto reuses every
 // slice it owns, so a warm evaluation performs zero heap allocations
-// (cmd/psdbench gates this at 0.01 allocs/point, like every other hot
-// path in the repo).
+// (BenchmarkAnalyticSweep gates this at 0.01 allocs/point, like every
+// other hot path in the repo).
 package analytic
 
 import (

@@ -171,8 +171,8 @@ func validSlowdowns(v []float64) bool {
 //
 // A Loop is a reusable arena: Reset re-dimensions it for a new
 // configuration reusing all retained buffers, and a steady-state Tick
-// performs no heap allocation (gated by cmd/psdbench's control-tick
-// scenario and httpsrv's BenchmarkReallocate). A Loop is not safe for
+// performs no heap allocation (gated by TestLoopTickAllocFree and
+// httpsrv's BenchmarkReallocate). A Loop is not safe for
 // concurrent use; callers serialize access (the simulator is
 // single-goroutine, httpsrv wraps it in a mutex).
 type Loop struct {

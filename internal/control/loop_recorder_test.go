@@ -130,7 +130,8 @@ func TestLoopResetReusesRecorder(t *testing.T) {
 
 // TestLoopTickAllocFreeWithRecorder extends the loop's zero-allocation
 // guarantee to the instrumented path: a Tick that also flight-records
-// must not allocate.
+// must not allocate, neither repeated on one 2-class input nor over a
+// block of 10 000 varying 8-class ticks (at most 0.01 allocs/tick).
 func TestLoopTickAllocFreeWithRecorder(t *testing.T) {
 	rec, err := obs.NewFlightRecorder(2, 64)
 	if err != nil {
@@ -156,5 +157,20 @@ func TestLoopTickAllocFreeWithRecorder(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("instrumented Tick allocates %v per call", allocs)
+	}
+
+	if rec, err = obs.NewFlightRecorder(len(eightDeltas), 256); err != nil {
+		t.Fatal(err)
+	}
+	cfg = loopConfig(eightDeltas)
+	cfg.Window = 1000
+	cfg.Feedback = true
+	cfg.Recorder = rec
+	if lp, err = NewLoop(cfg); err != nil {
+		t.Fatal(err)
+	}
+	const ticks = 10_000
+	if n := tickBlockAllocs(t, lp, eightDeltas, ticks); n > 0.01*ticks {
+		t.Fatalf("instrumented 8-class Tick: %.0f allocations over %d ticks, want ≤ %.0f", n, ticks, 0.01*ticks)
 	}
 }

@@ -368,8 +368,42 @@ func TestLoopResetReuse(t *testing.T) {
 	}
 }
 
+// eightDeltas is the 8-class differentiation ladder the block allocation
+// gates tick.
+var eightDeltas = []float64{1, 2, 3, 4, 6, 8, 12, 16}
+
+// tickBlockAllocs ticks lp `ticks` times as one measured run, with counts,
+// work and measured slowdowns that vary per tick and class, and returns the
+// mallocs of the whole block (after one warm-up block). AllocsPerRun
+// divides by its run count in integers, so a gate over n runs passes up to
+// n−1 allocations; a single run over a block truncates nothing, and a gate
+// at 0.01 × ticks holds the loop to 0.01 allocs/tick.
+func tickBlockAllocs(t *testing.T, lp *Loop, deltas []float64, ticks int) float64 {
+	t.Helper()
+	nc := len(deltas)
+	counts := make([]float64, nc)
+	work := make([]float64, nc)
+	slows := make([]float64, nc)
+	meanSize := testWorkload().MeanSize
+	k := 0
+	return testing.AllocsPerRun(1, func() {
+		for end := k + ticks; k < end; k++ {
+			for i := range counts {
+				counts[i] = float64(200 + (k*7+i*13)%120)
+				work[i] = counts[i] * meanSize
+				slows[i] = deltas[i] * float64(1+(k+i)%3)
+			}
+			if _, err := lp.Tick(TickInput{Counts: counts, Work: work, MeasuredSlowdowns: slows}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
 // TestLoopTickAllocFree gates the loop's zero-allocation contract on the
-// steady-state tick (both estimator kinds, feedback on).
+// steady-state tick (both estimator kinds, feedback on): 0 allocs/tick
+// over 200 repeated 4-class ticks, and at most 0.01 allocs/tick over a
+// block of 10 000 varying 8-class ticks.
 func TestLoopTickAllocFree(t *testing.T) {
 	for _, kind := range []EstimatorKind{Window, EWMA} {
 		cfg := loopConfig([]float64{1, 2, 4, 8})
@@ -393,6 +427,18 @@ func TestLoopTickAllocFree(t *testing.T) {
 		})
 		if avg != 0 {
 			t.Errorf("%v: %.2f allocs/tick, want 0", kind, avg)
+		}
+
+		cfg = loopConfig(eightDeltas)
+		cfg.Window = 1000
+		cfg.Estimator = kind
+		cfg.Feedback = true
+		if lp, err = NewLoop(cfg); err != nil {
+			t.Fatal(err)
+		}
+		const ticks = 10_000
+		if n := tickBlockAllocs(t, lp, eightDeltas, ticks); n > 0.01*ticks {
+			t.Errorf("%v: %.0f allocations over %d 8-class ticks, want ≤ %.0f", kind, n, ticks, 0.01*ticks)
 		}
 	}
 }

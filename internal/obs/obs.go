@@ -8,10 +8,10 @@
 // FlightRecorder.Record — perform no heap allocation and take no locks
 // beyond a single uncontended mutex (the recorder), so instrumenting the
 // live server's ServeHTTP path and the shared control tick does not move
-// the allocs/event and allocs/tick gates (cmd/psdbench's obs-hotpath
-// scenario pins both at zero). All registration and snapshot/exposition
-// machinery is allowed to allocate: it runs at setup time or on a scrape,
-// never per event.
+// the allocs/event and allocs/tick gates (TestHotPathAllocationFree and
+// control's TestLoopTickAllocFreeWithRecorder). All registration and
+// snapshot/exposition machinery is allowed to allocate: it runs at setup
+// time or on a scrape, never per event.
 //
 // Histograms bin into geometrically spaced power-of-two buckets (bucket i
 // covers [2^(first+i), 2^(first+i+1))) so Observe is one exponent

@@ -218,6 +218,30 @@ func TestHotPathAllocationFree(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("hot path allocates %v per run", allocs)
 	}
+
+	// The served-request pattern of the live server's per-class catalog,
+	// as one block of events: AllocsPerRun truncates its per-run average
+	// to an integer, so only a single run over a block holds the path to
+	// 0.01 allocs/event.
+	const classes, events = 8, 10_000
+	r := NewRegistry()
+	slow := r.HistogramVec("hot_slowdown", "", "class", classes, -7, 21)
+	lat := r.HistogramVec("hot_latency_seconds", "", "class", classes, -13, 21)
+	served := r.CounterVec("hot_served_total", "", "class", classes)
+	work := r.FloatCounterVec("hot_work_total", "", "class", classes)
+	block := testing.AllocsPerRun(1, func() {
+		for k := 0; k < events; k++ {
+			class := k % classes
+			v := float64(1+k%97) * 0.125
+			slow.At(class).Observe(v)
+			lat.At(class).Observe(v * 0.01)
+			served.At(class).Inc()
+			work.At(class).Add(v)
+		}
+	})
+	if block > 0.01*events {
+		t.Fatalf("per-class hot path: %.0f allocations over %d events, want ≤ %.0f", block, events, 0.01*events)
+	}
 }
 
 func TestRegistryPanicsOnBadNames(t *testing.T) {

@@ -47,7 +47,7 @@ type Aggregate struct {
 	// AllocFailures totals allocator fallbacks across runs.
 	AllocFailures int
 	// EventsProcessed totals DES events across runs (for throughput
-	// accounting — see cmd/psdbench).
+	// accounting).
 	EventsProcessed uint64
 }
 

@@ -1,6 +1,6 @@
 // Package sweep shards whole scenario grids across a fixed worker pool of
 // reusable simulation arenas. A grid — the unit internal/figures and
-// cmd/psdbench actually execute — is a list of Points, each a simsrv
+// cmd/psdsim actually execute — is a list of Points, each a simsrv
 // configuration with a replication count; every figure of the paper's
 // evaluation is (load sweep × class mix × replications), i.e. thousands
 // of replications whose per-run construction cost and aggregation memory
