@@ -240,8 +240,11 @@ func BenchmarkAblationPacketized(b *testing.B) {
 // one full paper-fidelity replication (10,000 tu warmup + 60,000 tu
 // measured, §4.1) per iteration through a reusable Simulator arena, over
 // both service models and both arrival sources of the one simsrv runner:
-// the 2-, 5- and 8-class partitioned task servers, their work-conserving
-// variant, the packetized SCFQ server and trace replay. It reports:
+// the 2-, 5- and 8-class partitioned task servers, the 8-class ones under
+// a control tick every 10 tu (a flash crowd, feedback and the downgrading
+// ladder), their work-conserving variant, the packetized SCFQ server and
+// trace replay. The partitioned cases step each class alone between
+// control ticks; the others run the global event scan. It reports:
 //
 //	events/s      DES events executed per wall-clock second
 //	ns/event      inverse of the above
@@ -267,10 +270,12 @@ func BenchmarkReplication(b *testing.B) {
 		packetized bool
 		workCons   bool
 		trace      bool
+		transient  bool
 	}{
 		{name: "2class", deltas: []float64{1, 4}, load: 0.6},
 		{name: "5class", deltas: []float64{1, 2, 4, 8, 16}, load: 0.8},
 		{name: "8class", deltas: []float64{1, 2, 3, 4, 6, 8, 12, 16}, load: 0.9},
+		{name: "8class-transient", deltas: []float64{1, 2, 3, 4, 6, 8, 12, 16}, load: 0.5, transient: true},
 		{name: "2class-workcons", deltas: []float64{1, 4}, load: 0.6, workCons: true},
 		{name: "2class-packetized", deltas: []float64{1, 4}, load: 0.6, packetized: true},
 		{name: "2class-trace", deltas: []float64{1, 2}, load: 0.6, trace: true},
@@ -280,6 +285,12 @@ func BenchmarkReplication(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			cfg := simsrv.EqualLoadConfig(tc.deltas, tc.load, nil)
 			cfg.WorkConserving = tc.workCons
+			if tc.transient {
+				cfg.Window = 10
+				cfg.LoadSchedule = simsrv.FlashCrowd(30000, 12000, 1.4)
+				cfg.Feedback = true
+				cfg.Allocator = core.Downgrading{}
+			}
 			var trace []simsrv.TraceRequest
 			if tc.trace {
 				// The determinism goldens' synthetic trace, stretched to

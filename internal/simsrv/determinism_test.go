@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"psd/internal/control"
+	"psd/internal/core"
 )
 
 // Determinism goldens. Each scenario runs one seeded replication and
@@ -19,11 +20,12 @@ import (
 // seeded replication is exactly reproducible.
 //
 // The scenarios cover every execution mode the engine has: the plain
-// partitioned model (2 and 5 classes), the GPS-style work-conserving
-// ablation, the packetized SCFQ server, and trace-driven replay, under
-// both estimators.
+// partitioned model (2 and 5 classes stationary, 8 classes through a
+// flash crowd with feedback and the ladder), the GPS-style
+// work-conserving ablation, the packetized SCFQ server, and trace-driven
+// replay, under both estimators.
 //
-// The six Poisson-driven scenarios depend on the variate samplers in
+// The seven Poisson-driven scenarios depend on the variate samplers in
 // internal/rng and internal/dist, so their expected values are data:
 // testdata/goldens_v2.json, rewritten from this binary's own output by
 //
@@ -166,6 +168,24 @@ func TestGoldenDeterminismPlain5(t *testing.T) {
 	cfg.Seed = 42
 	res, err := Run(cfg)
 	checkGoldenFile(t, "plain5", res, err)
+}
+
+// TestGoldenDeterminismTransient8 pins a partitioned run whose control
+// plane moves: a flash crowd switching on and off at tick multiples (so
+// phase switch and control tick share an instant), EWMA estimation, the
+// feedback trim and the downgrading allocator's ladder.
+func TestGoldenDeterminismTransient8(t *testing.T) {
+	cfg := EqualLoadConfig([]float64{1, 2, 3, 4, 6, 8, 12, 16}, 0.8, nil)
+	cfg.Window = 250
+	cfg.Warmup = 1000
+	cfg.Horizon = 8000
+	cfg.Seed = 19
+	cfg.LoadSchedule = FlashCrowd(3000, 1500, 1.4)
+	cfg.Feedback = true
+	cfg.Estimator = control.EWMA
+	cfg.Allocator = core.Downgrading{}
+	res, err := Run(cfg)
+	checkGoldenFile(t, "transient8", res, err)
 }
 
 func TestGoldenDeterminismWorkConserving(t *testing.T) {

@@ -37,6 +37,14 @@
 // allocations per run. Run, RunTrace, RunPacketized and RunReplications
 // are conveniences over that arena; internal/sweep shards whole scenario
 // grids over a pool of them.
+//
+// Between two control boundaries (tick, phase switch, end of run) the
+// partitioned model is N independent M/G/1 queues, and RunInto steps it
+// that way: one class at a time through its own arrivals and
+// completions, then the boundary. The shared-server models, admission,
+// trace replay and request recording couple the classes at every event
+// and run one global (time, seq) scan instead. Both give the same Result
+// to the last bit (FuzzClassSteppingVsScan).
 package simsrv
 
 import (
@@ -388,7 +396,10 @@ type serviceModel interface {
 // arrival (none under trace replay), [compBase, tickRole) the model's
 // completions, then the control tick, the LoadSchedule phase switch and
 // (replay only) the trace cursor. Arming one costs no allocation, and
-// every buffer the runner owns survives reset().
+// every buffer the runner owns survives reset(). The roles fire in one of
+// two steppings: runByClass, when classesIndependent holds, takes class i's
+// pair (i, compBase+i) alone up to the next boundary role; otherwise one
+// sim.RunUntil scans every role in global (time, seq) order.
 type runner struct {
 	cfg      Config
 	sim      des.Slots
@@ -580,6 +591,43 @@ func (r *runner) start() {
 	}
 	r.sim.SetAfter(r.tickRole, r.cfg.Window)
 	r.armPhase()
+}
+
+// classesIndependent reports whether the armed run's classes share no
+// state between control boundaries: Poisson arrivals into strictly
+// partitioned task servers, with no admission gate (its budget spans
+// classes) and no request records (one list in completion order). Each
+// class then owns its streams, its statistics, its Loop.Observe counters
+// and its task server, and only the tick and the phase switch read across
+// classes.
+func (r *runner) classesIndependent() bool {
+	_, tasks := r.model.(*taskServers)
+	return tasks && r.trace == nil && !r.cfg.WorkConserving &&
+		r.cfg.Admission == nil && !r.cfg.RecordRequests
+}
+
+// runByClass is sim.RunUntil(total) for a run whose classes are
+// independent between boundaries, the earliest of the tick, the phase
+// switch and the run's end. Up to each boundary it steps one class at a
+// time, in index order, through its arrival and completion roles lying
+// strictly before it; RunUntil then fires the boundary and anything else
+// at that instant in (time, seq) order. The result is bit-identical to
+// the global scan: within a class both paths fire the same events in the
+// same order, and a class role and a boundary role are armed in the same
+// relative order on both paths, so a tie at the boundary breaks the same
+// way.
+func (r *runner) runByClass() {
+	for {
+		bound := math.Min(r.sim.At(r.tickRole), r.sim.At(r.tickRole+1))
+		bound = math.Min(bound, r.total)
+		for i := range r.classes {
+			r.sim.RunPairBefore(i, r.compBase+i, bound, r)
+		}
+		r.sim.RunUntil(bound, r)
+		if bound == r.total {
+			return
+		}
+	}
 }
 
 // armArrival draws class i's next Poisson arrival, replacing a pending

@@ -43,6 +43,9 @@ type Simulator struct {
 	// validates it once instead of O(len) per reset.
 	validatedTrace        []TraceRequest
 	validatedTraceClasses int
+	// scanOnly makes RunInto take the global event scan even for a run
+	// whose classes could be stepped alone; the differential tests set it.
+	scanOnly bool
 }
 
 // prepare is the arming every Reset* shares: apply defaults, validate,
@@ -121,13 +124,20 @@ func (s *Simulator) ResetPacketized(pc PacketizedConfig, seed uint64) error {
 // RunInto executes the armed replication and writes its outcome into res,
 // reusing res's buffers. Each Reset* arms exactly one RunInto; calling it
 // again without resetting is an error (the arena's state is consumed).
+// A Reset run whose classes stay independent between control boundaries
+// is stepped one class at a time (runByClass); every other run takes the
+// global event scan. The Result is the same either way.
 func (s *Simulator) RunInto(res *Result) error {
 	if !s.armed {
 		return errors.New("simsrv: RunInto requires a prior Reset (each Reset arms one run)")
 	}
 	s.armed = false
 	s.run.start()
-	s.run.sim.RunUntil(s.run.total, &s.run)
+	if s.run.classesIndependent() && !s.scanOnly {
+		s.run.runByClass()
+	} else {
+		s.run.sim.RunUntil(s.run.total, &s.run)
+	}
 	s.run.collectInto(res)
 	return nil
 }
