@@ -55,9 +55,8 @@
 //	                   keep common random numbers)
 //	internal/des       allocation-free discrete-event core: Slots, the
 //	                   fixed-role event set the simulator runs (linear
-//	                   scan over ≤ 2N+3 roles, or one role pair stepped
-//	                   alone), and Simulator, the general 4-ary value
-//	                   heap kept as its reference
+//	                   scan over ≤ 2N+3 roles), and Simulator, the
+//	                   general 4-ary value heap kept as its reference
 //	internal/stats     streaming moments, window series, P² quantiles
 //	internal/sched     the packetized disciplines on one value heap: SCFQ
 //	                   (PGPS family) and the size-aware heSRPT (weighted
@@ -135,10 +134,11 @@
 // points, which internal/sweep shards across a pool of reusable
 // simulation arenas (simsrv.Simulator) with streaming Welford+P²
 // aggregation. Between control ticks the partitioned model is N
-// independent queues, and the simulator steps it one class at a time
-// there instead of scanning every class's pending events per event; the
-// coupled models keep the global scan, and both give bit-identical
-// results. BenchmarkReplication (root package) runs full
+// independent FCFS queues at fixed rates, and the simulator steps it one
+// class at a time there, finishing each request when it arrives
+// (Lindley's recursion) unless it crosses the next tick, instead of
+// scheduling it through the event set; the coupled models keep the
+// global scan, and both give bit-identical results. BenchmarkReplication (root package) runs full
 // paper-fidelity replications through one arena and gates allocs/event
 // (< 0.01, both server models) and allocs/replication (< 10);
 // BenchmarkFigureSweep gates a reduced Figure 2 grid at < 25

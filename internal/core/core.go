@@ -103,6 +103,11 @@ type Allocation struct {
 // malformed inputs.
 var ErrInfeasible = errors.New("core: infeasible allocation")
 
+// errOverloaded is the ρ ≥ 1 refusal. A control loop meets it on every
+// tick of a sustained overload, so it is built once rather than formatted
+// per call.
+var errOverloaded = fmt.Errorf("%w: utilization >= 1", ErrInfeasible)
+
 // Allocator computes a rate split for the given classes and workload.
 // Implementations must return rates summing to ≤ 1 with r_i > λ_iE[X] for
 // every class with λ_i > 0, or an error.
@@ -176,7 +181,7 @@ func validateClasses(classes []Class, w Workload) (rho float64, err error) {
 		rho += c.Lambda * w.MeanSize
 	}
 	if rho >= 1 {
-		return 0, fmt.Errorf("%w: utilization %.4f >= 1", ErrInfeasible, rho)
+		return 0, errOverloaded
 	}
 	return rho, nil
 }

@@ -62,7 +62,7 @@ func (HeterogeneousPSD) AllocatePerClass(classes []Class, workloads []Workload) 
 		rho += c.Lambda * workloads[i].MeanSize
 	}
 	if rho >= 1 {
-		return Allocation{}, fmt.Errorf("%w: utilization %.4f >= 1", ErrInfeasible, rho)
+		return Allocation{}, errOverloaded
 	}
 
 	// Σ_j λ_j·C_j/δ_j — the δ- and burstiness-scaled demand.

@@ -14,9 +14,9 @@ var inf = math.Inf(1)
 
 // Slots is a pending-event set for a model whose events are a fixed set of
 // roles, each pending at most once. RunUntil fires them in global (time,
-// seq) order; RunPairBefore steps two of them alone, for a model whose
-// roles fall into groups that are independent between boundaries. The
-// zero value is an empty set at time 0; Reset sizes it.
+// seq) order; a model that advances some roles itself between two
+// RunUntil calls reads them with At and writes them back with Set and
+// Clear. The zero value is an empty set at time 0; Reset sizes it.
 type Slots struct {
 	now       float64
 	next      uint64 // the seq the next Set consumes
@@ -72,28 +72,6 @@ func (s *Slots) Clear(role int) { s.time[role] = inf }
 
 // At returns the time role is armed for (+Inf when idle).
 func (s *Slots) At(role int) float64 { return s.time[role] }
-
-// RunPairBefore fires roles a and b alone, in (time, seq) order, while the
-// earlier of them lies strictly before bound; every other role is left
-// pending. It is for a model whose roles fall into groups that share no
-// state until bound, so each group can be stepped alone: the clock moves
-// to each fired role's time, backward too when the previous group ran
-// further ahead. Like RunUntil, a role is disarmed before h sees it.
-func (s *Slots) RunPairBefore(a, b int, bound float64, h RoleHandler) {
-	for {
-		role, at := a, s.time[a]
-		if t := s.time[b]; t < at || (t == at && s.seq[b] < s.seq[a]) {
-			role, at = b, t
-		}
-		if !(at < bound) {
-			return
-		}
-		s.now = at
-		s.time[role] = inf
-		s.processed++
-		h.HandleRole(role)
-	}
-}
 
 // RunUntil fires armed roles in (time, seq) order until the next one lies
 // beyond horizon (one at exactly horizon fires) and leaves the clock at

@@ -324,76 +324,3 @@ func TestSlotsSteadyStateNoAlloc(t *testing.T) {
 		t.Fatalf("Reset beyond capacity allocates %v, want its 2 slices", allocs)
 	}
 }
-
-// TestRunPairBeforeMatchesRunUntil steps groups of two roles alone up to a
-// boundary role, the way simsrv steps its classes between control ticks,
-// and requires every group to see the same firings as under one RunUntil.
-// A group's handler re-arms only its own roles, drawing from its own
-// stream; the boundary re-arms one role of every group from a stream of
-// its own. Delays on a grid of quarters collide constantly, within a
-// group and with the boundary.
-func TestRunPairBeforeMatchesRunUntil(t *testing.T) {
-	const groups, horizon = 3, 40.0
-	bound := 2 * groups
-	run := func(seed uint64, stepped bool) ([][]firing, uint64) {
-		var s Slots
-		srcs := make([]rng.Source, groups+1)
-		for g := range srcs {
-			srcs[g].Reseed(seed*16 + uint64(g))
-		}
-		delay := func(src *rng.Source) float64 {
-			if src.Uint64()%4 == 0 {
-				return src.ExpFloat64(1)
-			}
-			return float64(src.Uint64()%9) / 4
-		}
-		log := make([][]firing, groups+1)
-		h := roleFunc(func(role int) {
-			g := role / 2
-			log[g] = append(log[g], firing{s.Now(), role})
-			src := &srcs[g]
-			if role == bound {
-				for k := 0; k < groups; k++ {
-					s.SetAfter(2*k+int(src.Uint64()%2), delay(src))
-				}
-				s.SetAfter(bound, 1+float64(src.Uint64()%4)/2)
-				return
-			}
-			switch src.Uint64() % 4 {
-			case 0:
-				s.Clear(role ^ 1)
-			case 1:
-				s.SetAfter(role^1, delay(src))
-			}
-			if d := delay(src); d > 0 || src.Uint64()%2 == 0 {
-				s.SetAfter(role, d)
-			}
-		})
-		s.Reset(bound + 1)
-		for role := 0; role < bound; role++ {
-			s.Set(role, delay(&srcs[role/2]))
-		}
-		s.Set(bound, 1)
-		if !stepped {
-			s.RunUntil(horizon, h)
-			return log, s.Processed()
-		}
-		for {
-			b := math.Min(s.At(bound), horizon)
-			for g := 0; g < groups; g++ {
-				s.RunPairBefore(2*g, 2*g+1, b, h)
-			}
-			s.RunUntil(b, h)
-			if b == horizon {
-				return log, s.Processed()
-			}
-		}
-	}
-	for seed := uint64(0); seed < 200; seed++ {
-		want, wantN := run(seed, false)
-		got, gotN := run(seed, true)
-		if !reflect.DeepEqual(got, want) || gotN != wantN {
-			t.Fatalf("seed %d: stepped pairs differ from RunUntil\nstepped %v (%d fired)\nscan    %v (%d fired)", seed, got, gotN, want, wantN)
-		}
-	}
-}

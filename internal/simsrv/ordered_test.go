@@ -34,7 +34,7 @@ func runOrderedWithin(t *testing.T, d time.Duration, total, workers int, run fun
 // once the head is released. Run with -race -cpu 2,4,8.
 func TestRunOrderedStalledHead(t *testing.T) {
 	for _, workers := range []int{2, 3, 4, 8} {
-		poolSize := 2 * workers
+		poolSize := resultsPerWorker * workers
 		total := 6*poolSize + 1
 		var started, finished atomic.Int64
 		run := func(_ *Simulator, res *Result, task int) error {

@@ -89,7 +89,7 @@ func (p *processor) dispatch() {
 }
 
 func (p *processor) complete(int) {
-	p.r.served(p.curClass, p.curSize, p.curArrival, p.curStart, p.curSize)
+	p.r.served(p.r.sim.Now(), p.curClass, p.curSize, p.curArrival, p.curStart, p.curSize)
 	p.dispatch()
 }
 

@@ -265,6 +265,14 @@ func RunReplications(cfg Config, n int) (*Aggregate, error) {
 	return agg.Aggregate()
 }
 
+// resultsPerWorker sizes RunOrdered's Result pool, and with it how far
+// the other workers can run ahead of the task the consumer waits for.
+// When that task's worker is descheduled (a host preempting its CPU), the
+// others stop once the pool is parked in the reorder buffer, so the slack
+// must cover a stall of some milliseconds even when a replication takes
+// well under one.
+const resultsPerWorker = 8
+
 // RunOrdered is the replication pipeline under RunReplications and
 // sweep.Engine: it runs tasks 0..total−1 on at most workers goroutines,
 // each owning one reusable Simulator arena, and hands every finished
@@ -302,7 +310,7 @@ func RunOrdered(total, workers int, run func(sim *Simulator, res *Result, task i
 		res  *Result
 		err  error
 	}
-	poolSize := 2 * workers
+	poolSize := resultsPerWorker * workers
 	// recycle and out each hold every pooled Result at once, so neither
 	// the consumer returning a Result nor a worker delivering one blocks.
 	recycle := make(chan *Result, poolSize)

@@ -39,12 +39,14 @@
 // grids over a pool of them.
 //
 // Between two control boundaries (tick, phase switch, end of run) the
-// partitioned model is N independent M/G/1 queues, and RunInto steps it
-// that way: one class at a time through its own arrivals and
-// completions, then the boundary. The shared-server models, admission,
-// trace replay and request recording couple the classes at every event
-// and run one global (time, seq) scan instead. Both give the same Result
-// to the last bit (FuzzClassSteppingVsScan).
+// partitioned model is N independent M/G/1 FCFS queues at fixed rates,
+// and RunInto steps it that way: one class at a time, finishing each
+// request when it arrives by Lindley's recursion (start = max(arrival,
+// server free), completion = start + size/rate) unless it would cross the
+// boundary, then the boundary through the event set. The shared-server
+// models, admission, trace replay and request recording couple the
+// classes at every event and run one global (time, seq) scan instead.
+// Both give the same Result to the last bit (FuzzClassSteppingVsScan).
 package simsrv
 
 import (
@@ -303,7 +305,10 @@ type Result struct {
 	// AllocFailures counts windows where the allocator errored and the
 	// previous rates were retained.
 	AllocFailures int
-	// EventsProcessed is the DES event count (for performance tracking).
+	// EventsProcessed counts model events — arrivals, completions, control
+	// ticks, phase switches, trace entries — whether the event set fired
+	// them or the partitioned model's class stepping handled them in place
+	// (for performance tracking; the two count alike).
 	EventsProcessed uint64
 	// LadderEngagedAt is the sim time the downgrading allocator's
 	// degradation ladder first stepped off level 0 (NaN when the run used
@@ -397,9 +402,10 @@ type serviceModel interface {
 // completions, then the control tick, the LoadSchedule phase switch and
 // (replay only) the trace cursor. Arming one costs no allocation, and
 // every buffer the runner owns survives reset(). The roles fire in one of
-// two steppings: runByClass, when classesIndependent holds, takes class i's
-// pair (i, compBase+i) alone up to the next boundary role; otherwise one
-// sim.RunUntil scans every role in global (time, seq) order.
+// two steppings: runByClass, when classesIndependent holds, advances class
+// i's pair (i, compBase+i) alone up to the next boundary role, outside the
+// event set; otherwise one sim.RunUntil scans every role in global (time,
+// seq) order.
 type runner struct {
 	cfg      Config
 	sim      des.Slots
@@ -412,7 +418,8 @@ type runner struct {
 	traceIdx int            // next trace entry to arrive
 	phaseIdx int            // next LoadSchedule phase to apply
 
-	compBase, tickRole int // role layout, see above
+	compBase, tickRole int    // role layout, see above
+	stepped            uint64 // model events runByClass handled outside r.sim
 
 	// Reallocation scratch, reused every window tick (the loop owns its
 	// own estimator/allocator buffers; these feed its Tick inputs).
@@ -489,7 +496,7 @@ func (r *runner) reset(cfg *Config, w core.Workload, model serviceModel, trace [
 		// rates, so replay runs without phases.
 		r.cfg.LoadSchedule = nil
 	}
-	r.traceIdx, r.phaseIdx = 0, 0
+	r.traceIdx, r.phaseIdx, r.stepped = 0, 0, 0
 	r.reallocOK = 0
 	r.reallocFail = 0
 	r.records = r.records[:0]
@@ -608,20 +615,24 @@ func (r *runner) classesIndependent() bool {
 
 // runByClass is sim.RunUntil(total) for a run whose classes are
 // independent between boundaries, the earliest of the tick, the phase
-// switch and the run's end. Up to each boundary it steps one class at a
-// time, in index order, through its arrival and completion roles lying
-// strictly before it; RunUntil then fires the boundary and anything else
-// at that instant in (time, seq) order. The result is bit-identical to
-// the global scan: within a class both paths fire the same events in the
-// same order, and a class role and a boundary role are armed in the same
+// switch and the run's end. Up to each boundary the class kernel
+// (taskServers.stepClass) advances one class at a time, in index order,
+// through its arrivals and completions strictly before it, finishing each
+// request when it arrives unless the request crosses the boundary, and
+// writes the class's two roles back to the event set; RunUntil then fires
+// the boundary and anything else at that instant in (time, seq) order.
+// The result is bit-identical to the global scan: within a class both
+// paths serve the same requests in the same order at the same float
+// times, and a class role and a boundary role are armed in the same
 // relative order on both paths, so a tie at the boundary breaks the same
 // way.
 func (r *runner) runByClass() {
+	m := r.model.(*taskServers)
 	for {
 		bound := math.Min(r.sim.At(r.tickRole), r.sim.At(r.tickRole+1))
 		bound = math.Min(bound, r.total)
 		for i := range r.classes {
-			r.sim.RunPairBefore(i, r.compBase+i, bound, r)
+			r.stepped += m.stepClass(i, bound)
 		}
 		r.sim.RunUntil(bound, r)
 		if bound == r.total {
@@ -663,12 +674,11 @@ func (r *runner) shed(class int, size, now float64) bool {
 	return true
 }
 
-// served records one finished request. service is the time it occupied
-// its server: completion − start on a paced task server, the size itself
-// on the full-speed processor.
-func (r *runner) served(class int, size, arrival, start, service float64) {
+// served records one request finished at now. service is the time it
+// occupied its server: completion − start on a paced task server, the
+// size itself on the full-speed processor.
+func (r *runner) served(now float64, class int, size, arrival, start, service float64) {
 	cs := &r.classes[class]
-	now := r.sim.Now()
 	delay := start - arrival
 	var slowdown float64
 	if service > 0 {
@@ -773,7 +783,7 @@ func (r *runner) collectInto(res *Result) {
 	r.model.finalRates(res.FinalRates)
 	res.Reallocations = r.reallocOK
 	res.AllocFailures = r.reallocFail
-	res.EventsProcessed = r.sim.Processed()
+	res.EventsProcessed = r.sim.Processed() + r.stepped
 	res.SystemSlowdown = 0
 	res.LadderEngagedAt = r.ladderEngagedAt
 	res.FirstShedAt = r.firstShedAt

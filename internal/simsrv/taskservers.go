@@ -1,5 +1,7 @@
 package simsrv
 
+import "math"
+
 // request is a job waiting at or occupying a task server. Requests are
 // plain values: they live in the per-class ring queues and never touch
 // the GC heap.
@@ -150,7 +152,8 @@ func (m *taskServers) complete(class int) {
 	req := ts.current
 	ts.busy = false
 	ts.remaining = 0
-	m.r.served(class, req.size, req.arrival, req.serviceStart, m.r.sim.Now()-req.serviceStart)
+	now := m.r.sim.Now()
+	m.r.served(now, class, req.size, req.arrival, req.serviceStart, now-req.serviceStart)
 	if ts.queue.len() > 0 {
 		m.startService(ts)
 	} else if m.r.cfg.WorkConserving {
@@ -208,5 +211,114 @@ func (m *taskServers) recomputeEffectiveRates() {
 			ts.effRate = 1 / float64(numBusy)
 		}
 		m.armCompletion(ts)
+	}
+}
+
+// stepClass advances class i alone through its arrivals and completions
+// strictly before bound, the next control boundary, and returns how many
+// of those model events it handled (see runner.runByClass). Until bound
+// the class's rate is fixed, so its task server is a plain FCFS queue and
+// each job's completion is known when it starts (Lindley's recursion):
+// start = max(arrival, free), completion = start + size/effRate, the very
+// float expression SetAfter would arm. A job that completes before bound
+// is served on the spot and never touches the event set or the queue. The
+// first one that does not, or that finds the rate at 0, is left in
+// service exactly as startService leaves it, and later arrivals queue
+// behind it. A backlog carried over the last boundary drains first, the
+// same way. Per-class FCFS completes jobs in arrival order, so served
+// sees them in the scan's order, and served and Loop.Observe touch
+// disjoint per-class state, so their interleaving is free.
+//
+// At the end the class's two roles are written back as the scan would
+// leave them: a role re-armed in this window gets a fresh sequence number
+// (so a tie with the boundary breaks as in the scan), in the order the
+// scan armed them — the completion when its job started, the arrival at
+// the last arrival — and a role left alone keeps its own. (When those two
+// instants coincide the scan's order depends on an earlier tie; by the
+// recursion above no result depends on it.)
+func (m *taskServers) stepClass(i int, bound float64) (events uint64) {
+	r := m.r
+	ts := &m.servers[i]
+	ta, tc := r.sim.At(i), r.sim.At(ts.role) // tc is +Inf unless a job is in service at a positive rate
+	if ta >= bound && tc >= bound {
+		return 0
+	}
+	cs := &r.classes[i]
+	rate := ts.effRate
+	free := math.Inf(-1) // when the jobs served on the spot release the server
+	armedC := false      // whether the completion role was re-armed or disarmed
+	startC := 0.0        // when the in-service job started, if armedC and busy
+	for tc < bound {     // the backlog carried over the last boundary
+		events++
+		req := &ts.current
+		r.served(tc, i, req.size, req.arrival, req.serviceStart, tc-req.serviceStart)
+		armedC = true
+		if ts.queue.len() == 0 {
+			ts.busy, ts.remaining = false, 0
+			free, tc = tc, math.Inf(1)
+			break
+		}
+		ts.current = ts.queue.pop()
+		ts.current.serviceStart, ts.remaining, ts.lastSync = tc, ts.current.size, tc
+		startC = tc
+		if rate > 0 {
+			tc += ts.current.size / rate
+		} else {
+			tc = math.Inf(1)
+		}
+	}
+	lastA := -1.0 // the last arrival's time; arrivals are never negative
+	for ta < bound {
+		events++
+		size := cs.service.Sample(&cs.sizeRng)
+		r.loop.Observe(i, size)
+		if ts.busy {
+			ts.queue.push(request{size: size, arrival: ta})
+		} else {
+			start, done := max(ta, free), math.Inf(1)
+			if rate > 0 {
+				done = start + size/rate
+			}
+			if done < bound {
+				events++
+				r.served(done, i, size, ta, start, done-start)
+				free = done
+			} else {
+				ts.current = request{size: size, arrival: ta, serviceStart: start}
+				ts.busy, ts.remaining, ts.lastSync = true, size, start
+				tc, armedC, startC = done, true, start
+			}
+		}
+		lastA = ta
+		if cs.curLambda > 0 {
+			ta += cs.arrivalRng.ExpFloat64(cs.curLambda)
+		} else {
+			ta = math.Inf(1)
+		}
+	}
+	completionLast := armedC && startC > lastA
+	if armedC && !completionLast {
+		m.writeCompletion(ts, tc)
+	}
+	if lastA >= 0 {
+		if cs.curLambda > 0 {
+			r.sim.Set(i, ta)
+		} else {
+			r.sim.Clear(i)
+		}
+	}
+	if completionLast {
+		m.writeCompletion(ts, tc)
+	}
+	return events
+}
+
+// writeCompletion arms ts's completion role at t as armCompletion would
+// have when the in-service job started, or disarms it.
+func (m *taskServers) writeCompletion(ts *taskServer, t float64) {
+	if ts.busy && ts.effRate > 0 {
+		m.r.sim.Set(ts.role, t)
+	} else {
+		m.r.sim.Clear(ts.role)
 	}
 }
