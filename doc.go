@@ -48,11 +48,13 @@
 //	internal/dist      job-size laws (Bounded Pareto & friends) with
 //	                   closed-form E[X], E[X²], E[1/X] and exact seeded
 //	                   samplers; the Bounded Pareto draws from a lazily
-//	                   built 256-layer ziggurat of its own density
+//	                   built 256-layer ziggurat of its own density whose
+//	                   wedges are squeezed between two lines before Pow
 //	internal/rng       xoshiro256** PRNG with split/jump substreams and
 //	                   ziggurat exponential/normal variates (a draw takes
 //	                   a variable number of words; streams per component
-//	                   keep common random numbers)
+//	                   keep common random numbers); Squeeze, the wedge
+//	                   bounds both ziggurats with convex wedges share
 //	internal/des       allocation-free discrete-event core: Slots, the
 //	                   fixed-role event set the simulator runs (linear
 //	                   scan over ≤ 2N+3 roles), and Simulator, the

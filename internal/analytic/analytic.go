@@ -41,7 +41,6 @@ import (
 	"math"
 
 	"psd/internal/core"
-	"psd/internal/dist"
 	"psd/internal/queueing"
 	"psd/internal/simsrv"
 )
@@ -139,20 +138,28 @@ func (e *Evaluator) EvaluatePrepared(ev *Evaluation, cfg *simsrv.Config, pol *co
 	copy(ev.Rates, e.alloc.Rates)
 	ev.Utilization = e.alloc.Utilization
 
-	// Theorem 1 at the allocated rates with each class's effective law.
+	// Theorem 1 at the allocated rates with each class's effective law:
+	// the shared law's moments extracted above, or a class's own law.
 	// For PSD under a shared law this reproduces Eq. 18 (that identity is
 	// the paper's derivation); for the baselines and for per-class
 	// overrides it is the honest stationary prediction the simulator
-	// converges to.
+	// converges to. Its failure modes map onto ErrNeedsSimulation:
+	// divergent E[1/X] (the heavy-tail case) and an unstable per-class
+	// queue under the allocated rate (possible with per-class overrides
+	// whose true demand exceeds what the shared-law allocation grants).
 	var num, den float64
 	for i, cc := range cfg.Classes {
-		svc := cc.Service
-		if svc == nil {
-			svc = cfg.Service
+		var s float64
+		var err error
+		switch {
+		case cc.Lambda == 0:
+		case cc.Service == nil:
+			s, err = queueing.TaskServerSlowdownMoments(cc.Lambda, w.MeanSize, w.SecondMoment, w.InverseMoment, ev.Rates[i])
+		default:
+			s, err = queueing.TaskServerSlowdown(cc.Lambda, cc.Service, ev.Rates[i])
 		}
-		s, err := classSlowdown(cc.Lambda, svc, ev.Rates[i])
 		if err != nil {
-			return err
+			return fmt.Errorf("%w: %w", ErrNeedsSimulation, err)
 		}
 		ev.Slowdowns[i] = s
 		num += s * cc.Lambda
@@ -174,22 +181,6 @@ func (e *Evaluator) EvaluatePrepared(ev *Evaluation, cfg *simsrv.Config, pol *co
 		}
 	}
 	return nil
-}
-
-// classSlowdown evaluates Theorem 1 for one class, mapping its failure
-// modes onto ErrNeedsSimulation: divergent E[1/X] (the heavy-tail case)
-// and an unstable per-class queue under the allocated rate (possible
-// with per-class overrides whose true demand exceeds what the shared-law
-// allocation grants).
-func classSlowdown(lambda float64, svc dist.Distribution, rate float64) (float64, error) {
-	if lambda == 0 {
-		return 0, nil
-	}
-	s, err := queueing.TaskServerSlowdown(lambda, svc, rate)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %w", ErrNeedsSimulation, err)
-	}
-	return s, nil
 }
 
 // ineligible returns a human-readable reason cfg's steady state is not

@@ -189,7 +189,7 @@ func TestPerClassOverrideWithinDESConfidence(t *testing.T) {
 	// (0.2905), so the shared-law allocation still leaves the class
 	// stable — overrides that push true demand past the allocated rate
 	// are the ErrUnstable case, covered by TestNeedsSimulation's spirit
-	// via classSlowdown.
+	// via EvaluatePrepared's per-class Theorem 1.
 	cfg := oracleConfig([]float64{1, 2}, 0.5, nil)
 	cfg.Classes[1].Service = mustDist(dist.NewUniform(0.1, 0.5))
 	checkAgainstDES(t, cfg, 10, 0.03)

@@ -23,6 +23,10 @@ func (a EqualShare) Allocate(classes []Class, w Workload) (Allocation, error) {
 	return alloc, nil
 }
 
+// errOverEqualShare is EqualShare's refusal at ρ < 1. Like errOverloaded
+// it is built once: a control loop may meet it on every tick.
+var errOverEqualShare = fmt.Errorf("%w: a class's demand reaches its equal share 1/n", ErrInfeasible)
+
 // AllocateInto implements InPlaceAllocator.
 func (EqualShare) AllocateInto(dst *Allocation, classes []Class, w Workload) error {
 	rho, err := validateClasses(classes, w)
@@ -35,8 +39,7 @@ func (EqualShare) AllocateInto(dst *Allocation, classes []Class, w Workload) err
 	for i, c := range classes {
 		dst.Rates[i] = 1 / n
 		if c.Lambda*w.MeanSize >= dst.Rates[i] {
-			return fmt.Errorf("%w: class %d demand %.4f >= equal share %.4f",
-				ErrInfeasible, i, c.Lambda*w.MeanSize, dst.Rates[i])
+			return errOverEqualShare
 		}
 	}
 	return slowdownUnderRatesInto(dst.ExpectedSlowdowns, classes, w, dst.Rates)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -240,6 +241,57 @@ func TestAllocateIntoNoAlloc(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Errorf("%s, %d classes: %v allocs per AllocateInto, want 0", p.Name, len(deltas), allocs)
+			}
+		}
+	}
+}
+
+// TestAllocateIntoRefusesWithoutAllocating extends the zero-allocation
+// gate to the refusal paths a control loop meets tick after tick under
+// overload: every registered policy × {feasible, ρ ≥ 1, one class over
+// its 1/n equal share at ρ < 1} allocates nothing per call, over 100
+// repeated calls and over one block of 10 000 (AllocsPerRun truncates
+// its average, so the block is what catches a handful per call), and
+// every refusal is an ErrInfeasible.
+func TestAllocateIntoRefusesWithoutAllocating(t *testing.T) {
+	const block = 10_000
+	w := paperWorkload(t)
+	deltas := []float64{1, 2, 4}
+	inputs := []struct {
+		name    string
+		classes []Class
+	}{
+		{"feasible", equalLoadClasses(deltas, 0.6, w)},
+		{"overloaded", equalLoadClasses(deltas, 1.2, w)},
+		{"over-equal-share", []Class{
+			{Delta: 1, Lambda: 0.5 / w.MeanSize},
+			{Delta: 2, Lambda: 0.05 / w.MeanSize},
+			{Delta: 4, Lambda: 0.05 / w.MeanSize},
+		}},
+	}
+	for _, name := range Names() {
+		p, _ := Lookup(name)
+		ipa := p.New().(InPlaceAllocator)
+		for _, in := range inputs {
+			var dst Allocation
+			err := ipa.AllocateInto(&dst, in.classes, w) // sizes dst
+			if err != nil && !errors.Is(err, ErrInfeasible) {
+				t.Errorf("%s/%s: refusal %v is not ErrInfeasible", name, in.name, err)
+			}
+			if name == "equal" && in.name != "feasible" && err == nil {
+				t.Errorf("equal/%s: allocated, want a refusal", in.name)
+			}
+			call := func() { _ = ipa.AllocateInto(&dst, in.classes, w) }
+			if avg := testing.AllocsPerRun(100, call); avg != 0 {
+				t.Errorf("%s/%s: %v allocs per AllocateInto, want 0", name, in.name, avg)
+			}
+			total := testing.AllocsPerRun(1, func() {
+				for i := 0; i < block; i++ {
+					call()
+				}
+			})
+			if total > 0.01*block {
+				t.Errorf("%s/%s: %v allocs over %d calls, want ≤ %v", name, in.name, total, block, 0.01*block)
 			}
 		}
 	}

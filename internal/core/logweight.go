@@ -41,12 +41,14 @@ func (LogWeight) AllocateInto(dst *Allocation, classes []Class, w Workload) erro
 	if err != nil {
 		return err
 	}
-	sumWeight := 0.0 // Σ λ_j·ln(1 + 1/δ_j)
-	for _, c := range classes {
-		sumWeight += c.Lambda * math.Log1p(1/c.Delta)
-	}
 	dst.reserve(len(classes))
 	dst.Utilization = rho
+	// Rates[i] holds class i's weight λ_i·ln(1 + 1/δ_i) until the split.
+	sumWeight := 0.0
+	for i, c := range classes {
+		dst.Rates[i] = c.Lambda * math.Log1p(1/c.Delta)
+		sumWeight += dst.Rates[i]
+	}
 	if sumWeight == 0 {
 		// No demand at all: split capacity evenly (mirrors PSD).
 		for i := range dst.Rates {
@@ -57,7 +59,7 @@ func (LogWeight) AllocateInto(dst *Allocation, classes []Class, w Workload) erro
 	}
 	surplus := 1 - rho
 	for i, cl := range classes {
-		dst.Rates[i] = cl.Lambda*w.MeanSize + cl.Lambda*math.Log1p(1/cl.Delta)*surplus/sumWeight
+		dst.Rates[i] = cl.Lambda*w.MeanSize + dst.Rates[i]*surplus/sumWeight
 	}
 	// Not the PSD fixed point, so no Eq. 18 shortcut: predict via
 	// Theorem 1 at the allocated rates.

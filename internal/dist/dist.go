@@ -10,7 +10,9 @@
 // is one multiply, the Source's ziggurat exponential and normal under the
 // exponential, hyperexponential, Weibull and lognormal, and a ziggurat of
 // its own density under the Bounded Pareto (ziggurat.go), which keeps
-// Log/Exp/Pow off the simulator's per-event path. A rejection sampler
+// Log/Exp/Pow off the simulator's per-event path: the first compare ends
+// ~97 % of draws, and two lines per layer (rng.Squeeze) decide ~98 % of
+// the rest before a Pow is needed. A rejection sampler
 // consumes a variable number of words per draw, so what a fixed seed
 // fixes is the sample sequence of each Source, and components stay
 // decoupled by drawing from sibling streams — the common-random-numbers

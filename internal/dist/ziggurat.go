@@ -28,6 +28,9 @@ type bpZiggurat struct {
 	// The tail [x₁, p] is drawn by inverting the CDF restricted to it:
 	// x = x₁·(1 − u·tailTrunc)^(−1/α), tailTrunc = 1 − (x₁/p)^α.
 	x1, tailTrunc float64
+	// sq[i] squeezes layer i's wedge in units of t (see squeeze); sq[0]
+	// is unused, layer 0's overhang being the tail.
+	sq [bpLayers]rng.Squeeze
 }
 
 // buildZiggurat computes, publishes and returns d's sampling table.
@@ -93,6 +96,24 @@ func (d *BoundedPareto) fillZiggurat(z *bpZiggurat) {
 		}
 	}
 	d.stack(z, hi)
+	d.squeeze(z)
+}
+
+// squeeze fills z.sq. Layer i's wedge points have t = x/k between the
+// floats the sampler forms at its edges, (k + w[i+1])/k and (k + w[i])/k,
+// and f(t) = t^(−a), a = α + 1, is convex and decreasing there. The
+// margin is 1e-9·(1+a) of the wedge's top height y[i+1]: every term of a
+// line is at most (1+a)·y[i+1] in size, and Pow's relative error grows
+// like a·ε, so the band stays some 10⁶ times wider than any rounding
+// whatever α is.
+func (d *BoundedPareto) squeeze(z *bpZiggurat) {
+	a := d.Alpha + 1
+	f := func(t float64) float64 { return math.Pow(t, -a) }
+	df := func(t float64) float64 { return -a * math.Pow(t, -a) / t }
+	for i := 1; i < bpLayers; i++ {
+		lo, hi := (d.K+z.w[i+1])/d.K, (d.K+z.w[i])/d.K
+		z.sq[i] = rng.NewSqueeze(lo, hi, 1e-9*(1+a)*z.y[i+1], f, df)
+	}
 }
 
 // invert maps a uniform u on [0, 1) through the inverse CDF of the law
@@ -117,7 +138,9 @@ func (d *BoundedPareto) sampleSlow(z *bpZiggurat, src *rng.Source, b uint64) flo
 			return d.invert(z.x1, z.tailTrunc, src.Float64())
 		default:
 			x := d.K + dx
-			if z.y[i]+src.Float64()*(z.y[i+1]-z.y[i]) < math.Pow(x/d.K, -d.Alpha-1) {
+			t := x / d.K
+			y := z.y[i] + src.Float64()*(z.y[i+1]-z.y[i])
+			if s := &z.sq[i]; s.Under(t, y) || !s.Over(t, y) && y < math.Pow(t, -d.Alpha-1) {
 				return x
 			}
 		}

@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"sort"
 	"sync"
@@ -199,4 +201,152 @@ func TestBoundedParetoConcurrentFirstSample(t *testing.T) {
 		close(start)
 		wg.Wait()
 	}
+}
+
+// TestBoundedParetoStreamGoldens pins the first 10⁶ draws of each law at
+// seed 1, bit for bit, plus the source's next word (so the number of
+// words consumed is pinned too). A change to the table build or to a
+// slow-path decision that is meant to be exact must leave these hashes
+// alone. p/k = 4 has no table and pins the inversion fallback.
+func TestBoundedParetoStreamGoldens(t *testing.T) {
+	const n = 1_000_000
+	for _, tc := range []struct {
+		k, p, alpha float64
+		want        uint64
+	}{
+		{0.1, 100, 1.5, 0xd5f619e7f97592bc},
+		{0.1, 100, 1, 0x1007ad1a8b35eb78},
+		{0.1, 1e5, 1.1, 0xbc6b7da4a382417e},
+		{1, 1e3, 3, 0x13b99f726f96bf49},
+		{0.1, 0.4, 1.5, 0xf963bebed619dc3e},
+	} {
+		d := MustBoundedPareto(tc.k, tc.p, tc.alpha)
+		src := rng.New(1)
+		h := fnv.New64a()
+		var buf [8]byte
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(d.Sample(src)))
+			h.Write(buf[:])
+		}
+		binary.LittleEndian.PutUint64(buf[:], src.Uint64())
+		h.Write(buf[:])
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("%s: stream hash %#x, want %#x", d, got, tc.want)
+		}
+	}
+}
+
+// wedgePoint draws a point in layer i's wedge of z the way sampleSlow
+// forms it, t = (k + dx)/k and y between the layer's heights, except that
+// dx is uniform over the wedge rather than over the whole layer. With
+// near set, y is instead put within a few 1e-9 of f(t), straddling the
+// squeeze's margin band.
+func wedgePoint(d *BoundedPareto, z *bpZiggurat, i uint64, src *rng.Source, near bool) (t, y float64) {
+	dx := math.Min(z.w[i+1]+src.Float64()*(z.w[i]-z.w[i+1]), z.w[i])
+	t = (d.K + dx) / d.K
+	y = z.y[i] + src.Float64()*(z.y[i+1]-z.y[i])
+	if near {
+		y = math.Pow(t, -d.Alpha-1) * (1 + (2*src.Float64()-1)*1e-8*(d.Alpha+2))
+	}
+	return t, y
+}
+
+// squeezeDecides checks layer i's squeeze at (t, y) against the exact
+// test and reports whether it decided the point at all.
+func squeezeDecides(tb testing.TB, d *BoundedPareto, z *bpZiggurat, i uint64, t, y float64) bool {
+	tb.Helper()
+	s := &z.sq[i]
+	under, over := s.Under(t, y), s.Over(t, y)
+	if !under && !over {
+		return false
+	}
+	if exact := y < math.Pow(t, -d.Alpha-1); under != exact || over == exact {
+		tb.Fatalf("%s layer %d, t=%v y=%v: squeeze under=%v over=%v, exact accept=%v", d, i, t, y, under, over, exact)
+	}
+	return true
+}
+
+// narrowestTable returns the smallest p/k (to 1e-9) for which BP(1, p, α)
+// still builds a ziggurat: the law whose wedges are widest.
+func narrowestTable(alpha float64) float64 {
+	lo, hi := 1.0, 1e3 // no table at lo, a table at hi
+	for hi-lo > 1e-9 {
+		mid := lo + (hi-lo)/2
+		var z bpZiggurat
+		if MustBoundedPareto(1, mid, alpha).fillZiggurat(&z); z.x1 != 0 {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi
+}
+
+// TestBoundedParetoSqueezeMatchesPow is the differential check on the
+// wedge squeeze: at the paper's law, at α = 1 and at the narrowest
+// support that still builds a table at α = 1.5, 10⁷ wedge points each
+// (a tenth of them within the margin band's reach of the curve) are
+// decided by the squeeze only where Pow decides them the same way, and
+// the squeeze decides at least 95 % of the sampler's own points.
+func TestBoundedParetoSqueezeMatchesPow(t *testing.T) {
+	const n = 10_000_000
+	for _, d := range []*BoundedPareto{
+		MustBoundedPareto(0.1, 100, 1.5),
+		MustBoundedPareto(0.1, 100, 1),
+		MustBoundedPareto(1, narrowestTable(1.5), 1.5),
+	} {
+		z := d.buildZiggurat()
+		src := rng.New(11)
+		decided, plain := 0, 0
+		for j := 0; j < n; j++ {
+			i := 1 + src.Uint64()%(bpLayers-1)
+			near := j%10 == 0
+			tt, y := wedgePoint(d, z, i, src, near)
+			if squeezeDecides(t, d, z, i, tt, y) && !near {
+				decided++
+			}
+			if !near {
+				plain++
+			}
+		}
+		if share := float64(decided) / float64(plain); share < 0.95 {
+			t.Errorf("%s: squeeze decides %.4f of wedge points, want ≥ 0.95", d, share)
+		}
+	}
+}
+
+// FuzzBoundedParetoWedge fuzzes the law within the constructor's range.
+// Where a table is built, wedge points (some straddling the margin band)
+// must be decided by the squeeze only as Pow decides them; where none is,
+// draws must be the reference inversion's. Every draw stays in [k, p].
+func FuzzBoundedParetoWedge(f *testing.F) {
+	f.Add(0.1, 1000.0, 1.5, uint64(1))
+	f.Add(1.0, 53.0, 1.5, uint64(2))
+	f.Add(0.5, 4.0, 3.0, uint64(3))
+	f.Add(3.0, 10.0, 0.2, uint64(4))
+	f.Add(1e-3, 1e9, 1.1, uint64(5))
+	f.Add(1.0, 1.001, 5000.0, uint64(6))
+	f.Fuzz(func(t *testing.T, k, ratio, alpha float64, seed uint64) {
+		d, err := NewBoundedPareto(k, k*ratio, alpha)
+		if err != nil {
+			t.Skip()
+		}
+		z := d.buildZiggurat()
+		src, ref := rng.New(seed), rng.New(seed)
+		for j := 0; j < 2000; j++ {
+			x := d.Sample(src)
+			if x < d.K || x > d.P {
+				t.Fatalf("%s: draw %d = %v outside [k, p]", d, j, x)
+			}
+			if z.x1 == 0 {
+				if want := invertReference(d, ref.Float64()); x != want {
+					t.Fatalf("%s: draw %d = %v, want the inversion's %v", d, j, x, want)
+				}
+				continue
+			}
+			i := 1 + src.Uint64()%(bpLayers-1)
+			tt, y := wedgePoint(d, z, i, src, j%2 == 0)
+			squeezeDecides(t, d, z, i, tt, y)
+		}
+	})
 }

@@ -72,21 +72,31 @@ func ExpectedSlowdown(lambda float64, d dist.Distribution) (float64, error) {
 // Note the combination of Lemma 1 and Lemma 2: the rate enters only
 // through the surplus capacity (rate − λE[X]).
 func TaskServerSlowdown(lambda float64, d dist.Distribution, rate float64) (float64, error) {
+	s, err := TaskServerSlowdownMoments(lambda, d.Mean(), d.SecondMoment(), d.InverseMoment(), rate)
+	if errors.Is(err, ErrDivergent) {
+		err = fmt.Errorf("%w: E[1/X] does not exist for %s", ErrDivergent, d)
+	}
+	return s, err
+}
+
+// TaskServerSlowdownMoments is TaskServerSlowdown for a law given by its
+// moments E[X], E[X²] and E[1/X]: the one implementation of Theorem 1,
+// for callers that hold the moments already.
+func TaskServerSlowdownMoments(lambda, mean, second, inverse, rate float64) (float64, error) {
 	if err := validate(lambda, rate); err != nil {
 		return 0, err
 	}
-	inv := d.InverseMoment()
-	if math.IsInf(inv, 1) || math.IsNaN(inv) {
-		return 0, fmt.Errorf("%w: E[1/X] does not exist for %s", ErrDivergent, d)
+	if math.IsInf(inverse, 1) || math.IsNaN(inverse) {
+		return 0, fmt.Errorf("%w: E[1/X] = %v", ErrDivergent, inverse)
 	}
 	if lambda == 0 {
 		return 0, nil
 	}
-	surplus := rate - lambda*d.Mean()
+	surplus := rate - lambda*mean
 	if surplus <= 0 {
-		return 0, fmt.Errorf("%w: rate=%v demand=%v", ErrUnstable, rate, lambda*d.Mean())
+		return 0, fmt.Errorf("%w: rate=%v demand=%v", ErrUnstable, rate, lambda*mean)
 	}
-	return lambda * d.SecondMoment() * inv / (2 * surplus), nil
+	return lambda * second * inverse / (2 * surplus), nil
 }
 
 // MD1Slowdown returns Eq. 15 of the paper: the mean slowdown of an M/D/1

@@ -313,3 +313,56 @@ func BenchmarkTaskServerSlowdown(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestTaskServerSlowdownMomentsMatchesDistributionForm: the moments form
+// of Theorem 1 is the distribution form's own arithmetic, so the two
+// agree bit for bit — and on which error they return — for every dist
+// family, including laws whose E[1/X] diverges, across stable, idle,
+// saturated and invalid (λ, rate). A stable value is also the bits of
+// λ·E[X²]·E[1/X] / (2·(rate − λ·E[X])) written out, the expression the
+// closed-form sweep's results have always been.
+func TestTaskServerSlowdownMomentsMatchesDistributionForm(t *testing.T) {
+	must := func(d dist.Distribution, err error) dist.Distribution {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	bp := dist.PaperDefault()
+	laws := []dist.Distribution{
+		bp,
+		dist.MustBoundedPareto(1, 1e3, 1),
+		must(dist.NewDeterministic(0.3)),
+		must(dist.NewExponential(2)),
+		must(dist.NewUniform(0.1, 0.5)),
+		must(dist.NewLognormal(-1.5, 0.8)),
+		must(dist.NewWeibull(1.5, 0.3)),
+		must(dist.NewWeibull(0.7, 0.3)),
+		must(dist.NewHyperExp2(0.3, 4)),
+		must(dist.NewEmpirical([]float64{0.2, 0.5, 0.1, 0.7})),
+		must(dist.NewMixture([]dist.Distribution{bp, must(dist.NewUniform(0.2, 0.4))}, []float64{0.3, 0.7})),
+		must(dist.NewScaled(bp, 0.4)),
+	}
+	for _, d := range laws {
+		for _, lr := range [][2]float64{{0, 0.5}, {0.5, 1}, {1.7, 0.6}, {3, 0.5}, {10, 0.25}, {-1, 1}, {1, 0}, {1, math.Inf(1)}} {
+			lambda, rate := lr[0], lr[1]
+			want, wantErr := TaskServerSlowdown(lambda, d, rate)
+			got, err := TaskServerSlowdownMoments(lambda, d.Mean(), d.SecondMoment(), d.InverseMoment(), rate)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s λ=%v rate=%v: moments form %v, distribution form %v", d, lambda, rate, got, want)
+			}
+			for _, sentinel := range []error{ErrUnstable, ErrDivergent} {
+				if errors.Is(err, sentinel) != errors.Is(wantErr, sentinel) {
+					t.Errorf("%s λ=%v rate=%v: moments form error %v, distribution form %v", d, lambda, rate, err, wantErr)
+				}
+			}
+			if (err == nil) != (wantErr == nil) {
+				t.Errorf("%s λ=%v rate=%v: moments form error %v, distribution form %v", d, lambda, rate, err, wantErr)
+			}
+			if ref := lambda * d.SecondMoment() * d.InverseMoment() / (2 * (rate - lambda*d.Mean())); err == nil && lambda > 0 && math.Float64bits(got) != math.Float64bits(ref) {
+				t.Errorf("%s λ=%v rate=%v: %v, want the written-out Theorem 1's %v", d, lambda, rate, got, ref)
+			}
+		}
+	}
+}

@@ -22,6 +22,15 @@ import (
 // from a hat that covers f exactly makes the result an exact draw from
 // f, not an approximation: the tables only decide how often the slow
 // path runs.
+//
+// The exponential's wedge test is squeezed (see Squeeze; internal/dist
+// squeezes the Bounded Pareto's the same way): two straight lines per
+// layer decide ~98 % of wedge points, and only the rest call Exp. The
+// lines decide a point only where Exp would decide it the same way, so
+// the draws are the ones the plain wedge test gives, bit for bit
+// (TestVariateStreamGoldens). The normal's wedges are not squeezed: the
+// half-normal density is concave on [0, 1], where tangent and chord
+// swap sides.
 const (
 	zigLayers = 256
 	zigMask   = zigLayers - 1
@@ -61,10 +70,60 @@ func newZiggurat(name string, r, tail float64, f, finv func(float64) float64) (z
 	return z
 }
 
+// Squeeze bounds a convex decreasing density f on one ziggurat wedge
+// [lo, hi] by two straight lines: the tangent at the midpoint, which lies
+// under f everywhere, and the chord through (lo, f(lo)) and (hi, f(hi)),
+// which lies over f on [lo, hi]. A wedge point (x, y) under the tangent
+// is surely accepted and one over the chord surely rejected; only the
+// thin sliver between the two needs the exact test y < f(x). Each line is
+// moved away from f by a margin far wider than the rounding of f and of
+// the line itself, so a line decides a point only when the exact test
+// would decide it the same way.
+type Squeeze struct{ tan0, tan1, chd0, chd1 float64 }
+
+// NewSqueeze builds the lines for the wedge [lo, hi] of f, whose
+// derivative is df, moved apart by margin. The caller sizes margin to
+// cover the relative rounding of f and of terms as large as the line's
+// intercepts. Where the lines would not be finite, or margin is too small
+// to cover subnormal rounding, the squeeze never decides.
+func NewSqueeze(lo, hi, margin float64, f, df func(float64) float64) Squeeze {
+	m := lo + (hi-lo)/2
+	tan1 := df(m)
+	chd1 := (f(hi) - f(lo)) / (hi - lo)
+	s := Squeeze{f(m) - tan1*m - margin, tan1, f(lo) - chd1*lo + margin, chd1}
+	never := Squeeze{math.Inf(-1), 0, math.Inf(1), 0}
+	if !(margin > 0x1p-1000) {
+		return never
+	}
+	for _, c := range [...]float64{s.tan0, s.tan1, s.chd0, s.chd1} {
+		if math.IsNaN(c) || math.IsInf(c, 0) {
+			return never
+		}
+	}
+	return s
+}
+
+// Under reports that (x, y) is surely under f.
+func (s *Squeeze) Under(x, y float64) bool { return y < s.tan0+s.tan1*x }
+
+// Over reports that (x, y) is surely over f.
+func (s *Squeeze) Over(x, y float64) bool { return y > s.chd0+s.chd1*x }
+
 var (
 	expZig = newZiggurat("exponential", expR, math.Exp(-expR),
 		func(x float64) float64 { return math.Exp(-x) },
 		func(y float64) float64 { return -math.Log(y) })
+	// expSq[i] squeezes layer i's wedge [x[i+1], x[i]] with a margin of
+	// 1e-9 of its top height y[i+1]; expSq[0] is unused (layer 0's
+	// overhang is the tail).
+	expSq = func() (sq [zigLayers]Squeeze) {
+		for i := 1; i < zigLayers; i++ {
+			sq[i] = NewSqueeze(expZig.x[i+1], expZig.x[i], 1e-9*expZig.y[i+1],
+				func(x float64) float64 { return math.Exp(-x) },
+				func(x float64) float64 { return -math.Exp(-x) })
+		}
+		return sq
+	}()
 	normZig = newZiggurat("normal", normR, math.Sqrt(math.Pi/2)*math.Erfc(normR/math.Sqrt2),
 		func(x float64) float64 { return math.Exp(-x * x / 2) },
 		func(y float64) float64 { return math.Sqrt(-2 * math.Log(y)) })
@@ -103,8 +162,11 @@ func (r *Source) expSlow(i uint64, x float64) float64 {
 			// Tail: memorylessness makes X | X > R a fresh draw moved
 			// right by R.
 			shift += expR
-		case z.y[i]+r.Float64()*(z.y[i+1]-z.y[i]) < math.Exp(-x):
-			return shift + x
+		default:
+			y := z.y[i] + r.Float64()*(z.y[i+1]-z.y[i])
+			if s := &expSq[i]; s.Under(x, y) || !s.Over(x, y) && y < math.Exp(-x) {
+				return shift + x
+			}
 		}
 		b := r.Uint64()
 		i = b & zigMask

@@ -1,6 +1,8 @@
 package rng
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"sort"
 	"testing"
@@ -158,4 +160,78 @@ func BenchmarkNormFloat64(b *testing.B) {
 		sink += r.NormFloat64()
 	}
 	_ = sink
+}
+
+// streamHash is FNV-64a over the bits of n draws from next, followed by
+// the source's next word, so that a change in how many words a draw
+// consumes moves the hash even where the draws themselves agree.
+func streamHash(src *Source, n int, next func() float64) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(next()))
+		h.Write(buf[:])
+	}
+	binary.LittleEndian.PutUint64(buf[:], src.Uint64())
+	h.Write(buf[:])
+	return h.Sum64()
+}
+
+// TestVariateStreamGoldens pins the first 10⁶ variates of each ziggurat
+// sampler, bit for bit, at seed 1. Any change to the tables or to a
+// slow-path decision that is meant to be exact must leave these hashes
+// alone; a deliberate change to a sampler's stream re-stamps them and
+// says so.
+func TestVariateStreamGoldens(t *testing.T) {
+	const n = 1_000_000
+	for _, tc := range []struct {
+		name string
+		draw func(*Source) float64
+		want uint64
+	}{
+		{"ExpFloat64(1)", func(r *Source) float64 { return r.ExpFloat64(1) }, 0xc54590eea127240a},
+		{"ExpFloat64(0.7)", func(r *Source) float64 { return r.ExpFloat64(0.7) }, 0x96ebc3bad075c59f},
+		{"NormFloat64", (*Source).NormFloat64, 0xc896fefc0cb0546d},
+	} {
+		src := New(1)
+		if got := streamHash(src, n, func() float64 { return tc.draw(src) }); got != tc.want {
+			t.Errorf("%s: stream hash %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestExpSqueezeMatchesExp is the differential check on the exponential
+// wedge squeeze: of 10⁷ points in the layers' wedges (a tenth of them
+// within the margin band's reach of the curve), the squeeze decides only
+// those Exp decides the same way, and at least 95 % of the sampler's own.
+func TestExpSqueezeMatchesExp(t *testing.T) {
+	const n = 10_000_000
+	z := &expZig
+	src := New(11)
+	decided, plain := 0, 0
+	for j := 0; j < n; j++ {
+		i := 1 + src.Uint64()%(zigLayers-1)
+		x := math.Min(z.x[i+1]+src.Float64()*(z.x[i]-z.x[i+1]), z.x[i])
+		y := z.y[i] + src.Float64()*(z.y[i+1]-z.y[i])
+		near := j%10 == 0
+		if near {
+			y = math.Exp(-x) * (1 + (2*src.Float64()-1)*1e-8)
+		} else {
+			plain++
+		}
+		s := &expSq[i]
+		under, over := s.Under(x, y), s.Over(x, y)
+		if !under && !over {
+			continue
+		}
+		if exact := y < math.Exp(-x); under != exact || over == exact {
+			t.Fatalf("layer %d, x=%v y=%v: squeeze under=%v over=%v, exact accept=%v", i, x, y, under, over, exact)
+		}
+		if !near {
+			decided++
+		}
+	}
+	if share := float64(decided) / float64(plain); share < 0.95 {
+		t.Errorf("squeeze decides %.4f of wedge points, want ≥ 0.95", share)
+	}
 }

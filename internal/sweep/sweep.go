@@ -294,10 +294,29 @@ func locate(offsets []int, task int) (pt, rep int) {
 const chunkPoints = 1024
 
 // pointWorker is what one goroutine of prepare owns for the whole sweep:
-// the closed-form arena and the Evaluation it fills.
+// the closed-form arena, the Evaluation it fills, and the registry
+// entries of the policy names it has met.
 type pointWorker struct {
 	evaluator analytic.Evaluator
 	ev        analytic.Evaluation
+	policies  []core.Policy
+}
+
+// policy returns the registered policy called name, or nil. The registry
+// is probed once per distinct name a worker meets; a policy axis repeats
+// a handful of names over thousands of points.
+func (w *pointWorker) policy(name string) *core.Policy {
+	for i := range w.policies {
+		if w.policies[i].Name == name {
+			return &w.policies[i]
+		}
+	}
+	pol, ok := core.Lookup(name)
+	if !ok {
+		return nil
+	}
+	w.policies = append(w.policies, pol)
+	return &w.policies[len(w.policies)-1]
 }
 
 // prepare resolves, validates and routes every point: out[i] is set to
@@ -348,7 +367,7 @@ func (e *Engine) prepareChunk(w *pointWorker, points []Point, out []*simsrv.Aggr
 		if p.Runs < 1 {
 			return fmt.Errorf("sweep: point %d needs at least 1 run, got %d", i, p.Runs)
 		}
-		pol, err := p.resolvePolicy()
+		pol, err := p.resolvePolicy(w)
 		if err != nil {
 			return fmt.Errorf("sweep: point %d: %w", i, err)
 		}
@@ -362,11 +381,7 @@ func (e *Engine) prepareChunk(w *pointWorker, points []Point, out []*simsrv.Aggr
 		if e.Kind == DES {
 			continue
 		}
-		var named *core.Policy
-		if p.Policy != "" {
-			named = &pol
-		}
-		closed, err := e.evalPoint(w, p, &cfg, named)
+		closed, err := e.evalPoint(w, p, &cfg, pol)
 		if err != nil {
 			return fmt.Errorf("sweep: point %d: %w", i, err)
 		}

@@ -19,23 +19,23 @@ func disciplineFor(name string) func(classes int) sched.Scheduler {
 	return nil
 }
 
-// resolvePolicy materializes a Point's Policy name with one registry
-// lookup: a fresh allocator from the registered policy replaces
+// resolvePolicy materializes a Point's Policy name through w's policy
+// cache: a fresh allocator from the registered policy replaces
 // Cfg.Allocator (instances are never shared between points — a policy may
 // be stateful), and a size-aware policy switches the point to the
 // packetized model with its discipline (unless the caller already pinned
 // a NewScheduler). The policy is returned so the router reads its
 // capabilities without looking the allocator's name up again. No-op (and
-// the zero Policy) when Policy is empty, so every pre-policy-axis grid is
+// a nil Policy) when Policy is empty, so every pre-policy-axis grid is
 // untouched.
-func (p *Point) resolvePolicy() (core.Policy, error) {
+func (p *Point) resolvePolicy(w *pointWorker) (*core.Policy, error) {
 	if p.Policy == "" {
-		return core.Policy{}, nil
+		return nil, nil
 	}
-	pol, ok := core.Lookup(p.Policy)
-	if !ok {
+	pol := w.policy(p.Policy)
+	if pol == nil {
 		_, err := core.Parse(p.Policy) // the registry's own "unknown policy" error
-		return pol, err
+		return nil, err
 	}
 	p.Cfg.Allocator = pol.New()
 	if pol.Caps.NeedsSizeInfo {
