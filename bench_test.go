@@ -25,6 +25,17 @@ import (
 // ---------------------------------------------------------------------------
 // Ablation benches (design-choice studies beyond the paper's figures).
 
+// replicate aggregates n replications of cfg through the sweep engine,
+// the repository's one replication pipeline.
+func replicate(b *testing.B, cfg simsrv.Config, n int) *simsrv.Aggregate {
+	b.Helper()
+	aggs, err := sweep.Run([]sweep.Point{{Cfg: cfg, Runs: n}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return aggs[0]
+}
+
 // ratioErrorUnder runs a two-class δ=(1,4) scenario under the given
 // config mutation and returns |achieved − 4| / 4, where "achieved" is the
 // ratio of across-run mean slowdowns (the mean-of-per-run-ratios
@@ -38,10 +49,7 @@ func ratioErrorUnder(b *testing.B, mutate func(*simsrv.Config)) float64 {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	agg, err := simsrv.RunReplications(cfg, 6)
-	if err != nil {
-		b.Fatal(err)
-	}
+	agg := replicate(b, cfg, 6)
 	achieved := agg.MeanSlowdowns[1] / agg.MeanSlowdowns[0]
 	return math.Abs(achieved-4) / 4
 }
@@ -140,10 +148,7 @@ func BenchmarkAblationWorkConserving(b *testing.B) {
 				cfg.Horizon = 20000
 				cfg.Seed = 11
 				cfg.WorkConserving = wc
-				agg, err := simsrv.RunReplications(cfg, 6)
-				if err != nil {
-					b.Fatal(err)
-				}
+				agg := replicate(b, cfg, 6)
 				sys = agg.SystemSlowdown
 				achieved := agg.MeanSlowdowns[1] / agg.MeanSlowdowns[0]
 				ratioErr = math.Abs(achieved-2) / 2
@@ -180,10 +185,7 @@ func BenchmarkAblationFeedback(b *testing.B) {
 				cfg.Feedback = feedback
 				cfg.Classes[1].Service = big
 				cfg.Classes[1].Lambda /= 3
-				agg, err := simsrv.RunReplications(cfg, 6)
-				if err != nil {
-					b.Fatal(err)
-				}
+				agg := replicate(b, cfg, 6)
 				achieved := agg.MeanSlowdowns[1] / agg.MeanSlowdowns[0]
 				ratioErr = math.Abs(achieved-2) / 2
 			}
@@ -208,7 +210,11 @@ func BenchmarkAblationPacketized(b *testing.B) {
 			var err error
 			if packetized {
 				cfg.Allocator = core.PacketizedPSD{}
-				res, err = simsrv.RunPacketized(simsrv.PacketizedConfig{Config: cfg})
+				var sim simsrv.Simulator
+				res = new(simsrv.Result)
+				if err = sim.ResetPacketized(simsrv.PacketizedConfig{Config: cfg}, cfg.Seed); err == nil {
+					err = sim.RunInto(res)
+				}
 			} else {
 				res, err = simsrv.Run(cfg)
 			}

@@ -45,13 +45,15 @@ func main() {
 	if *quick {
 		opts = figures.Quick()
 	}
-	if *runs > 0 {
+	// Any non-zero value passes through, so the sweep's validation
+	// refuses a negative or non-finite one instead of running defaults.
+	if *runs != 0 {
 		opts.Runs = *runs
 	}
-	if *horizon > 0 {
+	if *horizon != 0 {
 		opts.Horizon = *horizon
 	}
-	if *warmup > 0 {
+	if *warmup != 0 {
 		opts.Warmup = *warmup
 	}
 	opts.Seed = seed

@@ -52,18 +52,6 @@ type ClassIsolated interface {
 	ClassIsolated()
 }
 
-// AlwaysAdmit admits everything — the open-door control.
-type AlwaysAdmit struct{}
-
-// ClassIsolated implements the marker: AlwaysAdmit has no state at all.
-func (AlwaysAdmit) ClassIsolated() {}
-
-// Name implements Controller.
-func (AlwaysAdmit) Name() string { return "always" }
-
-// Admit implements Controller.
-func (AlwaysAdmit) Admit(int, float64, float64) bool { return true }
-
 // UtilizationBound admits work while the exponentially smoothed admitted
 // load stays below Bound (work units per time unit against a unit-capacity
 // server) — the [Abdelzaher et al.] style utilization guard. Admitted work
@@ -225,12 +213,10 @@ func (tb *TokenBucket) Tokens(class int, now float64) float64 {
 }
 
 var (
-	_ Controller = AlwaysAdmit{}
 	_ Controller = (*UtilizationBound)(nil)
 	_ Controller = (*TokenBucket)(nil)
 	_ Refunder   = (*UtilizationBound)(nil)
 	_ Refunder   = (*TokenBucket)(nil)
 
-	_ ClassIsolated = AlwaysAdmit{}
 	_ ClassIsolated = (*TokenBucket)(nil)
 )

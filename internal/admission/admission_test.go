@@ -5,18 +5,6 @@ import (
 	"testing"
 )
 
-func TestAlwaysAdmit(t *testing.T) {
-	var a AlwaysAdmit
-	for i := 0; i < 100; i++ {
-		if !a.Admit(i%3, 1e9, float64(i)) {
-			t.Fatal("AlwaysAdmit rejected")
-		}
-	}
-	if a.Name() == "" {
-		t.Fatal("empty name")
-	}
-}
-
 func TestUtilizationBoundValidation(t *testing.T) {
 	if _, err := NewUtilizationBound(0, 100); err == nil {
 		t.Error("accepted bound 0")

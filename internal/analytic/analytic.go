@@ -22,8 +22,8 @@
 //     true arrival rates: PSD (Eq. 17), EqualShare, DemandProportional,
 //     or MinRate wrapping one of those,
 //   - finite E[X], E[X²] and E[1/X] for the shared law and every
-//     per-class override (Exponential and Weibull shape ≤ 1 have
-//     divergent E[1/X]; Bounded Pareto is always finite by truncation).
+//     per-class override (Exponential and HyperExp2 have divergent
+//     E[1/X]; Bounded Pareto is always finite by truncation).
 //
 // Estimator choice (window vs EWMA) and the Oracle flag do not affect
 // the stationary point — both estimators are consistent for constant λ —
@@ -212,11 +212,10 @@ func ineligible(cfg *simsrv.Config, pol *core.Policy) string {
 // the registry's AnalyticEligible capability, read from pol when the
 // caller already holds the allocator's policy and looked up by name
 // otherwise, with MinRate unwrapped first (MinRate is a deterministic
-// post-pass over its base). The check keys off the policy name, so Static
-// (never registered), PDD/PacketizedPSD (registered without the
-// capability) and custom allocators (unknown names) all simulate; a custom
-// policy becomes eligible by registering its own core.Policy with the
-// flag set.
+// post-pass over its base). The check keys off the policy name, so
+// PDD/PacketizedPSD (registered without the capability) and custom
+// allocators (unknown names) all simulate; a custom policy becomes
+// eligible by registering its own core.Policy with the flag set.
 func supportedAllocator(a core.Allocator, pol *core.Policy) bool {
 	if pol != nil {
 		return pol.Caps.AnalyticEligible

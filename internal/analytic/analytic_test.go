@@ -195,6 +195,18 @@ func TestPerClassOverrideWithinDESConfidence(t *testing.T) {
 	checkAgainstDES(t, cfg, 10, 0.03)
 }
 
+// fixedRates is an allocator no policy registers: the same rates
+// whatever the demand. The closed form must not claim it.
+type fixedRates []float64
+
+func (fixedRates) Name() string { return "static" }
+
+func (f fixedRates) Allocate(classes []core.Class, w core.Workload) (core.Allocation, error) {
+	rates := append([]float64(nil), f...)
+	sl, err := core.SlowdownUnderRates(classes, w, rates)
+	return core.Allocation{Rates: rates, ExpectedSlowdowns: sl}, err
+}
+
 // TestNeedsSimulation enumerates every ineligibility rule and requires
 // each to surface as ErrNeedsSimulation.
 func TestNeedsSimulation(t *testing.T) {
@@ -233,12 +245,8 @@ func TestNeedsSimulation(t *testing.T) {
 			return c
 		}},
 		{"static-allocator", func() simsrv.Config {
-			st, err := core.NewStatic([]float64{1, 1})
-			if err != nil {
-				panic(err)
-			}
 			c := base()
-			c.Allocator = st
+			c.Allocator = fixedRates{0.5, 0.5}
 			return c
 		}},
 		{"minrate-over-pdd", func() simsrv.Config {
@@ -248,9 +256,6 @@ func TestNeedsSimulation(t *testing.T) {
 		}},
 		{"divergent-exponential", func() simsrv.Config {
 			return simsrv.EqualLoadConfig([]float64{1, 2}, 0.5, mustDist(dist.NewExponential(1)))
-		}},
-		{"divergent-weibull", func() simsrv.Config {
-			return simsrv.EqualLoadConfig([]float64{1, 2}, 0.5, mustDist(dist.NewWeibull(0.8, 1)))
 		}},
 		{"divergent-class-override", func() simsrv.Config {
 			c := base()

@@ -8,20 +8,14 @@
 // improving short-timescale predictability. This package supplies:
 //
 //   - Loop: the allocation-free control plane itself — per Tick it closes
-//     an estimation window (window | EWMA smoothing), applies the optional
-//     feedback trim, and re-runs the allocator in place
-//   - WindowEstimator: the paper's sliding-window mean estimator, as a
-//     standalone component
-//   - EWMAEstimator: an exponentially weighted alternative that reacts
-//     faster to load shifts at equal noise
+//     an estimation window, smooths it into arrival-rate estimates (the
+//     paper's sliding-window mean, or an EWMA that reacts faster to load
+//     shifts at equal noise), applies the optional feedback trim, and
+//     re-runs the allocator in place
 //   - RatioController: a multiplicative-integral feedback loop that trims
 //     the δ values handed to the allocator so the *measured* slowdown
 //     ratios converge to the targets even when the analytic model is off
 //     (the future-work extension, evaluated in the ablation benches)
-//
-// Estimators consume per-window arrival observations and emit smoothed
-// arrival-rate estimates; they are plain data structures, serialized by
-// their callers.
 package control
 
 import (
@@ -30,30 +24,14 @@ import (
 	"math"
 )
 
-// Estimator smooths per-window arrival counts into arrival-rate
-// estimates.
-type Estimator interface {
-	// ObserveWindow records one closed window's arrival count and total
-	// work for each class. The slices must have the estimator's class
-	// count.
-	ObserveWindow(counts []float64, work []float64) error
-	// Lambdas returns the current per-class arrival-rate estimates
-	// (requests per time unit). Zero until the first window closes.
-	Lambdas() []float64
-	// Loads returns the current per-class offered-load estimates (work
-	// units per time unit).
-	Loads() []float64
-	// Name identifies the estimator.
-	Name() string
-}
-
 // ErrDimension reports slices of the wrong class count.
 var ErrDimension = errors.New("control: wrong number of classes")
 
-// windowRing is the window-mean estimator core shared by WindowEstimator
-// and Loop: one flat ring per metric, indexed [class*history+slot], so a
-// class's history is contiguous at scan time and the whole state resets
-// without allocating.
+// windowRing is the Loop's window-mean estimator, the paper's: the
+// estimate for the next window is the mean over the last history windows.
+// One flat ring per metric, indexed [class*history+slot], keeps a class's
+// history contiguous at scan time and lets the whole state reset without
+// allocating.
 type windowRing struct {
 	window  float64
 	classes int
@@ -113,61 +91,10 @@ func (r *windowRing) meanInto(dst, ring []float64) {
 	}
 }
 
-// WindowEstimator is the paper's estimator: the estimate for the next
-// window is the mean over the last History windows. It is a thin
-// validated wrapper around the same windowRing core the Loop runs on.
-type WindowEstimator struct {
-	ring windowRing
-}
-
-// NewWindowEstimator builds the paper's 5-window mean estimator (pass
-// history=5, window=1000 for the §4.1 configuration).
-func NewWindowEstimator(classes, history int, window float64) (*WindowEstimator, error) {
-	if classes < 1 || history < 1 || !(window > 0) {
-		return nil, fmt.Errorf("control: invalid estimator shape classes=%d history=%d window=%v",
-			classes, history, window)
-	}
-	e := new(WindowEstimator)
-	e.ring.reset(classes, history, window)
-	return e, nil
-}
-
-// Name implements Estimator.
-func (e *WindowEstimator) Name() string { return "window" }
-
-// ObserveWindow implements Estimator.
-func (e *WindowEstimator) ObserveWindow(counts, work []float64) error {
-	if len(counts) != e.ring.classes || len(work) != e.ring.classes {
-		return ErrDimension
-	}
-	e.ring.observe(counts, work)
-	return nil
-}
-
-// Lambdas implements Estimator.
-func (e *WindowEstimator) Lambdas() []float64 {
-	out := make([]float64, e.ring.classes)
-	e.LambdasInto(out)
-	return out
-}
-
-// Loads implements Estimator.
-func (e *WindowEstimator) Loads() []float64 {
-	out := make([]float64, e.ring.classes)
-	e.LoadsInto(out)
-	return out
-}
-
-// LambdasInto is Lambdas into caller-owned storage (len = class count),
-// for allocation-free control ticks.
-func (e *WindowEstimator) LambdasInto(dst []float64) { e.ring.lambdasInto(dst) }
-
-// LoadsInto is Loads into caller-owned storage.
-func (e *WindowEstimator) LoadsInto(dst []float64) { e.ring.loadsInto(dst) }
-
-// ewmaState is the EWMA estimator core shared by EWMAEstimator and Loop:
-// estimate ← (1−α)·estimate + α·window-rate, primed directly by the
-// first observation.
+// ewmaState is the Loop's EWMA estimator: estimate ← (1−α)·estimate +
+// α·window-rate, primed directly by the first observation. α in (0, 1];
+// larger α reacts faster. Its effective memory of 1/α windows makes it
+// comparable to a window mean with history ≈ 2/α − 1.
 type ewmaState struct {
 	window  float64
 	alpha   float64
@@ -207,50 +134,6 @@ func (e *ewmaState) observe(counts, work []float64) {
 	e.primed = true
 }
 
-// EWMAEstimator smooths with an exponentially weighted moving average:
-// estimate ← (1−α)·estimate + α·window-rate. α in (0, 1]; larger α reacts
-// faster. Its effective memory of 1/α windows makes it comparable to a
-// WindowEstimator with history ≈ 2/α − 1. It is a thin validated wrapper
-// around the same ewmaState core the Loop runs on.
-type EWMAEstimator struct {
-	state ewmaState
-}
-
-// NewEWMAEstimator builds the estimator.
-func NewEWMAEstimator(classes int, alpha, window float64) (*EWMAEstimator, error) {
-	if classes < 1 || !(alpha > 0) || alpha > 1 || !(window > 0) {
-		return nil, fmt.Errorf("control: invalid EWMA shape classes=%d alpha=%v window=%v",
-			classes, alpha, window)
-	}
-	e := new(EWMAEstimator)
-	e.state.reset(classes, alpha, window)
-	return e, nil
-}
-
-// Name implements Estimator.
-func (e *EWMAEstimator) Name() string { return "ewma" }
-
-// ObserveWindow implements Estimator.
-func (e *EWMAEstimator) ObserveWindow(counts, work []float64) error {
-	if len(counts) != e.state.classes || len(work) != e.state.classes {
-		return ErrDimension
-	}
-	e.state.observe(counts, work)
-	return nil
-}
-
-// Lambdas implements Estimator.
-func (e *EWMAEstimator) Lambdas() []float64 { return append([]float64(nil), e.state.lambdas...) }
-
-// Loads implements Estimator.
-func (e *EWMAEstimator) Loads() []float64 { return append([]float64(nil), e.state.loads...) }
-
-// LambdasInto is Lambdas into caller-owned storage (len = class count).
-func (e *EWMAEstimator) LambdasInto(dst []float64) { copy(dst, e.state.lambdas) }
-
-// LoadsInto is Loads into caller-owned storage.
-func (e *EWMAEstimator) LoadsInto(dst []float64) { copy(dst, e.state.loads) }
-
 // RatioController trims the δ vector fed to the allocator so measured
 // slowdown ratios converge to the target ratios. Class 0 is the reference
 // (its effective δ stays at the target); for i ≥ 1 the controller applies
@@ -270,19 +153,9 @@ type RatioController struct {
 	maxTrim float64
 }
 
-// NewRatioController builds a controller for the target δ vector.
-func NewRatioController(target []float64, gain, maxTrim float64) (*RatioController, error) {
-	r := new(RatioController)
-	if err := r.ResetTargets(target, gain, maxTrim); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // ResetTargets re-arms the controller for a (possibly new) target vector,
-// reusing its buffers; a reset controller is identical to a freshly
-// constructed one. It lets arena owners (control.Loop, the simulator)
-// reset without allocating.
+// reusing its buffers, so arena owners (control.Loop) reset without
+// allocating. A zero RatioController is armed by its first ResetTargets.
 func (r *RatioController) ResetTargets(target []float64, gain, maxTrim float64) error {
 	if len(target) == 0 {
 		return errors.New("control: no target deltas")
@@ -350,8 +223,3 @@ func (r *RatioController) Update(measured []float64) error {
 func (r *RatioController) Reset() {
 	copy(r.eff, r.target)
 }
-
-var (
-	_ Estimator = (*WindowEstimator)(nil)
-	_ Estimator = (*EWMAEstimator)(nil)
-)

@@ -188,9 +188,7 @@ type Loop struct {
 
 	classes int
 
-	// Estimator cores, shared with the standalone WindowEstimator /
-	// EWMAEstimator wrappers so the math exists exactly once; only the
-	// configured kind is consulted.
+	// Estimator cores; only the configured kind is consulted.
 	ring windowRing
 	ewma ewmaState
 

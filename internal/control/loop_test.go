@@ -81,16 +81,14 @@ func TestLoopTickInputValidation(t *testing.T) {
 }
 
 // TestLoopWindowEstimatesMatchEstimator pins the Loop's flat-ring window
-// estimator against the standalone WindowEstimator on the same window
-// sequence — the Loop is the consolidation of both and must agree exactly.
+// estimator against the paper's window mean written out here — the mean
+// of the last History windows, summed in ring-slot order — on the same
+// window sequence, exactly.
 func TestLoopWindowEstimatesMatchEstimator(t *testing.T) {
+	const history, window = 3, 100.0
 	cfg := loopConfig([]float64{1, 2})
-	cfg.HistoryWindows = 3
+	cfg.HistoryWindows = history
 	lp, err := NewLoop(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewWindowEstimator(2, 3, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,55 +99,64 @@ func TestLoopWindowEstimatesMatchEstimator(t *testing.T) {
 		{{40, 16}, {24, 8}}, // evicts the first window
 		{{1, 1}, {0.5, 0.5}},
 	}
+	var ringCounts, ringWork [2][history]float64
 	got := make([]float64, 2)
 	gotLoads := make([]float64, 2)
-	for _, wn := range seqs {
+	for k, wn := range seqs {
 		if _, err := lp.Tick(TickInput{Counts: wn[0], Work: wn[1]}); err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.ObserveWindow(wn[0], wn[1]); err != nil {
-			t.Fatal(err)
-		}
+		filled := min(k+1, history)
 		lp.LambdasInto(got)
 		lp.LoadsInto(gotLoads)
-		wantL, wantW := ref.Lambdas(), ref.Loads()
 		for i := range got {
-			if got[i] != wantL[i] || gotLoads[i] != wantW[i] {
-				t.Fatalf("loop estimates diverged: lambdas %v vs %v, loads %v vs %v",
-					got, wantL, gotLoads, wantW)
+			ringCounts[i][k%history] = wn[0][i]
+			ringWork[i][k%history] = wn[1][i]
+			var sumL, sumW float64
+			for slot := 0; slot < filled; slot++ {
+				sumL += ringCounts[i][slot]
+				sumW += ringWork[i][slot]
+			}
+			span := window * float64(filled)
+			if wantL, wantW := sumL/span, sumW/span; got[i] != wantL || gotLoads[i] != wantW {
+				t.Fatalf("window %d class %d: loop lambda %v load %v, window mean %v and %v",
+					k, i, got[i], gotLoads[i], wantL, wantW)
 			}
 		}
 	}
 }
 
-// TestLoopEWMAEstimatesMatchEstimator does the same for EWMA mode.
+// TestLoopEWMAEstimatesMatchEstimator does the same for EWMA mode against
+// the recursion estimate ← estimate + α·(rate − estimate), primed by the
+// first window.
 func TestLoopEWMAEstimatesMatchEstimator(t *testing.T) {
+	const alpha, window = 0.4, 100.0
 	cfg := loopConfig([]float64{1, 2})
 	cfg.Estimator = EWMA
-	cfg.EWMAAlpha = 0.4
+	cfg.EWMAAlpha = alpha
 	lp, err := NewLoop(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewEWMAEstimator(2, 0.4, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
 	got := make([]float64, 2)
+	want := make([]float64, 2)
 	for k := 0; k < 8; k++ {
 		counts := []float64{float64(10 + k*3), float64(5 + k)}
 		work := []float64{counts[0] * 0.6, counts[1] * 0.6}
 		if _, err := lp.Tick(TickInput{Counts: counts, Work: work}); err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.ObserveWindow(counts, work); err != nil {
-			t.Fatal(err)
+		for i := range want {
+			if rate := counts[i] / window; k == 0 {
+				want[i] = rate
+			} else {
+				want[i] += alpha * (rate - want[i])
+			}
 		}
 		lp.LambdasInto(got)
-		want := ref.Lambdas()
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("tick %d: EWMA loop lambdas %v vs estimator %v", k, got, want)
+				t.Fatalf("tick %d: EWMA loop lambdas %v vs recursion %v", k, got, want)
 			}
 		}
 	}

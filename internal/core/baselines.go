@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // EqualShare splits capacity evenly regardless of demand or δ. It is the
 // naive baseline: it neither tracks load nor differentiates, so slowdown
@@ -84,55 +81,6 @@ func (DemandProportional) AllocateInto(dst *Allocation, classes []Class, w Workl
 	return slowdownUnderRatesInto(dst.ExpectedSlowdowns, classes, w, dst.Rates)
 }
 
-// Static applies a fixed, demand-independent weight vector (normalized at
-// construction). It models an operator who provisions shares once and
-// never adapts; the predictability experiments show its slowdown ratios
-// wander with load.
-type Static struct {
-	weights []float64
-}
-
-// NewStatic builds a Static allocator from positive weights (normalized to
-// sum 1).
-func NewStatic(weights []float64) (*Static, error) {
-	if len(weights) == 0 {
-		return nil, fmt.Errorf("%w: no weights", ErrInfeasible)
-	}
-	sum := 0.0
-	for i, w := range weights {
-		if !(w > 0) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("%w: weight %d = %v must be positive and finite", ErrInfeasible, i, w)
-		}
-		sum += w
-	}
-	norm := make([]float64, len(weights))
-	for i, w := range weights {
-		norm[i] = w / sum
-	}
-	return &Static{weights: norm}, nil
-}
-
-// Name implements Allocator.
-func (s *Static) Name() string { return "static" }
-
-// Allocate implements Allocator.
-func (s *Static) Allocate(classes []Class, w Workload) (Allocation, error) {
-	rho, err := validateClasses(classes, w)
-	if err != nil {
-		return Allocation{}, err
-	}
-	if len(classes) != len(s.weights) {
-		return Allocation{}, fmt.Errorf("%w: %d classes for %d static weights",
-			ErrInfeasible, len(classes), len(s.weights))
-	}
-	rates := append([]float64(nil), s.weights...)
-	sl, err := SlowdownUnderRates(classes, w, rates)
-	if err != nil {
-		return Allocation{}, err
-	}
-	return Allocation{Rates: rates, ExpectedSlowdowns: sl, Utilization: rho}, nil
-}
-
 // PDD allocates rates so that expected *queueing delays* (not slowdowns)
 // are proportional to δ — the server-side analogue of the rate-based
 // proportional delay differentiation schemes (BPR [Dovrolis et al.]) the
@@ -185,6 +133,5 @@ func (PDD) AllocateInto(dst *Allocation, classes []Class, w Workload) error {
 var (
 	_ InPlaceAllocator = EqualShare{}
 	_ InPlaceAllocator = DemandProportional{}
-	_ Allocator        = (*Static)(nil)
 	_ InPlaceAllocator = PDD{}
 )

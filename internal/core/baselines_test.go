@@ -69,39 +69,6 @@ func TestDemandProportionalZeroLoad(t *testing.T) {
 	}
 }
 
-func TestStaticAllocator(t *testing.T) {
-	w := paperWorkload(t)
-	st, err := NewStatic([]float64{3, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	classes := equalLoadClasses([]float64{1, 2}, 0.4, w)
-	alloc, err := st.Allocate(classes, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if relErr(alloc.Rates[0], 0.75) > 1e-12 || relErr(alloc.Rates[1], 0.25) > 1e-12 {
-		t.Fatalf("static rates = %v, want [0.75 0.25]", alloc.Rates)
-	}
-}
-
-func TestStaticValidation(t *testing.T) {
-	if _, err := NewStatic(nil); err == nil {
-		t.Error("accepted empty weights")
-	}
-	if _, err := NewStatic([]float64{1, 0}); err == nil {
-		t.Error("accepted zero weight")
-	}
-	if _, err := NewStatic([]float64{1, -2}); err == nil {
-		t.Error("accepted negative weight")
-	}
-	st, _ := NewStatic([]float64{1, 1, 1})
-	w := paperWorkload(t)
-	if _, err := st.Allocate(equalLoadClasses([]float64{1, 2}, 0.3, w), w); err == nil {
-		t.Error("accepted class-count mismatch")
-	}
-}
-
 // TestPDDAchievesDelayRatios verifies the PDD baseline solves its own
 // objective: P-K waiting times under the computed rates are in ratio δ.
 func TestPDDAchievesDelayRatios(t *testing.T) {
@@ -184,11 +151,10 @@ func TestPDDWithIdleClass(t *testing.T) {
 // TestAllAllocatorsStableRates: every allocator returns rates that keep
 // every active class stable and sum to ≤ 1 (+ε). The registry supplies
 // the policy zoo, so a newly registered policy is covered automatically;
-// Static rides along as the parameterized outsider.
+// fixed shares ride along as the demand-blind outsider.
 func TestAllAllocatorsStableRates(t *testing.T) {
 	w := paperWorkload(t)
-	st, _ := NewStatic([]float64{2, 1})
-	allocators := []Allocator{st}
+	allocators := []Allocator{fixedShares{2.0 / 3, 1.0 / 3}}
 	for _, p := range Policies() {
 		allocators = append(allocators, p.New())
 	}
@@ -197,7 +163,7 @@ func TestAllAllocatorsStableRates(t *testing.T) {
 		for _, a := range allocators {
 			alloc, err := a.Allocate(classes, w)
 			if err != nil {
-				// Static with weights (2/3, 1/3): class 1 gets 1/3 and
+				// Fixed shares (2/3, 1/3): class 1 gets 1/3 and
 				// demands rho/2; stable when rho/2 < 1/3, i.e. rho < 2/3.
 				continue
 			}
@@ -205,7 +171,7 @@ func TestAllAllocatorsStableRates(t *testing.T) {
 			for i, r := range alloc.Rates {
 				sum += r
 				if classes[i].Lambda > 0 && r <= classes[i].Lambda*w.MeanSize {
-					// Static allocators may legitimately starve a class;
+					// Fixed shares may legitimately starve a class;
 					// the prediction must then be +Inf, not bogus.
 					if !math.IsInf(alloc.ExpectedSlowdowns[i], 1) {
 						t.Errorf("%s rho=%v class %d starved but slowdown=%v",
@@ -218,6 +184,25 @@ func TestAllAllocatorsStableRates(t *testing.T) {
 			}
 		}
 	}
+}
+
+// fixedShares hands out the same rates whatever the demand: an operator
+// who provisions shares once and never adapts.
+type fixedShares []float64
+
+func (fixedShares) Name() string { return "fixed" }
+
+func (f fixedShares) Allocate(classes []Class, w Workload) (Allocation, error) {
+	rho, err := validateClasses(classes, w)
+	if err != nil {
+		return Allocation{}, err
+	}
+	rates := append([]float64(nil), f...)
+	sl, err := SlowdownUnderRates(classes, w, rates)
+	if err != nil {
+		return Allocation{}, err
+	}
+	return Allocation{Rates: rates, ExpectedSlowdowns: sl, Utilization: rho}, nil
 }
 
 // tickClassDeltas are the class counts the allocator gate and benchmark

@@ -296,11 +296,4 @@ func slowdownUnderRatesInto(dst []float64, classes []Class, w Workload, rates []
 	return nil
 }
 
-// Feasible reports whether the classes' total demand fits in unit
-// capacity with strictly positive surplus.
-func Feasible(classes []Class, w Workload) bool {
-	_, err := validateClasses(classes, w)
-	return err == nil
-}
-
 var _ InPlaceAllocator = PSD{}

@@ -370,13 +370,53 @@ func TestSlowdownUnderRatesOverload(t *testing.T) {
 	}
 }
 
+// TestFeasible: every allocator starts from validateClasses, which
+// admits total demand only with strictly positive surplus.
 func TestFeasible(t *testing.T) {
 	w := paperWorkload(t)
-	if !Feasible(equalLoadClasses([]float64{1, 2}, 0.9, w), w) {
-		t.Error("rho=0.9 should be feasible")
+	if _, err := validateClasses(equalLoadClasses([]float64{1, 2}, 0.9, w), w); err != nil {
+		t.Errorf("rho=0.9 should be feasible: %v", err)
 	}
-	if Feasible(equalLoadClasses([]float64{1, 2}, 1.1, w), w) {
-		t.Error("rho=1.1 should be infeasible")
+	if _, err := validateClasses(equalLoadClasses([]float64{1, 2}, 1.1, w), w); !errors.Is(err, ErrInfeasible) {
+		t.Errorf("rho=1.1 should be infeasible, got %v", err)
+	}
+}
+
+// TestPSDSharedAllocatorFailsAcrossLaws: Eq. 17 assumes one shared size
+// law. Handed the wrong moments for a class whose true jobs are 10×
+// larger, it yields materially non-proportional slowdowns.
+func TestPSDSharedAllocatorFailsAcrossLaws(t *testing.T) {
+	bp := paperWorkload(t)
+	uniform, err := dist.NewUniform(2, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := WorkloadFromDist(uniform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := []Class{
+		{Delta: 1, Lambda: 0.25 / bp.MeanSize},
+		{Delta: 2, Lambda: 0.25 / big.MeanSize},
+	}
+	// The shared-law allocator believes everything is Bounded Pareto.
+	alloc, err := PSD{}.Allocate(classes, bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each task server is its own M/G/1 queue: class i's true slowdown
+	// is Theorem 1 under its own law at its allocated rate.
+	var sl [2]float64
+	for i, w := range []Workload{bp, big} {
+		s, err := SlowdownUnderRates(classes[i:i+1], w, alloc.Rates[i:i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		sl[i] = s[0]
+	}
+	got := sl[1] / sl[0]
+	if !math.IsInf(got, 1) && relErr(got, 2) < 0.25 {
+		t.Fatalf("shared-law allocation accidentally achieved the target on heterogeneous traffic (ratio %v)", got)
 	}
 }
 
@@ -403,8 +443,7 @@ func TestAllocatorNames(t *testing.T) {
 	}
 	// Parameterized allocators live outside the registry but still need
 	// names for Result provenance.
-	st, _ := NewStatic([]float64{1, 1})
-	for _, a := range []Allocator{st, MinRate{Base: PSD{}, Min: 1e-4}, HeterogeneousPSD{}} {
+	for _, a := range []Allocator{MinRate{Base: PSD{}, Min: 1e-4}} {
 		if a.Name() == "" {
 			t.Errorf("%T has empty name", a)
 		}

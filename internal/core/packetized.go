@@ -28,8 +28,8 @@ import (
 // moderate load rarely has both classes queued, so reordering alone
 // yields only weak differentiation no matter the weights (Kleinrock's
 // conservation law bounds what any work-conserving discipline can trade
-// between classes). internal/simsrv.RunPacketized demonstrates this
-// empirically; it is the reproduction's justification for the paper's
+// between classes). internal/simsrv's packetized server demonstrates
+// this empirically; it is the reproduction's justification for the paper's
 // non-work-conserving capacity partition, which "wastes" surplus to hold
 // the slowdown gap open at every load. Use PacketizedPSD when the server
 // genuinely operates near saturation; use the partitioned task-server

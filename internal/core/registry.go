@@ -126,10 +126,7 @@ func namesHelp() string {
 	return s
 }
 
-// The built-in zoo. Static is deliberately absent (it is parameterized
-// by a weight vector, so it has no flag spelling) and HeterogeneousPSD
-// is API-only (it needs per-class workloads, which the shared-moment
-// Allocate signature cannot carry).
+// The built-in zoo.
 func init() {
 	Register(Policy{
 		Name:    "psd",

@@ -73,23 +73,12 @@ type Handler interface {
 	HandleEvent(kind, data int32)
 }
 
-// HandlerFunc adapts a function to Handler. Note that constructing a
-// closure allocates; hot paths should implement Handler on a long-lived
-// struct instead.
-type HandlerFunc func(kind, data int32)
-
-// HandleEvent calls f.
-func (f HandlerFunc) HandleEvent(kind, data int32) { f(kind, data) }
-
 // EventID is a generation-checked handle to a scheduled event. The zero
 // value is never issued and is inert: canceling or querying it is a no-op.
 // A handle goes stale as soon as its event fires or is canceled; stale
 // handles are detected and ignored even if the underlying slot has been
 // reused.
 type EventID uint64
-
-// None is the zero EventID, meaning "no event".
-const None EventID = 0
 
 func makeID(slot int32, gen uint32) EventID {
 	return EventID(uint64(slot+1) | uint64(gen)<<32)

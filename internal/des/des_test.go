@@ -10,7 +10,13 @@ import (
 )
 
 // fn wraps a closure as a Handler for test convenience.
-func fn(f func()) Handler { return HandlerFunc(func(_, _ int32) { f() }) }
+// handlerFunc adapts a function to Handler (a closure allocates, so the
+// simulator's own handlers are long-lived structs instead).
+type handlerFunc func(kind, data int32)
+
+func (f handlerFunc) HandleEvent(kind, data int32) { f(kind, data) }
+
+func fn(f func()) Handler { return handlerFunc(func(_, _ int32) { f() }) }
 
 func TestEventsFireInTimeOrder(t *testing.T) {
 	s := New()
@@ -34,7 +40,7 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 func TestTieBreakIsFIFO(t *testing.T) {
 	s := New()
 	var order []int32
-	h := HandlerFunc(func(_, data int32) { order = append(order, data) })
+	h := handlerFunc(func(_, data int32) { order = append(order, data) })
 	for i := int32(0); i < 10; i++ {
 		s.Schedule(1.0, h, 0, i)
 	}
@@ -50,7 +56,7 @@ func TestKindAndDataDispatch(t *testing.T) {
 	s := New()
 	type hit struct{ kind, data int32 }
 	var hits []hit
-	h := HandlerFunc(func(kind, data int32) { hits = append(hits, hit{kind, data}) })
+	h := handlerFunc(func(kind, data int32) { hits = append(hits, hit{kind, data}) })
 	s.Schedule(1, h, 7, 42)
 	s.Schedule(2, h, 8, -3)
 	s.Run()
@@ -100,7 +106,7 @@ func TestCancelTwice(t *testing.T) {
 	if s.Cancel(e) {
 		t.Fatal("second cancel of the same handle reported success")
 	}
-	if s.Cancel(None) {
+	if s.Cancel(EventID(0)) {
 		t.Fatal("canceling the zero EventID reported success")
 	}
 }
@@ -151,7 +157,7 @@ func TestPoolReuseGenerationCheck(t *testing.T) {
 // schedule/fire cycle performs zero heap allocations.
 func TestSteadyStateNoAlloc(t *testing.T) {
 	s := New()
-	h := HandlerFunc(func(_, _ int32) {})
+	h := handlerFunc(func(_, _ int32) {})
 	// Warm the arena and the heap capacity.
 	for i := 0; i < 64; i++ {
 		s.Schedule(float64(i), h, 0, 0)
@@ -252,7 +258,7 @@ func TestEventTime(t *testing.T) {
 	if _, ok := s.EventTime(e); ok {
 		t.Fatal("EventTime of canceled event reported ok")
 	}
-	if _, ok := s.EventTime(None); ok {
+	if _, ok := s.EventTime(EventID(0)); ok {
 		t.Fatal("EventTime of zero handle reported ok")
 	}
 }
@@ -380,7 +386,7 @@ func TestRandomCancelOrderingProperty(t *testing.T) {
 	}
 	var recs []rec
 	var fired []float64
-	h := HandlerFunc(func(_, data int32) { fired = append(fired, recs[data].time) })
+	h := handlerFunc(func(_, data int32) { fired = append(fired, recs[data].time) })
 	for i := 0; i < 5000; i++ {
 		tm := r.Float64() * 1000
 		id := s.Schedule(tm, h, 0, int32(len(recs)))
@@ -415,7 +421,7 @@ func TestManyReschedules(t *testing.T) {
 	completions := 0
 	var e EventID
 	for i := 0; i < 1000; i++ {
-		if e != None {
+		if e != EventID(0) {
 			s.Cancel(e)
 		}
 		e = s.Schedule(float64(1000-i), fn(func() { completions++ }), 0, 0)
@@ -439,7 +445,7 @@ func TestManyReschedules(t *testing.T) {
 func TestResetReplaysIdentically(t *testing.T) {
 	run := func(s *Simulator) ([]int32, uint64) {
 		var order []int32
-		h := HandlerFunc(func(_, data int32) { order = append(order, data) })
+		h := handlerFunc(func(_, data int32) { order = append(order, data) })
 		a := s.Schedule(5, h, 0, 1)
 		s.Schedule(3, h, 0, 2)
 		s.Schedule(3, h, 0, 3) // ties with the previous: FIFO by seq
@@ -450,7 +456,7 @@ func TestResetReplaysIdentically(t *testing.T) {
 	}
 	s := New()
 	first, firstN := run(s)
-	stale := s.Schedule(1e9, HandlerFunc(func(_, _ int32) {}), 0, 99)
+	stale := s.Schedule(1e9, handlerFunc(func(_, _ int32) {}), 0, 99)
 	s.Reset()
 	if s.Now() != 0 || s.Pending() != 0 || s.Processed() != 0 {
 		t.Fatalf("Reset left state: now=%v pending=%d processed=%d", s.Now(), s.Pending(), s.Processed())
@@ -476,7 +482,7 @@ func TestResetReplaysIdentically(t *testing.T) {
 func BenchmarkScheduleRun(b *testing.B) {
 	s := New()
 	r := rng.New(1)
-	h := HandlerFunc(func(_, _ int32) {})
+	h := handlerFunc(func(_, _ int32) {})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.Schedule(r.Float64()*100, h, 0, 0)
@@ -491,11 +497,11 @@ func BenchmarkScheduleRun(b *testing.B) {
 
 func BenchmarkCancelReschedule(b *testing.B) {
 	s := New()
-	h := HandlerFunc(func(_, _ int32) {})
+	h := handlerFunc(func(_, _ int32) {})
 	var e EventID
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if e != None {
+		if e != EventID(0) {
 			s.Cancel(e)
 		}
 		e = s.ScheduleAt(s.Now()+1+float64(i%7), h, 0, 0)

@@ -53,12 +53,12 @@ func (s *heapSet) set(role int, t float64) {
 }
 func (s *heapSet) clear(role int) {
 	s.Cancel(s.ids[role])
-	s.ids[role] = None
+	s.ids[role] = EventID(0)
 }
 func (s *heapSet) now() float64      { return s.Now() }
 func (s *heapSet) processed() uint64 { return s.Processed() }
 func (s *heapSet) HandleEvent(_, role int32) {
-	s.ids[role] = None
+	s.ids[role] = EventID(0)
 	s.fire(int(role))
 }
 func (s *heapSet) runUntil(horizon float64, fire func(int)) {

@@ -19,13 +19,8 @@ func BenchmarkSample(b *testing.B) {
 		{"Exponential", must(dist.NewExponential(1))},
 		{"Uniform", must(dist.NewUniform(0.5, 2.5))},
 		{"Lognormal", must(dist.NewLognormal(0, 1))},
-		{"Weibull", must(dist.NewWeibull(1.5, 1))},
 		{"HyperExp2", must(dist.NewHyperExp2(1, 4))},
 		{"Empirical", must(dist.NewEmpirical([]float64{0.2, 0.5, 1, 2, 5, 0.7, 1.3, 3}))},
-		{"Mixture", must(dist.NewMixture(
-			[]dist.Distribution{dist.PaperDefault(), must(dist.NewUniform(0.5, 1.5))},
-			[]float64{0.5, 0.5},
-		))},
 		{"Scaled", must(dist.NewScaled(dist.PaperDefault(), 3))},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -41,26 +36,12 @@ func BenchmarkSample(b *testing.B) {
 }
 
 // BenchmarkMoments measures the analytic moment path (precomputed for
-// Bounded Pareto, weight-folded for Mixture) that the allocator hits on
-// every reallocation window.
+// Bounded Pareto) that the allocator hits on every reallocation window.
 func BenchmarkMoments(b *testing.B) {
-	mix := must(dist.NewMixture(
-		[]dist.Distribution{dist.PaperDefault(), must(dist.NewUniform(0.5, 1.5))},
-		[]float64{0.5, 0.5},
-	))
-	for _, bc := range []struct {
-		name string
-		d    dist.Distribution
-	}{
-		{"BoundedPareto", dist.PaperDefault()},
-		{"Mixture", mix},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			var sink float64
-			for i := 0; i < b.N; i++ {
-				sink += bc.d.Mean() + bc.d.SecondMoment() + bc.d.InverseMoment()
-			}
-			_ = sink
-		})
+	d := dist.PaperDefault()
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		sink += d.Mean() + d.SecondMoment() + d.InverseMoment()
 	}
+	_ = sink
 }

@@ -8,7 +8,7 @@
 // Every moment is closed-form (no numeric integration) and every sampler
 // is an exact transform of an internal/rng Source — inversion where that
 // is one multiply, the Source's ziggurat exponential and normal under the
-// exponential, hyperexponential, Weibull and lognormal, and a ziggurat of
+// exponential, hyperexponential and lognormal, and a ziggurat of
 // its own density under the Bounded Pareto (ziggurat.go), which keeps
 // Log/Exp/Pow off the simulator's per-event path: the first compare ends
 // ~97 % of draws, and two lines per layer (rng.Squeeze) decide ~98 % of
@@ -22,14 +22,13 @@
 // web job sizes, §4.1); PaperDefault returns its BP(0.1, 100, 1.5)
 // parameterization. Around it the package grows scenario coverage:
 // Deterministic, Exponential and Uniform for closed-form cross-checks,
-// Lognormal and Weibull for alternative heavy-or-light tails, a
-// two-phase hyperexponential fit from (mean, SCV) for high-variance
-// non-Pareto traffic, a trace-driven Empirical law, a Mixture
-// combinator, and a Scaled wrapper implementing Lemma 2's capacity
-// scaling.
+// Lognormal for a moderate-variance alternative tail, a two-phase
+// hyperexponential fit from (mean, SCV) for high-variance non-Pareto
+// traffic, a trace-driven Empirical law, and a Scaled wrapper
+// implementing Lemma 2's capacity scaling.
 //
 // E[1/X] does not exist for every law (the exponential's diverges near
-// zero, as does the Weibull's for shape ≤ 1). Such distributions return
+// zero, as does the hyperexponential's). Such distributions return
 // +Inf from InverseMoment; consumers that need a finite slowdown
 // constant (internal/queueing, internal/core) detect this and fail with
 // queueing.ErrDivergent / core.ErrInfeasible rather than propagating

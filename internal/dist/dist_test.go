@@ -22,9 +22,6 @@ func TestConstructorValidation(t *testing.T) {
 		{"uniform degenerate", func() (dist.Distribution, error) { return dist.NewUniform(1, 1) }},
 		{"lognormal Inf mu", func() (dist.Distribution, error) { return dist.NewLognormal(math.Inf(1), 1) }},
 		{"lognormal zero sigma", func() (dist.Distribution, error) { return dist.NewLognormal(0, 0) }},
-		{"lognormal moments bad scv", func() (dist.Distribution, error) { return dist.LognormalFromMoments(1, 0) }},
-		{"weibull zero shape", func() (dist.Distribution, error) { return dist.NewWeibull(0, 1) }},
-		{"weibull negative scale", func() (dist.Distribution, error) { return dist.NewWeibull(1, -2) }},
 		{"hyperexp scv below 1", func() (dist.Distribution, error) { return dist.NewHyperExp2(1, 0.5) }},
 		{"hyperexp zero mean", func() (dist.Distribution, error) { return dist.NewHyperExp2(0, 2) }},
 		{"hyperexp scv degenerate", func() (dist.Distribution, error) { return dist.NewHyperExp2(1, 1e17) }},
@@ -33,26 +30,10 @@ func TestConstructorValidation(t *testing.T) {
 		{"empirical zero size", func() (dist.Distribution, error) { return dist.NewEmpirical([]float64{1, 0}) }},
 		{"scaled nil", func() (dist.Distribution, error) { return dist.NewScaled(nil, 1) }},
 		{"scaled zero rate", func() (dist.Distribution, error) { return dist.NewScaled(dist.PaperDefault(), 0) }},
-		{"mixture empty", func() (dist.Distribution, error) { return dist.NewMixture(nil, nil) }},
-		{"mixture length mismatch", func() (dist.Distribution, error) {
-			return dist.NewMixture([]dist.Distribution{dist.PaperDefault()}, []float64{0.5, 0.5})
-		}},
-		{"mixture nil component", func() (dist.Distribution, error) {
-			return dist.NewMixture([]dist.Distribution{nil}, []float64{1})
-		}},
-		{"mixture zero weight", func() (dist.Distribution, error) {
-			return dist.NewMixture([]dist.Distribution{dist.PaperDefault()}, []float64{0})
-		}},
-		{"mixture weight sum overflows", func() (dist.Distribution, error) {
-			return dist.NewMixture(
-				[]dist.Distribution{dist.PaperDefault(), must(dist.NewDeterministic(1))},
-				[]float64{1e308, 1e308})
-		}},
 		{"deterministic second moment overflows", func() (dist.Distribution, error) { return dist.NewDeterministic(1e200) }},
 		{"exponential second moment overflows", func() (dist.Distribution, error) { return dist.NewExponential(1e-200) }},
 		{"uniform second moment overflows", func() (dist.Distribution, error) { return dist.NewUniform(1, 1e200) }},
 		{"lognormal mean overflows", func() (dist.Distribution, error) { return dist.NewLognormal(400, 30) }},
-		{"weibull second moment overflows", func() (dist.Distribution, error) { return dist.NewWeibull(0.01, 1e-157) }},
 		{"scaled second moment overflows", func() (dist.Distribution, error) {
 			return dist.NewScaled(must(dist.NewDeterministic(1e150)), 1e-150)
 		}},
@@ -72,8 +53,6 @@ func TestDivergenceContract(t *testing.T) {
 	divergent := []dist.Distribution{
 		must(dist.NewExponential(1)),
 		must(dist.NewHyperExp2(1, 4)),
-		must(dist.NewWeibull(1, 1)),   // boundary: exponential
-		must(dist.NewWeibull(0.5, 1)), // heavy: concentrates near 0
 	}
 	for _, d := range divergent {
 		if !math.IsInf(d.InverseMoment(), 1) {
@@ -85,7 +64,6 @@ func TestDivergenceContract(t *testing.T) {
 		must(dist.NewDeterministic(1)),
 		must(dist.NewUniform(0.5, 2)),
 		must(dist.NewLognormal(0, 1)),
-		must(dist.NewWeibull(1.5, 1)),
 		must(dist.NewEmpirical([]float64{1, 2})),
 	}
 	for _, d := range finite {
@@ -155,62 +133,6 @@ func TestEmpiricalCopiesTrace(t *testing.T) {
 	}
 }
 
-func TestMixtureMomentsAreWeightedSums(t *testing.T) {
-	u := must(dist.NewUniform(0.5, 1.5))
-	det := must(dist.NewDeterministic(3))
-	m, err := dist.NewMixture([]dist.Distribution{u, det}, []float64{1, 3}) // normalizes to 0.25/0.75
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMean := 0.25*u.Mean() + 0.75*det.Mean()
-	wantSecond := 0.25*u.SecondMoment() + 0.75*det.SecondMoment()
-	wantInv := 0.25*u.InverseMoment() + 0.75*det.InverseMoment()
-	if relErr(m.Mean(), wantMean) > 1e-12 ||
-		relErr(m.SecondMoment(), wantSecond) > 1e-12 ||
-		relErr(m.InverseMoment(), wantInv) > 1e-12 {
-		t.Errorf("mixture moments (%v, %v, %v), want (%v, %v, %v)",
-			m.Mean(), m.SecondMoment(), m.InverseMoment(), wantMean, wantSecond, wantInv)
-	}
-}
-
-func TestMixtureDivergencePropagates(t *testing.T) {
-	m, err := dist.NewMixture(
-		[]dist.Distribution{must(dist.NewDeterministic(1)), must(dist.NewExponential(1))},
-		[]float64{0.9, 0.1},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(m.InverseMoment(), 1) {
-		t.Errorf("mixture with exponential component: E[1/X] = %v, want +Inf", m.InverseMoment())
-	}
-}
-
-func TestWeibullShape1IsExponential(t *testing.T) {
-	w := must(dist.NewWeibull(1, 2))    // scale 2 → mean 2
-	e := must(dist.NewExponential(0.5)) // rate 0.5 → mean 2
-	if relErr(w.Mean(), e.Mean()) > 1e-12 || relErr(w.SecondMoment(), e.SecondMoment()) > 1e-12 {
-		t.Errorf("Weibull(1, 2) moments (%v, %v) != Exponential(0.5) (%v, %v)",
-			w.Mean(), w.SecondMoment(), e.Mean(), e.SecondMoment())
-	}
-}
-
-func TestLognormalFromMomentsRoundTrip(t *testing.T) {
-	for _, tc := range []struct{ mean, scv float64 }{{1, 0.25}, {2, 4}, {0.3, 1}} {
-		d, err := dist.LognormalFromMoments(tc.mean, tc.scv)
-		if err != nil {
-			t.Fatalf("(%v, %v): %v", tc.mean, tc.scv, err)
-		}
-		if relErr(d.Mean(), tc.mean) > 1e-12 {
-			t.Errorf("(%v, %v): mean %v", tc.mean, tc.scv, d.Mean())
-		}
-		gotSCV := d.SecondMoment()/(d.Mean()*d.Mean()) - 1
-		if relErr(gotSCV, tc.scv) > 1e-9 {
-			t.Errorf("(%v, %v): scv %v", tc.mean, tc.scv, gotSCV)
-		}
-	}
-}
-
 func TestStringNamesFamily(t *testing.T) {
 	for want, d := range map[string]dist.Distribution{
 		"BoundedPareto": dist.PaperDefault(),
@@ -218,10 +140,8 @@ func TestStringNamesFamily(t *testing.T) {
 		"Exponential":   must(dist.NewExponential(1)),
 		"Uniform":       must(dist.NewUniform(1, 2)),
 		"Lognormal":     must(dist.NewLognormal(0, 1)),
-		"Weibull":       must(dist.NewWeibull(1.5, 1)),
 		"HyperExp2":     must(dist.NewHyperExp2(1, 2)),
 		"Empirical":     must(dist.NewEmpirical([]float64{1})),
-		"Mixture":       must(dist.NewMixture([]dist.Distribution{dist.PaperDefault()}, []float64{1})),
 		"Scaled":        must(dist.NewScaled(dist.PaperDefault(), 2)),
 	} {
 		if !strings.Contains(d.String(), want) {

@@ -51,101 +51,3 @@ func (d *empirical) Sample(src *rng.Source) float64 {
 func (d *empirical) String() string {
 	return fmt.Sprintf("Empirical(n=%d, mean=%.4g)", len(d.sizes), d.mean)
 }
-
-// mixture draws from one of several component laws with fixed
-// probabilities.
-type mixture struct {
-	components []Distribution
-	cum        []float64 // cumulative normalized weights, last = 1
-	weights    []float64 // normalized weights, for moments and String
-}
-
-// NewMixture returns the law that picks component i with probability
-// weights[i] (normalized) and samples it. Mixtures model multi-modal
-// traffic — e.g. a mostly-small static workload with a heavy dynamic
-// tail — and their moments are the weight-averaged component moments:
-//
-//	E[X^n] = Σᵢ wᵢ·E[Xᵢ^n]
-//
-// If any component with positive weight has a divergent E[1/X], the
-// mixture's InverseMoment is +Inf too.
-func NewMixture(components []Distribution, weights []float64) (Distribution, error) {
-	if len(components) == 0 {
-		return nil, fmt.Errorf("dist: mixture needs at least one component")
-	}
-	if len(components) != len(weights) {
-		return nil, fmt.Errorf("dist: mixture has %d components but %d weights", len(components), len(weights))
-	}
-	var total float64
-	for i, w := range weights {
-		if components[i] == nil {
-			return nil, fmt.Errorf("dist: mixture component %d is nil", i)
-		}
-		if err := checkParam(fmt.Sprintf("mixture weight [%d]", i), w); err != nil {
-			return nil, err
-		}
-		total += w
-	}
-	if math.IsInf(total, 0) {
-		return nil, fmt.Errorf("dist: mixture weights sum to +Inf")
-	}
-	m := &mixture{
-		components: append([]Distribution(nil), components...),
-		cum:        make([]float64, len(weights)),
-		weights:    make([]float64, len(weights)),
-	}
-	acc := 0.0
-	for i, w := range weights {
-		m.weights[i] = w / total
-		acc += w / total
-		m.cum[i] = acc
-	}
-	m.cum[len(m.cum)-1] = 1 // guard against rounding shortfall
-	return checkMoments(m)
-}
-
-func (m *mixture) Mean() float64 {
-	var s float64
-	for i, c := range m.components {
-		s += m.weights[i] * c.Mean()
-	}
-	return s
-}
-
-func (m *mixture) SecondMoment() float64 {
-	var s float64
-	for i, c := range m.components {
-		s += m.weights[i] * c.SecondMoment()
-	}
-	return s
-}
-
-func (m *mixture) InverseMoment() float64 {
-	var s float64
-	for i, c := range m.components {
-		s += m.weights[i] * c.InverseMoment() // +Inf propagates
-	}
-	return s
-}
-
-// Sample draws one uniform to pick the component, then delegates.
-func (m *mixture) Sample(src *rng.Source) float64 {
-	u := src.Float64()
-	for i, c := range m.cum {
-		if u < c {
-			return m.components[i].Sample(src)
-		}
-	}
-	return m.components[len(m.components)-1].Sample(src)
-}
-
-func (m *mixture) String() string {
-	s := "Mixture("
-	for i, c := range m.components {
-		if i > 0 {
-			s += ", "
-		}
-		s += fmt.Sprintf("%.3g×%s", m.weights[i], c)
-	}
-	return s + ")"
-}

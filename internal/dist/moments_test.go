@@ -32,34 +32,27 @@ type momentCase struct {
 	tolMean float64
 	tolSec  float64
 	tolInv  float64
+	// stream is the case's rng.Split stream; it stays fixed when other
+	// rows come and go.
+	stream uint64
 }
 
 func momentCases() []momentCase {
 	trace := []float64{0.2, 0.5, 1, 2, 5, 0.7, 1.3}
-	mix := must(dist.NewMixture(
-		[]dist.Distribution{
-			must(dist.NewUniform(0.5, 1.5)),
-			dist.MustBoundedPareto(0.1, 10, 1.5),
-			must(dist.NewDeterministic(2)),
-		},
-		[]float64{0.3, 0.5, 0.2},
-	))
 	return []momentCase{
-		{"Deterministic", must(dist.NewDeterministic(2.5)), 1000, 1e-12, 1e-12, 1e-12},
-		{"Uniform", must(dist.NewUniform(0.5, 2.5)), 400_000, 0.01, 0.01, 0.01},
-		{"Exponential", must(dist.NewExponential(2)), 400_000, 0.01, 0.03, 0},
-		{"BoundedPareto-short", dist.MustBoundedPareto(0.1, 10, 1.5), 400_000, 0.01, 0.05, 0.01},
-		{"BoundedPareto-paper", dist.PaperDefault(), 1_000_000, 0.01, 0.15, 0.01},
-		{"BoundedPareto-alpha1", dist.MustBoundedPareto(0.1, 100, 1), 1_000_000, 0.02, 0.08, 0.01},
-		{"BoundedPareto-alpha2", dist.MustBoundedPareto(0.1, 100, 2), 1_000_000, 0.01, 0.25, 0.01},
-		{"Lognormal", must(dist.NewLognormal(0, 0.5)), 400_000, 0.01, 0.02, 0.01},
-		{"Lognormal-heavy", must(dist.LognormalFromMoments(2, 4)), 1_000_000, 0.01, 0.10, 0.01},
-		{"Weibull-light", must(dist.NewWeibull(2, 1.5)), 400_000, 0.01, 0.02, 0.02},
-		{"Weibull-heavy", must(dist.NewWeibull(0.7, 1)), 400_000, 0.01, 0.05, 0},
-		{"HyperExp2", must(dist.NewHyperExp2(1, 4)), 1_000_000, 0.01, 0.05, 0},
-		{"Empirical", must(dist.NewEmpirical(trace)), 400_000, 0.01, 0.01, 0.01},
-		{"Mixture", mix, 400_000, 0.01, 0.05, 0.01},
-		{"Scaled", must(dist.NewScaled(dist.PaperDefault(), 1.0/3)), 1_000_000, 0.01, 0.15, 0.01},
+		{"Deterministic", must(dist.NewDeterministic(2.5)), 1000, 1e-12, 1e-12, 1e-12, 0},
+		{"Uniform", must(dist.NewUniform(0.5, 2.5)), 400_000, 0.01, 0.01, 0.01, 1},
+		{"Exponential", must(dist.NewExponential(2)), 400_000, 0.01, 0.03, 0, 2},
+		{"BoundedPareto-short", dist.MustBoundedPareto(0.1, 10, 1.5), 400_000, 0.01, 0.05, 0.01, 3},
+		{"BoundedPareto-paper", dist.PaperDefault(), 1_000_000, 0.01, 0.15, 0.01, 4},
+		{"BoundedPareto-alpha1", dist.MustBoundedPareto(0.1, 100, 1), 1_000_000, 0.02, 0.08, 0.01, 5},
+		{"BoundedPareto-alpha2", dist.MustBoundedPareto(0.1, 100, 2), 1_000_000, 0.01, 0.25, 0.01, 6},
+		{"Lognormal", must(dist.NewLognormal(0, 0.5)), 400_000, 0.01, 0.02, 0.01, 7},
+		// Mean 2 and SCV 4: σ² = ln(1 + 4), μ = ln 2 − σ²/2.
+		{"Lognormal-heavy", must(dist.NewLognormal(math.Log(2)-math.Log1p(4)/2, math.Sqrt(math.Log1p(4)))), 1_000_000, 0.01, 0.10, 0.01, 8},
+		{"HyperExp2", must(dist.NewHyperExp2(1, 4)), 1_000_000, 0.01, 0.05, 0, 11},
+		{"Empirical", must(dist.NewEmpirical(trace)), 400_000, 0.01, 0.01, 0.01, 12},
+		{"Scaled", must(dist.NewScaled(dist.PaperDefault(), 1.0/3)), 1_000_000, 0.01, 0.15, 0.01, 14},
 	}
 }
 
@@ -70,9 +63,9 @@ func momentCases() []momentCase {
 // analogue and is skipped.
 func TestSampleMomentsMatchClosedForms(t *testing.T) {
 	parent := rng.New(0x5eed)
-	for id, tc := range momentCases() {
+	for _, tc := range momentCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			src := parent.Split(uint64(id))
+			src := parent.Split(tc.stream)
 			var sum, sum2, sumInv float64
 			for i := 0; i < tc.n; i++ {
 				x := tc.d.Sample(src)

@@ -1,10 +1,10 @@
 // Package figures regenerates every figure of the paper's evaluation
 // (§4, Figures 2–12) from the simulation model. Each FigureN function
 // returns the plotted data series; cmd/psdfig renders them as CSV or
-// aligned tables, bench_test.go runs reduced-fidelity versions, and
-// EXPERIMENTS.md records the outcomes.
+// aligned tables, and the root package's bench_test.go runs
+// reduced-fidelity versions.
 //
-// Figure inventory (see DESIGN.md §5 for the experiment index):
+// Figure inventory:
 //
 //	Fig 2   sim vs expected slowdown, 2 classes, δ=(1,2), load sweep
 //	Fig 3   same with δ=(1,4)
@@ -666,32 +666,4 @@ func Generate(id int, opts Options) (Figure, error) {
 		return Figure{}, fmt.Errorf("figures: no figure %d (valid: 2-14)", id)
 	}
 	return g(opts)
-}
-
-// MaxAbsRelGap returns the largest |sim−expected|/expected across paired
-// "simulated"/"expected" series of a figure, used by regression tests to
-// quantify model agreement. Returns NaN if the figure has no such pairs.
-func MaxAbsRelGap(f Figure) float64 {
-	worst := math.NaN()
-	for _, s := range f.Series {
-		if len(s.Name) < 12 || s.Name[len(s.Name)-11:] != "(simulated)" {
-			continue
-		}
-		expName := s.Name[:len(s.Name)-11] + "(expected)"
-		for _, e := range f.Series {
-			if e.Name != expName {
-				continue
-			}
-			for i := range s.Y {
-				if i >= len(e.Y) || e.Y[i] == 0 {
-					continue
-				}
-				gap := math.Abs(s.Y[i]-e.Y[i]) / math.Abs(e.Y[i])
-				if math.IsNaN(worst) || gap > worst {
-					worst = gap
-				}
-			}
-		}
-	}
-	return worst
 }

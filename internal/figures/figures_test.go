@@ -127,7 +127,7 @@ func TestFigure2ShapeAndAgreement(t *testing.T) {
 	}
 	// Simulated tracks expected within heavy-tail tolerance at this
 	// fidelity.
-	if gap := MaxAbsRelGap(f); math.IsNaN(gap) || gap > 0.5 {
+	if gap := maxAbsRelGap(f); math.IsNaN(gap) || gap > 0.5 {
 		t.Fatalf("sim-vs-expected gap = %v", gap)
 	}
 	// Slowdowns increase with load (paper property 1 / Figure 2 shape).
@@ -291,7 +291,7 @@ func TestRenderTable(t *testing.T) {
 
 func TestMaxAbsRelGapNoPairs(t *testing.T) {
 	f := Figure{Series: []Series{{Name: "solo", X: []float64{1}, Y: []float64{1}}}}
-	if !math.IsNaN(MaxAbsRelGap(f)) {
+	if !math.IsNaN(maxAbsRelGap(f)) {
 		t.Fatal("gap without pairs should be NaN")
 	}
 }
@@ -309,4 +309,32 @@ func TestOptionsDefaults(t *testing.T) {
 	if len(o.Loads) == 0 || o.Runs == 0 {
 		t.Fatal("withDefaults incomplete")
 	}
+}
+
+// maxAbsRelGap returns the largest |sim−expected|/expected across paired
+// "simulated"/"expected" series of a figure, the tests' measure of model
+// agreement. Returns NaN if the figure has no such pairs.
+func maxAbsRelGap(f Figure) float64 {
+	worst := math.NaN()
+	for _, s := range f.Series {
+		if len(s.Name) < 12 || s.Name[len(s.Name)-11:] != "(simulated)" {
+			continue
+		}
+		expName := s.Name[:len(s.Name)-11] + "(expected)"
+		for _, e := range f.Series {
+			if e.Name != expName {
+				continue
+			}
+			for i := range s.Y {
+				if i >= len(e.Y) || e.Y[i] == 0 {
+					continue
+				}
+				gap := math.Abs(s.Y[i]-e.Y[i]) / math.Abs(e.Y[i])
+				if math.IsNaN(worst) || gap > worst {
+					worst = gap
+				}
+			}
+		}
+	}
+	return worst
 }

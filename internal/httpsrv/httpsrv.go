@@ -136,7 +136,7 @@ type Config struct {
 	// units since server start; rejected requests receive 503 and are
 	// accounted per class without feeding the load estimator. Admit
 	// calls are serialized per class when the controller implements
-	// admission.ClassIsolated (TokenBucket, AlwaysAdmit), globally
+	// admission.ClassIsolated (TokenBucket), globally
 	// otherwise, so non-thread-safe controllers are fine either way.
 	Admission admission.Controller
 	// FlightRecorderSize is the control-plane flight recorder's ring

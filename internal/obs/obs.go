@@ -16,11 +16,7 @@
 // Histograms bin into geometrically spaced power-of-two buckets (bucket i
 // covers [2^(first+i), 2^(first+i+1))) so Observe is one exponent
 // extraction and one atomic increment, with explicit underflow/overflow
-// buckets. Snapshots are plain mergeable values: merging the snapshots of
-// two histograms that observed disjoint halves of a stream equals the
-// snapshot of one histogram that observed the whole stream (property
-// tested), which is what lets per-worker or per-phase histograms be
-// aggregated without locks.
+// buckets. Snapshots are plain values, safe to serialize.
 package obs
 
 import (
@@ -125,9 +121,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// NumBuckets returns the number of in-range buckets.
-func (h *Histogram) NumBuckets() int { return len(h.counts) }
-
 // FirstExp returns the exponent of the first bucket's lower bound.
 func (h *Histogram) FirstExp() int { return h.first }
 
@@ -147,7 +140,7 @@ func (h *Histogram) Mean() float64 {
 }
 
 // HistogramSnapshot is a point-in-time copy of a Histogram, a plain
-// mergeable value safe to serialize. Concurrent observes during a
+// value safe to serialize. Concurrent observes during a
 // snapshot may skew individual buckets by in-flight increments (each
 // counter is read atomically but the set is not read as one transaction);
 // every counter is monotone, so a snapshot never goes backwards.
@@ -183,23 +176,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
 	h.SnapshotInto(&s)
 	return s
-}
-
-// Merge folds another snapshot into s. The two must have identical bucket
-// layouts (same first exponent and bucket count).
-func (s *HistogramSnapshot) Merge(o *HistogramSnapshot) error {
-	if s.FirstExp != o.FirstExp || len(s.Counts) != len(o.Counts) {
-		return fmt.Errorf("obs: merging mismatched histograms (2^%d×%d vs 2^%d×%d)",
-			s.FirstExp, len(s.Counts), o.FirstExp, len(o.Counts))
-	}
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.Underflow += o.Underflow
-	s.Overflow += o.Overflow
-	s.Count += o.Count
-	s.Sum += o.Sum
-	return nil
 }
 
 // UpperBound returns bucket i's exclusive upper bound, 2^(FirstExp+i+1).

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
 )
@@ -58,7 +57,7 @@ func TestHistogramBinningEdges(t *testing.T) {
 	}
 	cases := []struct {
 		v      float64
-		bucket int // -1 underflow, NumBuckets overflow
+		bucket int // -1 underflow, the bucket count overflow
 	}{
 		{1, 0}, {1.999, 0},
 		{2, 1}, {3.999, 1},
@@ -127,63 +126,6 @@ func TestHistogramMean(t *testing.T) {
 	h.Observe(4)
 	if h.Mean() != 3 {
 		t.Fatalf("mean = %v, want 3", h.Mean())
-	}
-}
-
-// TestHistogramMergeEqualsSingleStream is the property test behind
-// lock-free aggregation: splitting one observation stream across two
-// histograms and merging their snapshots equals observing the whole
-// stream in one histogram. Counts must match exactly; the merged sum may
-// differ from the sequential sum only by FP addition order, so the values
-// here are dyadic rationals where both orders are exact.
-func TestHistogramMergeEqualsSingleStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	whole, _ := NewHistogram(-4, 12)
-	a, _ := NewHistogram(-4, 12)
-	b, _ := NewHistogram(-4, 12)
-	for i := 0; i < 10000; i++ {
-		// Dyadic values spanning underflow, every bucket, and overflow.
-		v := math.Ldexp(float64(rng.Intn(1<<20)+1), -10) // k/1024, k in [1, 2^20]
-		if rng.Intn(50) == 0 {
-			v = 0 // underflow
-		}
-		whole.Observe(v)
-		if rng.Intn(2) == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-	}
-	merged := a.Snapshot()
-	bs := b.Snapshot()
-	if err := merged.Merge(&bs); err != nil {
-		t.Fatal(err)
-	}
-	want := whole.Snapshot()
-	if merged.Count != want.Count || merged.Underflow != want.Underflow || merged.Overflow != want.Overflow {
-		t.Fatalf("merged count/under/over = %d/%d/%d, want %d/%d/%d",
-			merged.Count, merged.Underflow, merged.Overflow, want.Count, want.Underflow, want.Overflow)
-	}
-	for i := range want.Counts {
-		if merged.Counts[i] != want.Counts[i] {
-			t.Fatalf("bucket %d: merged %d, single-stream %d", i, merged.Counts[i], want.Counts[i])
-		}
-	}
-	if math.Abs(merged.Sum-want.Sum) > 1e-9*math.Abs(want.Sum) {
-		t.Fatalf("merged sum %v, single-stream %v", merged.Sum, want.Sum)
-	}
-}
-
-func TestHistogramMergeLayoutMismatch(t *testing.T) {
-	a, _ := NewHistogram(0, 4)
-	b, _ := NewHistogram(1, 4)
-	c, _ := NewHistogram(0, 5)
-	as, bs, cs := a.Snapshot(), b.Snapshot(), c.Snapshot()
-	if err := as.Merge(&bs); err == nil {
-		t.Fatal("merge across first-exponent mismatch succeeded")
-	}
-	if err := as.Merge(&cs); err == nil {
-		t.Fatal("merge across bucket-count mismatch succeeded")
 	}
 }
 

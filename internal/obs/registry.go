@@ -111,13 +111,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	return &f.counters[0]
 }
 
-// FloatCounter registers and returns an unlabeled float counter.
-func (r *Registry) FloatCounter(name, help string) *FloatCounter {
-	f := &family{name: name, help: help, typ: CounterType, isFloat: true, fcounters: make([]FloatCounter, 1), labelVals: []string{""}}
-	r.register(f)
-	return &f.fcounters[0]
-}
-
 // Gauge registers and returns an unlabeled gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	f := &family{name: name, help: help, typ: GaugeType, gauges: make([]Gauge, 1), labelVals: []string{""}}

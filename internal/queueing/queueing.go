@@ -25,12 +25,6 @@ var ErrUnstable = errors.New("queueing: offered load >= capacity (unstable queue
 // service distribution (e.g. slowdown when E[1/X] diverges).
 var ErrDivergent = errors.New("queueing: metric diverges for this service distribution")
 
-// Utilization returns ρ = λ·E[X]/rate, the fraction of the server's
-// capacity consumed by a Poisson stream of rate λ with job sizes d.
-func Utilization(lambda float64, d dist.Distribution, rate float64) float64 {
-	return lambda * d.Mean() / rate
-}
-
 // PKWait returns the Pollaczek–Khinchin mean waiting time of an M/G/1 FCFS
 // queue with arrival rate λ and service times drawn from d, served at unit
 // rate:

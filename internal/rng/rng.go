@@ -3,8 +3,8 @@
 //
 // The generator is xoshiro256** (Blackman & Vigna), seeded through
 // SplitMix64 so that any 64-bit seed — including 0 — yields a well-mixed
-// state. Independent replications obtain non-overlapping streams either by
-// deriving child sources with Split (hash-based) or by the 2^128-step Jump.
+// state. Independent replications obtain their own streams by deriving
+// child sources with Split (hash-based).
 //
 // Uniforms take one Uint64 each. The exponential and the normal are exact
 // rejection samplers on 256-layer ziggurats (ziggurat.go): one Uint64 and
@@ -105,25 +105,6 @@ func (r *Source) Uint64() uint64 {
 	return result
 }
 
-// Jump advances the generator by 2^128 steps, equivalent to 2^128 calls of
-// Uint64. It can be used to generate 2^128 non-overlapping subsequences.
-func (r *Source) Jump() {
-	jump := [4]uint64{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa, 0x39abdc4529b1661c}
-	var s0, s1, s2, s3 uint64
-	for _, j := range jump {
-		for b := 0; b < 64; b++ {
-			if j&(1<<uint(b)) != 0 {
-				s0 ^= r.s[0]
-				s1 ^= r.s[1]
-				s2 ^= r.s[2]
-				s3 ^= r.s[3]
-			}
-			r.Uint64()
-		}
-	}
-	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
-}
-
 // Float64 returns a uniformly distributed float64 in [0, 1) with 53 bits of
 // precision.
 func (r *Source) Float64() float64 {
@@ -176,12 +157,4 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	hi = aHi*bHi + hiPart + t>>32
 	lo = t<<32 | lo32
 	return hi, lo
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

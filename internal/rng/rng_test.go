@@ -176,34 +176,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	New(1).Intn(0)
 }
 
-func TestJumpProducesDisjointStream(t *testing.T) {
-	a := New(13)
-	b := New(13)
-	b.Jump()
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("jumped stream collided with original %d times", same)
-	}
-}
-
-func TestShufflePermutes(t *testing.T) {
-	r := New(14)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	seen := map[int]bool{}
-	for _, x := range xs {
-		seen[x] = true
-	}
-	if len(seen) != 10 {
-		t.Fatalf("shuffle lost elements: %v", xs)
-	}
-}
-
 func TestMul64MatchesBigMultiplication(t *testing.T) {
 	f := func(a, b uint64) bool {
 		hi, lo := mul64(a, b)

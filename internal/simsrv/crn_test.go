@@ -37,7 +37,7 @@ func TestCommonRandomNumbersAcrossPolicies(t *testing.T) {
 		cfg.RecordRequests, cfg.RecordFrom, cfg.RecordTo = true, 0, cfg.Warmup+cfg.Horizon
 		var res *Result
 		if mk, packetized := disciplines[policy]; packetized {
-			res, err = RunPacketized(PacketizedConfig{Config: cfg, NewScheduler: mk})
+			res, err = runPacketized(PacketizedConfig{Config: cfg, NewScheduler: mk})
 		} else {
 			res, err = Run(cfg)
 		}

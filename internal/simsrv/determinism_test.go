@@ -203,7 +203,7 @@ func TestGoldenDeterminismPacketized(t *testing.T) {
 	cfg.Warmup = 1000
 	cfg.Horizon = 8000
 	cfg.Seed = 7
-	res, err := RunPacketized(PacketizedConfig{Config: cfg})
+	res, err := runPacketized(PacketizedConfig{Config: cfg})
 	checkGoldenFile(t, "packetized2", res, err)
 }
 
@@ -253,7 +253,7 @@ func TestGoldenDeterminismEWMAPacketized(t *testing.T) {
 	cfg.Horizon = 8000
 	cfg.Seed = 7
 	cfg.Estimator = control.EWMA
-	res, err := RunPacketized(PacketizedConfig{Config: cfg})
+	res, err := runPacketized(PacketizedConfig{Config: cfg})
 	checkGoldenFile(t, "ewma-packetized2", res, err)
 }
 

@@ -129,10 +129,7 @@ func TestDowngradingAggregateShedRate(t *testing.T) {
 	calm := EqualLoadConfig([]float64{1, 4}, 0.5, nil)
 	calm.Warmup = 1000
 	calm.Horizon = 5000
-	calmAgg, err := RunReplications(calm, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	calmAgg := replicate(t, calm, 3)
 	if calmAgg.MeanShedRate != 0 {
 		t.Errorf("MeanShedRate = %v without an admission gate, want 0", calmAgg.MeanShedRate)
 	}
@@ -160,7 +157,7 @@ func TestPacketizedGateAndLadder(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.Admission = adm
-		res, err := RunPacketized(PacketizedConfig{Config: cfg})
+		res, err := runPacketized(PacketizedConfig{Config: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}

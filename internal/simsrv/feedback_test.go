@@ -50,10 +50,7 @@ func TestFeedbackTightensWindowRatios(t *testing.T) {
 		cfg.Horizon = 30000
 		cfg.Seed = 5
 		cfg.Feedback = feedback
-		agg, err := RunReplications(cfg, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
+		agg := replicate(t, cfg, 16)
 		rs := agg.RatioSummaries[1]
 		return rs.P95 - rs.P05
 	}

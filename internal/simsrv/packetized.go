@@ -112,18 +112,3 @@ func (p *processor) setRates(rates []float64) error {
 }
 
 func (p *processor) finalRates(dst []float64) { copy(dst, p.lastWeights) }
-
-// RunPacketized executes one packetized-server replication. Batch callers
-// should hold a Simulator and use ResetPacketized to amortize arena
-// construction.
-func RunPacketized(pc PacketizedConfig) (*Result, error) {
-	var s Simulator
-	if err := s.ResetPacketized(pc, pc.Config.Seed); err != nil {
-		return nil, err
-	}
-	res := new(Result)
-	if err := s.RunInto(res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}

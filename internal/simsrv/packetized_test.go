@@ -25,7 +25,7 @@ func packetizedRatio(t *testing.T, pc PacketizedConfig, runs int) float64 {
 	var s0, s1 float64
 	for seed := uint64(0); seed < uint64(runs); seed++ {
 		pc.Config.Seed = seed
-		res, err := RunPacketized(pc)
+		res, err := runPacketized(pc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,14 +38,14 @@ func packetizedRatio(t *testing.T, pc PacketizedConfig, runs int) float64 {
 func TestPacketizedRejectsWorkConservingFlag(t *testing.T) {
 	pc := packetizedConfig([]float64{1, 2}, 0.5)
 	pc.Config.WorkConserving = true
-	if _, err := RunPacketized(pc); err == nil {
+	if _, err := runPacketized(pc); err == nil {
 		t.Fatal("accepted WorkConserving flag")
 	}
 }
 
 func TestPacketizedBasicRun(t *testing.T) {
 	pc := packetizedConfig([]float64{1, 2}, 0.6)
-	res, err := RunPacketized(pc)
+	res, err := runPacketized(pc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +149,11 @@ func TestPacketizedStrictPriorityBreaksProportionality(t *testing.T) {
 
 func TestPacketizedDeterminism(t *testing.T) {
 	pc := packetizedConfig([]float64{1, 2}, 0.5)
-	a, err := RunPacketized(pc)
+	a, err := runPacketized(pc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunPacketized(pc)
+	b, err := runPacketized(pc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestPacketizedDefaultsToPacketizedAllocator(t *testing.T) {
 	cfg.Warmup = 1000
 	cfg.Horizon = 5000
 	pc := PacketizedConfig{Config: cfg} // Allocator nil
-	res, err := RunPacketized(pc)
+	res, err := runPacketized(pc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestPacketizedRecordsRequests(t *testing.T) {
 	pc.Config.RecordRequests = true
 	pc.Config.RecordFrom = 5000
 	pc.Config.RecordTo = 7000
-	res, err := RunPacketized(pc)
+	res, err := runPacketized(pc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package simsrv
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"psd/internal/stats"
@@ -59,8 +58,8 @@ type Aggregate struct {
 // runs×windows, which is exactly the batch-vs-streaming trade-off the P²
 // estimator exists for. Because the consumed Result is fully copied into
 // the accumulators, the SAME Result buffer can be recycled for the next
-// replication — the worker/aggregator pipelines in RunReplications and
-// internal/sweep circulate a fixed pool of Results this way.
+// replication — RunOrdered, the pipeline under internal/sweep,
+// circulates a fixed pool of Results this way.
 //
 // Add must be called in replication order (rep 0, 1, 2, …): the P²
 // markers and Welford accumulators are order-sensitive in the last few
@@ -142,9 +141,7 @@ func (a *Aggregator) Add(res *Result) {
 				a.ratioMeans[i].Add(res.Classes[i].MeanSlowdown / s0)
 			}
 			// Pool this run's per-window class-i/class-0 ratios,
-			// skipping windows where either class has no completions
-			// (same filter as Result.WindowRatio, without its
-			// allocation).
+			// skipping windows where either class has no completions.
 			wi, w0 := res.Classes[i].WindowMeans, res.Classes[0].WindowMeans
 			n := len(wi)
 			if len(w0) < n {
@@ -237,34 +234,6 @@ func (a *Aggregator) Aggregate() (*Aggregate, error) {
 	return agg, nil
 }
 
-// RunReplications executes n independent replications of cfg in parallel
-// across GOMAXPROCS workers and aggregates them through RunOrdered, so
-// the Aggregate is reproducible regardless of scheduling and the memory
-// footprint is O(workers), not O(n). Replication seeds derive from
-// cfg.Seed via ReplicationSeed.
-func RunReplications(cfg Config, n int) (*Aggregate, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("simsrv: need at least 1 replication, got %d", n)
-	}
-	cfg = cfg.ApplyDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	agg := NewAggregator(cfg)
-	err := RunOrdered(n, runtime.GOMAXPROCS(0),
-		func(sim *Simulator, res *Result, rep int) error {
-			if err := sim.Reset(cfg, ReplicationSeed(cfg.Seed, rep)); err != nil {
-				return err
-			}
-			return sim.RunInto(res)
-		},
-		func(_ int, res *Result) { agg.Add(res) })
-	if err != nil {
-		return nil, err
-	}
-	return agg.Aggregate()
-}
-
 // resultsPerWorker sizes RunOrdered's Result pool, and with it how far
 // the other workers can run ahead of the task the consumer waits for.
 // When that task's worker is descheduled (a host preempting its CPU), the
@@ -273,8 +242,7 @@ func RunReplications(cfg Config, n int) (*Aggregate, error) {
 // well under one.
 const resultsPerWorker = 8
 
-// RunOrdered is the replication pipeline under RunReplications and
-// sweep.Engine: it runs tasks 0..total−1 on at most workers goroutines,
+// RunOrdered is the replication pipeline under sweep.Engine: it runs tasks 0..total−1 on at most workers goroutines,
 // each owning one reusable Simulator arena, and hands every finished
 // Result to consume on the caller's goroutine in strict task order. A
 // Result is only valid during its consume call — a small pool of them

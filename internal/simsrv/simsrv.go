@@ -34,9 +34,8 @@
 // replication needs (event set, request rings, estimator ring, per-class
 // statistics, allocator scratch, the packetized scheduler) and replays
 // them across replications via Reset+RunInto with single-digit heap
-// allocations per run. Run, RunTrace, RunPacketized and RunReplications
-// are conveniences over that arena; internal/sweep shards whole scenario
-// grids over a pool of them.
+// allocations per run. Run and RunTrace are conveniences over that arena;
+// internal/sweep shards whole scenario grids over a pool of them.
 //
 // Between two control boundaries (tick, phase switch, end of run) the
 // partitioned model is N independent M/G/1 FCFS queues at fixed rates,
@@ -223,8 +222,8 @@ func (c *Config) validate() error {
 			return fmt.Errorf("simsrv: class %d lambda %v invalid", i, cl.Lambda)
 		}
 	}
-	if !(c.Window > 0) || !(c.Horizon > 0) || c.Warmup < 0 {
-		return fmt.Errorf("simsrv: window=%v warmup=%v horizon=%v must be positive (warmup >= 0)",
+	if !(c.Window > 0) || !(c.Horizon > 0) || !(c.Warmup >= 0) || math.IsInf(c.Horizon, 0) || math.IsInf(c.Warmup, 0) {
+		return fmt.Errorf("simsrv: window=%v warmup=%v horizon=%v: need window > 0, finite horizon > 0 and finite warmup >= 0",
 			c.Window, c.Warmup, c.Horizon)
 	}
 	if c.HistoryWindows < 1 {
@@ -324,26 +323,6 @@ type Result struct {
 	LadderMaxedOut bool
 	// Records holds request-level samples if Config.RecordRequests.
 	Records []RequestRecord
-}
-
-// WindowRatio returns the per-window achieved slowdown ratio of class i to
-// class j, skipping windows where either class has no completions. Used
-// for the percentile analysis of Figures 5 and 6.
-func (r *Result) WindowRatio(i, j int) []float64 {
-	var out []float64
-	wi, wj := r.Classes[i].WindowMeans, r.Classes[j].WindowMeans
-	n := len(wi)
-	if len(wj) < n {
-		n = len(wj)
-	}
-	for k := 0; k < n; k++ {
-		a, b := wi[k], wj[k]
-		if math.IsNaN(a) || math.IsNaN(b) || b == 0 {
-			continue
-		}
-		out = append(out, a/b)
-	}
-	return out
 }
 
 // classState is everything Fig. 1 draws around the server box for one

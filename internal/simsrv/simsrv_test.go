@@ -2,7 +2,6 @@ package simsrv
 
 import (
 	"math"
-	"runtime"
 	"strconv"
 	"testing"
 
@@ -29,6 +28,40 @@ func relErr(a, b float64) float64 {
 	return math.Abs(a-b) / math.Max(math.Abs(a), math.Abs(b))
 }
 
+// replicate aggregates n replications of cfg sequentially, in
+// replication order: Reset with ReplicationSeed, RunInto, Aggregator.Add.
+func replicate(t testing.TB, cfg Config, n int) *Aggregate {
+	t.Helper()
+	agg := NewAggregator(cfg)
+	var sim Simulator
+	var res Result
+	for rep := 0; rep < n; rep++ {
+		if err := sim.Reset(cfg, ReplicationSeed(cfg.Seed, rep)); err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.RunInto(&res); err != nil {
+			t.Fatal(err)
+		}
+		agg.Add(&res)
+	}
+	out, err := agg.Aggregate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// runPacketized runs one packetized-server replication on a fresh
+// Simulator.
+func runPacketized(pc PacketizedConfig) (*Result, error) {
+	var s Simulator
+	if err := s.ResetPacketized(pc, pc.Config.Seed); err != nil {
+		return nil, err
+	}
+	res := new(Result)
+	return res, s.RunInto(res)
+}
+
 func TestConfigValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -40,6 +73,12 @@ func TestConfigValidation(t *testing.T) {
 		{"nan lambda", func(c *Config) { c.Classes[0].Lambda = math.NaN() }},
 		{"zero history", func(c *Config) { c.HistoryWindows = -1 }},
 		{"empty record range", func(c *Config) { c.RecordRequests = true; c.RecordFrom = 5; c.RecordTo = 5 }},
+		// Run, a NaN warmup indexes a measurement window at int(NaN) and
+		// an infinite warmup or horizon never ends.
+		{"nan warmup", func(c *Config) { c.Warmup = math.NaN() }},
+		{"inf warmup", func(c *Config) { c.Warmup = math.Inf(1) }},
+		{"nan horizon", func(c *Config) { c.Horizon = math.NaN() }},
+		{"inf horizon", func(c *Config) { c.Horizon = math.Inf(1) }},
 	}
 	for _, tc := range cases {
 		cfg := fastConfig([]float64{1, 2}, 0.5).ApplyDefaults()
@@ -161,10 +200,7 @@ func TestPKWaitSingleClass(t *testing.T) {
 func TestSimMatchesEq18TwoClasses(t *testing.T) {
 	for _, rho := range []float64{0.3, 0.6, 0.8} {
 		cfg := fastConfig([]float64{1, 2}, rho)
-		agg, err := RunReplications(cfg, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
+		agg := replicate(t, cfg, 10)
 		for i := range agg.MeanSlowdowns {
 			if relErr(agg.MeanSlowdowns[i], agg.ExpectedSlowdowns[i]) > 0.2 {
 				t.Errorf("rho=%v class %d: sim %v vs expected %v",
@@ -179,10 +215,7 @@ func TestSimMatchesEq18TwoClasses(t *testing.T) {
 func TestRatiosTrackDeltas(t *testing.T) {
 	for _, d2 := range []float64{2, 4} {
 		cfg := fastConfig([]float64{1, d2}, 0.6)
-		agg, err := RunReplications(cfg, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
+		agg := replicate(t, cfg, 10)
 		if relErr(agg.MeanRatios[1], d2) > 0.25 {
 			t.Errorf("delta2=%v: achieved ratio %v", d2, agg.MeanRatios[1])
 		}
@@ -191,10 +224,7 @@ func TestRatiosTrackDeltas(t *testing.T) {
 
 func TestThreeClassRatios(t *testing.T) {
 	cfg := fastConfig([]float64{1, 2, 3}, 0.6)
-	agg, err := RunReplications(cfg, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	agg := replicate(t, cfg, 10)
 	if relErr(agg.MeanRatios[1], 2) > 0.3 || relErr(agg.MeanRatios[2], 3) > 0.3 {
 		t.Fatalf("three-class ratios = %v, want ≈ [_, 2, 3]", agg.MeanRatios)
 	}
@@ -206,16 +236,10 @@ func TestThreeClassRatios(t *testing.T) {
 
 func TestWorkConservingImprovesSystemSlowdown(t *testing.T) {
 	base := fastConfig([]float64{1, 2}, 0.7)
-	part, err := RunReplications(base, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	part := replicate(t, base, 6)
 	wc := base
 	wc.WorkConserving = true
-	cons, err := RunReplications(wc, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cons := replicate(t, wc, 6)
 	// Redistributing idle capacity cannot hurt aggregate performance;
 	// allow a small tolerance for noise.
 	if cons.SystemSlowdown > part.SystemSlowdown*1.05 {
@@ -227,16 +251,10 @@ func TestWorkConservingImprovesSystemSlowdown(t *testing.T) {
 func TestOracleModeReducesRatioSpread(t *testing.T) {
 	noisy := fastConfig([]float64{1, 8}, 0.5)
 	noisy.Seed = 3
-	est, err := RunReplications(noisy, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	est := replicate(t, noisy, 16)
 	oracle := noisy
 	oracle.Oracle = true
-	orc, err := RunReplications(oracle, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	orc := replicate(t, oracle, 16)
 	// §4.4: estimation error drives the gap at large δ; the oracle should
 	// land at least as close to the target ratio of 8, up to sampling
 	// noise. The absolute floor keeps the multiplicative slack meaningful
@@ -342,10 +360,7 @@ func TestPerClassServiceOverride(t *testing.T) {
 func TestBaselineDemandProportionalNoDifferentiation(t *testing.T) {
 	cfg := fastConfig([]float64{1, 4}, 0.6)
 	cfg.Allocator = core.DemandProportional{}
-	agg, err := RunReplications(cfg, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	agg := replicate(t, cfg, 8)
 	// Demand-proportional equalizes slowdowns: ratio ≈ 1, far from 4.
 	if agg.MeanRatios[1] > 1.5 {
 		t.Fatalf("demand-proportional ratio %v, expected ≈ 1", agg.MeanRatios[1])
@@ -353,29 +368,31 @@ func TestBaselineDemandProportionalNoDifferentiation(t *testing.T) {
 }
 
 func TestWindowRatioSkipsEmptyWindows(t *testing.T) {
-	res := &Result{Classes: []ClassStats{
+	cfg := fastConfig([]float64{1, 2}, 0.5)
+	cfg.Horizon = 4 * cfg.ApplyDefaults().Window
+	a := NewAggregator(cfg)
+	a.UseExactQuantiles()
+	a.TrackWindowRatios()
+	a.Add(&Result{Classes: []ClassStats{
 		{WindowMeans: []float64{1, math.NaN(), 2, 4}},
 		{WindowMeans: []float64{2, 3, math.NaN(), 8}},
-	}}
-	ratios := res.WindowRatio(1, 0)
-	if len(ratios) != 2 || ratios[0] != 2 || ratios[1] != 2 {
-		t.Fatalf("ratios = %v, want [2 2]", ratios)
+	}})
+	agg, err := a.Aggregate()
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestRunReplicationsValidation(t *testing.T) {
-	cfg := fastConfig([]float64{1, 2}, 0.5)
-	if _, err := RunReplications(cfg, 0); err == nil {
-		t.Fatal("accepted zero replications")
+	if rs := agg.RatioSummaries[1]; rs.N != 2 || rs.Min != 2 || rs.Max != 2 {
+		t.Fatalf("pooled ratios %+v, want the two windows where both classes completed, each 2", rs)
+	}
+	w := agg.WindowRatioMeans[1]
+	if len(w) != 4 || w[0] != 2 || !math.IsNaN(w[1]) || !math.IsNaN(w[2]) || w[3] != 2 {
+		t.Fatalf("per-window ratios = %v, want [2 NaN NaN 2]", w)
 	}
 }
 
 func TestAggregateFields(t *testing.T) {
 	cfg := fastConfig([]float64{1, 2}, 0.5)
-	agg, err := RunReplications(cfg, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	agg := replicate(t, cfg, 5)
 	if agg.Runs != 5 {
 		t.Fatalf("runs = %d", agg.Runs)
 	}
@@ -397,14 +414,8 @@ func TestAggregateFields(t *testing.T) {
 
 func TestReplicationsDeterministic(t *testing.T) {
 	cfg := fastConfig([]float64{1, 2}, 0.5)
-	a, err := RunReplications(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunReplications(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := replicate(t, cfg, 4)
+	b := replicate(t, cfg, 4)
 	for i := range a.MeanSlowdowns {
 		if a.MeanSlowdowns[i] != b.MeanSlowdowns[i] {
 			t.Fatalf("aggregate not deterministic: %v vs %v", a.MeanSlowdowns, b.MeanSlowdowns)
@@ -412,24 +423,27 @@ func TestReplicationsDeterministic(t *testing.T) {
 	}
 }
 
-// TestReplicationsParallelMatchesSequential forces the worker-pool path
-// (GOMAXPROCS may be 1 on the reference container, which would otherwise
-// only ever exercise the sequential fast path) and checks that the
+// TestReplicationsParallelMatchesSequential runs RunOrdered's worker
+// pool (4 workers, whatever GOMAXPROCS is) and checks that the
 // reorder-buffer aggregation produces the exact sequential result.
 func TestReplicationsParallelMatchesSequential(t *testing.T) {
 	cfg := fastConfig([]float64{1, 2}, 0.6)
-	seq, err := RunReplications(cfg, 6) // n > GOMAXPROCS not guaranteed; force below
+	seq := replicate(t, cfg, 6)
+	pool := NewAggregator(cfg)
+	err := RunOrdered(6, 4,
+		func(sim *Simulator, res *Result, rep int) error {
+			if err := sim.Reset(cfg, ReplicationSeed(cfg.Seed, rep)); err != nil {
+				return err
+			}
+			return sim.RunInto(res)
+		},
+		func(_ int, res *Result) { pool.Add(res) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	par, err := RunReplications(cfg, 6)
+	par, err := pool.Aggregate()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if prev >= 6 {
-		t.Log("GOMAXPROCS already exceeded n; both runs used the pool")
 	}
 	for i := range seq.MeanSlowdowns {
 		if seq.MeanSlowdowns[i] != par.MeanSlowdowns[i] {

@@ -30,8 +30,8 @@ import (
 // construction, whatever the arena ran before — the golden tests in
 // determinism_test.go and TestArenaModeCycling pin this.
 //
-// A Simulator is single-goroutine; use one per worker (see
-// RunReplications and internal/sweep).
+// A Simulator is single-goroutine; use one per worker (see RunOrdered
+// and internal/sweep).
 type Simulator struct {
 	run   runner
 	tasks taskServers
@@ -145,9 +145,9 @@ func (s *Simulator) RunInto(res *Result) error {
 // ReplicationSeed derives replication rep's seed from a scenario's base
 // seed via an rng.Split of a base-seeded source. Unlike base+rep
 // arithmetic, nearby base seeds cannot collide onto overlapping
-// replication seed ranges, and the derivation is shared by
-// RunReplications and internal/sweep so "replication rep of scenario s"
-// names the same stream everywhere.
+// replication seed ranges, and every replication loop (internal/sweep,
+// the tests' sequential references) shares the derivation, so
+// "replication rep of scenario s" names the same stream everywhere.
 func ReplicationSeed(base uint64, rep int) uint64 {
 	var src, child rng.Source
 	src.Reseed(base)
@@ -157,8 +157,7 @@ func ReplicationSeed(base uint64, rep int) uint64 {
 
 // Run executes one replication and returns its Result. It is a
 // convenience over a throwaway Simulator arena; batch callers should hold
-// a Simulator (or use RunReplications / internal/sweep) to amortize
-// construction.
+// a Simulator (or use internal/sweep) to amortize construction.
 func Run(cfg Config) (*Result, error) {
 	var s Simulator
 	if err := s.Reset(cfg, cfg.Seed); err != nil {

@@ -150,13 +150,13 @@ func TestZeroScalePausesClassAndResumes(t *testing.T) {
 // TestPacketizedLoadStep: the packetized model honors the same schedule.
 func TestPacketizedLoadStep(t *testing.T) {
 	base := fastConfig([]float64{1, 2}, 0.4)
-	low, err := RunPacketized(PacketizedConfig{Config: base})
+	low, err := runPacketized(PacketizedConfig{Config: base})
 	if err != nil {
 		t.Fatal(err)
 	}
 	step := base
 	step.LoadSchedule = LoadStep(base.Warmup, 1.6)
-	st, err := RunPacketized(PacketizedConfig{Config: step})
+	st, err := runPacketized(PacketizedConfig{Config: step})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,36 +44,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// AddN incorporates the same observation n times.
-func (w *Welford) AddN(x float64, n int64) {
-	for i := int64(0); i < n; i++ {
-		w.Add(x)
-	}
-}
-
-// Merge combines another accumulator into this one (Chan et al. parallel
-// variance update), enabling per-goroutine accumulation.
-func (w *Welford) Merge(o *Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = *o
-		return
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	w.mean += delta * float64(o.n) / float64(n)
-	w.m2 += o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	w.n = n
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
-}
-
 // N returns the number of observations.
 func (w *Welford) N() int64 { return w.n }
 
@@ -172,18 +142,9 @@ func zQuantile(p float64) float64 {
 	return x
 }
 
-// Quantile returns the q-th sample quantile of xs (linear interpolation
-// between order statistics, the "type 7" estimator). It sorts a copy.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return QuantileSorted(sorted, q), nil
-}
-
-// QuantileSorted is Quantile for an already-sorted slice (no copy).
+// QuantileSorted returns the q-th quantile of an already-sorted slice
+// (linear interpolation between order statistics, the "type 7"
+// estimator).
 func QuantileSorted(sorted []float64, q float64) float64 {
 	n := len(sorted)
 	if n == 1 {
@@ -216,18 +177,6 @@ func Quantiles(xs []float64, qs ...float64) ([]float64, error) {
 		out[i] = QuantileSorted(sorted, q)
 	}
 	return out, nil
-}
-
-// Mean returns the arithmetic mean of xs.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs)), nil
 }
 
 // Summary captures the five-number-plus-moments description used in

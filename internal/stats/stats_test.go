@@ -71,62 +71,6 @@ func TestWelfordMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestWelfordMerge(t *testing.T) {
-	r := rng.New(1)
-	var a, b, all Welford
-	for i := 0; i < 1000; i++ {
-		x := r.Float64() * 100
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(&b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), all.N())
-	}
-	if !almostEq(a.Mean(), all.Mean(), 1e-9) {
-		t.Fatalf("merged mean %v vs %v", a.Mean(), all.Mean())
-	}
-	if !almostEq(a.Variance(), all.Variance(), 1e-6) {
-		t.Fatalf("merged var %v vs %v", a.Variance(), all.Variance())
-	}
-	if a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Fatal("merged min/max wrong")
-	}
-}
-
-func TestWelfordMergeEmptyCases(t *testing.T) {
-	var a, b Welford
-	a.Merge(&b) // both empty: no panic
-	if a.N() != 0 {
-		t.Fatal("merging empties should stay empty")
-	}
-	b.Add(5)
-	a.Merge(&b)
-	if a.N() != 1 || a.Mean() != 5 {
-		t.Fatal("merge into empty failed")
-	}
-	var c Welford
-	a.Merge(&c) // merge empty into non-empty
-	if a.N() != 1 {
-		t.Fatal("merge of empty changed state")
-	}
-}
-
-func TestWelfordAddN(t *testing.T) {
-	var a, b Welford
-	a.AddN(3.5, 4)
-	for i := 0; i < 4; i++ {
-		b.Add(3.5)
-	}
-	if a.N() != b.N() || a.Mean() != b.Mean() {
-		t.Fatal("AddN mismatch")
-	}
-}
-
 func TestZQuantileKnownValues(t *testing.T) {
 	cases := []struct{ p, want float64 }{
 		{0.5, 0},
@@ -156,6 +100,17 @@ func TestConfidenceInterval(t *testing.T) {
 	if !almostEq(ci, want, 1e-3) {
 		t.Fatalf("CI = %v, want %v", ci, want)
 	}
+}
+
+// Quantile is the exact reference for the quantile tests: the q-th
+// sample quantile of xs by QuantileSorted on a sorted copy.
+func Quantile(xs []float64, q float64) (float64, error) {
+	if len(xs) == 0 {
+		return 0, ErrEmpty
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	return QuantileSorted(sorted, q), nil
 }
 
 func TestQuantileExact(t *testing.T) {
@@ -201,16 +156,6 @@ func TestQuantilesBatch(t *testing.T) {
 	}
 	if qs[0] >= qs[1] || qs[1] >= qs[2] {
 		t.Fatalf("quantiles not ordered: %v", qs)
-	}
-}
-
-func TestMeanHelper(t *testing.T) {
-	m, err := Mean([]float64{1, 2, 3})
-	if err != nil || m != 2 {
-		t.Fatalf("mean = %v err = %v", m, err)
-	}
-	if _, err := Mean(nil); err != ErrEmpty {
-		t.Fatal("empty mean should error")
 	}
 }
 
@@ -287,18 +232,12 @@ func TestP2PanicsOnBadQuantile(t *testing.T) {
 }
 
 func TestWindowSeries(t *testing.T) {
-	s, err := NewWindowSeries(1000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := WindowSeries{Width: 1000}
 	s.Observe(0, 2)
 	s.Observe(999.9, 4)
 	s.Observe(1000, 10)
 	s.Observe(2500, 7)
 	s.Observe(-5, 100) // ignored
-	if s.NumWindows() != 3 {
-		t.Fatalf("windows = %d", s.NumWindows())
-	}
 	m, ok := s.WindowMean(0)
 	if !ok || m != 3 {
 		t.Fatalf("window 0 mean = %v ok=%v", m, ok)
@@ -307,24 +246,22 @@ func TestWindowSeries(t *testing.T) {
 	if !ok || m != 10 {
 		t.Fatalf("window 1 mean = %v", m)
 	}
-	if _, ok := s.WindowMean(5); ok {
+	if m, ok = s.WindowMean(2); !ok || m != 7 {
+		t.Fatalf("window 2 mean = %v ok=%v", m, ok)
+	}
+	if _, ok := s.WindowMean(3); ok {
 		t.Fatal("out-of-range window should report !ok")
 	}
-	if s.WindowCount(2) != 1 {
-		t.Fatalf("window 2 count = %d", s.WindowCount(2))
+	s.Reset()
+	if _, ok := s.WindowMean(0); ok {
+		t.Fatal("Reset kept window 0")
 	}
-	times, means := s.Means()
-	if len(times) != 3 || len(means) != 3 {
-		t.Fatalf("Means lengths %d %d", len(times), len(means))
+	s.Observe(1500, 5)
+	if _, ok := s.WindowMean(0); ok {
+		t.Fatal("window 0 of a reset series has no observations")
 	}
-	if times[0] != 0 || times[1] != 1000 || times[2] != 2000 {
-		t.Fatalf("times = %v", times)
-	}
-}
-
-func TestWindowSeriesValidation(t *testing.T) {
-	if _, err := NewWindowSeries(0); err == nil {
-		t.Error("accepted zero width")
+	if m, ok = s.WindowMean(1); !ok || m != 5 {
+		t.Fatalf("window 1 mean after Reset = %v ok=%v", m, ok)
 	}
 }
 

@@ -6,8 +6,7 @@
 // of replications whose per-run construction cost and aggregation memory
 // used to dominate everything outside the event loop.
 //
-// The engine differs from the per-point simsrv.RunReplications fan-out it
-// replaces in three ways:
+// The engine differs from a per-point replication fan-out in three ways:
 //
 //   - One global (point, replication) task queue spans the whole grid, so
 //     workers never idle at per-point barriers: while one worker finishes
@@ -25,8 +24,8 @@
 //
 // Replication seeds derive from each point's base seed via rng.Split
 // (simsrv.ReplicationSeed), so a point's replication streams are
-// independent of its position in the grid and identical to what
-// simsrv.RunReplications would use.
+// independent of its position in the grid and identical to a sequential
+// Reset(cfg, ReplicationSeed(seed, rep)) + RunInto loop's.
 //
 // The engine also routes: in Auto (or Analytic) mode every steady-state
 // point whose closed form internal/analytic can evaluate skips the DES

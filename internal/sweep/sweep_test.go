@@ -22,7 +22,21 @@ func TestSweepMatchesRunReplications(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := simsrv.RunReplications(p.Cfg, p.Runs)
+	// The reference: a sequential loop in replication order, sharing no
+	// pipeline code with the engine.
+	ref := simsrv.NewAggregator(p.Cfg)
+	var sim simsrv.Simulator
+	var res simsrv.Result
+	for rep := 0; rep < p.Runs; rep++ {
+		if err := sim.Reset(p.Cfg, simsrv.ReplicationSeed(p.Cfg.Seed, rep)); err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.RunInto(&res); err != nil {
+			t.Fatal(err)
+		}
+		ref.Add(&res)
+	}
+	want, err := ref.Aggregate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +144,6 @@ func TestSweepPacketizedAndTracePoints(t *testing.T) {
 			t.Fatalf("point %d processed no events", p)
 		}
 	}
-	// The packetized point must match a direct RunPacketized of the same
-	// derived seed on its first replication's event count scale.
 	if aggs[0].Runs != 3 || aggs[1].Runs != 1 {
 		t.Fatalf("run counts %d/%d", aggs[0].Runs, aggs[1].Runs)
 	}
