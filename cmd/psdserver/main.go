@@ -50,7 +50,7 @@ func main() {
 	var cfg httpsrv.Config
 	deltasFlag := cli.Deltas(flag.CommandLine)
 	sizeLaw := cli.SizeLaw(flag.CommandLine)
-	controlFlags := cli.Control(flag.CommandLine, &cfg.Allocator, &cfg.Estimator, &cfg.EWMAAlpha)
+	controlFlags := cli.Control(flag.CommandLine, &cfg.Spec)
 	cli.Seed(flag.CommandLine, &cfg.Seed)
 	flag.DurationVar(&cfg.TimeUnit, "timeunit", 10*time.Millisecond, "wall-clock duration of one work unit at full rate")
 	flag.Float64Var(&cfg.Window, "window", 100, "reallocation window in time units")
@@ -59,9 +59,8 @@ func main() {
 	flag.IntVar(&cfg.WorkersPerClass, "workers-per-class", 1, "pacing workers per class; each paces at rate/N so the class aggregate is unchanged")
 	flag.Float64Var(&cfg.MinRate, "min-rate", 0, "allocator-side per-class rate floor in capacity fractions (0: default 1e-3, negative: disable)")
 	flag.Float64Var(&cfg.WatchdogFactor, "watchdog", 0, "stale-tick watchdog threshold in reallocation periods (0: default 4, negative: disable)")
-	var ladder admission.LadderConfig
-	flag.Float64Var(&ladder.EngageRho, "ladder-engage-rho", 0.95, "utilization at or above which a tick counts as overloaded")
-	flag.Float64Var(&ladder.RecoverRho, "ladder-recover-rho", 0.85, "utilization at or below which a tick counts as healthy (hysteresis)")
+	flag.Float64Var(&cfg.Ladder.EngageRho, "ladder-engage-rho", 0.95, "utilization at or above which a tick counts as overloaded")
+	flag.Float64Var(&cfg.Ladder.RecoverRho, "ladder-recover-rho", 0.85, "utilization at or below which a tick counts as healthy (hysteresis)")
 	var chaosCfg chaos.Config
 	flag.Uint64Var(&chaosCfg.Seed, "chaos-seed", 0, "fault-injection seed (any chaos probability > 0 arms the injector)")
 	flag.Float64Var(&chaosCfg.StallProb, "chaos-stall", 0, "per-job probability of a worker stall")
@@ -97,10 +96,9 @@ func main() {
 			// Every registered policy is in-place (core.Register enforces it).
 			cfg.Allocator = core.Downgrading{Base: cfg.Allocator.(core.InPlaceAllocator)}
 		}
-		if ladder.Multipliers, err = cli.Floats(*ladderRungs); err != nil {
+		if cfg.Ladder.Multipliers, err = cli.Floats(*ladderRungs); err != nil {
 			cli.Fatalf("bad -ladder-rungs: %v", err)
 		}
-		cfg.Ladder = ladder
 	}
 	if chaosCfg.StallProb > 0 || chaosCfg.SpikeProb > 0 || chaosCfg.CorruptProb > 0 || chaosCfg.DropProb > 0 {
 		if cfg.Chaos, err = chaos.New(chaosCfg); err != nil {
@@ -127,8 +125,8 @@ func main() {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 
-	log.Printf("psdserver listening on %s — %d classes, deltas %v, window %g tu (%v), workers/class=%d, allocator=%s, estimator=%s, feedback=%v, admission=%s, pprof=%v",
-		*addr, len(cfg.Deltas), cfg.Deltas, cfg.Window, time.Duration(cfg.Window*float64(cfg.TimeUnit)), cfg.WorkersPerClass, cfg.Allocator.Name(), cfg.Estimator, cfg.Feedback, *admPolicy, *pprofOn)
+	log.Printf("psdserver listening on %s — %d classes, deltas %v, window %g tu (%v), workers/class=%d, %s, admission=%s, pprof=%v",
+		*addr, len(cfg.Deltas), cfg.Deltas, cfg.Window, time.Duration(cfg.Window*float64(cfg.TimeUnit)), cfg.WorkersPerClass, cfg.ApplyDefaults().Spec, *admPolicy, *pprofOn)
 	log.Printf("work endpoint: GET /?class=N&size=X   metrics: GET /metrics (JSON), /metrics/prom (Prometheus), /debug/control (flight recorder)")
 	if err := http.ListenAndServe(*addr, mux); err != nil {
 		cli.Fatalf("%v", err)

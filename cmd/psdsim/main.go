@@ -43,7 +43,7 @@ func main() {
 	var cfg simsrv.Config
 	deltasFlag := cli.Deltas(flag.CommandLine)
 	sizeLaw := cli.SizeLaw(flag.CommandLine)
-	controlFlags := cli.Control(flag.CommandLine, &cfg.Allocator, &cfg.Estimator, &cfg.EWMAAlpha)
+	controlFlags := cli.Control(flag.CommandLine, &cfg.Spec)
 	sweepFlags := cli.Sweep(flag.CommandLine)
 	cli.Seed(flag.CommandLine, &cfg.Seed)
 	flag.Float64Var(&cfg.Horizon, "horizon", 60000, "measured duration (time units)")
@@ -101,6 +101,7 @@ func main() {
 		fmt.Printf("PSD %s evaluation — %d classes, load %.0f%%, %s allocator, %d runs × %g tu\n",
 			eng.Kind, len(deltas), *load*100, cfg.Allocator.Name(), *runs, cfg.Horizon)
 	}
+	fmt.Printf("control: %s\n", cfg.ApplyDefaults().Spec)
 	fmt.Printf("service: %s (E[X]=%.4f, E[X²]=%.4f, E[1/X]=%.4f)\n\n",
 		svc, svc.Mean(), svc.SecondMoment(), svc.InverseMoment())
 	fmt.Printf("%-8s %-8s %-14s %-14s %-12s %-12s\n",

@@ -20,7 +20,8 @@
 //     exist to capture trajectories only a simulation has),
 //   - an allocator whose stationary allocation is deterministic in the
 //     true arrival rates: PSD (Eq. 17), EqualShare, DemandProportional,
-//     or MinRate wrapping one of those,
+//     or MinRate wrapping one of those (Spec.MinRate floors it the way
+//     the control loop does),
 //   - finite E[X], E[X²] and E[1/X] for the shared law and every
 //     per-class override (Exponential and HyperExp2 have divergent
 //     E[1/X]; Bounded Pareto is always finite by truncation).
@@ -40,6 +41,7 @@ import (
 	"fmt"
 	"math"
 
+	"psd/internal/control"
 	"psd/internal/core"
 	"psd/internal/queueing"
 	"psd/internal/simsrv"
@@ -125,10 +127,10 @@ func (e *Evaluator) EvaluatePrepared(ev *Evaluation, cfg *simsrv.Config, pol *co
 	for i, cc := range cfg.Classes {
 		e.classes[i] = core.Class{Delta: cc.Delta, Lambda: cc.Lambda}
 	}
-	// The allocator sees the shared-law moments — exactly what the
-	// control plane feeds it (per-class overrides deliberately keep this
-	// mismatch; see runner.reset).
-	if err := core.AllocateInto(cfg.Allocator, &e.alloc, e.classes, w); err != nil {
+	// The allocator, floored at Spec.MinRate, sees the shared-law moments
+	// — exactly what the control plane feeds it (per-class overrides
+	// deliberately keep this mismatch; see runner.reset).
+	if err := core.AllocateInto(control.Floored(cfg.Allocator, cfg.MinRate), &e.alloc, e.classes, w); err != nil {
 		return fmt.Errorf("%w: allocator %s: %w", ErrNeedsSimulation, cfg.Allocator.Name(), err)
 	}
 

@@ -138,6 +138,16 @@ func TestAnalyticAllocatorsWithinDESConfidence(t *testing.T) {
 			checkAgainstDES(t, cfg, 10, 0.03)
 		})
 	}
+	// The same binding floor set as the simulator's Spec.MinRate: the
+	// closed form and the DES's control loop both floor the allocator.
+	t.Run("spec-min-rate", func(t *testing.T) {
+		cfg := oracleConfig([]float64{1, 8}, 0.4, nil)
+		cfg.MinRate = 0.3
+		if ev, err := analytic.Evaluate(cfg); err != nil || ev.Rates[1] != 0.3 {
+			t.Fatalf("class 2 rate %v, %v; want the 0.3 floor", ev, err)
+		}
+		checkAgainstDES(t, cfg, 10, 0.03)
+	})
 }
 
 // TestLogWeightWithinDESConfidence cross-validates the logarithmic-weight

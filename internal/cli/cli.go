@@ -93,20 +93,21 @@ func SizeLaw(fs *flag.FlagSet) func() *dist.BoundedPareto {
 	}
 }
 
-// Control registers the control group, bound to the fields of the Config
-// a command hands over: -ewma-alpha to ewmaAlpha, and -estimator and
-// -allocator, which the resolver sets into est and alloc. The resolver
-// returns the -allocator value, a core registry name.
-func Control(fs *flag.FlagSet, alloc *core.Allocator, est *control.EstimatorKind, ewmaAlpha *float64) func() string {
+// Control registers the control group, bound to the control.Spec a
+// command's Config embeds: -ewma-alpha to spec.EWMAAlpha, and -estimator
+// and -allocator, which the resolver sets into spec.Estimator and
+// spec.Allocator. The resolver returns the -allocator value, a core
+// registry name.
+func Control(fs *flag.FlagSet, spec *control.Spec) func() string {
 	policy := fs.String("allocator", "psd", "rate-allocation policy from the core registry: "+strings.Join(core.Names(), " | "))
 	estimator := fs.String("estimator", "window", "load estimator: window (paper) | ewma")
-	fs.Float64Var(ewmaAlpha, "ewma-alpha", 0.3, "EWMA smoothing factor in (0,1] (with -estimator ewma)")
+	fs.Float64Var(&spec.EWMAAlpha, "ewma-alpha", 0.3, "EWMA smoothing factor in (0,1] (with -estimator ewma)")
 	return func() string {
 		var err error
-		if *est, err = control.ParseEstimatorKind(*estimator); err != nil {
+		if spec.Estimator, err = control.ParseEstimatorKind(*estimator); err != nil {
 			Fatalf("bad -estimator: %v", err)
 		}
-		if *alloc, err = core.Parse(*policy); err != nil {
+		if spec.Allocator, err = core.Parse(*policy); err != nil {
 			Fatalf("bad -allocator: %v", err)
 		}
 		return *policy

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"psd/internal/control"
-	"psd/internal/core"
 	"psd/internal/sweep"
 )
 
@@ -25,7 +24,7 @@ func TestGroupFlags(t *testing.T) {
 		{"deltas", func(fs *flag.FlagSet) { Deltas(fs) }, map[string]string{"deltas": "1,2"}},
 		{"seed", func(fs *flag.FlagSet) { Seed(fs, new(uint64)) }, map[string]string{"seed": "1"}},
 		{"size law", func(fs *flag.FlagSet) { SizeLaw(fs) }, map[string]string{"alpha": "1.5", "lower": "0.1", "upper": "100"}},
-		{"control", func(fs *flag.FlagSet) { Control(fs, new(core.Allocator), new(control.EstimatorKind), new(float64)) }, map[string]string{"allocator": "psd", "estimator": "window", "ewma-alpha": "0.3"}},
+		{"control", func(fs *flag.FlagSet) { Control(fs, new(control.Spec)) }, map[string]string{"allocator": "psd", "estimator": "window", "ewma-alpha": "0.3"}},
 		{"sweep", func(fs *flag.FlagSet) { Sweep(fs) }, map[string]string{"engine": "des", "workers": "0"}},
 	}
 	for _, c := range cases {
@@ -44,12 +43,8 @@ func TestResolve(t *testing.T) {
 	fs := flag.NewFlagSet("all", flag.ContinueOnError)
 	var seed uint64
 	Seed(fs, &seed)
-	var (
-		alloc     core.Allocator
-		est       control.EstimatorKind
-		ewmaAlpha float64
-	)
-	deltas, size, ctl, eng := Deltas(fs), SizeLaw(fs), Control(fs, &alloc, &est, &ewmaAlpha), Sweep(fs)
+	var spec control.Spec
+	deltas, size, ctl, eng := Deltas(fs), SizeLaw(fs), Control(fs, &spec), Sweep(fs)
 	if err := fs.Parse([]string{"-deltas", "1, 4", "-seed", "7", "-engine", "auto", "-estimator", "ewma"}); err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +57,8 @@ func TestResolve(t *testing.T) {
 	if d := size(); d.K != 0.1 || d.P != 100 || d.Alpha != 1.5 {
 		t.Errorf("size law %v, want BoundedPareto(0.1, 100, 1.5)", d)
 	}
-	if policy := ctl(); policy != "psd" || alloc.Name() != "psd" || est != control.EWMA || ewmaAlpha != 0.3 {
-		t.Errorf("control %s/%v/%v/%v, want psd/psd/ewma/0.3", policy, alloc, est, ewmaAlpha)
+	if policy := ctl(); policy != "psd" || spec.Allocator.Name() != "psd" || spec.Estimator != control.EWMA || spec.EWMAAlpha != 0.3 {
+		t.Errorf("control %s/%v/%v/%v, want psd/psd/ewma/0.3", policy, spec.Allocator, spec.Estimator, spec.EWMAAlpha)
 	}
 	if e := eng(); e != (sweep.Engine{Kind: sweep.Auto}) {
 		t.Errorf("engine %+v, want auto with default workers", e)

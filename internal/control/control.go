@@ -165,11 +165,8 @@ func (r *RatioController) ResetTargets(target []float64, gain, maxTrim float64) 
 			return fmt.Errorf("control: target delta[%d] = %v must be positive", i, d)
 		}
 	}
-	if !(gain > 0) || gain > 1 {
-		return fmt.Errorf("control: gain %v must be in (0, 1]", gain)
-	}
-	if !(maxTrim > 1) {
-		return fmt.Errorf("control: maxTrim %v must exceed 1", maxTrim)
+	if err := checkFeedback(gain, maxTrim); err != nil {
+		return err
 	}
 	n := len(target)
 	r.target = resizeFloats(r.target, n)

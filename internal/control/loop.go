@@ -52,33 +52,29 @@ func ParseEstimatorKind(s string) (EstimatorKind, error) {
 func (k EstimatorKind) Valid() bool { return k == Window || k == EWMA }
 
 // LoopConfig parametrizes one control Loop. Zero optional fields take the
-// paper's defaults on Reset.
+// paper's defaults on Reset (Spec.ApplyDefaults). Callers that hold a
+// Spec build it with Spec.LoopConfig.
 type LoopConfig struct {
 	// Deltas are the per-class target differentiation parameters; the
 	// slice is copied, and its length fixes the class count.
 	Deltas []float64
 	// Window is the estimation period in time units (> 0, required).
 	Window float64
-	// Estimator selects the smoothing strategy (default Window).
-	Estimator EstimatorKind
-	// HistoryWindows is the Window-mode depth (default 5, §4.1).
+	// Estimator, HistoryWindows and EWMAAlpha are the Spec fields.
+	Estimator      EstimatorKind
 	HistoryWindows int
-	// EWMAAlpha is the EWMA smoothing factor in (0, 1] (default 0.3).
-	EWMAAlpha float64
-	// Allocator computes the rate split (required).
+	EWMAAlpha      float64
+	// Allocator computes the rate split (required): Spec.Allocator,
+	// floored at Spec.MinRate.
 	Allocator core.Allocator
 	// Workload supplies the job-size moments the allocator needs.
 	Workload core.Workload
-	// EstimateFromWork derives the allocator's arrival rates from
-	// measured work (λ̂_i = load_i / E[X]) instead of request counts.
+	// EstimateFromWork, Feedback, FeedbackGain and FeedbackMaxTrim are the
+	// Spec fields.
 	EstimateFromWork bool
-	// Feedback enables the RatioController trim on the δ vector.
-	Feedback bool
-	// FeedbackGain is the controller gain in (0, 1] (default 0.3).
-	FeedbackGain float64
-	// FeedbackMaxTrim bounds δeff within [target/MaxTrim, target·MaxTrim]
-	// (default 8).
-	FeedbackMaxTrim float64
+	Feedback         bool
+	FeedbackGain     float64
+	FeedbackMaxTrim  float64
 	// Recorder, when non-nil, receives one flight record per Tick — the
 	// λ̂ the allocator saw, the rates in force afterwards, the measured
 	// slowdowns fed to the controller, the effective δ vector, and
@@ -87,26 +83,9 @@ type LoopConfig struct {
 	// recorder tracks one Loop lifetime. Recording is allocation-free;
 	// every Loop consumer (simulator and live server) shares this hook.
 	Recorder *obs.FlightRecorder
-	// Ladder dimensions the graceful-degradation ladder, which Reset arms
-	// iff Allocator is downgrading (core.IsDowngrading); the zero value
-	// takes admission's defaults. Ignored for every other policy.
+	// Ladder is the Spec field: Reset arms the ladder iff Allocator is
+	// downgrading.
 	Ladder admission.LadderConfig
-}
-
-func (c LoopConfig) withDefaults() LoopConfig {
-	if c.HistoryWindows == 0 {
-		c.HistoryWindows = 5
-	}
-	if c.EWMAAlpha == 0 {
-		c.EWMAAlpha = 0.3
-	}
-	if c.FeedbackGain == 0 {
-		c.FeedbackGain = 0.3
-	}
-	if c.FeedbackMaxTrim == 0 {
-		c.FeedbackMaxTrim = 8
-	}
-	return c
 }
 
 // TickInput carries one closed estimation window into Loop.Tick. The zero
@@ -176,15 +155,10 @@ func validSlowdowns(v []float64) bool {
 // concurrent use; callers serialize access (the simulator is
 // single-goroutine, httpsrv wraps it in a mutex).
 type Loop struct {
-	deltas    []float64 // target δ (copied from config)
-	window    float64
-	kind      EstimatorKind
-	history   int
-	alpha     float64
-	allocator core.Allocator
-	workload  core.Workload
-	fromWork  bool
-	feedback  bool
+	deltas   []float64 // target δ (copied from config)
+	window   float64
+	workload core.Workload
+	spec     Spec // cfg's knobs, defaulted (the ladder is below)
 
 	classes int
 
@@ -236,7 +210,17 @@ func NewLoop(cfg LoopConfig) (*Loop, error) {
 // Reset re-arms the Loop for cfg, reusing every retained buffer. A reset
 // Loop is observationally identical to a freshly constructed one.
 func (lp *Loop) Reset(cfg LoopConfig) error {
-	cfg = cfg.withDefaults()
+	if cfg.Allocator == nil {
+		return fmt.Errorf("control: loop needs an allocator")
+	}
+	// The knobs take the defaults and checks of every Spec caller.
+	knobs := Spec{Allocator: cfg.Allocator, Estimator: cfg.Estimator, HistoryWindows: cfg.HistoryWindows,
+		EWMAAlpha: cfg.EWMAAlpha, EstimateFromWork: cfg.EstimateFromWork, Feedback: cfg.Feedback,
+		FeedbackGain: cfg.FeedbackGain, FeedbackMaxTrim: cfg.FeedbackMaxTrim}
+	knobs.ApplyDefaults()
+	if err := knobs.Validate(); err != nil {
+		return err
+	}
 	nc := len(cfg.Deltas)
 	if nc == 0 {
 		return fmt.Errorf("control: loop needs at least one class")
@@ -248,18 +232,6 @@ func (lp *Loop) Reset(cfg LoopConfig) error {
 	}
 	if !(cfg.Window > 0) {
 		return fmt.Errorf("control: loop window %v must be positive", cfg.Window)
-	}
-	if !cfg.Estimator.Valid() {
-		return fmt.Errorf("control: unknown estimator kind %d", int(cfg.Estimator))
-	}
-	if cfg.HistoryWindows < 1 {
-		return fmt.Errorf("control: history windows %d must be >= 1", cfg.HistoryWindows)
-	}
-	if !(cfg.EWMAAlpha > 0) || cfg.EWMAAlpha > 1 {
-		return fmt.Errorf("control: EWMA alpha %v must be in (0, 1]", cfg.EWMAAlpha)
-	}
-	if cfg.Allocator == nil {
-		return fmt.Errorf("control: loop needs an allocator")
 	}
 	if err := cfg.Workload.Validate(); err != nil {
 		return err
@@ -283,21 +255,14 @@ func (lp *Loop) Reset(cfg LoopConfig) error {
 		lp.ladder = ladder
 	}
 
-	lp.window = cfg.Window
-	lp.kind = cfg.Estimator
-	lp.history = cfg.HistoryWindows
-	lp.alpha = cfg.EWMAAlpha
-	lp.allocator = cfg.Allocator
-	lp.workload = cfg.Workload
-	lp.fromWork = cfg.EstimateFromWork
-	lp.feedback = cfg.Feedback
+	lp.window, lp.workload, lp.spec = cfg.Window, cfg.Workload, knobs
 	lp.classes = nc
 
 	lp.deltas = resizeFloats(lp.deltas, nc)
 	copy(lp.deltas, cfg.Deltas)
 
-	lp.ring.reset(nc, lp.history, lp.window)
-	lp.ewma.reset(nc, lp.alpha, lp.window)
+	lp.ring.reset(nc, knobs.HistoryWindows, lp.window)
+	lp.ewma.reset(nc, knobs.EWMAAlpha, lp.window)
 	lp.curCount = resizeFloats(lp.curCount, nc)
 	lp.curWork = resizeFloats(lp.curWork, nc)
 	for i := 0; i < nc; i++ {
@@ -316,7 +281,7 @@ func (lp *Loop) Reset(cfg LoopConfig) error {
 	}
 
 	if cfg.Feedback {
-		if err := lp.ctrl.ResetTargets(lp.deltas, cfg.FeedbackGain, cfg.FeedbackMaxTrim); err != nil {
+		if err := lp.ctrl.ResetTargets(lp.deltas, knobs.FeedbackGain, knobs.FeedbackMaxTrim); err != nil {
 			return err
 		}
 	}
@@ -348,9 +313,6 @@ func (lp *Loop) Classes() int { return lp.classes }
 // corrupt input field (discarded and replaced by last-good state).
 func (lp *Loop) InputRejected() uint64 { return lp.rejected }
 
-// EstimatorName identifies the active estimator ("window" | "ewma").
-func (lp *Loop) EstimatorName() string { return lp.kind.String() }
-
 // Observe accumulates one arrival of the given size into the open
 // estimation window (the simulator path; live servers usually batch their
 // own counters and pass them via TickInput.Counts instead).
@@ -362,7 +324,7 @@ func (lp *Loop) Observe(class int, size float64) {
 // observeWindow folds one closed window's per-class counts and work into
 // the configured estimator core.
 func (lp *Loop) observeWindow(counts, work []float64) {
-	switch lp.kind {
+	switch lp.spec.Estimator {
 	case Window:
 		lp.ring.observe(counts, work)
 	case EWMA:
@@ -373,7 +335,7 @@ func (lp *Loop) observeWindow(counts, work []float64) {
 // LambdasInto fills dst with the current per-class arrival-rate estimates
 // (zero before the first closed window). len(dst) must be Classes().
 func (lp *Loop) LambdasInto(dst []float64) {
-	switch lp.kind {
+	switch lp.spec.Estimator {
 	case Window:
 		lp.ring.lambdasInto(dst)
 	case EWMA:
@@ -384,7 +346,7 @@ func (lp *Loop) LambdasInto(dst []float64) {
 // LoadsInto fills dst with the current per-class offered-load estimates
 // (work units per time unit).
 func (lp *Loop) LoadsInto(dst []float64) {
-	switch lp.kind {
+	switch lp.spec.Estimator {
 	case Window:
 		lp.ring.loadsInto(dst)
 	case EWMA:
@@ -397,7 +359,7 @@ func (lp *Loop) LoadsInto(dst []float64) {
 // is active, then scaled by the degradation ladder when it is armed.
 func (lp *Loop) EffectiveDeltasInto(dst []float64) {
 	copy(dst, lp.deltas)
-	if lp.feedback {
+	if lp.spec.Feedback {
 		lp.ctrl.DeltasInto(dst)
 	}
 	if lp.ladder != nil {
@@ -491,13 +453,13 @@ func (lp *Loop) Tick(in TickInput) ([]float64, error) {
 		lp.rejected++
 	}
 
-	if lp.feedback && slowdowns != nil {
+	if lp.spec.Feedback && slowdowns != nil {
 		_ = lp.ctrl.Update(slowdowns)
 	}
 	lp.EffectiveDeltasInto(lp.effDeltas)
 
 	lp.LambdasInto(lp.lambdas)
-	if lp.fromWork {
+	if lp.spec.EstimateFromWork {
 		lp.LoadsInto(lp.loads)
 		for i := range lp.lambdas {
 			lp.lambdas[i] = lp.loads[i] / lp.workload.MeanSize
@@ -511,7 +473,7 @@ func (lp *Loop) Tick(in TickInput) ([]float64, error) {
 		lp.lambdas[i] = l // scratch now holds what the allocator sees
 		lp.allocClasses[i] = core.Class{Delta: lp.effDeltas[i], Lambda: l}
 	}
-	err := core.AllocateInto(lp.allocator, &lp.alloc, lp.allocClasses, lp.workload)
+	err := core.AllocateInto(lp.spec.Allocator, &lp.alloc, lp.allocClasses, lp.workload)
 	if lp.rec != nil {
 		lp.recordTick(slowdowns, err)
 	}
@@ -565,7 +527,7 @@ func (lp *Loop) AllocateDeclared(lambdas []float64) (*core.Allocation, error) {
 	for i := 0; i < lp.classes; i++ {
 		lp.allocClasses[i] = core.Class{Delta: lp.deltas[i], Lambda: lambdas[i]}
 	}
-	if err := core.AllocateInto(lp.allocator, &lp.alloc, lp.allocClasses, lp.workload); err != nil {
+	if err := core.AllocateInto(lp.spec.Allocator, &lp.alloc, lp.allocClasses, lp.workload); err != nil {
 		return nil, err
 	}
 	return &lp.alloc, nil

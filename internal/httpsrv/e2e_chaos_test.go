@@ -17,6 +17,7 @@ import (
 
 	"psd/internal/admission"
 	"psd/internal/chaos"
+	"psd/internal/control"
 	"psd/internal/core"
 	"psd/internal/dist"
 	"psd/internal/httpsrv"
@@ -58,19 +59,17 @@ func TestE2EChaosRecovery(t *testing.T) {
 		EngageRho:   0.9,
 	}
 	srv, err := httpsrv.New(httpsrv.Config{
-		Deltas:    []float64{1, target},
-		Allocator: core.Downgrading{},
-		Service:   sizes,
-		TimeUnit:  time.Millisecond,
-		Window:    25, // reallocate every 25ms
+		Deltas:   []float64{1, target},
+		Spec:     control.Spec{Allocator: core.Downgrading{}, Feedback: true, Ladder: ladder},
+		Service:  sizes,
+		TimeUnit: time.Millisecond,
+		Window:   25, // reallocate every 25ms
 		// Small queues so sustained overload hits queue-full fast: the
 		// fail-fast 503s keep the client's attempt rate high, which keeps
 		// the ADMITTED work rate pinned at server capacity (ρ̂ ≈ 1) — shed
 		// traffic deliberately never feeds the estimator.
 		QueueCapacity:  64,
-		Feedback:       true,
 		Admission:      gate,
-		Ladder:         ladder,
 		WatchdogFactor: 2, // stale after 50ms: two dropped ticks in a row
 		Chaos:          inj,
 		Seed:           7,

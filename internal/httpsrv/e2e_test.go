@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"psd/internal/control"
 	"psd/internal/dist"
 	"psd/internal/httpsrv"
 	"psd/internal/loadgen"
@@ -63,15 +64,13 @@ func runConvergenceAttempt(t *testing.T, attempt int, final bool) bool {
 		// Reallocate every 50ms: still many windows per phase, but enough
 		// completions per window (~15/class) that the measured ratio the
 		// feedback loop consumes isn't dominated by small-sample bias.
-		Window:   50,
-		Feedback: true,
+		Window: 50,
 		// Tuned for short wall-clock phases: a higher-than-default gain
 		// (0.3) converges the ratio within a few seconds, and a trim bound
 		// tighter than the default 8 keeps one jittery window from
 		// dragging δeff into multi-second excursions.
-		FeedbackGain:    0.4,
-		FeedbackMaxTrim: 4,
-		Seed:            7 + uint64(attempt)*101,
+		Spec: control.Spec{Feedback: true, FeedbackGain: 0.4, FeedbackMaxTrim: 4},
+		Seed: 7 + uint64(attempt)*101,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -18,9 +18,10 @@
 // and r₂ afterwards completes after x₁/r₁ + x₂/r₂ time units — exactly
 // the GPS fluid model the allocator assumes. A background loop drives
 // the SAME control plane as the simulator — one shared control.Loop tick
-// (estimate → feedback trim → allocate) every Window — so the live
-// server's rate trajectory under a given windowed observation sequence
-// is bit-identical to the simulator's (pinned by TestSimVsLiveRateParity).
+// (estimate → feedback trim → allocate) every Window, set by the same
+// control.Spec, which Config embeds — so the live server's rate
+// trajectory under a given windowed observation sequence is
+// bit-identical to the simulator's (pinned by TestSimVsLiveRateParity).
 //
 // The front door is sharded: an admitted request on the steady-state
 // path takes no server-wide mutex and performs no allocation. Class
@@ -80,16 +81,16 @@ type Config struct {
 	// Service is the size law used when a request does not declare
 	// ?size= (default: the paper's Bounded Pareto).
 	Service dist.Distribution
-	// Allocator computes rate splits (default core.PSD).
-	Allocator core.Allocator
+	// Spec is the control loop's knobs, shared with simsrv.Config. Its
+	// MinRate defaults to minPaceRate (1e-3) here, so the pacing-side
+	// clamp (rate_floor_clamps) is a tripwire that should stay at zero.
+	control.Spec
 	// TimeUnit is the wall-clock duration of one simulated time unit: a
 	// size-1 request at rate 1 occupies its worker for TimeUnit.
 	// Default 10ms.
 	TimeUnit time.Duration
 	// Window is the reallocation period in time units (default 100).
 	Window float64
-	// HistoryWindows is the estimator depth (default 5).
-	HistoryWindows int
 	// QueueCapacity bounds each class queue; excess requests receive
 	// 503. Default 4096.
 	QueueCapacity int
@@ -101,31 +102,6 @@ type Config struct {
 	// blocking the whole class) at the cost of strict FCFS completion
 	// order within the class.
 	WorkersPerClass int
-	// MinRate is the per-class allocation floor in capacity fractions:
-	// the configured Allocator is wrapped in core.MinRate{Min: MinRate},
-	// so a starved class is lifted to a schedulable trickle inside the
-	// feasibility region instead of at the pacing layer. 0 means the
-	// default (the pacing minPaceRate, 1e-3); negative disables the
-	// wrapper. The pacing-side clamp remains as a regression tripwire
-	// (rate_floor_clamps) and should stay at zero when the wrapper is
-	// active.
-	MinRate float64
-	// Feedback enables the control.RatioController trim loop on
-	// measured slowdown ratios (the paper's future-work extension).
-	Feedback bool
-	// FeedbackGain is the controller gain when Feedback is on
-	// (default 0.3).
-	FeedbackGain float64
-	// FeedbackMaxTrim bounds each effective δ within
-	// [target/MaxTrim, target·MaxTrim] (default 8). Tighter bounds keep
-	// a noisy measurement from dragging the controller far off target
-	// between windows.
-	FeedbackMaxTrim float64
-	// Estimator selects the control plane's load smoothing:
-	// control.Window (the paper's default) or control.EWMA.
-	Estimator control.EstimatorKind
-	// EWMAAlpha is the EWMA smoothing factor in (0,1] (default 0.3).
-	EWMAAlpha float64
 	// MaxSize bounds the client-declared ?size= in work units (default
 	// 1e6). Without a bound one request could pin a class worker for an
 	// arbitrary wall-clock span — or overflow the pacing-duration
@@ -145,15 +121,6 @@ type Config struct {
 	FlightRecorderSize int
 	// Seed drives the server-side size sampling.
 	Seed uint64
-	// Ladder dimensions Fricker-style graceful degradation, which the
-	// control loop arms iff Allocator is core.Downgrading (the simulator's
-	// rule): under sustained overload per-class effective δ targets step
-	// down the ladder (each class tolerates proportionally more slowdown)
-	// *before* any request is shed — the admission gate stays open until
-	// every rung is engaged — and climb back with hysteresis once the
-	// overload clears. The zero value takes admission's defaults; every
-	// New starts the ladder at level 0.
-	Ladder admission.LadderConfig
 	// WatchdogFactor arms the stale-tick watchdog: a reallocation gap
 	// longer than WatchdogFactor reallocation periods marks the control
 	// loop stalled (psd_watchdog_stalled gauge + a FlagStaleTick flight
@@ -169,21 +136,18 @@ type Config struct {
 	Chaos *chaos.Injector
 }
 
-func (c Config) withDefaults() Config {
+// ApplyDefaults fills unset fields with their defaults and returns the
+// completed config.
+func (c Config) ApplyDefaults() Config {
 	if c.Service == nil {
 		c.Service = dist.PaperDefault()
 	}
-	if c.Allocator == nil {
-		c.Allocator = core.PSD{}
-	}
+	c.Spec.ApplyDefaults()
 	if c.TimeUnit == 0 {
 		c.TimeUnit = 10 * time.Millisecond
 	}
 	if c.Window == 0 {
 		c.Window = 100
-	}
-	if c.HistoryWindows == 0 {
-		c.HistoryWindows = 5
 	}
 	if c.QueueCapacity == 0 {
 		c.QueueCapacity = 4096
@@ -193,9 +157,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinRate == 0 {
 		c.MinRate = minPaceRate
-	}
-	if c.FeedbackGain == 0 {
-		c.FeedbackGain = 0.3
 	}
 	if c.MaxSize == 0 {
 		c.MaxSize = 1e6
@@ -302,10 +263,9 @@ type Server struct {
 	// Observability: the metric registry (served as JSON and Prometheus
 	// text) and the control-plane flight recorder (hooked into the loop,
 	// dumped at /debug/control).
-	reg     *obs.Registry
-	met     serverMetrics
-	rec     *obs.FlightRecorder
-	estName string
+	reg *obs.Registry
+	met serverMetrics
+	rec *obs.FlightRecorder
 
 	// sizeStripes shard the size-sampling RNG (see shard.go).
 	sizeStripes []rngStripe
@@ -329,14 +289,9 @@ type Server struct {
 
 // New builds and starts a Server (workers + reallocation loop).
 func New(cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.ApplyDefaults()
 	if len(cfg.Deltas) == 0 {
 		return nil, errors.New("httpsrv: no classes")
-	}
-	for i, d := range cfg.Deltas {
-		if !(d > 0) {
-			return nil, fmt.Errorf("httpsrv: delta[%d] = %v must be positive", i, d)
-		}
 	}
 	if !(cfg.MaxSize > 0) || math.IsInf(cfg.MaxSize, 0) {
 		// +Inf would let ?size=+Inf through the (0, MaxSize] check and
@@ -346,6 +301,16 @@ func New(cfg Config) (*Server, error) {
 	if cfg.WorkersPerClass < 0 {
 		return nil, fmt.Errorf("httpsrv: workers per class %d must be positive", cfg.WorkersPerClass)
 	}
+	// New refuses what time.NewTicker would panic on in reallocLoop.
+	if _, ok := wallDuration(cfg.Window * float64(cfg.TimeUnit)); !ok || cfg.TimeUnit <= 0 {
+		return nil, fmt.Errorf("httpsrv: window %v × time unit %v is not a reallocation period of at least 1ns", cfg.Window, cfg.TimeUnit)
+	}
+	staleAfter, ok := wallDuration(cfg.WatchdogFactor * cfg.Window * float64(cfg.TimeUnit))
+	if cfg.WatchdogFactor < 0 {
+		staleAfter = 0 // disabled
+	} else if !ok {
+		return nil, fmt.Errorf("httpsrv: watchdog threshold of %v windows is not a duration of at least 1ns", cfg.WatchdogFactor)
+	}
 	w, err := core.WorkloadFromDist(cfg.Service)
 	if err != nil {
 		return nil, err
@@ -354,13 +319,6 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	allocator := cfg.Allocator
-	if cfg.MinRate > 0 {
-		// Enforce the rate floor inside the feasibility region rather
-		// than at the pacing layer; the wrapper is bit-transparent
-		// whenever the floor does not bind (sim/live parity holds).
-		allocator = core.MinRate{Base: allocator, Min: cfg.MinRate}
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	n := len(cfg.Deltas)
 	reg := obs.NewRegistry()
@@ -368,6 +326,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:          cfg,
 		workload:     w,
 		perWorkerDiv: float64(cfg.WorkersPerClass),
+		staleAfter:   staleAfter,
 		tickCounts:   make([]float64, n),
 		tickWork:     make([]float64, n),
 		tickSlows:    make([]float64, n),
@@ -389,30 +348,13 @@ func New(cfg Config) (*Server, error) {
 	} else {
 		s.admLocks = make([]paddedMutex, 1)
 	}
-	if err := s.loop.Reset(control.LoopConfig{
-		Deltas:          cfg.Deltas,
-		Window:          cfg.Window,
-		Estimator:       cfg.Estimator,
-		HistoryWindows:  cfg.HistoryWindows,
-		EWMAAlpha:       cfg.EWMAAlpha,
-		Allocator:       allocator,
-		Workload:        w,
-		Feedback:        cfg.Feedback,
-		FeedbackGain:    cfg.FeedbackGain,
-		FeedbackMaxTrim: cfg.FeedbackMaxTrim,
-		Recorder:        rec,
-		Ladder:          cfg.Ladder,
-	}); err != nil {
+	if err := s.loop.Reset(cfg.Spec.LoopConfig(cfg.Deltas, cfg.Window, w, rec)); err != nil {
 		cancel()
 		return nil, err
 	}
-	s.estName = s.loop.EstimatorName()
 	s.ladderHold.Store(s.loop.GateHeldOpen())
 	if s.chaos != nil {
 		s.chaosTick = s.chaos.Tick()
-	}
-	if cfg.WatchdogFactor > 0 {
-		s.staleAfter = time.Duration(cfg.WatchdogFactor * cfg.Window * float64(cfg.TimeUnit))
 	}
 	s.lastTickNano.Store(time.Now().UnixNano())
 	s.classes = make([]*classRuntime, n)
@@ -454,6 +396,15 @@ func New(cfg Config) (*Server, error) {
 func (s *Server) Close() {
 	s.cancel()
 	s.wg.Wait()
+}
+
+// wallDuration converts a span in nanoseconds to a Duration, reporting
+// false unless it is at least 1ns and representable (not overflowed).
+func wallDuration(ns float64) (time.Duration, bool) {
+	if !(ns >= 1) || ns >= math.MaxInt64 {
+		return 0, false
+	}
+	return time.Duration(ns), true
 }
 
 // minPaceRate floors the pacing rate when the installed class rate is

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"psd/internal/control"
 	"psd/internal/core"
 )
 
@@ -61,6 +62,47 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Deltas: []float64{1}, MaxSize: -1}); err == nil {
 		t.Error("accepted negative max size")
+	}
+}
+
+// TestNewRefusesUnrepresentablePeriods: the reallocation period (Window
+// × TimeUnit) and the watchdog threshold must each be a Duration of at
+// least 1ns. Otherwise time.NewTicker panics in the reallocation loop, or
+// an overflowed threshold turns negative and silently disables the
+// watchdog; New must refuse the config instead.
+func TestNewRefusesUnrepresentablePeriods(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"sub-nanosecond period", Config{Window: 1e-9}},
+		{"infinite window", Config{Window: math.Inf(1)}},
+		{"NaN window", Config{Window: math.NaN()}},
+		{"negative time unit", Config{TimeUnit: -time.Millisecond}},
+		{"overflowing period", Config{Window: 1e12, TimeUnit: time.Hour}},
+		{"overflowing watchdog", Config{Window: 100, WatchdogFactor: 1e300}},
+		{"infinite watchdog", Config{WatchdogFactor: math.Inf(1)}},
+		{"NaN watchdog", Config{WatchdogFactor: math.NaN()}},
+	}
+	for _, tc := range cases {
+		tc.cfg.Deltas = []float64{1, 2}
+		if s, err := New(tc.cfg); err == nil {
+			s.Close()
+			t.Errorf("%s: accepted window %v, time unit %v, watchdog %v", tc.name, tc.cfg.Window, tc.cfg.TimeUnit, tc.cfg.WatchdogFactor)
+		}
+	}
+	// The bounds themselves stay legal: a 1ns period, and a disabled
+	// watchdog whatever the period.
+	for _, cfg := range []Config{
+		{Window: 1, TimeUnit: time.Nanosecond, WatchdogFactor: -1},
+		{Window: 1e9, TimeUnit: time.Millisecond, WatchdogFactor: -1},
+	} {
+		cfg.Deltas = []float64{1, 2}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatalf("window %v × %v refused: %v", cfg.Window, cfg.TimeUnit, err)
+		}
+		s.Close()
 	}
 }
 
@@ -276,7 +318,7 @@ func TestFeedbackControllerWiring(t *testing.T) {
 		Deltas:   []float64{1, 2},
 		TimeUnit: time.Millisecond,
 		Window:   1e9,
-		Feedback: true,
+		Spec:     control.Spec{Feedback: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -353,10 +395,10 @@ func TestCloseIsIdempotentAndStopsWorkers(t *testing.T) {
 
 func TestAllocatorPluggability(t *testing.T) {
 	s, err := New(Config{
-		Deltas:    []float64{1, 2},
-		TimeUnit:  time.Millisecond,
-		Window:    1e9,
-		Allocator: core.DemandProportional{},
+		Deltas:   []float64{1, 2},
+		TimeUnit: time.Millisecond,
+		Window:   1e9,
+		Spec:     control.Spec{Allocator: core.DemandProportional{}},
 	})
 	if err != nil {
 		t.Fatal(err)

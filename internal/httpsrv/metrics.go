@@ -188,7 +188,7 @@ func (s *Server) Snapshot() MetricsDocument {
 	n := len(s.classes)
 	doc := MetricsDocument{
 		UptimeSeconds:   time.Since(s.started).Seconds(),
-		Estimator:       s.estName,
+		Estimator:       s.cfg.Estimator.String(),
 		Reallocations:   s.met.reallocations.Load(),
 		AllocFailures:   s.met.allocFailures.Load(),
 		AdmissionPolicy: "none",

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"psd/internal/admission"
 	"psd/internal/control"
 	"psd/internal/core"
 	"psd/internal/obs"
@@ -76,22 +77,28 @@ func overloadTrace(window float64, heavy, windows int) []simsrv.TraceRequest {
 // there is nothing to be approximately equal about. The overload case
 // runs the downgrading policy through a trace that engages, maxes out
 // and unwinds the degradation ladder; levels and the shed gate must then
-// match per tick as well.
+// match per tick as well. Each case hands one control.Spec to all three;
+// the "floor+rungs" case sets what only a shared Spec can express on both
+// sides: an allocation floor that binds and non-default ladder rungs.
 func TestSimVsLiveRateParity(t *testing.T) {
 	const window = 50.0
 	cases := []struct {
-		name      string
-		kind      control.EstimatorKind
-		allocator core.Allocator
-		windows   int
-		trace     []simsrv.TraceRequest
+		name    string
+		spec    control.Spec
+		windows int
+		trace   []simsrv.TraceRequest
 	}{
-		{"window", control.Window, core.PSD{}, 10, parityTrace(500)},
-		{"ewma", control.EWMA, core.PSD{}, 10, parityTrace(500)},
-		{"overload", control.Window, core.Downgrading{}, 30, overloadTrace(window, 8, 30)},
+		{"window", control.Spec{Estimator: control.Window, HistoryWindows: 3, Allocator: core.PSD{}}, 10, parityTrace(500)},
+		{"ewma", control.Spec{Estimator: control.EWMA, HistoryWindows: 3, Allocator: core.PSD{}}, 10, parityTrace(500)},
+		{"overload", control.Spec{HistoryWindows: 3, Allocator: core.Downgrading{}}, 30, overloadTrace(window, 8, 30)},
+		{"floor+rungs", control.Spec{
+			HistoryWindows: 3,
+			Allocator:      core.Downgrading{},
+			MinRate:        0.3, // above class 1's rate at the top rung: the floor binds
+			Ladder:         admission.LadderConfig{Multipliers: []float64{3, 9}, EngageAfter: 1},
+		}, 30, overloadTrace(window, 8, 30)},
 	}
 	for _, tc := range cases {
-		kind := tc.kind
 		horizon := window * float64(tc.windows)
 		deltas := []float64{1, 2}
 		trace := tc.trace
@@ -102,15 +109,13 @@ func TestSimVsLiveRateParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := simsrv.Config{
-			Classes:        []simsrv.ClassConfig{{Delta: 1, Lambda: 0.3}, {Delta: 2, Lambda: 0.3}},
-			Window:         window,
-			HistoryWindows: 3,
-			Warmup:         1, // Validate requires Horizon > 0; keep total > last tick
-			Horizon:        horizon,
-			Seed:           1,
-			Estimator:      kind,
-			Allocator:      tc.allocator,
-			Recorder:       simRec,
+			Classes:  []simsrv.ClassConfig{{Delta: 1, Lambda: 0.3}, {Delta: 2, Lambda: 0.3}},
+			Spec:     tc.spec,
+			Window:   window,
+			Warmup:   1, // Validate requires Horizon > 0; keep total > last tick
+			Horizon:  horizon,
+			Seed:     1,
+			Recorder: simRec,
 		}
 		res, err := simsrv.RunTrace(cfg, trace)
 		if err != nil {
@@ -130,15 +135,7 @@ func TestSimVsLiveRateParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lp, err := control.NewLoop(control.LoopConfig{
-			Deltas:         deltas,
-			Window:         window,
-			Estimator:      kind,
-			HistoryWindows: 3,
-			Allocator:      tc.allocator,
-			Workload:       w,
-			Recorder:       loopRec,
-		})
+		lp, err := control.NewLoop(tc.spec.LoopConfig(deltas, window, w, loopRec))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,12 +144,10 @@ func TestSimVsLiveRateParity(t *testing.T) {
 		// the background ticker (Window × TimeUnit = 50 s) far away from
 		// the test's manual ticks.
 		srv, err := New(Config{
-			Deltas:         deltas,
-			Allocator:      tc.allocator,
-			Window:         window,
-			HistoryWindows: 3,
-			TimeUnit:       time.Second,
-			Estimator:      kind,
+			Deltas:   deltas,
+			Spec:     tc.spec,
+			Window:   window,
+			TimeUnit: time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -246,18 +241,33 @@ func TestSimVsLiveRateParity(t *testing.T) {
 				sameVec("effdeltas", a.EffDeltas, b.EffDeltas)
 			}
 		}
-		if tc.allocator.Name() == "downgrade" {
+		if tc.spec.Allocator.Name() == "downgrade" {
 			// The overload trace must really have driven the ladder to the
 			// top and back, or the case pins nothing beyond the PSD ones.
 			if math.IsNaN(engagedAt) || lp.LadderEngaged() {
 				t.Fatalf("%s: ladder engaged at %v, still engaged at the end: %v", tc.name, engagedAt, lp.LadderEngaged())
 			}
+			top := 8.0 // admission's default top rung
+			if m := tc.spec.Ladder.Multipliers; m != nil {
+				top = m[len(m)-1]
+			}
 			maxed := false
 			for _, r := range loopTicks {
-				maxed = maxed || r.EffDeltas[1] == 16
+				maxed = maxed || r.EffDeltas[1] == deltas[1]*top
 			}
 			if !maxed {
-				t.Fatalf("%s: no tick allocated at the top rung (class 1 effective delta 2 x 8)", tc.name)
+				t.Fatalf("%s: no tick allocated at the top rung (class 1 effective delta %v x %v)", tc.name, deltas[1], top)
+			}
+		}
+		if tc.spec.MinRate > 0 {
+			// The floor must have bound (core.MinRate lifts a class to
+			// exactly Min), or the case does not pin the shared floor.
+			floored := false
+			for _, r := range loopTicks {
+				floored = floored || r.Rates[1] == tc.spec.MinRate
+			}
+			if !floored {
+				t.Fatalf("%s: the %v allocation floor never bound", tc.name, tc.spec.MinRate)
 			}
 		}
 	}
@@ -268,11 +278,10 @@ func sameFloat(x, y float64) bool { return x == y || (math.IsNaN(x) && math.IsNa
 
 func TestMetricsExposeControlPlane(t *testing.T) {
 	s, err := New(Config{
-		Deltas:    []float64{1, 2},
-		TimeUnit:  time.Millisecond,
-		Window:    1e9,
-		Estimator: control.EWMA,
-		EWMAAlpha: 0.5,
+		Deltas:   []float64{1, 2},
+		TimeUnit: time.Millisecond,
+		Window:   1e9,
+		Spec:     control.Spec{Estimator: control.EWMA, EWMAAlpha: 0.5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -299,10 +308,10 @@ func TestMetricsExposeControlPlane(t *testing.T) {
 }
 
 func TestBadEstimatorConfigRejected(t *testing.T) {
-	if _, err := New(Config{Deltas: []float64{1, 2}, Estimator: control.EstimatorKind(9)}); err == nil {
+	if _, err := New(Config{Deltas: []float64{1, 2}, Spec: control.Spec{Estimator: control.EstimatorKind(9)}}); err == nil {
 		t.Error("accepted unknown estimator kind")
 	}
-	if _, err := New(Config{Deltas: []float64{1, 2}, Estimator: control.EWMA, EWMAAlpha: 2}); err == nil {
+	if _, err := New(Config{Deltas: []float64{1, 2}, Spec: control.Spec{Estimator: control.EWMA, EWMAAlpha: 2}}); err == nil {
 		t.Error("accepted out-of-range alpha")
 	}
 }
@@ -317,7 +326,7 @@ func BenchmarkReallocate(b *testing.B) {
 		Deltas:   []float64{1, 2, 4, 8},
 		TimeUnit: time.Millisecond,
 		Window:   1e9, // effectively disable the background ticker
-		Feedback: true,
+		Spec:     control.Spec{Feedback: true},
 	})
 	if err != nil {
 		b.Fatal(err)

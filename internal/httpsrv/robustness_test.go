@@ -103,8 +103,8 @@ func TestWatchdogDiscardsStaleWindow(t *testing.T) {
 	// With the ladder engaged, the freeze record must carry the same
 	// ladder-scaled δ vector the effective-delta gauge publishes.
 	s, err = New(Config{
-		Deltas: []float64{1, 2}, Allocator: core.Downgrading{}, TimeUnit: time.Millisecond, Window: 1e9, WatchdogFactor: -1,
-		Ladder: admission.LadderConfig{EngageAfter: 1},
+		Deltas: []float64{1, 2}, TimeUnit: time.Millisecond, Window: 1e9, WatchdogFactor: -1,
+		Spec: control.Spec{Allocator: core.Downgrading{}, Ladder: admission.LadderConfig{EngageAfter: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -192,20 +192,22 @@ func TestWatchdogCatchesStalledLoop(t *testing.T) {
 // climbs back with hysteresis until the gate is open again.
 func TestLadderDegradesBeforeShedding(t *testing.T) {
 	s, err := New(Config{
-		Deltas:    []float64{1, 2},
-		Allocator: core.Downgrading{},
-		TimeUnit:  time.Millisecond,
-		Window:    1e9,
-		// Depth-1 history so a healthy window replaces the overload
-		// estimate immediately; deeper histories only stretch the
-		// recovery timeline.
-		HistoryWindows: 1,
-		Admission:      rejectAll{},
-		Ladder: admission.LadderConfig{
-			Multipliers:  []float64{2, 4},
-			EngageAfter:  1,
-			RecoverAfter: 2,
+		Deltas:   []float64{1, 2},
+		TimeUnit: time.Millisecond,
+		Window:   1e9,
+		Spec: control.Spec{
+			Allocator: core.Downgrading{},
+			// Depth-1 history so a healthy window replaces the overload
+			// estimate immediately; deeper histories only stretch the
+			// recovery timeline.
+			HistoryWindows: 1,
+			Ladder: admission.LadderConfig{
+				Multipliers:  []float64{2, 4},
+				EngageAfter:  1,
+				RecoverAfter: 2,
+			},
 		},
+		Admission: rejectAll{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -281,11 +283,13 @@ func TestLadderDegradesBeforeShedding(t *testing.T) {
 func TestReconfiguredServerStartsLadderNominal(t *testing.T) {
 	cfg := Config{
 		Deltas:    []float64{1, 2},
-		Allocator: core.Downgrading{},
 		TimeUnit:  time.Millisecond,
 		Window:    1e9,
 		Admission: rejectAll{},
-		Ladder:    admission.LadderConfig{Multipliers: []float64{2}, EngageAfter: 1},
+		Spec: control.Spec{
+			Allocator: core.Downgrading{},
+			Ladder:    admission.LadderConfig{Multipliers: []float64{2}, EngageAfter: 1},
+		},
 	}
 	old, err := New(cfg)
 	if err != nil {
@@ -319,7 +323,7 @@ func TestReconfiguredServerStartsLadderNominal(t *testing.T) {
 // loop fed the same windows.
 func TestDowngradeAllocatorArmsLadder(t *testing.T) {
 	deltas := []float64{1, 2}
-	s, err := New(Config{Deltas: deltas, Allocator: core.Downgrading{}, TimeUnit: time.Millisecond, Window: 1e9})
+	s, err := New(Config{Deltas: deltas, Spec: control.Spec{Allocator: core.Downgrading{}}, TimeUnit: time.Millisecond, Window: 1e9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ const (
 	FlagAllocFailure uint8 = 1 << iota
 	// FlagNonPositiveRate marks a successful tick that handed at least
 	// one class a rate ≤ 0 — the starvation signal that surfaces
-	// downstream as rate-floor clamps (simsrv MinRate, httpsrv pacing
-	// floor).
+	// downstream as rate-floor clamps (simsrv ServiceFloor, httpsrv
+	// pacing floor).
 	FlagNonPositiveRate
 	// FlagInputRejected marks a tick whose input carried NaN/Inf/negative
 	// counts, work, or slowdowns; the corrupt fields were discarded and

@@ -97,7 +97,7 @@ func (p *processor) complete(int) {
 // (schedulers reject non-positive weights; an idle class's zero rate
 // becomes a negligible share).
 func (p *processor) setRates(rates []float64) error {
-	floor := p.r.cfg.MinRate
+	floor := p.r.cfg.ServiceFloor
 	if floor <= 0 {
 		floor = 1e-6
 	}

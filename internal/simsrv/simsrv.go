@@ -19,7 +19,8 @@
 //
 // Every source reaches every model through the same admit → observe →
 // accept path, so any combination has the gate, the ladder and the
-// request records.
+// request records. The control tick is the live server's control.Loop,
+// set by the control.Spec that Config embeds.
 //
 // Timing conventions follow the paper: one time unit is the processing
 // time of an average-size request at full capacity when the size law is
@@ -82,14 +83,13 @@ type Config struct {
 	// Service is the shared job-size distribution (default: the paper's
 	// BP(0.1, 100, 1.5)).
 	Service dist.Distribution
-	// Allocator computes the per-window rate split (default core.PSD).
-	Allocator core.Allocator
+	// Spec is the control loop's knobs, shared with httpsrv.Config. Its
+	// MinRate defaults to no floor here. The packetized model ignores
+	// Feedback: it runs the loop open-loop.
+	control.Spec
 	// Window is the estimation/reallocation/measurement period (default
 	// 1000 time units, §4.1).
 	Window float64
-	// HistoryWindows is the number of past windows averaged by the load
-	// estimator (default 5, §4.1).
-	HistoryWindows int
 	// Warmup is the discarded initial period (default 10000, §4.1).
 	Warmup float64
 	// Horizon is the measured duration after warmup (default 60000,
@@ -106,24 +106,10 @@ type Config struct {
 	// estimator's measurements, isolating estimation error (§4.4
 	// attributes controllability gaps at large δ ratios to it).
 	Oracle bool
-	// MinRate floors the rate of any class with backlog so no in-flight
-	// request is stranded by a zero allocation (default 1e-4).
-	MinRate float64
-	// Feedback enables the multiplicative-integral controller
-	// (internal/control.RatioController) that trims the δ vector handed
-	// to the allocator from *measured* per-window slowdown ratios — the
-	// paper's future-work extension for short-timescale predictability.
-	// Ignored by the packetized model, which runs the loop open-loop.
-	Feedback bool
-	// FeedbackGain is the controller gain in (0,1] (default 0.3).
-	FeedbackGain float64
-	// Estimator selects the control plane's load-smoothing strategy:
-	// control.Window (the paper's §4.1 default) or control.EWMA, which
-	// reacts faster after the transients LoadSchedule injects.
-	Estimator control.EstimatorKind
-	// EWMAAlpha is the EWMA smoothing factor in (0,1] (default 0.3);
-	// only used when Estimator is control.EWMA.
-	EWMAAlpha float64
+	// ServiceFloor floors the rate of any class with backlog, after the
+	// allocator, so no in-flight request is stranded by a zero allocation
+	// (default 1e-4; negative disables it).
+	ServiceFloor float64
 	// LoadSchedule modulates the Poisson arrival rates over time as a
 	// piecewise-constant phase sequence (load step, flash crowd,
 	// class-mix churn — see LoadStep, FlashCrowd, ClassMixChurn). Empty
@@ -137,15 +123,6 @@ type Config struct {
 	// it rejects are dropped and counted per class instead of queued.
 	// Required to keep Eq. 17 feasible under sustained overload (ρ ≥ 1).
 	Admission admission.Controller
-	// EstimateFromWork derives the allocator's per-class arrival rates
-	// from measured *work* (λ̂_i = incurred load / E[X]) instead of
-	// request counts. The paper's estimator measures both (§4.1); counts
-	// are the lower-variance choice for plain M/G_B/1 traffic, but any
-	// size-biased admission policy (e.g. a utilization bound, which
-	// sheds large jobs first) decouples the admitted count rate from the
-	// admitted work rate and makes count-based ρ̂ read phantom overload —
-	// pair admission control with this flag.
-	EstimateFromWork bool
 	// RecordRequests captures every measured request's slowdown record
 	// between RecordFrom and RecordTo (absolute simulation time), for the
 	// short-timescale Figures 7–8.
@@ -181,14 +158,9 @@ func (c *Config) applyDefaults() {
 	if c.Service == nil {
 		c.Service = dist.PaperDefault()
 	}
-	if c.Allocator == nil {
-		c.Allocator = core.PSD{}
-	}
+	c.Spec.ApplyDefaults()
 	if c.Window == 0 {
 		c.Window = 1000
-	}
-	if c.HistoryWindows == 0 {
-		c.HistoryWindows = 5
 	}
 	if c.Warmup == 0 {
 		c.Warmup = 10000
@@ -196,14 +168,8 @@ func (c *Config) applyDefaults() {
 	if c.Horizon == 0 {
 		c.Horizon = 60000
 	}
-	if c.MinRate == 0 {
-		c.MinRate = 1e-4
-	}
-	if c.FeedbackGain == 0 {
-		c.FeedbackGain = 0.3
-	}
-	if c.EWMAAlpha == 0 {
-		c.EWMAAlpha = 0.3
+	if c.ServiceFloor == 0 {
+		c.ServiceFloor = 1e-4
 	}
 }
 
@@ -226,22 +192,13 @@ func (c *Config) validate() error {
 		return fmt.Errorf("simsrv: window=%v warmup=%v horizon=%v: need window > 0, finite horizon > 0 and finite warmup >= 0",
 			c.Window, c.Warmup, c.Horizon)
 	}
-	if c.HistoryWindows < 1 {
-		return fmt.Errorf("simsrv: history windows %d must be >= 1", c.HistoryWindows)
-	}
 	if c.RecordRequests && !(c.RecordTo > c.RecordFrom) {
 		return fmt.Errorf("simsrv: record range [%v, %v) empty", c.RecordFrom, c.RecordTo)
 	}
-	if !c.Estimator.Valid() {
-		return fmt.Errorf("simsrv: unknown estimator kind %d", int(c.Estimator))
-	}
-	if c.EWMAAlpha != 0 && (!(c.EWMAAlpha > 0) || c.EWMAAlpha > 1) {
-		return fmt.Errorf("simsrv: EWMA alpha %v must be in (0, 1]", c.EWMAAlpha)
-	}
-	if err := validateSchedule(c.LoadSchedule, len(c.Classes)); err != nil {
+	if err := c.Spec.Validate(); err != nil {
 		return err
 	}
-	return nil
+	return validateSchedule(c.LoadSchedule, len(c.Classes))
 }
 
 // EqualLoadConfig builds the paper's standard scenario: len(deltas)
@@ -519,19 +476,7 @@ func (r *runner) reset(cfg *Config, w core.Workload, model serviceModel, trace [
 	// Eq. 17 is already broken; the loop still gets the Config.Service
 	// moments, which is precisely the mismatch the feedback ablation
 	// studies.
-	if err := r.loop.Reset(control.LoopConfig{
-		Deltas:           r.allocDeltas,
-		Window:           cfg.Window,
-		Estimator:        cfg.Estimator,
-		HistoryWindows:   cfg.HistoryWindows,
-		EWMAAlpha:        cfg.EWMAAlpha,
-		Allocator:        cfg.Allocator,
-		Workload:         w,
-		EstimateFromWork: cfg.EstimateFromWork,
-		Feedback:         cfg.Feedback,
-		FeedbackGain:     cfg.FeedbackGain,
-		Recorder:         cfg.Recorder,
-	}); err != nil {
+	if err := r.loop.Reset(cfg.Spec.LoopConfig(r.allocDeltas, cfg.Window, w, cfg.Recorder)); err != nil {
 		return err
 	}
 	r.ladderEngagedAt = math.NaN()

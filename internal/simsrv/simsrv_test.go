@@ -534,7 +534,7 @@ func TestEstimatorAxis(t *testing.T) {
 // service starved; the next allocation that gives it rate revives it.
 func TestStarvedClassRevivedBySetRates(t *testing.T) {
 	cfg := fastConfig([]float64{1, 2}, 0.5)
-	cfg.MinRate = -1 // no floor, so a zero allocation starves a backlogged class
+	cfg.ServiceFloor = -1 // no floor, so a zero allocation starves a backlogged class
 	var s Simulator
 	if err := s.Reset(cfg, 1); err != nil {
 		t.Fatal(err)

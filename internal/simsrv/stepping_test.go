@@ -18,7 +18,7 @@ import (
 // (some phases exactly on tick multiples, some scaling classes to zero),
 // zero-λ classes, per-class size laws (exponential, deterministic and
 // uniform beside the shared BP), feedback, EWMA, oracle, several
-// fluid allocators including the downgrading ladder, and a MinRate floor
+// fluid allocators including the downgrading ladder, and a ServiceFloor
 // that binds. Missing bytes read as zero.
 func fuzzSteppingConfig(data []byte) Config {
 	at := func(i int) int {
@@ -44,7 +44,7 @@ func fuzzSteppingConfig(data []byte) Config {
 	}
 	cfg.Oracle = flags&4 != 0
 	cfg.EstimateFromWork = flags&8 != 0
-	cfg.MinRate = []float64{0, 0, 0.05, 0.2}[(flags>>4)%4]
+	cfg.ServiceFloor = []float64{0, 0, 0.05, 0.2}[(flags>>4)%4]
 	policy := []string{"psd", "downgrade", "pdd", "ppsd", "log", "equal", "demand"}[at(9)%7]
 	if nc == 1 && policy == "downgrade" {
 		policy = "psd" // a one-class ladder needs an explicit order

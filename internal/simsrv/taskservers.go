@@ -162,15 +162,15 @@ func (m *taskServers) complete(class int) {
 }
 
 // setRates installs a new nominal rate vector, flooring backlogged
-// classes at MinRate so no in-flight request is stranded, and re-arms all
+// classes at ServiceFloor so no in-flight request is stranded, and re-arms all
 // in-flight completions.
 func (m *taskServers) setRates(rates []float64) error {
 	for i := range m.servers {
 		ts := &m.servers[i]
 		m.syncRemaining(ts)
 		rate := rates[i]
-		if rate < m.r.cfg.MinRate && (ts.busy || ts.queue.len() > 0) {
-			rate = m.r.cfg.MinRate
+		if rate < m.r.cfg.ServiceFloor && (ts.busy || ts.queue.len() > 0) {
+			rate = m.r.cfg.ServiceFloor
 		}
 		ts.rate = rate
 	}

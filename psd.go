@@ -27,6 +27,9 @@ type (
 	// BoundedPareto is the paper's heavy-tailed size distribution.
 	BoundedPareto = dist.BoundedPareto
 	// SimConfig parametrizes one simulation run (paper §4.1 defaults).
+	// Its control knobs (Allocator, Estimator, Feedback, MinRate, …) are
+	// promoted from the embedded control spec: set them by field
+	// assignment (cfg.Allocator = psd.PSDAllocator()).
 	SimConfig = simsrv.Config
 	// SimClass declares one class in a simulation.
 	SimClass = simsrv.ClassConfig
