@@ -109,15 +109,6 @@ func (u *UtilizationBound) Refund(_ int, size, now float64) {
 	}
 }
 
-// Load returns the current smoothed admitted load estimate at time now.
-func (u *UtilizationBound) Load(now float64) float64 {
-	level := u.level
-	if now > u.last {
-		level *= math.Exp(-(now - u.last) / u.Tau)
-	}
-	return level / u.Tau
-}
-
 // TokenBucket enforces a per-class work-rate contract: class i accrues
 // credit at Rates[i] work units per time unit up to Burst, and a request
 // is admitted iff its size fits the class's credit. Unlike the global
@@ -196,21 +187,6 @@ func (tb *TokenBucket) Refund(class int, size, _ float64) {
 // only tokens[i] and last[i]; Rates and Burst are read-only after
 // construction.
 func (tb *TokenBucket) ClassIsolated() {}
-
-// Tokens returns class i's current credit at time now.
-func (tb *TokenBucket) Tokens(class int, now float64) float64 {
-	if class < 0 || class >= len(tb.Rates) {
-		return 0
-	}
-	t := tb.tokens[class]
-	if now > tb.last[class] {
-		t += (now - tb.last[class]) * tb.Rates[class]
-		if t > tb.Burst {
-			t = tb.Burst
-		}
-	}
-	return t
-}
 
 var (
 	_ Controller = (*UtilizationBound)(nil)

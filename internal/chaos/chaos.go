@@ -175,8 +175,7 @@ type Injector struct {
 // seed with a distinct id, so adding draws at one site never perturbs
 // another site's schedule.
 const (
-	streamTick  = 1
-	streamLoris = 2
+	streamTick = 1
 	// Worker streams use streamWorkerBase + class·maxWorkersPerClass + idx.
 	streamWorkerBase   = 1 << 16
 	maxWorkersPerClass = 1 << 10
@@ -221,9 +220,8 @@ func (inj *Injector) Counts() Counts {
 	}
 }
 
-// countLorisByte accounts one dribbled slow-loris byte (loadgen calls
-// this; the stream id exists so future loris variants can draw
-// deterministically too).
+// CountLorisByte accounts one dribbled slow-loris byte (loadgen calls
+// this).
 func (inj *Injector) CountLorisByte() { inj.lorisBytes.Add(1) }
 
 // WorkerFaults is the per-worker fault stream: one per (class, worker

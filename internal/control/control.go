@@ -178,10 +178,8 @@ func (r *RatioController) ResetTargets(target []float64, gain, maxTrim float64) 
 	return nil
 }
 
-// Deltas returns the effective δ vector to hand to the allocator.
-func (r *RatioController) Deltas() []float64 { return append([]float64(nil), r.eff...) }
-
-// DeltasInto is Deltas into caller-owned storage (len = class count).
+// DeltasInto copies the effective δ vector to hand to the allocator into
+// dst (len = class count).
 func (r *RatioController) DeltasInto(dst []float64) { copy(dst, r.eff) }
 
 // Update feeds one period's measured per-class mean slowdowns. Classes
@@ -214,9 +212,4 @@ func (r *RatioController) Update(measured []float64) error {
 		r.eff[i] = next
 	}
 	return nil
-}
-
-// Reset restores the effective deltas to the targets.
-func (r *RatioController) Reset() {
-	copy(r.eff, r.target)
 }

@@ -185,7 +185,7 @@ func TestRatioControllerConvergesOnBiasedPlant(t *testing.T) {
 	}
 	var measuredRatio float64
 	for i := 0; i < 60; i++ {
-		deltas := rc.Deltas()
+		deltas := deltasOf(rc)
 		measuredRatio = 0.6 * deltas[1] / deltas[0]
 		if err := rc.Update([]float64{1, measuredRatio}); err != nil {
 			t.Fatal(err)
@@ -202,14 +202,14 @@ func TestRatioControllerClamps(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		_ = rc.Update([]float64{1, 1000})
 	}
-	d := rc.Deltas()
+	d := deltasOf(rc)
 	if d[1] < 2.0/3-1e-9 {
 		t.Fatalf("delta2 %v fell below clamp %v", d[1], 2.0/3)
 	}
 	for i := 0; i < 100; i++ {
 		_ = rc.Update([]float64{1, 0.001})
 	}
-	d = rc.Deltas()
+	d = deltasOf(rc)
 	if d[1] > 6+1e-9 {
 		t.Fatalf("delta2 %v above clamp 6", d[1])
 	}
@@ -217,11 +217,11 @@ func TestRatioControllerClamps(t *testing.T) {
 
 func TestRatioControllerSkipsMissingData(t *testing.T) {
 	rc, _ := newRatioController([]float64{1, 2}, 0.5, 4)
-	before := rc.Deltas()
+	before := deltasOf(rc)
 	_ = rc.Update([]float64{math.NaN(), 5}) // no reference signal
 	_ = rc.Update([]float64{1, math.NaN()}) // no class-1 signal
 	_ = rc.Update([]float64{1, 0})          // zero measurement
-	after := rc.Deltas()
+	after := deltasOf(rc)
 	for i := range before {
 		if before[i] != after[i] {
 			t.Fatalf("deltas changed on missing data: %v -> %v", before, after)
@@ -229,11 +229,21 @@ func TestRatioControllerSkipsMissingData(t *testing.T) {
 	}
 }
 
+// deltasOf copies rc's effective δ vector.
+func deltasOf(rc *RatioController) []float64 {
+	d := make([]float64, len(rc.eff))
+	rc.DeltasInto(d)
+	return d
+}
+
 func TestRatioControllerReset(t *testing.T) {
 	rc, _ := newRatioController([]float64{1, 2}, 1, 4)
 	_ = rc.Update([]float64{1, 10})
-	rc.Reset()
-	d := rc.Deltas()
+	// Re-arming for the same targets (what Loop.Reset does) restores them.
+	if err := rc.ResetTargets([]float64{1, 2}, 1, 4); err != nil {
+		t.Fatal(err)
+	}
+	d := deltasOf(rc)
 	if d[0] != 1 || d[1] != 2 {
 		t.Fatalf("reset deltas = %v", d)
 	}
@@ -273,7 +283,7 @@ func TestControllerIdentityPlantIsStable(t *testing.T) {
 				return false
 			}
 		}
-		d := rc.Deltas()
+		d := deltasOf(rc)
 		return relErr(d[1], 3) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

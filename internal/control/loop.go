@@ -108,10 +108,19 @@ type TickInput struct {
 	// estimates handed to the allocator (the §4.4 estimation-error
 	// ablation).
 	OracleLambdas []float64
+	// Shed is the closed window's per-class work refused at the door (a
+	// full queue or the admission gate). The allocator never sees it: it
+	// splits capacity among admitted work. The degradation ladder reads
+	// offered load, the estimator's admitted load plus the same estimate
+	// over shed work, so a server whose queues are full reads as
+	// overloaded rather than as the light load it manages to admit. Nil
+	// means nothing was shed.
+	Shed []float64
 }
 
 // validVec reports whether every entry of v is finite and ≥ 0 — the
-// shape every window observation (counts, work) and oracle λ must have.
+// shape every window observation (counts, work, shed) and oracle λ must
+// have.
 func validVec(v []float64) bool {
 	for _, x := range v {
 		// !(x >= 0) catches NaN as well as negatives.
@@ -165,6 +174,13 @@ type Loop struct {
 	// Estimator cores; only the configured kind is consulted.
 	ring windowRing
 	ewma ewmaState
+	// The same estimators over the window's total shed work, one
+	// pseudo-class wide, kept while the ladder is armed: it reads offered
+	// load, the admitted estimate plus this one. shedTotal is their
+	// one-element input and output.
+	shedRing  windowRing
+	shedEWMA  ewmaState
+	shedTotal [1]float64
 
 	// Current (open) window accumulators for the Observe path.
 	curCount []float64
@@ -184,9 +200,9 @@ type Loop struct {
 	ticks uint64 // completed Tick calls since Reset
 
 	// Input-guard state: rejected counts ticks that carried at least one
-	// corrupt field (NaN/Inf/negative counts, work, slowdowns or oracle
-	// λ); tickFlags carries the current tick's flag bits into the flight
-	// record.
+	// corrupt field (NaN/Inf/negative counts, work, shed, slowdowns or
+	// oracle λ); tickFlags carries the current tick's flag bits into the
+	// flight record.
 	rejected  uint64
 	tickFlags uint8
 
@@ -263,6 +279,8 @@ func (lp *Loop) Reset(cfg LoopConfig) error {
 
 	lp.ring.reset(nc, knobs.HistoryWindows, lp.window)
 	lp.ewma.reset(nc, knobs.EWMAAlpha, lp.window)
+	lp.shedRing.reset(1, knobs.HistoryWindows, lp.window)
+	lp.shedEWMA.reset(1, knobs.EWMAAlpha, lp.window)
 	lp.curCount = resizeFloats(lp.curCount, nc)
 	lp.curWork = resizeFloats(lp.curWork, nc)
 	for i := 0; i < nc; i++ {
@@ -332,6 +350,30 @@ func (lp *Loop) observeWindow(counts, work []float64) {
 	}
 }
 
+// observeShed folds one closed window's total shed work into the shed
+// estimator.
+func (lp *Loop) observeShed(shed []float64) {
+	lp.shedTotal[0] = 0
+	for _, w := range shed {
+		lp.shedTotal[0] += w
+	}
+	switch lp.spec.Estimator {
+	case Window:
+		lp.shedRing.observe(lp.shedTotal[:], lp.shedTotal[:])
+	case EWMA:
+		lp.shedEWMA.observe(lp.shedTotal[:], lp.shedTotal[:])
+	}
+}
+
+// shedLoad returns the estimated shed work per time unit.
+func (lp *Loop) shedLoad() float64 {
+	if lp.spec.Estimator == EWMA {
+		return lp.shedEWMA.loads[0]
+	}
+	lp.shedRing.loadsInto(lp.shedTotal[:])
+	return lp.shedTotal[0]
+}
+
 // LambdasInto fills dst with the current per-class arrival-rate estimates
 // (zero before the first closed window). len(dst) must be Classes().
 func (lp *Loop) LambdasInto(dst []float64) {
@@ -393,11 +435,12 @@ func (lp *Loop) DegradationLevel(class int) int {
 // Tick runs one control period: close the estimation window (from
 // in.Counts/Work, or from the Observe accumulators when in.Counts is
 // nil), update the feedback controller from in.MeasuredSlowdowns, re-run
-// the allocator and, with the ladder armed, feed it this tick's ρ̂ = Σ
-// offered loads and the allocation's feasibility. While the ladder is
-// engaged the measured slowdowns are dropped before the input guards see
-// them: the ratio controller would trim toward exactly the base targets
-// the ladder is scaling away from. On success it returns the new rate
+// the allocator and, with the ladder armed, feed it this tick's offered
+// ρ̂ — the estimated admitted load plus the estimated shed load — and the
+// allocation's feasibility. While the ladder is engaged the measured
+// slowdowns are dropped before the input guards see them: the ratio
+// controller would trim toward exactly the base targets the ladder is
+// scaling away from. On success it returns the new rate
 // vector — a Loop-owned scratch slice, valid until the next Tick/Reset,
 // which the caller applies (flooring, scheduler weights, pacing) as its
 // server model requires. On error (typically core.ErrInfeasible under a
@@ -413,6 +456,9 @@ func (lp *Loop) Tick(in TickInput) ([]float64, error) {
 	if in.OracleLambdas != nil && len(in.OracleLambdas) != lp.classes {
 		return nil, ErrDimension
 	}
+	if in.Shed != nil && len(in.Shed) != lp.classes {
+		return nil, ErrDimension
+	}
 	counts, work := in.Counts, in.Work
 	if counts == nil {
 		counts, work = lp.curCount, lp.curWork
@@ -423,8 +469,16 @@ func (lp *Loop) Tick(in TickInput) ([]float64, error) {
 	// The whole window is discarded and the estimator keeps its last-good
 	// state; the tick is flagged and counted, but still allocates.
 	lp.tickFlags = 0
+	shed := in.Shed
+	if shed != nil && !validVec(shed) {
+		shed = nil
+		lp.tickFlags |= obs.FlagInputRejected
+	}
 	if validVec(counts) && validVec(work) {
 		lp.observeWindow(counts, work)
+		if lp.ladder != nil {
+			lp.observeShed(shed)
+		}
 	} else {
 		lp.tickFlags |= obs.FlagInputRejected
 	}
@@ -484,7 +538,7 @@ func (lp *Loop) Tick(in TickInput) ([]float64, error) {
 		for _, l := range lp.loads {
 			rho += l
 		}
-		lp.ladder.Observe(rho, errors.Is(err, core.ErrInfeasible))
+		lp.ladder.Observe(rho+lp.shedLoad(), errors.Is(err, core.ErrInfeasible))
 	}
 	if err != nil {
 		return nil, err

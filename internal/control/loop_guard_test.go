@@ -60,6 +60,10 @@ func TestLoopGuardsCorruptInputs(t *testing.T) {
 			OracleLambdas: []float64{nan, 1}}},
 		{"negative oracle", TickInput{Counts: []float64{40, 40}, Work: []float64{12, 12},
 			OracleLambdas: []float64{1, -1}}},
+		{"NaN shed", TickInput{Counts: []float64{40, 40}, Work: []float64{12, 12},
+			Shed: []float64{nan, 1}}},
+		{"negative shed", TickInput{Counts: []float64{40, 40}, Work: []float64{12, 12},
+			Shed: []float64{1, -1}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -85,7 +89,7 @@ func TestLoopGuardsCorruptInputs(t *testing.T) {
 
 			// Window-level corruption keeps the estimator at last-good and
 			// therefore the allocation bit-identical; corruption confined to
-			// slowdowns/oracle never poisons the estimator either way.
+			// slowdowns/oracle/shed never poisons the estimator either way.
 			lambdasAfter := make([]float64, 2)
 			lp.LambdasInto(lambdasAfter)
 			corruptWindow := !validVec(tc.in.Counts) || !validVec(tc.in.Work)

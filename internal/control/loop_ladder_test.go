@@ -135,8 +135,8 @@ var fuzzValues = [16]float64{
 }
 
 // FuzzLoopTick drives a psd loop and a downgrading loop in lockstep
-// through byte-decoded tick scripts (counts, work, slowdowns and oracle
-// λ, corrupt values included) and checks the tick's contract: no panic;
+// through byte-decoded tick scripts (counts, work, slowdowns, oracle λ
+// and shed work, corrupt values included) and checks the tick's contract: no panic;
 // successful rates finite, positive and summing to at most 1;
 // InputRejected counting exactly the corrupt ticks; the ladder moving at
 // most one rung per tick; the gate held open exactly while the ladder
@@ -230,9 +230,12 @@ func FuzzLoopTick(f *testing.F) {
 			if mask&2 != 0 {
 				in.OracleLambdas = vec(3)
 			}
+			if mask&4 != 0 {
+				in.Shed = vec(1) // the work vector doubles as shed work
+			}
 			data = data[1+4*nc:]
 
-			corrupt := corruptVec(in.Counts) || corruptVec(in.Work) || corruptVec(in.OracleLambdas)
+			corrupt := corruptVec(in.Counts) || corruptVec(in.Work) || corruptVec(in.OracleLambdas) || corruptVec(in.Shed)
 			slowCorrupt := corruptSlowdowns(in.MeasuredSlowdowns)
 			if corrupt || slowCorrupt {
 				wantPlain++
@@ -280,4 +283,59 @@ func FuzzLoopTick(f *testing.F) {
 			engagedOnce = engagedOnce || down.LadderEngaged()
 		}
 	})
+}
+
+// TestLoopLadderReadsOfferedLoad: a starved server admits only ρ̂ 0.26
+// of work while its full queues refuse work far above capacity. The
+// ladder reads offered load, admitted plus shed, and must engage within
+// EngageAfter ticks; the allocator keeps the admitted λ̂. Without Shed
+// the same admitted windows read as light load and never engage.
+func TestLoopLadderReadsOfferedLoad(t *testing.T) {
+	cfg := ladderConfig([]float64{1, 2})
+	cfg.Ladder = admission.LadderConfig{EngageAfter: 2, EngageRho: 0.9}
+	admitted := TickInput{Counts: []float64{62, 28}, Work: []float64{18, 8}} // ρ̂ = 26/100
+	starved := admitted
+	starved.Shed = []float64{500, 500} // 10× capacity refused at the door
+
+	lp, err := NewLoop(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tick := 1; tick <= cfg.Ladder.EngageAfter; tick++ {
+		if _, err := lp.Tick(starved); err != nil {
+			t.Fatalf("tick %d: %v", tick, err)
+		}
+	}
+	if !lp.LadderEngaged() {
+		t.Fatalf("ladder not engaged after %d starved ticks", cfg.Ladder.EngageAfter)
+	}
+	lambdas := make([]float64, 2)
+	lp.LambdasInto(lambdas)
+	if lambdas[0] != 0.62 || lambdas[1] != 0.28 {
+		t.Errorf("λ̂ = %v, want the admitted 0.62, 0.28", lambdas)
+	}
+
+	if err := lp.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	for tick := 0; tick < 10; tick++ {
+		if _, err := lp.Tick(admitted); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lp.LadderEngaged() {
+		t.Error("admitted ρ̂ 0.26 with nothing shed engaged the ladder")
+	}
+
+	// A corrupt Shed is dropped (and counted): it engages nothing.
+	bad := admitted
+	bad.Shed = []float64{math.NaN(), 500}
+	for tick := 0; tick < 3; tick++ {
+		if _, err := lp.Tick(bad); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if lp.LadderEngaged() {
+		t.Error("a NaN shed vector engaged the ladder")
+	}
 }

@@ -67,6 +67,7 @@ func TestLoopTickInputValidation(t *testing.T) {
 		{Counts: []float64{1}, Work: []float64{1}},                                        // short Counts
 		{Counts: []float64{1, 2}, Work: []float64{1, 2}, OracleLambdas: []float64{1}},     // short oracle
 		{Counts: []float64{1, 2}, Work: []float64{1, 2}, MeasuredSlowdowns: []float64{1}}, // short slows
+		{Counts: []float64{1, 2}, Work: []float64{1, 2}, Shed: []float64{1}},              // short shed
 	}
 	for i, in := range bad {
 		if _, err := lp.Tick(in); err != ErrDimension {

@@ -37,7 +37,7 @@
 // instead of chasing pointers through the GC heap.
 //
 // Schedule returns an EventID — a packed (slot, generation) handle, not a
-// pointer. Cancel and Active validate the generation: once an event fires
+// pointer. Cancel validates the generation: once an event fires
 // or is canceled its slot's generation is bumped, so a stale handle can
 // never affect an unrelated event that happens to reuse the slot. The zero
 // EventID is never issued and is safely inert, which lets callers use it
@@ -152,10 +152,6 @@ func (s *Simulator) Now() float64 { return s.now }
 // Processed returns the number of events executed so far.
 func (s *Simulator) Processed() uint64 { return s.processed }
 
-// Pending returns the number of events currently scheduled. Canceled
-// events are removed eagerly and do not count.
-func (s *Simulator) Pending() int { return len(s.heap) }
-
 // ErrPast reports scheduling before the current simulation time.
 var ErrPast = errors.New("des: cannot schedule event in the past")
 
@@ -211,29 +207,6 @@ func (s *Simulator) Cancel(id EventID) bool {
 	return true
 }
 
-// Active reports whether the handle refers to a still-pending event.
-func (s *Simulator) Active(id EventID) bool {
-	slot, gen := id.split()
-	if slot < 0 || int(slot) >= len(s.slots) {
-		return false
-	}
-	st := &s.slots[slot]
-	return st.gen == gen && st.pos >= 0
-}
-
-// EventTime returns the scheduled fire time of a still-pending event.
-func (s *Simulator) EventTime(id EventID) (float64, bool) {
-	slot, gen := id.split()
-	if slot < 0 || int(slot) >= len(s.slots) {
-		return 0, false
-	}
-	st := &s.slots[slot]
-	if st.gen != gen || st.pos < 0 {
-		return 0, false
-	}
-	return s.heap[st.pos].time, true
-}
-
 // release recycles a slot: the generation bump invalidates every
 // outstanding handle to it, and dropping the Handler reference keeps the
 // arena from pinning dead model objects.
@@ -275,21 +248,6 @@ func (s *Simulator) RunUntil(horizon float64) {
 	if s.now < horizon {
 		s.now = horizon
 	}
-}
-
-// Run executes events until none remain.
-func (s *Simulator) Run() {
-	for s.Step() {
-	}
-}
-
-// Drain discards all pending events without running them. Handles to the
-// discarded events go stale.
-func (s *Simulator) Drain() {
-	for _, e := range s.heap {
-		s.release(e.slot)
-	}
-	s.heap = s.heap[:0]
 }
 
 // ---------------------------------------------------------------------------

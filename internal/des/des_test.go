@@ -18,6 +18,22 @@ func (f handlerFunc) HandleEvent(kind, data int32) { f(kind, data) }
 
 func fn(f func()) Handler { return handlerFunc(func(_, _ int32) { f() }) }
 
+// runAll executes events until none remain.
+func runAll(s *Simulator) {
+	for s.Step() {
+	}
+}
+
+// active reports whether the handle refers to a still-pending event.
+func active(s *Simulator, id EventID) bool {
+	slot, gen := id.split()
+	if slot < 0 || int(slot) >= len(s.slots) {
+		return false
+	}
+	st := &s.slots[slot]
+	return st.gen == gen && st.pos >= 0
+}
+
 func TestEventsFireInTimeOrder(t *testing.T) {
 	s := New()
 	var fired []float64
@@ -25,7 +41,7 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 		d := d
 		s.Schedule(d, fn(func() { fired = append(fired, d) }), 0, 0)
 	}
-	s.Run()
+	runAll(s)
 	if len(fired) != 5 {
 		t.Fatalf("fired %d events", len(fired))
 	}
@@ -44,7 +60,7 @@ func TestTieBreakIsFIFO(t *testing.T) {
 	for i := int32(0); i < 10; i++ {
 		s.Schedule(1.0, h, 0, i)
 	}
-	s.Run()
+	runAll(s)
 	for i, v := range order {
 		if v != int32(i) {
 			t.Fatalf("tie-break not FIFO: %v", order)
@@ -59,7 +75,7 @@ func TestKindAndDataDispatch(t *testing.T) {
 	h := handlerFunc(func(kind, data int32) { hits = append(hits, hit{kind, data}) })
 	s.Schedule(1, h, 7, 42)
 	s.Schedule(2, h, 8, -3)
-	s.Run()
+	runAll(s)
 	if len(hits) != 2 || hits[0] != (hit{7, 42}) || hits[1] != (hit{8, -3}) {
 		t.Fatalf("hits = %v", hits)
 	}
@@ -72,7 +88,7 @@ func TestScheduleFromWithinEvent(t *testing.T) {
 		hits = append(hits, s.Now())
 		s.Schedule(2, fn(func() { hits = append(hits, s.Now()) }), 0, 0)
 	}), 0, 0)
-	s.Run()
+	runAll(s)
 	if len(hits) != 2 || hits[0] != 1 || hits[1] != 3 {
 		t.Fatalf("hits = %v", hits)
 	}
@@ -82,17 +98,17 @@ func TestCancel(t *testing.T) {
 	s := New()
 	ran := false
 	e := s.Schedule(1, fn(func() { ran = true }), 0, 0)
-	if !s.Active(e) {
+	if !active(s, e) {
 		t.Fatal("scheduled event not active")
 	}
 	if !s.Cancel(e) {
 		t.Fatal("first cancel reported no-op")
 	}
-	s.Run()
+	runAll(s)
 	if ran {
 		t.Fatal("canceled event ran")
 	}
-	if s.Active(e) {
+	if active(s, e) {
 		t.Fatal("canceled event still active")
 	}
 }
@@ -114,8 +130,8 @@ func TestCancelTwice(t *testing.T) {
 func TestCancelAfterFire(t *testing.T) {
 	s := New()
 	e := s.Schedule(1, fn(func() {}), 0, 0)
-	s.Run()
-	if s.Active(e) {
+	runAll(s)
+	if active(s, e) {
 		t.Fatal("fired event still active")
 	}
 	if s.Cancel(e) {
@@ -127,7 +143,7 @@ func TestCancelAfterFire(t *testing.T) {
 	if s.Cancel(e) {
 		t.Fatal("stale handle canceled a reused slot")
 	}
-	if !s.Active(e2) {
+	if !active(s, e2) {
 		t.Fatal("stale cancel disturbed the new event")
 	}
 }
@@ -141,11 +157,11 @@ func TestPoolReuseGenerationCheck(t *testing.T) {
 	for round := 0; round < 10; round++ {
 		e := s.Schedule(1, fn(func() {}), 0, 0)
 		for _, stale := range old {
-			if s.Cancel(stale) || s.Active(stale) {
+			if s.Cancel(stale) || active(s, stale) {
 				t.Fatalf("round %d: stale handle %x acted on reused slot", round, stale)
 			}
 		}
-		if !s.Active(e) {
+		if !active(s, e) {
 			t.Fatalf("round %d: live handle reported inactive", round)
 		}
 		s.Cancel(e)
@@ -162,7 +178,7 @@ func TestSteadyStateNoAlloc(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		s.Schedule(float64(i), h, 0, 0)
 	}
-	s.Run()
+	runAll(s)
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.Schedule(1, h, 0, 0)
 		s.Step()
@@ -178,7 +194,7 @@ func TestCancelDuringExecution(t *testing.T) {
 	var victim EventID
 	s.Schedule(1, fn(func() { s.Cancel(victim) }), 0, 0)
 	victim = s.Schedule(2, fn(func() { ran = true }), 0, 0)
-	s.Run()
+	runAll(s)
 	if ran {
 		t.Fatal("event canceled by an earlier event still ran")
 	}
@@ -193,11 +209,11 @@ func TestCancelRemovesFromHeap(t *testing.T) {
 	for _, e := range events[:50] {
 		s.Cancel(e)
 	}
-	if s.Pending() != 50 {
-		t.Fatalf("pending = %d after eager removal, want 50", s.Pending())
+	if len(s.heap) != 50 {
+		t.Fatalf("pending = %d after eager removal, want 50", len(s.heap))
 	}
 	// The survivors still fire in order.
-	s.Run()
+	runAll(s)
 	if s.Now() != 99 {
 		t.Fatalf("final time = %v, want 99", s.Now())
 	}
@@ -248,21 +264,6 @@ func TestRunUntilInclusiveBoundary(t *testing.T) {
 	}
 }
 
-func TestEventTime(t *testing.T) {
-	s := New()
-	e := s.Schedule(2.5, fn(func() {}), 0, 0)
-	if tm, ok := s.EventTime(e); !ok || tm != 2.5 {
-		t.Fatalf("EventTime = %v, %v", tm, ok)
-	}
-	s.Cancel(e)
-	if _, ok := s.EventTime(e); ok {
-		t.Fatal("EventTime of canceled event reported ok")
-	}
-	if _, ok := s.EventTime(EventID(0)); ok {
-		t.Fatal("EventTime of zero handle reported ok")
-	}
-}
-
 func TestSchedulePastPanics(t *testing.T) {
 	s := New()
 	defer func() {
@@ -276,7 +277,7 @@ func TestSchedulePastPanics(t *testing.T) {
 func TestScheduleAtPastPanics(t *testing.T) {
 	s := New()
 	s.Schedule(5, fn(func() {}), 0, 0)
-	s.Run()
+	runAll(s)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("ScheduleAt in the past did not panic")
@@ -292,23 +293,9 @@ func TestProcessedCount(t *testing.T) {
 	}
 	e := s.Schedule(100, fn(func() {}), 0, 0)
 	s.Cancel(e)
-	s.Run()
+	runAll(s)
 	if s.Processed() != 10 {
 		t.Fatalf("processed = %d, want 10", s.Processed())
-	}
-}
-
-func TestDrain(t *testing.T) {
-	s := New()
-	ran := false
-	e := s.Schedule(1, fn(func() { ran = true }), 0, 0)
-	s.Drain()
-	s.Run()
-	if ran || s.Pending() != 0 {
-		t.Fatal("drain did not clear events")
-	}
-	if s.Active(e) || s.Cancel(e) {
-		t.Fatal("drained event handle still live")
 	}
 }
 
@@ -335,7 +322,7 @@ func TestDeterministicReplay(t *testing.T) {
 			}
 		}
 		s.Schedule(0, fn(spawn), 0, 0)
-		s.Run()
+		runAll(s)
 		return trace
 	}
 	a := run(42)
@@ -365,7 +352,7 @@ func TestHeapOrderingProperty(t *testing.T) {
 			d := d
 			s.Schedule(d, fn(func() { fired = append(fired, d) }), 0, 0)
 		}
-		s.Run()
+		runAll(s)
 		return sort.Float64sAreSorted(fired) && len(fired) == len(delays)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -398,7 +385,7 @@ func TestRandomCancelOrderingProperty(t *testing.T) {
 			}
 		}
 	}
-	s.Run()
+	runAll(s)
 	var want []float64
 	for _, rc := range recs {
 		if !rc.canceled {
@@ -429,7 +416,7 @@ func TestManyReschedules(t *testing.T) {
 	if len(s.slots) > 2 {
 		t.Fatalf("arena grew to %d slots under reschedule churn, want ≤ 2", len(s.slots))
 	}
-	s.Run()
+	runAll(s)
 	if completions != 1 {
 		t.Fatalf("completions = %d, want exactly 1 (last scheduled)", completions)
 	}
@@ -458,10 +445,10 @@ func TestResetReplaysIdentically(t *testing.T) {
 	first, firstN := run(s)
 	stale := s.Schedule(1e9, handlerFunc(func(_, _ int32) {}), 0, 99)
 	s.Reset()
-	if s.Now() != 0 || s.Pending() != 0 || s.Processed() != 0 {
-		t.Fatalf("Reset left state: now=%v pending=%d processed=%d", s.Now(), s.Pending(), s.Processed())
+	if s.Now() != 0 || len(s.heap) != 0 || s.Processed() != 0 {
+		t.Fatalf("Reset left state: now=%v pending=%d processed=%d", s.Now(), len(s.heap), s.Processed())
 	}
-	if s.Cancel(stale) || s.Active(stale) {
+	if s.Cancel(stale) || active(s, stale) {
 		t.Fatal("pre-Reset handle still live")
 	}
 	second, secondN := run(s)
@@ -486,13 +473,13 @@ func BenchmarkScheduleRun(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.Schedule(r.Float64()*100, h, 0, 0)
-		if s.Pending() > 1024 {
-			for s.Pending() > 512 {
+		if len(s.heap) > 1024 {
+			for len(s.heap) > 512 {
 				s.Step()
 			}
 		}
 	}
-	s.Run()
+	runAll(s)
 }
 
 func BenchmarkCancelReschedule(b *testing.B) {

@@ -149,10 +149,10 @@ func TestQueueFullRefundsAdmission(t *testing.T) {
 		t.Fatalf("third request got %d, want 503 (queue full)", resp.StatusCode)
 	}
 	// Three admits charged 12, the bounced one's 4 came back: 4 credits
-	// left. Without the refund this reads 0 (refill rate is ~0); a double
-	// refund would read 8.
-	if got := tb.Tokens(0, 0); got < 3.9 || got > 4.1 {
-		t.Fatalf("tokens after queue-full bounce = %v, want ~4 (refund missing or doubled)", got)
+	// left. Without the refund a size-3.9 request bounces (refill rate is
+	// ~0); after a double refund a further size-0.2 one still fits.
+	if !tb.Admit(0, 3.9, 0) || tb.Admit(0, 0.2, 0) {
+		t.Fatal("credit after queue-full bounce is not ~4 (refund missing or doubled)")
 	}
 	var doc MetricsDocument
 	getJSON(t, ts.URL+"/metrics", &doc)

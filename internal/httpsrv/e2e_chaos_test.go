@@ -50,9 +50,9 @@ func TestE2EChaosRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Aggressive engage settings: ρ̂ hovers at the saturation boundary
-	// under a full-queue overload (admitted work ≈ capacity), so a lazy
-	// engage streak would let in-band ticks keep resetting it.
+	// Aggressive engage settings: the fault storm drops and poisons most
+	// ticks, so a lazy engage streak would let the few clean ones go by
+	// without stepping the ladder.
 	ladder := admission.LadderConfig{
 		Multipliers: []float64{2, 4},
 		EngageAfter: 1,
@@ -64,10 +64,11 @@ func TestE2EChaosRecovery(t *testing.T) {
 		Service:  sizes,
 		TimeUnit: time.Millisecond,
 		Window:   25, // reallocate every 25ms
-		// Small queues so sustained overload hits queue-full fast: the
-		// fail-fast 503s keep the client's attempt rate high, which keeps
-		// the ADMITTED work rate pinned at server capacity (ρ̂ ≈ 1) — shed
-		// traffic deliberately never feeds the estimator.
+		// Small queues so sustained overload hits queue-full fast. The
+		// estimator sees admitted work only, which a starved pacer holds
+		// far below capacity; the ladder reads offered load, admitted
+		// plus the work the full queues and the gate refuse, so it
+		// engages either way.
 		QueueCapacity:  64,
 		Admission:      gate,
 		WatchdogFactor: 2, // stale after 50ms: two dropped ticks in a row

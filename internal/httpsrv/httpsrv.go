@@ -216,9 +216,8 @@ type classRuntime struct {
 // http.Handler (or drive it in-process via Do); Close releases the
 // workers.
 type Server struct {
-	cfg      Config
-	workload core.Workload
-	classes  []*classRuntime
+	cfg     Config
+	classes []*classRuntime
 
 	// perWorkerDiv divides the class rate among its workers
 	// (float64(cfg.WorkersPerClass), precomputed for the pacing path).
@@ -236,6 +235,10 @@ type Server struct {
 	tickSlows   []float64
 	tickLambdas []float64
 	tickDeltas  []float64
+	// tickShed is the window's shed work per class: the growth of the
+	// rejected-work counters since the last tick, which shedWork holds.
+	tickShed []float64
+	shedWork []float64
 
 	// lastRejected mirrors loop.InputRejected into the registry counter
 	// (delta per tick, under loopMu).
@@ -324,12 +327,13 @@ func New(cfg Config) (*Server, error) {
 	reg := obs.NewRegistry()
 	s := &Server{
 		cfg:          cfg,
-		workload:     w,
 		perWorkerDiv: float64(cfg.WorkersPerClass),
 		staleAfter:   staleAfter,
 		tickCounts:   make([]float64, n),
 		tickWork:     make([]float64, n),
 		tickSlows:    make([]float64, n),
+		tickShed:     make([]float64, n),
+		shedWork:     make([]float64, n),
 		tickLambdas:  make([]float64, n),
 		tickDeltas:   make([]float64, n),
 		chaos:        cfg.Chaos,
@@ -563,7 +567,8 @@ func (s *Server) recordCompletion(class int, cr *classRuntime, delay, service ti
 }
 
 // reject accounts one shed request (admission gate or full queue) in the
-// metric registry; shed traffic never reaches the load estimator.
+// metric registry. Shed traffic never reaches the load estimator; the
+// tick hands its work to the degradation ladder (closeShedWindow).
 func (s *Server) reject(class int, size float64, byAdmission bool) {
 	if byAdmission {
 		s.met.rejAdmission.At(class).Inc()
@@ -689,6 +694,7 @@ func (s *Server) reallocate() {
 		for _, cr := range s.classes {
 			cr.closeWindow()
 		}
+		s.closeShedWindow()
 		s.met.watchdogStaleTicks.Inc()
 		s.met.watchdogStalled.Set(1)
 		s.stalledFlag.Store(true)
@@ -706,6 +712,7 @@ func (s *Server) reallocate() {
 	for i, cr := range s.classes {
 		s.tickCounts[i], s.tickWork[i], s.tickSlows[i] = cr.closeWindow()
 	}
+	s.closeShedWindow()
 	if tf := s.chaosTick; tf != nil {
 		// Estimator-corruption fault: poison this tick's input vectors in
 		// place — the control plane's guards must reject them.
@@ -715,6 +722,7 @@ func (s *Server) reallocate() {
 		Counts:            s.tickCounts,
 		Work:              s.tickWork,
 		MeasuredSlowdowns: s.tickSlows,
+		Shed:              s.tickShed,
 	})
 	if rej := s.loop.InputRejected(); rej != s.lastRejected {
 		s.met.tickInputRejected.Add(int64(rej - s.lastRejected))
@@ -746,6 +754,17 @@ func (s *Server) reallocate() {
 	for i, cr := range s.classes {
 		cr.setRate(rates[i])
 		s.met.rate.At(i).Set(rates[i])
+	}
+}
+
+// closeShedWindow fills tickShed with each class's work shed since the
+// last tick, read off the rejected-work counters, so the door's reject
+// path pays nothing extra.
+func (s *Server) closeShedWindow() {
+	for i := range s.classes {
+		total := s.met.rejWork.At(i).Load()
+		s.tickShed[i] = total - s.shedWork[i]
+		s.shedWork[i] = total
 	}
 }
 
@@ -888,13 +907,4 @@ func (s *Server) Mux() *http.ServeMux {
 	mux.Handle("/debug/control", s.ControlDump())
 	mux.Handle("/", s)
 	return mux
-}
-
-// Rates returns the current per-class rates (for tests and dashboards).
-func (s *Server) Rates() []float64 {
-	out := make([]float64, len(s.classes))
-	for i, cr := range s.classes {
-		out[i] = cr.currentRate()
-	}
-	return out
 }

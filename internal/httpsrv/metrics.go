@@ -283,7 +283,3 @@ func (s *Server) ControlDump() http.Handler {
 // Registry exposes the server's metric registry (for embedding the
 // catalog into a larger exposition, and for tests).
 func (s *Server) Registry() *obs.Registry { return s.reg }
-
-// FlightRecorder exposes the control-plane flight recorder (for dumps and
-// the recorder parity tests).
-func (s *Server) FlightRecorder() *obs.FlightRecorder { return s.rec }

@@ -79,7 +79,11 @@ func overloadTrace(window float64, heavy, windows int) []simsrv.TraceRequest {
 // and unwinds the degradation ladder; levels and the shed gate must then
 // match per tick as well. Each case hands one control.Spec to all three;
 // the "floor+rungs" case sets what only a shared Spec can express on both
-// sides: an allocation floor that binds and non-default ladder rungs.
+// sides: an allocation floor that binds and non-default ladder rungs. The
+// "shed" case adds an admission gate that refuses the heavy jobs once the
+// ladder is maxed out: the shed work reaches the ladder as offered load
+// (TickInput.Shed) from the simulator's door, the server's rejected-work
+// counters and the bare loop's window split alike.
 func TestSimVsLiveRateParity(t *testing.T) {
 	const window = 50.0
 	cases := []struct {
@@ -87,16 +91,22 @@ func TestSimVsLiveRateParity(t *testing.T) {
 		spec    control.Spec
 		windows int
 		trace   []simsrv.TraceRequest
+		gate    admission.Controller
 	}{
-		{"window", control.Spec{Estimator: control.Window, HistoryWindows: 3, Allocator: core.PSD{}}, 10, parityTrace(500)},
-		{"ewma", control.Spec{Estimator: control.EWMA, HistoryWindows: 3, Allocator: core.PSD{}}, 10, parityTrace(500)},
-		{"overload", control.Spec{HistoryWindows: 3, Allocator: core.Downgrading{}}, 30, overloadTrace(window, 8, 30)},
+		{"window", control.Spec{Estimator: control.Window, HistoryWindows: 3, Allocator: core.PSD{}}, 10, parityTrace(500), nil},
+		{"ewma", control.Spec{Estimator: control.EWMA, HistoryWindows: 3, Allocator: core.PSD{}}, 10, parityTrace(500), nil},
+		{"overload", control.Spec{HistoryWindows: 3, Allocator: core.Downgrading{}}, 30, overloadTrace(window, 8, 30), nil},
 		{"floor+rungs", control.Spec{
 			HistoryWindows: 3,
 			Allocator:      core.Downgrading{},
 			MinRate:        0.3, // above class 1's rate at the top rung: the floor binds
 			Ladder:         admission.LadderConfig{Multipliers: []float64{3, 9}, EngageAfter: 1},
-		}, 30, overloadTrace(window, 8, 30)},
+		}, 30, overloadTrace(window, 8, 30), nil},
+		{"shed", control.Spec{
+			HistoryWindows: 3,
+			Allocator:      core.Downgrading{},
+			Ladder:         admission.LadderConfig{Multipliers: []float64{2}, EngageAfter: 1},
+		}, 30, overloadTrace(window, 8, 30), sizeGate{limit: 2}},
 	}
 	for _, tc := range cases {
 		horizon := window * float64(tc.windows)
@@ -116,6 +126,9 @@ func TestSimVsLiveRateParity(t *testing.T) {
 			Horizon:  horizon,
 			Seed:     1,
 			Recorder: simRec,
+		}
+		if tc.gate != nil {
+			cfg.Admission = tc.gate
 		}
 		res, err := simsrv.RunTrace(cfg, trace)
 		if err != nil {
@@ -143,12 +156,16 @@ func TestSimVsLiveRateParity(t *testing.T) {
 		// (b) Live server, ticked manually. TimeUnit of one second keeps
 		// the background ticker (Window × TimeUnit = 50 s) far away from
 		// the test's manual ticks.
-		srv, err := New(Config{
+		srvCfg := Config{
 			Deltas:   deltas,
 			Spec:     tc.spec,
 			Window:   window,
 			TimeUnit: time.Second,
-		})
+		}
+		if tc.gate != nil {
+			srvCfg.Admission = tc.gate
+		}
+		srv, err := New(srvCfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,15 +174,42 @@ func TestSimVsLiveRateParity(t *testing.T) {
 		counts, work := windowTotals(trace, window, tc.windows, len(deltas))
 		var loopRates []float64
 		engagedAt := math.NaN()
+		shedTotal := 0.0
 		for k := 0; k < ticks; k++ {
-			loopRates, err = lp.Tick(control.TickInput{Counts: counts[k], Work: work[k]})
+			in := control.TickInput{Counts: counts[k], Work: work[k]}
+			if tc.gate == nil {
+				// Feed the server the same window (the previous tick
+				// drained every stripe, so injecting adds == sets).
+				for i, cr := range srv.classes {
+					cr.injectWindow(int64(counts[k][i]), work[k][i])
+				}
+			} else {
+				// Split the window's arrivals, in trace order, the way
+				// the simulator's door does: the gate refuses only once
+				// the ladder has no rung left. The server decides at its
+				// own door and counts what it refuses.
+				in = control.TickInput{Counts: make([]float64, 2), Work: make([]float64, 2), Shed: make([]float64, 2)}
+				for _, tr := range trace {
+					if int(tr.Time/window) != k {
+						continue
+					}
+					if lp.GateHeldOpen() || tc.gate.Admit(tr.Class, tr.Size, tr.Time) {
+						in.Counts[tr.Class]++
+						in.Work[tr.Class] += tr.Size
+					} else {
+						in.Shed[tr.Class] += tr.Size
+						shedTotal += tr.Size
+					}
+					if ok, _ := srv.admit(tr.Class, tr.Size); ok {
+						srv.classes[tr.Class].injectWindow(1, tr.Size)
+					} else {
+						srv.reject(tr.Class, tr.Size, true)
+					}
+				}
+			}
+			loopRates, err = lp.Tick(in)
 			if err != nil {
 				t.Fatalf("%s: loop tick %d: %v", tc.name, k, err)
-			}
-			// Feed the server the same window and tick it (the previous
-			// tick drained every stripe, so injecting adds == sets).
-			for i, cr := range srv.classes {
-				cr.injectWindow(int64(counts[k][i]), work[k][i])
 			}
 			srv.reallocate()
 			live := srv.Rates()
@@ -259,6 +303,9 @@ func TestSimVsLiveRateParity(t *testing.T) {
 				t.Fatalf("%s: no tick allocated at the top rung (class 1 effective delta %v x %v)", tc.name, deltas[1], top)
 			}
 		}
+		if tc.gate != nil && !(shedTotal > 0) {
+			t.Fatalf("%s: the gate never shed; the case pins nothing beyond overload", tc.name)
+		}
 		if tc.spec.MinRate > 0 {
 			// The floor must have bound (core.MinRate lifts a class to
 			// exactly Min), or the case does not pin the shared floor.
@@ -272,6 +319,13 @@ func TestSimVsLiveRateParity(t *testing.T) {
 		}
 	}
 }
+
+// sizeGate is a deterministic admission gate: it refuses every job
+// larger than limit.
+type sizeGate struct{ limit float64 }
+
+func (g sizeGate) Admit(_ int, size, _ float64) bool { return size <= g.limit }
+func (sizeGate) Name() string                        { return "size-gate" }
 
 // sameFloat is bit-for-bit equality that also matches NaN with NaN.
 func sameFloat(x, y float64) bool { return x == y || (math.IsNaN(x) && math.IsNaN(y)) }

@@ -328,11 +328,15 @@ func TestDowngradeAllocatorArmsLadder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	w, err := core.WorkloadFromDist(s.cfg.Service)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lp, err := control.NewLoop(control.LoopConfig{
 		Deltas:    deltas,
 		Window:    1e9,
 		Allocator: core.MinRate{Base: core.Downgrading{}, Min: minPaceRate},
-		Workload:  s.workload,
+		Workload:  w,
 	})
 	if err != nil {
 		t.Fatal(err)

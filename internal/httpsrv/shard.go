@@ -114,25 +114,6 @@ func (cr *classRuntime) closeWindow() (count, work, meanSlow float64) {
 	return count, work, meanSlow
 }
 
-// injectWindow adds a synthetic window observation (stripe 0), letting
-// tests and benchmarks drive the control plane with exact counts.
-func (cr *classRuntime) injectWindow(count int64, work float64) {
-	cr.stripes[0].arrivals.Add(count)
-	addFloatBits(&cr.stripes[0].workBits, work)
-}
-
-// pendingWindow reads the not-yet-drained window totals without
-// resetting them (test observability; racy against a concurrent drain by
-// design, like any scrape).
-func (cr *classRuntime) pendingWindow() (count, work float64) {
-	for i := range cr.stripes {
-		st := &cr.stripes[i]
-		count += float64(st.arrivals.Load())
-		work += math.Float64frombits(st.workBits.Load())
-	}
-	return count, work
-}
-
 // currentRate loads the installed class rate: a single atomic read.
 // float64 bits in one word cannot tear (TestStormNoTornRates hammers
 // this under -race).
@@ -157,13 +138,6 @@ func (cr *classRuntime) setRate(r float64) {
 		default:
 		}
 	}
-}
-
-// RateEpoch returns how many times the class's rate has actually changed
-// since start (a publication version: readers pairing Rates with epochs
-// can detect a concurrent reallocation).
-func (s *Server) RateEpoch(class int) uint64 {
-	return s.classes[class].rateEpoch.Load()
 }
 
 // rngStripe is one shard of the size-sampling RNG: a mutex-guarded

@@ -244,6 +244,15 @@ func validate(cfg Config) error {
 		if ph.Duration <= 0 {
 			return fmt.Errorf("loadgen: phase %d duration %v must be positive", pi, ph.Duration)
 		}
+		for class, l := range ph.Lambdas {
+			// !(l >= 0) catches NaN; +Inf would draw zero gaps forever.
+			if !(l >= 0) || math.IsInf(l, 0) {
+				return fmt.Errorf("loadgen: phase %d class %d arrival rate %v must be finite and not negative", pi, class, l)
+			}
+		}
+	}
+	if cfg.TimeUnit < 0 {
+		return fmt.Errorf("loadgen: time unit %v must not be negative", cfg.TimeUnit)
 	}
 	if cfg.Drain < 0 {
 		return fmt.Errorf("loadgen: drain %v must not be negative", cfg.Drain)
@@ -384,8 +393,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 				if lambda > 0 {
 					// Redraw the pending arrival at the boundary: exact
 					// for a piecewise-homogeneous Poisson process.
-					next := phaseStart.Add(expGap(arrivals, lambda, cfg.TimeUnit))
-					for next.Before(phaseEnd) {
+					gap, ok := expGap(arrivals, lambda, cfg.TimeUnit)
+					next := phaseStart.Add(gap)
+					for ok && next.Before(phaseEnd) {
 						if !sleepUntil(genCtx, timer, next) {
 							return
 						}
@@ -403,7 +413,8 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 						// from the previous arrival's nominal instant, so
 						// sampling and spawn overhead never accumulate
 						// into rate sag.
-						next = next.Add(expGap(arrivals, lambda, cfg.TimeUnit))
+						gap, ok = expGap(arrivals, lambda, cfg.TimeUnit)
+						next = next.Add(gap)
 					}
 				}
 				if !sleepUntil(genCtx, timer, phaseEnd) {
@@ -464,9 +475,16 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// expGap draws one exponential inter-arrival gap in wall-clock terms.
-func expGap(src *rng.Source, lambda float64, timeUnit time.Duration) time.Duration {
-	return time.Duration(src.ExpFloat64(lambda) * float64(timeUnit))
+// expGap draws one exponential inter-arrival gap in wall-clock terms. ok
+// is false when the gap does not fit in a time.Duration (whose
+// conversion would overflow to a past instant): no further arrival comes
+// in the phase.
+func expGap(src *rng.Source, lambda float64, timeUnit time.Duration) (gap time.Duration, ok bool) {
+	g := src.ExpFloat64(lambda) * float64(timeUnit)
+	if !(g < math.MaxInt64) {
+		return 0, false
+	}
+	return time.Duration(g), true
 }
 
 // sleepUntil blocks until the absolute instant at (or ctx cancellation,

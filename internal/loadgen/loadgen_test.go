@@ -26,6 +26,55 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestRunRefusesSpinningGenerators: a rate or time unit that would make
+// the arrival generator spin is refused before any request is sent, and
+// a rate so low that its gaps overflow a time.Duration sends nothing.
+func TestRunRefusesSpinningGenerators(t *testing.T) {
+	var hits atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+	}))
+	defer ts.Close()
+	run := func(lambdas []float64, unit time.Duration, phases []Phase) (*Report, error) {
+		return Run(context.Background(), Config{
+			BaseURL: ts.URL + "/", Lambdas: lambdas, TimeUnit: unit, Phases: phases,
+			Duration: 100 * time.Millisecond, Workers: 2, Seed: 1,
+		})
+	}
+	for _, tc := range []struct {
+		name    string
+		lambdas []float64
+		unit    time.Duration
+		phases  []Phase
+	}{
+		{"+Inf rate", []float64{math.Inf(1), 0.1}, time.Millisecond, nil},
+		{"NaN rate", []float64{math.NaN(), 0.1}, time.Millisecond, nil},
+		{"negative rate", []float64{-1, 0.1}, time.Millisecond, nil},
+		{"-Inf rate", []float64{0.1, math.Inf(-1)}, time.Millisecond, nil},
+		{"negative time unit", []float64{0.1, 0.1}, -time.Millisecond, nil},
+		{"+Inf rate in a later phase", nil, time.Millisecond, []Phase{
+			{Lambdas: []float64{0.1, 0.1}, Duration: 50 * time.Millisecond},
+			{Lambdas: []float64{0.1, math.Inf(1)}, Duration: 50 * time.Millisecond},
+		}},
+	} {
+		if _, err := run(tc.lambdas, tc.unit, tc.phases); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	if n := hits.Load(); n != 0 {
+		t.Fatalf("refused configs sent %d requests", n)
+	}
+
+	// λ = 1e-300 per ms: the first gap is ~1e303 ms, past any Duration.
+	rep, err := run([]float64{1e-300, 0}, time.Millisecond, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sent := rep.Classes[0].Sent + rep.Classes[1].Sent; sent != 0 || hits.Load() != 0 {
+		t.Errorf("λ = 1e-300: sent %d, server saw %d; want 0", sent, hits.Load())
+	}
+}
+
 func TestRunAgainstPSDServer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load test skipped in -short")

@@ -121,23 +121,8 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// FirstExp returns the exponent of the first bucket's lower bound.
-func (h *Histogram) FirstExp() int { return h.first }
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Sum returns the sum of all finite observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
-// Mean returns Sum/Count, or NaN with no observations.
-func (h *Histogram) Mean() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return math.NaN()
-	}
-	return h.Sum() / float64(n)
-}
 
 // HistogramSnapshot is a point-in-time copy of a Histogram, a plain
 // value safe to serialize. Concurrent observes during a

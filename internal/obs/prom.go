@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"io"
 	"math"
-	"net/http"
 	"strconv"
 )
 
@@ -133,13 +132,4 @@ func writeLabels(bw *bufio.Writer, label, lv, le string) {
 		bw.WriteByte('"')
 	}
 	bw.WriteByte('}')
-}
-
-// Handler returns an http.Handler serving the registry in Prometheus text
-// format.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", PromContentType)
-		_ = r.WriteProm(w)
-	})
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -66,18 +65,5 @@ psd_class_slowdown_count{class="1"} 0
 `
 	if got := sb.String(); got != want {
 		t.Fatalf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
-	}
-}
-
-func TestPromHandler(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x_total", "help").Inc()
-	rec := httptest.NewRecorder()
-	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	if ct := rec.Header().Get("Content-Type"); ct != PromContentType {
-		t.Fatalf("content type %q", ct)
-	}
-	if !strings.Contains(rec.Body.String(), "x_total 1\n") {
-		t.Fatalf("body missing sample:\n%s", rec.Body.String())
 	}
 }

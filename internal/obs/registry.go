@@ -124,9 +124,6 @@ type CounterVec struct{ f *family }
 // At returns the counter for label value i.
 func (v *CounterVec) At(i int) *Counter { return &v.f.counters[i] }
 
-// Len returns the vector's size.
-func (v *CounterVec) Len() int { return len(v.f.counters) }
-
 // CounterVec registers a counter vector with label values 0..n-1.
 func (r *Registry) CounterVec(name, help, label string, n int) *CounterVec {
 	f := &family{name: name, help: help, typ: CounterType, label: label,
@@ -140,9 +137,6 @@ type FloatCounterVec struct{ f *family }
 
 // At returns the counter for label value i.
 func (v *FloatCounterVec) At(i int) *FloatCounter { return &v.f.fcounters[i] }
-
-// Len returns the vector's size.
-func (v *FloatCounterVec) Len() int { return len(v.f.fcounters) }
 
 // FloatCounterVec registers a float counter vector with label values 0..n-1.
 func (r *Registry) FloatCounterVec(name, help, label string, n int) *FloatCounterVec {
@@ -158,9 +152,6 @@ type GaugeVec struct{ f *family }
 // At returns the gauge for label value i.
 func (v *GaugeVec) At(i int) *Gauge { return &v.f.gauges[i] }
 
-// Len returns the vector's size.
-func (v *GaugeVec) Len() int { return len(v.f.gauges) }
-
 // GaugeVec registers a gauge vector with label values 0..n-1.
 func (r *Registry) GaugeVec(name, help, label string, n int) *GaugeVec {
 	f := &family{name: name, help: help, typ: GaugeType, label: label,
@@ -175,9 +166,6 @@ type HistogramVec struct{ f *family }
 
 // At returns the histogram for label value i.
 func (v *HistogramVec) At(i int) *Histogram { return v.f.hists[i] }
-
-// Len returns the vector's size.
-func (v *HistogramVec) Len() int { return len(v.f.hists) }
 
 // HistogramVec registers a histogram vector with label values 0..n-1 and
 // buckets power-of-two buckets starting at 2^firstExp.

@@ -104,9 +104,6 @@ func (q *queue) SetWeights(w []float64) error {
 	return nil
 }
 
-// Backlog returns the number of queued jobs.
-func (q *queue) Backlog() int { return len(q.heap) }
-
 // Reset restores the freshly constructed state — empty queue, equal
 // weights — while retaining the heap's capacity, so a simulation arena
 // reuses one scheduler across replications without allocating.

@@ -362,6 +362,7 @@ type runner struct {
 	allocDeltas   []float64
 	allocMeasured []float64
 	allocLambdas  []float64
+	allocShed     []float64 // work the admission gate refused this window
 
 	// The degradation ladder lives in r.loop (armed for a downgrading
 	// allocator); the runner only records when it first engaged.
@@ -469,8 +470,10 @@ func (r *runner) reset(cfg *Config, w core.Workload, model serviceModel, trace [
 	r.allocDeltas = resizeFloat(r.allocDeltas, nc)
 	r.allocMeasured = resizeFloat(r.allocMeasured, nc)
 	r.allocLambdas = resizeFloat(r.allocLambdas, nc)
+	r.allocShed = resizeFloat(r.allocShed, nc)
 	for i, cc := range cfg.Classes {
 		r.allocDeltas[i] = cc.Delta
+		r.allocShed[i] = 0
 	}
 	// Note: with per-class service overrides the shared-law assumption of
 	// Eq. 17 is already broken; the loop still gets the Config.Service
@@ -592,6 +595,7 @@ func (r *runner) shed(class int, size, now float64) bool {
 		return false
 	}
 	r.classes[class].rejected++
+	r.allocShed[class] += size
 	if math.IsNaN(r.firstShedAt) {
 		r.firstShedAt = now
 	}
@@ -627,10 +631,10 @@ func (r *runner) served(now float64, class int, size, arrival, start, service fl
 }
 
 // onRealloc drives one tick of the shared control plane: feed it this
-// window's measured slowdowns (feedback mode) and the true rates (oracle
-// mode), let control.Loop close the estimation window, re-run the
-// allocator and step its degradation ladder, and install the resulting
-// rates. The loop owns every buffer
+// window's measured slowdowns (feedback mode), the true rates (oracle
+// mode) and the work the admission gate shed, let control.Loop close the
+// estimation window, re-run the allocator and step its degradation
+// ladder, and install the resulting rates. The loop owns every buffer
 // it needs, so a window tick performs no steady-state allocation at all.
 func (r *runner) onRealloc() {
 	var in control.TickInput
@@ -654,7 +658,11 @@ func (r *runner) onRealloc() {
 		}
 		in.OracleLambdas = oracle
 	}
+	if r.cfg.Admission != nil {
+		in.Shed = r.allocShed
+	}
 	rates, err := r.loop.Tick(in)
+	clear(in.Shed)
 	if err == nil && r.model.setRates(rates) == nil {
 		r.reallocOK++
 	} else {

@@ -36,9 +36,6 @@ func (p *P2) Init(q float64) {
 	*p = P2{q: q}
 }
 
-// Reset discards all observations, keeping the target quantile.
-func (p *P2) Reset() { p.Init(p.q) }
-
 // Add incorporates one observation.
 func (p *P2) Add(x float64) {
 	p.n++
@@ -113,9 +110,6 @@ func (p *P2) linear(i int, d float64) float64 {
 	j := i + int(d)
 	return p.heights[i] + d*(p.heights[j]-p.heights[i])/(p.pos[j]-p.pos[i])
 }
-
-// N returns the number of observations consumed.
-func (p *P2) N() int { return p.n }
 
 // Value returns the current quantile estimate. Before 5 observations it
 // falls back to the exact quantile of the buffered sample.

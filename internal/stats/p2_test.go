@@ -150,14 +150,17 @@ func TestStreamingSummaryInitAndSmall(t *testing.T) {
 	}
 }
 
+// TestP2ResetKeepsQuantile re-arms a used estimator in place for its own
+// quantile, the way StreamingSummary.Init re-arms its three, and checks
+// that no observation survives and the quantile is tracked afresh.
 func TestP2ResetKeepsQuantile(t *testing.T) {
 	p := NewP2(0.9)
 	for i := 0; i < 100; i++ {
 		p.Add(float64(i))
 	}
-	p.Reset()
-	if p.N() != 0 {
-		t.Fatal("Reset kept observations")
+	p.Init(p.q)
+	if p.n != 0 || p.q != 0.9 {
+		t.Fatalf("Init kept observations (n %d) or lost the quantile (%v)", p.n, p.q)
 	}
 	for i := 0; i < 1000; i++ {
 		p.Add(float64(i % 100))

@@ -199,8 +199,8 @@ func TestP2AgainstExact(t *testing.T) {
 		if math.Abs(got-exact)/exact > 0.05 {
 			t.Errorf("P2(%v) = %v, exact %v", q, got, exact)
 		}
-		if p2.N() != 50000 {
-			t.Errorf("P2 N = %d", p2.N())
+		if p2.n != 50000 {
+			t.Errorf("P2 N = %d", p2.n)
 		}
 	}
 }
