@@ -34,6 +34,7 @@ func TestSpinningLoadRefused(t *testing.T) {
 	for _, args := range []string{
 		"-lambdas Inf,0.1",
 		"-lambdas NaN,0.1",
+		"-lambdas 1e300,0.1 -timeunit 1ms",
 		"-timeunit -1ms",
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^$")

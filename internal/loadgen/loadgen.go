@@ -232,6 +232,9 @@ func validate(cfg Config) error {
 	if _, err := url.Parse(cfg.BaseURL); err != nil {
 		return fmt.Errorf("loadgen: bad BaseURL: %w", err)
 	}
+	if cfg.TimeUnit < 0 {
+		return fmt.Errorf("loadgen: time unit %v must not be negative", cfg.TimeUnit)
+	}
 	phases := cfg.phases()
 	n := len(phases[0].Lambdas)
 	if n == 0 {
@@ -249,10 +252,12 @@ func validate(cfg Config) error {
 			if !(l >= 0) || math.IsInf(l, 0) {
 				return fmt.Errorf("loadgen: phase %d class %d arrival rate %v must be finite and not negative", pi, class, l)
 			}
+			// A mean gap under the clock's 1 ns resolution draws
+			// zero-length gaps, so the generator spins as at +Inf.
+			if l > 0 && float64(cfg.TimeUnit)/l < 1 {
+				return fmt.Errorf("loadgen: phase %d class %d arrival rate %v per %v leaves a mean gap under 1ns", pi, class, l, cfg.TimeUnit)
+			}
 		}
-	}
-	if cfg.TimeUnit < 0 {
-		return fmt.Errorf("loadgen: time unit %v must not be negative", cfg.TimeUnit)
 	}
 	if cfg.Drain < 0 {
 		return fmt.Errorf("loadgen: drain %v must not be negative", cfg.Drain)
@@ -283,11 +288,11 @@ type task struct {
 // Run drives the configured load until the schedule elapses (or ctx is
 // canceled) and returns the aggregated report.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
-	if err := validate(cfg); err != nil {
-		return nil, err
-	}
 	if cfg.TimeUnit == 0 {
 		cfg.TimeUnit = 10 * time.Millisecond
+	}
+	if err := validate(cfg); err != nil {
+		return nil, err
 	}
 	if cfg.Service == nil {
 		cfg.Service = dist.PaperDefault()
@@ -460,15 +465,15 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 		}
 	}
 	for i, col := range overall {
-		// Whole-run nominal rate: covered-duration-weighted mean of the
-		// phase λs.
+		// Whole-run nominal rate: the phase λs weighted by each phase's
+		// share of the covered time (a share, not nanoseconds, so the
+		// products stay as large as the λs themselves).
 		nominal := math.NaN()
 		if coveredTotal > 0 {
 			nominal = 0
 			for pi, ph := range phases {
-				nominal += ph.Lambdas[i] * float64(covered[pi])
+				nominal += ph.Lambdas[i] * (float64(covered[pi]) / float64(coveredTotal))
 			}
-			nominal /= float64(coveredTotal)
 		}
 		rep.Classes[i] = col.report(nominal, float64(coveredTotal)/float64(cfg.TimeUnit))
 	}

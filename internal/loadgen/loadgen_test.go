@@ -27,7 +27,8 @@ func TestRunValidation(t *testing.T) {
 }
 
 // TestRunRefusesSpinningGenerators: a rate or time unit that would make
-// the arrival generator spin is refused before any request is sent, and
+// the arrival generator spin is refused before any request is sent — a
+// finite rate too, once its mean gap falls under the clock's 1 ns — and
 // a rate so low that its gaps overflow a time.Duration sends nothing.
 func TestRunRefusesSpinningGenerators(t *testing.T) {
 	var hits atomic.Int64
@@ -52,6 +53,13 @@ func TestRunRefusesSpinningGenerators(t *testing.T) {
 		{"negative rate", []float64{-1, 0.1}, time.Millisecond, nil},
 		{"-Inf rate", []float64{0.1, math.Inf(-1)}, time.Millisecond, nil},
 		{"negative time unit", []float64{0.1, 0.1}, -time.Millisecond, nil},
+		{"1e300 per ms", []float64{1e300, 0.1}, time.Millisecond, nil},
+		{"a 0.5 ns mean gap", []float64{0.1, 2e6}, time.Millisecond, nil},
+		{"a 0.1 ns mean gap at the default unit", []float64{1e8, 0.1}, 0, nil},
+		{"1e300 per ms in a later phase", nil, time.Millisecond, []Phase{
+			{Lambdas: []float64{0.1, 0.1}, Duration: 50 * time.Millisecond},
+			{Lambdas: []float64{1e300, 0.1}, Duration: 50 * time.Millisecond},
+		}},
 		{"+Inf rate in a later phase", nil, time.Millisecond, []Phase{
 			{Lambdas: []float64{0.1, 0.1}, Duration: 50 * time.Millisecond},
 			{Lambdas: []float64{0.1, math.Inf(1)}, Duration: 50 * time.Millisecond},
@@ -63,6 +71,10 @@ func TestRunRefusesSpinningGenerators(t *testing.T) {
 	}
 	if n := hits.Load(); n != 0 {
 		t.Fatalf("refused configs sent %d requests", n)
+	}
+	// A mean gap of exactly 1 ns is the finest rate the clock can pace.
+	if err := validate(Config{BaseURL: ts.URL + "/", Lambdas: []float64{1e6}, TimeUnit: time.Millisecond, Duration: time.Second}); err != nil {
+		t.Errorf("1e6 per ms (1 ns mean gap) refused: %v", err)
 	}
 
 	// λ = 1e-300 per ms: the first gap is ~1e303 ms, past any Duration.

@@ -286,6 +286,13 @@ type Result struct {
 // class: the generator's streams and arrival process, and the metrics.
 // Class states live by value in the runner's arena; the window series is
 // retained across resets.
+//
+// A completion costs the metrics adds and compares only (plus the
+// slowdown's own division and the window series' index): slowdowns
+// gather in slow, a stats.Window that folds into slowRun at every
+// control tick and once more when the result is collected, and
+// delay and service time are read only for their means, so they are
+// plain sums.
 type classState struct {
 	cfg     ClassConfig
 	service dist.Distribution
@@ -297,14 +304,17 @@ type classState struct {
 	// LoadSchedule phase is active).
 	curLambda float64
 
-	slow    stats.Welford
-	delay   stats.Welford
-	svc     stats.Welford
-	windows stats.WindowSeries
-	// winSlow accumulates the current reallocation window's slowdowns
-	// (including warmup) as the feedback controller's input; reset at
-	// every reallocation tick. Untouched without Config.Feedback.
-	winSlow stats.Welford
+	slow     stats.Window  // measured slowdowns since the last fold
+	slowRun  stats.Welford // measured slowdowns folded in so far
+	delaySum float64       // Σ queueing delay of measured requests
+	svcSum   float64       // Σ service time of measured requests
+	windows  stats.WindowSeries
+	// winSlowN and winSlowSum count and sum the current reallocation
+	// window's slowdowns (including warmup), the feedback controller's
+	// input; reset at every reallocation tick. Untouched without
+	// Config.Feedback.
+	winSlowN   int64
+	winSlowSum float64
 	// rejected counts arrivals dropped by the admission controller.
 	rejected int64
 }
@@ -459,10 +469,10 @@ func (r *runner) reset(cfg *Config, w core.Workload, model serviceModel, trace [
 		r.src.SplitInto(&cs.arrivalRng, uint64(2*i+1))
 		r.src.SplitInto(&cs.sizeRng, uint64(2*i+2))
 		cs.curLambda = cc.Lambda
-		cs.slow = stats.Welford{}
-		cs.delay = stats.Welford{}
-		cs.svc = stats.Welford{}
-		cs.winSlow = stats.Welford{}
+		cs.slow = stats.Window{}
+		cs.slowRun = stats.Welford{}
+		cs.delaySum, cs.svcSum = 0, 0
+		cs.winSlowN, cs.winSlowSum = 0, 0
 		cs.windows.Width = cfg.Window
 		cs.windows.Reset()
 		cs.rejected = 0
@@ -602,9 +612,12 @@ func (r *runner) shed(class int, size, now float64) bool {
 	return true
 }
 
-// served records one request finished at now. service is the time it
-// occupied its server: completion − start on a paced task server, the
-// size itself on the full-speed processor.
+// served records one request finished at now, the one place every
+// service model and both steppings report a completion. service is the
+// time it occupied its server: completion − start on a paced task
+// server, the size itself on the full-speed processor. It only adds and
+// compares into the class's accumulators; onRealloc and collectInto
+// fold them.
 func (r *runner) served(now float64, class int, size, arrival, start, service float64) {
 	cs := &r.classes[class]
 	delay := start - arrival
@@ -613,14 +626,15 @@ func (r *runner) served(now float64, class int, size, arrival, start, service fl
 		slowdown = delay / service
 	}
 	if r.cfg.Feedback {
-		cs.winSlow.Add(slowdown)
+		cs.winSlowN++
+		cs.winSlowSum += slowdown
 	}
 	if now < r.cfg.Warmup {
 		return
 	}
 	cs.slow.Add(slowdown)
-	cs.delay.Add(delay)
-	cs.svc.Add(service)
+	cs.delaySum += delay
+	cs.svcSum += service
 	cs.windows.Observe(now-r.cfg.Warmup, slowdown)
 	if r.cfg.RecordRequests && now >= r.cfg.RecordFrom && now < r.cfg.RecordTo {
 		r.records = append(r.records, RequestRecord{
@@ -630,24 +644,33 @@ func (r *runner) served(now float64, class int, size, arrival, start, service fl
 	}
 }
 
-// onRealloc drives one tick of the shared control plane: feed it this
-// window's measured slowdowns (feedback mode), the true rates (oracle
+// onRealloc drives one tick of the shared control plane: fold each
+// class's window of slowdowns into its run statistics, feed the loop
+// this window's mean slowdowns (feedback mode), the true rates (oracle
 // mode) and the work the admission gate shed, let control.Loop close the
 // estimation window, re-run the allocator and step its degradation
 // ladder, and install the resulting rates. The loop owns every buffer
 // it needs, so a window tick performs no steady-state allocation at all.
+//
+// Both steppings reach the tick at the same point of each class's
+// completion order, so the folds, and with them every statistic, agree
+// to the last bit.
 func (r *runner) onRealloc() {
+	for i := range r.classes {
+		cs := &r.classes[i]
+		cs.slow.FoldInto(&cs.slowRun)
+	}
 	var in control.TickInput
 	if r.cfg.Feedback {
 		measured := r.allocMeasured
 		for i := range r.classes {
 			cs := &r.classes[i]
-			if cs.winSlow.N() > 0 {
-				measured[i] = cs.winSlow.Mean()
+			if cs.winSlowN > 0 {
+				measured[i] = cs.winSlowSum / float64(cs.winSlowN)
 			} else {
 				measured[i] = math.NaN()
 			}
-			cs.winSlow = stats.Welford{}
+			cs.winSlowN, cs.winSlowSum = 0, 0
 		}
 		in.MeasuredSlowdowns = measured
 	}
@@ -729,13 +752,14 @@ func (r *runner) collectInto(res *Result) {
 	for i := range r.classes {
 		cs := &r.classes[i]
 		st := &res.Classes[i]
-		st.Count = cs.slow.N()
+		cs.slow.FoldInto(&cs.slowRun)
+		st.Count = cs.slowRun.N()
 		st.Rejected = cs.rejected
-		st.MeanSlowdown = cs.slow.Mean()
-		st.StdSlowdown = cs.slow.Std()
-		st.MaxSlowdown = cs.slow.Max()
-		st.MeanDelay = cs.delay.Mean()
-		st.MeanService = cs.svc.Mean()
+		st.MeanSlowdown = cs.slowRun.Mean()
+		st.StdSlowdown = cs.slowRun.Std()
+		st.MaxSlowdown = cs.slowRun.Max()
+		st.MeanDelay = cs.delaySum / float64(st.Count)
+		st.MeanService = cs.svcSum / float64(st.Count)
 		st.WindowMeans = resizeFloat(st.WindowMeans, numWindows)
 		for wi := 0; wi < numWindows; wi++ {
 			if m, ok := cs.windows.WindowMean(wi); ok {

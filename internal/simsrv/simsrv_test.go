@@ -9,6 +9,7 @@ import (
 	"psd/internal/core"
 	"psd/internal/dist"
 	"psd/internal/queueing"
+	"psd/internal/stats"
 )
 
 // fastConfig shrinks the horizon so unit tests stay quick; accuracy
@@ -295,6 +296,60 @@ func TestRecordRequests(t *testing.T) {
 		if r.Class < 0 || r.Class > 1 {
 			t.Fatalf("bad class: %+v", r)
 		}
+	}
+}
+
+// TestStatisticsMatchRecords records every measured request of a run and
+// recomputes each class's statistics from the records value by value:
+// the window sums folded once per control tick must give the same count
+// and maximum exactly, and the same means and standard deviation within
+// 1e-12 relative. Task servers report a request's service as its time in
+// service, the packetized processor as its size.
+func TestStatisticsMatchRecords(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		run        func(Config) (*Result, error)
+		recService func(RequestRecord) float64
+	}{
+		{"task servers", Run, func(r RequestRecord) float64 { return r.Completion - r.ServiceStart }},
+		{"packetized", func(c Config) (*Result, error) { return runPacketized(PacketizedConfig{Config: c}) },
+			func(r RequestRecord) float64 { return r.Size }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := fastConfig([]float64{1, 4}, 0.7)
+			cfg.Horizon += 500 // the run ends mid-window (1000), so the last fold is collectInto's
+			cfg.RecordRequests, cfg.RecordFrom, cfg.RecordTo = true, cfg.Warmup, math.Inf(1)
+			res, err := tc.run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slow := make([]stats.Welford, len(res.Classes))
+			delay := make([]stats.Welford, len(res.Classes))
+			svc := make([]stats.Welford, len(res.Classes))
+			for _, r := range res.Records {
+				slow[r.Class].Add(r.Slowdown)
+				delay[r.Class].Add(r.ServiceStart - r.Arrival)
+				svc[r.Class].Add(tc.recService(r))
+			}
+			for i, st := range res.Classes {
+				if st.Count != slow[i].N() || st.MaxSlowdown != slow[i].Max() {
+					t.Errorf("class %d: count %d, max %v; records give %d, %v", i, st.Count, st.MaxSlowdown, slow[i].N(), slow[i].Max())
+				}
+				for _, f := range []struct {
+					label     string
+					got, want float64
+				}{
+					{"mean slowdown", st.MeanSlowdown, slow[i].Mean()},
+					{"std slowdown", st.StdSlowdown, slow[i].Std()},
+					{"mean delay", st.MeanDelay, delay[i].Mean()},
+					{"mean service", st.MeanService, svc[i].Mean()},
+				} {
+					if relErr(f.got, f.want) > 1e-12 {
+						t.Errorf("class %d %s = %.17g, records give %.17g", i, f.label, f.got, f.want)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -3,6 +3,11 @@
 // streaming quantiles, windowed time series, and normal-approximation
 // confidence intervals. (Histograms live in internal/obs.)
 //
+// Welford is the one run-level moment type. A hot path that records a
+// value per request (the simulator's completions) adds into a Window
+// instead — adds and compares, no division — and folds it into a
+// Welford once per batch (a control window), by the pairwise update.
+//
 // Heavy-tailed slowdown data is the common case here, so the quantile
 // machinery is designed for values spanning several orders of magnitude.
 package stats
@@ -98,6 +103,72 @@ func (w *Welford) ConfidenceInterval(level float64) float64 {
 		return math.NaN()
 	}
 	return zQuantile(0.5+level/2) * w.StdErr()
+}
+
+// Window accumulates a batch of observations with adds and compares only,
+// for a hot path that cannot afford Welford.Add's division per value:
+// the count, the extremes, Σx, and Σ(x − K) and Σ(x − K)² about a shift
+// K, the batch's first value. FoldInto merges the batch into a
+// Welford, dividing once per batch. The zero value is an empty batch.
+//
+// The mean comes from Σx, which cannot cancel over values of one sign,
+// rather than from K + Σ(x − K)/n, which cancels when K is an outlier
+// (a batch of equal values takes K itself, exactly); the second moment
+// comes from the shifted sums, which cannot cancel when the values sit
+// far from zero but close to each other.
+type Window struct {
+	n        int64
+	k        float64 // the shift: the batch's first value
+	sum      float64 // Σx
+	s1, s2   float64 // Σ(x − k), Σ(x − k)²
+	min, max float64
+}
+
+// Add incorporates one observation.
+func (b *Window) Add(x float64) {
+	if b.n == 0 {
+		b.k, b.min, b.max = x, x, x
+	}
+	b.n++
+	b.sum += x
+	d := x - b.k
+	b.s1 += d
+	b.s2 += d * d
+	if x < b.min {
+		b.min = x
+	}
+	if x > b.max {
+		b.max = x
+	}
+}
+
+// FoldInto merges the batch into w by the pairwise update of Chan,
+// Golub & LeVeque (1979) and empties the batch.
+func (b *Window) FoldInto(w *Welford) {
+	if b.n == 0 {
+		return
+	}
+	nb := float64(b.n)
+	mb := b.k
+	if b.s2 != 0 {
+		mb = b.sum / nb
+	}
+	// K is one of the values, so the exact difference is at least
+	// Σ(x − K)²/(n+1): rounding can cross zero only in batches of ~1e8.
+	m2b := max(b.s2-b.s1*(b.s1/nb), 0)
+	if w.n == 0 {
+		w.n, w.mean, w.m2, w.min, w.max = b.n, mb, m2b, b.min, b.max
+	} else {
+		na := float64(w.n)
+		n := na + nb
+		delta := mb - w.mean
+		w.n += b.n
+		w.mean += delta * (nb / n)
+		w.m2 += m2b + delta*delta*(na*nb/n)
+		w.min = min(w.min, b.min)
+		w.max = max(w.max, b.max)
+	}
+	*b = Window{}
 }
 
 // zQuantile returns the standard normal quantile via the
