@@ -392,7 +392,7 @@ func BenchmarkFigureSweep(b *testing.B) {
 		Loads:   []float64{0.1, 0.3, 0.5, 0.7, 0.9},
 	}
 	repsPerFigure := len(opts.Loads) * opts.Runs
-	if _, err := figures.Figure2(opts); err != nil { // untimed warmup
+	if _, err := figures.Generate(2, opts); err != nil { // untimed warmup
 		b.Fatal(err)
 	}
 	var ms0, ms1 runtime.MemStats
@@ -400,7 +400,7 @@ func BenchmarkFigureSweep(b *testing.B) {
 	runtime.ReadMemStats(&ms0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := figures.Figure2(opts); err != nil {
+		if _, err := figures.Generate(2, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,7 +11,10 @@
 //	psdfig -fig 2 -engine auto        # closed forms where analytic: ms, not minutes
 //
 // Without -out, figures render as aligned text tables; with -out, each
-// figure is written to <out>/figureN.csv in long form (series,x,y).
+// figure is written to <out>/figureN.csv in long form (series,x,y). The
+// requested figures run as one grid, so a point two figures share (Figure
+// 2's are all in Figure 9's) is simulated once, and nothing is written
+// unless every figure succeeded.
 package main
 
 import (
@@ -80,22 +83,22 @@ func main() {
 		}
 	}
 
-	for _, id := range ids {
-		start := time.Now()
-		f, err := figures.Generate(id, opts)
-		if err != nil {
-			cli.Fatalf("figure %d: %v", id, err)
-		}
-		elapsed := time.Since(start).Round(time.Millisecond)
+	start := time.Now()
+	figs, err := figures.GenerateAll(ids, opts)
+	if err != nil {
+		cli.Fatalf("%v", err)
+	}
+	elapsed := time.Since(start).Round(time.Millisecond)
+	for _, f := range figs {
 		if *out == "" {
 			fmt.Println(figures.RenderTable(f))
-			fmt.Printf("(figure %d regenerated in %s)\n\n", id, elapsed)
 			continue
 		}
-		path := filepath.Join(*out, fmt.Sprintf("figure%d.csv", id))
+		path := filepath.Join(*out, fmt.Sprintf("figure%d.csv", f.ID))
 		if err := cli.WriteFile(path, func(w io.Writer) error { return figures.WriteCSV(w, f) }); err != nil {
 			cli.Fatalf("writing %s: %v", path, err)
 		}
-		fmt.Printf("figure %d → %s (%s)\n", id, path, elapsed)
+		fmt.Printf("figure %d → %s\n", f.ID, path)
 	}
+	fmt.Printf("%d figure(s) regenerated in %s\n", len(figs), elapsed)
 }

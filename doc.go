@@ -31,7 +31,7 @@
 // net/http server applying the strategy, every substrate they need
 // (random streams, heavy-tailed distributions, a DES engine,
 // proportional-share schedulers, load estimators), and a harness that
-// regenerates all eleven evaluation figures.
+// regenerates every evaluation figure from one grid of scenarios.
 //
 // # Layout
 //

@@ -1,8 +1,17 @@
 // Package figures regenerates every figure of the paper's evaluation
-// (§4, Figures 2–12) from the simulation model. Each FigureN function
-// returns the plotted data series; cmd/psdfig renders them as CSV or
-// aligned tables, and the root package's bench_test.go runs
-// reduced-fidelity versions.
+// (§4, Figures 2–12) from the simulation model, plus two studies beyond
+// the paper (13, 14).
+//
+// The figures are one table. Each row declares the grid points its
+// figure plots and a render from their aggregates to Series.
+// GenerateAll collects the requested rows' points, simulates each
+// distinct point once in a single sweep.Engine run, and renders every
+// figure; Generate is GenerateAll for one id. Many points repeat across
+// figures: Figures 2 and 3 are rows of Figure 9's grid, which is Figure
+// 5's grid without window statistics; Figures 4 and 10 are Figure 6's
+// grid; Figures 11 and 12 repeat Figure 2's 70 % point. cmd/psdfig
+// writes the figures as CSV or aligned tables, and the root package's
+// bench_test.go runs a reduced-fidelity Figure 2.
 //
 // Figure inventory:
 //
@@ -30,6 +39,7 @@ package figures
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"psd/internal/admission"
 	"psd/internal/analytic"
@@ -57,7 +67,7 @@ type Options struct {
 	// evaluator (zero value: simulate everything, the published
 	// behavior). In sweep.Auto the steady-state mean figures (2–4, 9–12)
 	// collapse to exact closed-form points; the percentile figures (5–6),
-	// the per-request figures (7–8) and the transient figure (13) always
+	// the per-request figures (7–8) and the studies (13–14) always
 	// simulate. sweep.Analytic errors on those simulation-only figures.
 	Engine sweep.EngineKind
 }
@@ -114,391 +124,380 @@ func (o Options) config(deltas []float64, rho float64, svc dist.Distribution) si
 	return cfg
 }
 
-// runGrid executes one figure's whole scenario grid through the sweep
-// engine: every (config × Runs) replication shares one global task queue
-// over per-worker arenas, so a slow point never stalls the rest of the
-// figure. Aggregates return in cfgs order. needWindowStats marks grids
-// whose consumer reads the per-window ratio percentiles, which only the
-// DES produces — those points simulate even under sweep.Auto.
-func (o Options) runGrid(cfgs []simsrv.Config, needWindowStats bool) ([]*simsrv.Aggregate, error) {
-	points := make([]sweep.Point, len(cfgs))
-	for i, cfg := range cfgs {
-		points[i] = sweep.Point{Cfg: cfg, Runs: o.Runs, NeedWindowStats: needWindowStats}
-	}
-	eng := sweep.Engine{Workers: o.Workers, Kind: o.Engine}
-	return eng.Run(points)
+// row is one figure of the table: the points it declares and the render
+// from their aggregates, in declaration order, to the figure (its ID is
+// set by GenerateAll). Figures 7 and 8 declare no points: their render
+// is one recorded run.
+type row struct {
+	points func(o Options) ([]point, error)
+	render func(o Options, aggs []*simsrv.Aggregate) (Figure, error)
 }
 
-// simVsExpected produces the Figure 2/3/4 layout for arbitrary deltas.
-func simVsExpected(id int, deltas []float64, opts Options) (Figure, error) {
-	opts = opts.withDefaults()
-	fig := Figure{
-		ID:     id,
-		Title:  fmt.Sprintf("Simulated and expected slowdowns, deltas=%v", deltas),
-		XLabel: "System load (%)",
-		YLabel: "Slowdown (log)",
-	}
-	n := len(deltas)
-	sim := make([]Series, n)
-	exp := make([]Series, n)
-	for i := range deltas {
-		sim[i] = Series{Name: fmt.Sprintf("Class %d (simulated)", i+1)}
-		exp[i] = Series{Name: fmt.Sprintf("Class %d (expected)", i+1)}
-	}
-	sys := Series{Name: "System (simulated)"}
-	cfgs := make([]simsrv.Config, len(opts.Loads))
-	for li, rho := range opts.Loads {
-		cfgs[li] = opts.config(deltas, rho, nil)
-	}
-	aggs, err := opts.runGrid(cfgs, false)
-	if err != nil {
-		return Figure{}, fmt.Errorf("figure %d: %w", id, err)
-	}
-	for li, rho := range opts.Loads {
-		agg := aggs[li]
-		for i := range deltas {
-			sim[i].X = append(sim[i].X, rho*100)
-			sim[i].Y = append(sim[i].Y, agg.MeanSlowdowns[i])
-			exp[i].X = append(exp[i].X, rho*100)
-			exp[i].Y = append(exp[i].Y, agg.ExpectedSlowdowns[i])
-		}
-		sys.X = append(sys.X, rho*100)
-		sys.Y = append(sys.Y, agg.SystemSlowdown)
-	}
-	fig.Series = append(fig.Series, sim...)
-	fig.Series = append(fig.Series, exp...)
-	fig.Series = append(fig.Series, sys)
-	return fig, nil
+// point is one declared grid point: a steady-state point of the paper's
+// equal-load model, named by its key alone, or a custom one. GenerateAll
+// simulates equal keys once, however many figures declare them; a custom
+// point (a load schedule, an estimator override, admission, window
+// tracking) is never merged.
+type point struct {
+	key    key
+	custom *sweep.Point
 }
 
-// Figure2 reproduces Figure 2: δ=(1,2).
-func Figure2(opts Options) (Figure, error) { return simVsExpected(2, []float64{1, 2}, opts) }
+// key names a steady-state point the way a figure declares it. All
+// points share the Options' runs, horizon, warm-up and seed.
+type key struct {
+	deltas      [3]float64 // δ vector, zero-padded
+	rho         float64    // total load
+	bp          [3]float64 // Bounded Pareto size law (k, p, α)
+	windowStats bool       // the render reads per-window ratio percentiles
+}
 
-// Figure3 reproduces Figure 3: δ=(1,4).
-func Figure3(opts Options) (Figure, error) { return simVsExpected(3, []float64{1, 4}, opts) }
+// paperBP is dist.PaperDefault()'s (k, p, α).
+var paperBP = [3]float64{dist.PaperDefault().K, dist.PaperDefault().P, dist.PaperDefault().Alpha}
 
-// Figure4 reproduces Figure 4: three classes, δ=(1,2,3).
-func Figure4(opts Options) (Figure, error) { return simVsExpected(4, []float64{1, 2, 3}, opts) }
+// sweepPoint builds the point k names. The paper's law is passed as nil,
+// so every such point shares dist.PaperDefault()'s sampling table.
+func (k key) sweepPoint(o Options) sweep.Point {
+	var svc dist.Distribution
+	if k.bp != paperBP {
+		svc = dist.MustBoundedPareto(k.bp[0], k.bp[1], k.bp[2])
+	}
+	n := 0
+	for n < len(k.deltas) && k.deltas[n] != 0 {
+		n++
+	}
+	return sweep.Point{Cfg: o.config(k.deltas[:n], k.rho, svc), Runs: o.Runs, NeedWindowStats: k.windowStats}
+}
 
-// Figure5 reproduces Figure 5: percentiles (5/50/95) of the per-window
-// achieved slowdown ratio S₂/S₁ for δ₂/δ₁ ∈ {2, 4, 8}.
-func Figure5(opts Options) (Figure, error) {
-	opts = opts.withDefaults()
-	fig := Figure{
-		ID:     5,
+// table holds every figure by id.
+var table = map[int]row{
+	2: slowdownsByLoad([]float64{1, 2}),
+	3: slowdownsByLoad([]float64{1, 4}),
+	4: slowdownsByLoad([]float64{1, 2, 3}),
+	5: ratiosByLoad(Figure{
 		Title:  "Percentiles of simulated slowdown ratios, two classes",
-		XLabel: "System load (%)",
 		YLabel: "Slowdown ratio (Class 2 / Class 1)",
 		Notes:  "Per pre-specified ratio: p05/p50/p95 series from pooled per-window ratios.",
-	}
-	ratios := []float64{2, 4, 8}
-	var cfgs []simsrv.Config
-	for _, d2 := range ratios {
-		for _, rho := range opts.Loads {
-			cfgs = append(cfgs, opts.config([]float64{1, d2}, rho, nil))
-		}
-	}
-	aggs, err := opts.runGrid(cfgs, true)
-	if err != nil {
-		return Figure{}, fmt.Errorf("figure 5: %w", err)
-	}
-	for di, d2 := range ratios {
-		p05 := Series{Name: fmt.Sprintf("d2/d1=%g p05", d2)}
-		p50 := Series{Name: fmt.Sprintf("d2/d1=%g p50", d2)}
-		p95 := Series{Name: fmt.Sprintf("d2/d1=%g p95", d2)}
-		for li, rho := range opts.Loads {
-			rs := aggs[di*len(opts.Loads)+li].RatioSummaries[1]
-			p05.X = append(p05.X, rho*100)
-			p05.Y = append(p05.Y, rs.P05)
-			p50.X = append(p50.X, rho*100)
-			p50.Y = append(p50.Y, rs.P50)
-			p95.X = append(p95.X, rho*100)
-			p95.Y = append(p95.Y, rs.P95)
-		}
-		fig.Series = append(fig.Series, p05, p50, p95)
-	}
-	return fig, nil
-}
-
-// Figure6 reproduces Figure 6: ratio percentiles for three classes,
-// δ=(1,2,3): S₂/S₁ (target 2) and S₃/S₁ (target 3).
-func Figure6(opts Options) (Figure, error) {
-	opts = opts.withDefaults()
-	fig := Figure{
-		ID:     6,
+	}, true, targetLabel, []float64{1, 2}, []float64{1, 4}, []float64{1, 8}),
+	6: ratiosByLoad(Figure{
 		Title:  "Percentiles of simulated slowdown ratios, three classes",
-		XLabel: "System load (%)",
 		YLabel: "Slowdown ratio",
-	}
-	targets := []struct {
-		idx  int
-		name string
-	}{
-		{1, "Class2/Class1 (d2/d1=2)"},
-		{2, "Class3/Class1 (d3/d1=3)"},
-	}
-	series := make([][3]Series, len(targets))
-	for ti, tg := range targets {
-		series[ti][0] = Series{Name: tg.name + " p05"}
-		series[ti][1] = Series{Name: tg.name + " p50"}
-		series[ti][2] = Series{Name: tg.name + " p95"}
-	}
-	cfgs := make([]simsrv.Config, len(opts.Loads))
-	for li, rho := range opts.Loads {
-		cfgs[li] = opts.config([]float64{1, 2, 3}, rho, nil)
-	}
-	aggs, err := opts.runGrid(cfgs, true)
-	if err != nil {
-		return Figure{}, fmt.Errorf("figure 6: %w", err)
-	}
-	for li, rho := range opts.Loads {
-		for ti, tg := range targets {
-			rs := aggs[li].RatioSummaries[tg.idx]
-			for pi, v := range []float64{rs.P05, rs.P50, rs.P95} {
-				series[ti][pi].X = append(series[ti][pi].X, rho*100)
-				series[ti][pi].Y = append(series[ti][pi].Y, v)
-			}
-		}
-	}
-	for ti := range series {
-		fig.Series = append(fig.Series, series[ti][0], series[ti][1], series[ti][2])
-	}
-	return fig, nil
-}
-
-// individualRequests produces the Figures 7/8 layout: slowdowns of
-// individual requests completing in [60000, 61000] at the given load.
-func individualRequests(id int, rho float64, opts Options) (Figure, error) {
-	opts = opts.withDefaults()
-	if opts.Engine == sweep.Analytic {
-		return Figure{}, fmt.Errorf("figure %d: %w: individual request trajectories only exist in a simulation", id, analytic.ErrNeedsSimulation)
-	}
-	cfg := opts.config([]float64{1, 2}, rho, nil)
-	// The record window sits at the paper's [60000, 61000] when the
-	// horizon allows; otherwise the last full window of the run.
-	from := 60000.0
-	if opts.Warmup+opts.Horizon < 61000 {
-		from = opts.Warmup + opts.Horizon - 1000
-	}
-	cfg.RecordRequests = true
-	cfg.RecordFrom = from
-	cfg.RecordTo = from + 1000
-	res, err := simsrv.Run(cfg)
-	if err != nil {
-		return Figure{}, fmt.Errorf("figure %d: %w", id, err)
-	}
-	fig := Figure{
-		ID:     id,
-		Title:  fmt.Sprintf("Slowdown of individual requests, system load %.0f%%", rho*100),
-		XLabel: "Time (time unit)",
-		YLabel: "Slowdown",
-		Notes:  fmt.Sprintf("Requests completing in [%.0f, %.0f); single run, seed %d.", from, from+1000, cfg.Seed),
-	}
-	s1 := Series{Name: "Class 1 (simulated)"}
-	s2 := Series{Name: "Class 2 (simulated)"}
-	for _, r := range res.Records {
-		switch r.Class {
-		case 0:
-			s1.X = append(s1.X, r.Completion)
-			s1.Y = append(s1.Y, r.Slowdown)
-		case 1:
-			s2.X = append(s2.X, r.Completion)
-			s2.Y = append(s2.Y, r.Slowdown)
-		}
-	}
-	fig.Series = []Series{s1, s2}
-	return fig, nil
-}
-
-// Figure7 reproduces Figure 7: individual slowdowns at 50% load.
-func Figure7(opts Options) (Figure, error) { return individualRequests(7, 0.5, opts) }
-
-// Figure8 reproduces Figure 8: individual slowdowns at 90% load, where
-// the paper observes short-timescale inversions of the target ordering.
-func Figure8(opts Options) (Figure, error) { return individualRequests(8, 0.9, opts) }
-
-// Figure9 reproduces Figure 9: mean achieved slowdown ratios of two
-// classes vs load for δ₂/δ₁ ∈ {2, 4, 8}.
-func Figure9(opts Options) (Figure, error) {
-	opts = opts.withDefaults()
-	fig := Figure{
-		ID:     9,
+	}, true, ratioLabel, []float64{1, 2, 3}),
+	7: individualRequests(0.5),
+	// At 90 % load the paper observes short-timescale inversions of the
+	// target ordering.
+	8: individualRequests(0.9),
+	9: ratiosByLoad(Figure{
 		Title:  "Simulated slowdown ratios of two classes",
-		XLabel: "System load (%)",
 		YLabel: "Slowdown ratio",
-	}
-	ratios := []float64{2, 4, 8}
-	var cfgs []simsrv.Config
-	for _, d2 := range ratios {
-		for _, rho := range opts.Loads {
-			cfgs = append(cfgs, opts.config([]float64{1, d2}, rho, nil))
-		}
-	}
-	aggs, err := opts.runGrid(cfgs, false)
-	if err != nil {
-		return Figure{}, fmt.Errorf("figure 9: %w", err)
-	}
-	for di, d2 := range ratios {
-		s := Series{Name: fmt.Sprintf("Class2/Class1 (d2/d1=%g)", d2)}
-		for li, rho := range opts.Loads {
-			s.X = append(s.X, rho*100)
-			s.Y = append(s.Y, aggs[di*len(opts.Loads)+li].MeanRatios[1])
-		}
-		fig.Series = append(fig.Series, s)
-	}
-	return fig, nil
-}
-
-// Figure10 reproduces Figure 10: mean achieved ratios for three classes.
-func Figure10(opts Options) (Figure, error) {
-	opts = opts.withDefaults()
-	fig := Figure{
-		ID:     10,
+	}, false, ratioLabel, []float64{1, 2}, []float64{1, 4}, []float64{1, 8}),
+	10: ratiosByLoad(Figure{
 		Title:  "Simulated slowdown ratios of three classes",
-		XLabel: "System load (%)",
 		YLabel: "Slowdown ratio",
-	}
-	s21 := Series{Name: "Class2/Class1 (d2/d1=2)"}
-	s31 := Series{Name: "Class3/Class1 (d3/d1=3)"}
-	cfgs := make([]simsrv.Config, len(opts.Loads))
-	for li, rho := range opts.Loads {
-		cfgs[li] = opts.config([]float64{1, 2, 3}, rho, nil)
-	}
-	aggs, err := opts.runGrid(cfgs, false)
-	if err != nil {
-		return Figure{}, fmt.Errorf("figure 10: %w", err)
-	}
-	for li, rho := range opts.Loads {
-		s21.X = append(s21.X, rho*100)
-		s21.Y = append(s21.Y, aggs[li].MeanRatios[1])
-		s31.X = append(s31.X, rho*100)
-		s31.Y = append(s31.Y, aggs[li].MeanRatios[2])
-	}
-	fig.Series = []Series{s21, s31}
-	return fig, nil
-}
-
-// Figure11 reproduces Figure 11: influence of the Bounded Pareto shape
-// parameter α ∈ [1.0, 2.0] on the two classes' slowdowns (δ=(1,2)) at a
-// fixed 70% load (the paper does not state its load; 70% reproduces the
-// 10–1000 slowdown range of its y-axis).
-func Figure11(opts Options) (Figure, error) {
-	opts = opts.withDefaults()
-	fig := Figure{
-		ID:     11,
+	}, false, ratioLabel, []float64{1, 2, 3}),
+	// The paper does not state Figures 11–12's load; 70 % reproduces the
+	// 10–1000 slowdown range of its y-axis.
+	11: slowdownsByLaw(Figure{
 		Title:  "Influence of the shape parameter of the Bounded Pareto distribution",
 		XLabel: "Shape parameter alpha",
-		YLabel: "Slowdown (log)",
 		Notes:  "Fixed system load 70%, k=0.1, p=100, deltas=(1,2).",
-	}
-	sim1 := Series{Name: "Class 1 (simulated)"}
-	sim2 := Series{Name: "Class 2 (simulated)"}
-	exp1 := Series{Name: "Class 1 (expected)"}
-	exp2 := Series{Name: "Class 2 (expected)"}
-	alphas := []float64{1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0}
-	cfgs := make([]simsrv.Config, len(alphas))
-	for ai, alpha := range alphas {
-		svc, err := dist.NewBoundedPareto(0.1, 100, alpha)
-		if err != nil {
-			return Figure{}, err
-		}
-		cfgs[ai] = opts.config([]float64{1, 2}, 0.7, svc)
-	}
-	aggs, err := opts.runGrid(cfgs, false)
-	if err != nil {
-		return Figure{}, fmt.Errorf("figure 11: %w", err)
-	}
-	for ai, alpha := range alphas {
-		agg := aggs[ai]
-		sim1.X = append(sim1.X, alpha)
-		sim1.Y = append(sim1.Y, agg.MeanSlowdowns[0])
-		sim2.X = append(sim2.X, alpha)
-		sim2.Y = append(sim2.Y, agg.MeanSlowdowns[1])
-		exp1.X = append(exp1.X, alpha)
-		exp1.Y = append(exp1.Y, agg.ExpectedSlowdowns[0])
-		exp2.X = append(exp2.X, alpha)
-		exp2.Y = append(exp2.Y, agg.ExpectedSlowdowns[1])
-	}
-	fig.Series = []Series{sim1, sim2, exp1, exp2}
-	return fig, nil
-}
-
-// Figure12 reproduces Figure 12: influence of the Bounded Pareto upper
-// bound p ∈ {100, 1000, 10000} (δ=(1,2), fixed 70% load).
-func Figure12(opts Options) (Figure, error) {
-	opts = opts.withDefaults()
-	fig := Figure{
-		ID:     12,
+	}, 2, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0),
+	12: slowdownsByLaw(Figure{
 		Title:  "Influence of the upper bound of the Bounded Pareto distribution",
 		XLabel: "Upper bound p (log)",
-		YLabel: "Slowdown (log)",
 		Notes:  "Fixed system load 70%, k=0.1, alpha=1.5, deltas=(1,2).",
+	}, 1, 100, 1000, 10000),
+	13: {points: transientPoints, render: transientRender},
+	14: {points: tournamentPoints, render: tournamentRender},
+}
+
+// Generate regenerates one figure by ID (2–14; 13 and 14 are the
+// beyond-paper estimator transient study and the policy tournament).
+func Generate(id int, opts Options) (Figure, error) {
+	figs, err := GenerateAll([]int{id}, opts)
+	if err != nil {
+		return Figure{}, err
 	}
-	sim1 := Series{Name: "Class 1 (simulated)"}
-	sim2 := Series{Name: "Class 2 (simulated)"}
-	exp1 := Series{Name: "Class 1 (expected)"}
-	exp2 := Series{Name: "Class 2 (expected)"}
-	bounds := []float64{100, 1000, 10000}
-	cfgs := make([]simsrv.Config, len(bounds))
-	for pi, p := range bounds {
-		svc, err := dist.NewBoundedPareto(0.1, p, 1.5)
+	return figs[0], nil
+}
+
+// GenerateAll regenerates the figures ids, in that order, from one grid:
+// it collects their declared points, simulates each distinct point once
+// in a single sweep.Engine run, and renders each figure from its own
+// points' aggregates, so every figure comes out as Generate makes it
+// alone. Under sweep.DES a merged point reads window statistics if any
+// declarer does, which changes nothing the DES computes; under Auto and
+// Analytic the flag is part of the key, so a mean figure keeps its
+// closed form while a percentile figure simulates. An error names the
+// figure once: for an engine error, the lowest id that declared the
+// failing point (the engine's point index counts the merged grid).
+func GenerateAll(ids []int, opts Options) ([]Figure, error) {
+	opts = opts.withDefaults()
+	var grid []sweep.Point
+	var owner []int               // owner[k]: the lowest id declaring grid point k
+	at := make([][]int, len(ids)) // at[i]: the grid index of each point of figure ids[i]
+	merged := map[key]int{}
+	for i, id := range ids {
+		r, ok := table[id]
+		if !ok {
+			return nil, fmt.Errorf("figures: no figure %d (valid: 2-14)", id)
+		}
+		if r.points == nil {
+			continue
+		}
+		pts, err := r.points(opts)
+		if err != nil {
+			return nil, fmt.Errorf("figure %d: %w", id, err)
+		}
+		for _, p := range pts {
+			mk := p.key
+			if opts.Engine == sweep.DES {
+				mk.windowStats = false
+			}
+			k, ok := merged[mk]
+			if p.custom != nil || !ok {
+				k = len(grid)
+				if p.custom != nil {
+					grid = append(grid, *p.custom)
+				} else {
+					grid = append(grid, p.key.sweepPoint(opts))
+					merged[mk] = k
+				}
+				owner = append(owner, id)
+			}
+			grid[k].NeedWindowStats = grid[k].NeedWindowStats || p.key.windowStats
+			owner[k] = min(owner[k], id)
+			at[i] = append(at[i], k)
+		}
+	}
+	var aggs []*simsrv.Aggregate
+	if len(grid) > 0 {
+		eng := sweep.Engine{Workers: opts.Workers, Kind: opts.Engine}
+		var err error
+		if aggs, err = eng.Run(grid); err != nil {
+			// The engine's errors start "sweep: point <k>".
+			var k int
+			if _, scanErr := fmt.Sscanf(err.Error(), "sweep: point %d", &k); scanErr == nil && k >= 0 && k < len(owner) {
+				return nil, fmt.Errorf("figure %d: %w", owner[k], err)
+			}
+			return nil, fmt.Errorf("figures: %w", err)
+		}
+	}
+	figs := make([]Figure, len(ids))
+	for i, id := range ids {
+		own := make([]*simsrv.Aggregate, len(at[i]))
+		for j, k := range at[i] {
+			own[j] = aggs[k]
+		}
+		f, err := table[id].render(opts, own)
+		if err != nil {
+			return nil, fmt.Errorf("figure %d: %w", id, err)
+		}
+		f.ID = id
+		figs[i] = f
+	}
+	return figs, nil
+}
+
+// curve plots y of each aggregate against xs.
+func curve(name string, xs []float64, aggs []*simsrv.Aggregate, y func(*simsrv.Aggregate) float64) Series {
+	s := Series{Name: name, X: slices.Clone(xs), Y: make([]float64, len(aggs))}
+	for i, a := range aggs {
+		s.Y[i] = y(a)
+	}
+	return s
+}
+
+// loadAxis is the load sweep in percent.
+func loadAxis(o Options) []float64 {
+	xs := make([]float64, len(o.Loads))
+	for i, rho := range o.Loads {
+		xs[i] = rho * 100
+	}
+	return xs
+}
+
+// loadSweep declares one point per (δ vector, load), δ-major.
+func loadSweep(windowStats bool, groups ...[]float64) func(Options) ([]point, error) {
+	return func(o Options) ([]point, error) {
+		var pts []point
+		for _, d := range groups {
+			for _, rho := range o.Loads {
+				p := point{key: key{rho: rho, bp: paperBP, windowStats: windowStats}}
+				copy(p.key.deltas[:], d)
+				pts = append(pts, p)
+			}
+		}
+		return pts, nil
+	}
+}
+
+// slowdowns plots each class's simulated then expected slowdown over xs,
+// one aggregate per x.
+func slowdowns(f *Figure, xs []float64, aggs []*simsrv.Aggregate) {
+	for _, kind := range []string{"simulated", "expected"} {
+		for i := range aggs[0].MeanSlowdowns {
+			f.Series = append(f.Series, curve(fmt.Sprintf("Class %d (%s)", i+1, kind), xs, aggs, func(a *simsrv.Aggregate) float64 {
+				if kind == "simulated" {
+					return a.MeanSlowdowns[i]
+				}
+				return a.ExpectedSlowdowns[i]
+			}))
+		}
+	}
+}
+
+// slowdownsByLoad is the Figure 2/3/4 layout: simulated and expected
+// class slowdowns and the simulated system slowdown over the load sweep.
+func slowdownsByLoad(deltas []float64) row {
+	return row{
+		points: loadSweep(false, deltas),
+		render: func(o Options, aggs []*simsrv.Aggregate) (Figure, error) {
+			f := Figure{
+				Title:  fmt.Sprintf("Simulated and expected slowdowns, deltas=%v", deltas),
+				XLabel: "System load (%)",
+				YLabel: "Slowdown (log)",
+			}
+			xs := loadAxis(o)
+			slowdowns(&f, xs, aggs)
+			f.Series = append(f.Series, curve("System (simulated)", xs, aggs, func(a *simsrv.Aggregate) float64 { return a.SystemSlowdown }))
+			return f, nil
+		},
+	}
+}
+
+// slowdownsByLaw is the Figure 11/12 layout: both classes' simulated and
+// expected slowdowns, δ=(1,2) at 70 % load, against one parameter of the
+// paper's Bounded Pareto law (index param of k, p, α) set to each of xs.
+func slowdownsByLaw(head Figure, param int, xs ...float64) row {
+	head.YLabel = "Slowdown (log)"
+	return row{
+		points: func(Options) ([]point, error) {
+			pts := make([]point, len(xs))
+			for i, x := range xs {
+				pts[i] = point{key: key{deltas: [3]float64{1, 2}, rho: 0.7, bp: paperBP}}
+				pts[i].key.bp[param] = x
+			}
+			return pts, nil
+		},
+		render: func(_ Options, aggs []*simsrv.Aggregate) (Figure, error) {
+			f := head
+			slowdowns(&f, xs, aggs)
+			return f, nil
+		},
+	}
+}
+
+// ratioLabel names class i's slowdown ratio to class 1 under deltas.
+func ratioLabel(deltas []float64, i int) string {
+	return fmt.Sprintf("Class%d/Class1 (d%d/d1=%g)", i+1, i+1, deltas[i]/deltas[0])
+}
+
+// targetLabel names it by the target alone (Figure 5).
+func targetLabel(deltas []float64, i int) string {
+	return fmt.Sprintf("d%d/d1=%g", i+1, deltas[i]/deltas[0])
+}
+
+// ratiosByLoad is the Figure 5/6/9/10 layout: over the load sweep of each
+// δ vector in groups, every class's achieved slowdown ratio to class 1 —
+// the across-run mean, or with windowStats the p05/p50/p95 of the pooled
+// per-window ratios.
+func ratiosByLoad(head Figure, windowStats bool, label func([]float64, int) string, groups ...[]float64) row {
+	head.XLabel = "System load (%)"
+	return row{
+		points: loadSweep(windowStats, groups...),
+		render: func(o Options, aggs []*simsrv.Aggregate) (Figure, error) {
+			f := head
+			xs := loadAxis(o)
+			for g, deltas := range groups {
+				ga := aggs[g*len(xs) : (g+1)*len(xs)]
+				for i := 1; i < len(deltas); i++ {
+					name := label(deltas, i)
+					if !windowStats {
+						f.Series = append(f.Series, curve(name, xs, ga, func(a *simsrv.Aggregate) float64 { return a.MeanRatios[i] }))
+						continue
+					}
+					f.Series = append(f.Series,
+						curve(name+" p05", xs, ga, func(a *simsrv.Aggregate) float64 { return a.RatioSummaries[i].P05 }),
+						curve(name+" p50", xs, ga, func(a *simsrv.Aggregate) float64 { return a.RatioSummaries[i].P50 }),
+						curve(name+" p95", xs, ga, func(a *simsrv.Aggregate) float64 { return a.RatioSummaries[i].P95 }))
+				}
+			}
+			return f, nil
+		},
+	}
+}
+
+// individualRequests is the Figure 7/8 layout: slowdowns of individual
+// requests completing in [60000, 61000] at load rho, from one recorded
+// run.
+func individualRequests(rho float64) row {
+	return row{render: func(o Options, _ []*simsrv.Aggregate) (Figure, error) {
+		if o.Engine == sweep.Analytic {
+			return Figure{}, fmt.Errorf("%w: individual request trajectories only exist in a simulation", analytic.ErrNeedsSimulation)
+		}
+		cfg := o.config([]float64{1, 2}, rho, nil)
+		// The record window sits at the paper's [60000, 61000] when the
+		// horizon allows; otherwise the last full window of the run.
+		from := 60000.0
+		if o.Warmup+o.Horizon < 61000 {
+			from = o.Warmup + o.Horizon - 1000
+		}
+		cfg.RecordRequests = true
+		cfg.RecordFrom = from
+		cfg.RecordTo = from + 1000
+		res, err := simsrv.Run(cfg)
 		if err != nil {
 			return Figure{}, err
 		}
-		cfgs[pi] = opts.config([]float64{1, 2}, 0.7, svc)
-	}
-	aggs, err := opts.runGrid(cfgs, false)
-	if err != nil {
-		return Figure{}, fmt.Errorf("figure 12: %w", err)
-	}
-	for pi, p := range bounds {
-		agg := aggs[pi]
-		sim1.X = append(sim1.X, p)
-		sim1.Y = append(sim1.Y, agg.MeanSlowdowns[0])
-		sim2.X = append(sim2.X, p)
-		sim2.Y = append(sim2.Y, agg.MeanSlowdowns[1])
-		exp1.X = append(exp1.X, p)
-		exp1.Y = append(exp1.Y, agg.ExpectedSlowdowns[0])
-		exp2.X = append(exp2.X, p)
-		exp2.Y = append(exp2.Y, agg.ExpectedSlowdowns[1])
-	}
-	fig.Series = []Series{sim1, sim2, exp1, exp2}
-	return fig, nil
+		s := []Series{{Name: "Class 1 (simulated)"}, {Name: "Class 2 (simulated)"}}
+		for _, r := range res.Records {
+			s[r.Class].X = append(s[r.Class].X, r.Completion)
+			s[r.Class].Y = append(s[r.Class].Y, r.Slowdown)
+		}
+		return Figure{
+			Title:  fmt.Sprintf("Slowdown of individual requests, system load %.0f%%", rho*100),
+			XLabel: "Time (time unit)",
+			YLabel: "Slowdown",
+			Notes:  fmt.Sprintf("Requests completing in [%.0f, %.0f); single run, seed %d.", from, from+1000, cfg.Seed),
+			Series: s,
+		}, nil
+	}}
 }
 
-// Figure13 goes beyond the paper: transient response of the control
-// plane's estimator after a load step. Both classes' arrival rates jump
-// from 40% to 88% total utilization at mid-horizon; the plotted series
-// are the across-run mean per-window achieved S₂/S₁ ratio (target 2)
-// under the paper's 5-window mean estimator versus EWMA smoothing. The
-// window estimator drags its pre-step history for HistoryWindows windows
-// after the shift; EWMA re-converges faster at equal steady-state noise —
-// exactly the trade-off §4.4 attributes the controllability gaps to.
-func Figure13(opts Options) (Figure, error) {
-	opts = opts.withDefaults()
-	deltas := []float64{1, 2}
-	base := opts.config(deltas, 0.4, nil)
-	stepAt := base.Warmup + opts.Horizon/2
-	base.LoadSchedule = simsrv.LoadStep(stepAt, 2.2)
-
-	win := base
+// transient is Figure 13's scenario: δ=(1,2), both classes' arrival rates
+// jumping from 40 % to 88 % total utilization at mid-horizon, under the
+// paper's 5-window mean estimator and under EWMA smoothing.
+func transient(o Options) (win, ewma simsrv.Config, stepAt float64) {
+	win = o.config([]float64{1, 2}, 0.4, nil)
+	stepAt = win.Warmup + o.Horizon/2
+	win.LoadSchedule = simsrv.LoadStep(stepAt, 2.2)
 	win.Estimator = control.Window
-	ewma := base
+	ewma = win
 	ewma.Estimator = control.EWMA
 	ewma.EWMAAlpha = 0.5
+	return win, ewma, stepAt
+}
 
-	points := []sweep.Point{
-		{Cfg: win, Runs: opts.Runs, TrackWindowRatios: true},
-		{Cfg: ewma, Runs: opts.Runs, TrackWindowRatios: true},
-	}
-	eng := sweep.Engine{Workers: opts.Workers, Kind: opts.Engine}
-	aggs, err := eng.Run(points)
-	if err != nil {
-		return Figure{}, fmt.Errorf("figure 13: %w", err)
-	}
+// transientPoints declares Figure 13, which goes beyond the paper: the
+// transient response of the control plane's estimator after a load step.
+// The window estimator drags its pre-step history for HistoryWindows
+// windows after the shift; EWMA re-converges faster at equal steady-state
+// noise — exactly the trade-off §4.4 attributes the controllability gaps
+// to.
+func transientPoints(o Options) ([]point, error) {
+	win, ewma, _ := transient(o)
+	return []point{
+		{custom: &sweep.Point{Cfg: win, Runs: o.Runs, TrackWindowRatios: true}},
+		{custom: &sweep.Point{Cfg: ewma, Runs: o.Runs, TrackWindowRatios: true}},
+	}, nil
+}
 
-	fig := Figure{
-		ID:     13,
+// transientRender plots the across-run mean per-window achieved S₂/S₁
+// ratio (target 2) of each estimator, and the target.
+func transientRender(o Options, aggs []*simsrv.Aggregate) (Figure, error) {
+	win, _, stepAt := transient(o)
+	f := Figure{
 		Title:  "Estimator transient response after a load step (beyond the paper)",
 		XLabel: "Time (time unit)",
 		YLabel: "Per-window slowdown ratio (Class 2 / Class 1)",
@@ -513,22 +512,21 @@ func Figure13(opts Options) (Figure, error) {
 			if math.IsNaN(v) {
 				continue
 			}
-			s.X = append(s.X, base.Warmup+float64(k+1)*window)
+			s.X = append(s.X, win.Warmup+float64(k+1)*window)
 			s.Y = append(s.Y, v)
 		}
-		fig.Series = append(fig.Series, s)
+		f.Series = append(f.Series, s)
 	}
 	// Constant target line on the window-estimator series' time axis (the
 	// two estimator series share the same non-empty windows in practice;
 	// the line is a visual reference, not a paired comparison).
-	target := Series{Name: "target ratio"}
-	ref := fig.Series[0]
-	for i := range ref.X {
-		target.X = append(target.X, ref.X[i])
-		target.Y = append(target.Y, deltas[1]/deltas[0])
+	ref := f.Series[0].X
+	target := Series{Name: "target ratio", X: slices.Clone(ref), Y: make([]float64, len(ref))}
+	for i := range target.Y {
+		target.Y[i] = 2
 	}
-	fig.Series = append(fig.Series, target)
-	return fig, nil
+	f.Series = append(f.Series, target)
+	return f, nil
 }
 
 // TournamentPolicies are the rival policies Figure 14 races: the paper's
@@ -536,21 +534,23 @@ func Figure13(opts Options) (Figure, error) {
 // arms the degradation ladder) and the size-aware heSRPT discipline.
 var TournamentPolicies = []string{"psd", "log", "downgrade", "hesrpt"}
 
-// Figure14 goes beyond the paper: a policy tournament over the core
-// registry. Every policy in TournamentPolicies runs the same 4-cell
-// overload grid — {paper Bounded Pareto, heavy-tailed lognormal} service
-// families × {sustained load step, flash crowd} schedules, 3 classes
-// δ=(1,2,4), base load 85% surging to ~136% — behind a per-point
-// utilization-bound admission gate. One sweep.Tournament expansion and
-// one Engine.Run cover the whole cross product; the plotted series per
-// policy are
-//
-//	ratio error:    mean over classes of |achieved ratio / target − 1|
-//	mean slowdown:  the arrival-weighted system slowdown
-//	shed rate:      fraction of arrivals dropped by admission
-//
-// with X = scenario cell (1: BP×step, 2: BP×flash, 3: lognormal×step,
-// 4: lognormal×flash). The downgrading policy's ladder holds the gate
+// tournamentDeltas are Figure 14's three classes.
+var tournamentDeltas = []float64{1, 2, 4}
+
+// tournamentCells are Figure 14's scenario cells, family-major: the
+// paper's Bounded Pareto and a heavy-tailed lognormal, each under a
+// sustained load step and a flash crowd.
+var tournamentCells = []string{
+	"BP(0.1,100,1.5) x load step", "BP(0.1,100,1.5) x flash crowd",
+	"lognormal(sigma=1.5) x load step", "lognormal(sigma=1.5) x flash crowd",
+}
+
+// tournamentPoints declares Figure 14, which goes beyond the paper: a
+// policy tournament over the core registry. Every policy in
+// TournamentPolicies runs the same 4-cell overload grid — 3 classes
+// δ=(1,2,4), base load 85 % surging to ~136 % — behind a per-point
+// utilization-bound admission gate; one sweep.Tournament expansion covers
+// the whole cross product. The downgrading policy's ladder holds the gate
 // open until every rung is engaged, so its shed rate reads the residual
 // overload degradation could not absorb; heSRPT runs on the packetized
 // server behind the same gate (the simulator's skeleton owns it), so its
@@ -560,110 +560,78 @@ var TournamentPolicies = []string{"psd", "log", "downgrade", "hesrpt"}
 // Replications are pinned to 1 per point: admission controllers are
 // stateful and the engine runs replications of one point concurrently,
 // so each expanded point gets its own controller instance instead.
-func Figure14(opts Options) (Figure, error) {
-	opts = opts.withDefaults()
-	if opts.Engine == sweep.Analytic {
-		return Figure{}, fmt.Errorf("figure 14: %w: the tournament's transient overload scenarios only exist in a simulation", analytic.ErrNeedsSimulation)
-	}
-	deltas := []float64{1, 2, 4}
+func tournamentPoints(o Options) ([]point, error) {
 	// Lognormal with σ=1.5 and unit mean (μ = −σ²/2): the second
 	// heavy-tail family, with all moments finite (E[1/X] included).
 	lognormal, err := dist.NewLognormal(-1.125, 1.5)
 	if err != nil {
-		return Figure{}, fmt.Errorf("figure 14: %w", err)
+		return nil, err
 	}
-	surgeAt := opts.Warmup + opts.Horizon/3
-	families := []struct {
-		name string
-		svc  dist.Distribution
-	}{
-		{"BP(0.1,100,1.5)", nil},
-		{"lognormal(sigma=1.5)", lognormal},
-	}
-	schedules := []struct {
-		name   string
-		phases []simsrv.LoadPhase
-	}{
-		{"load step", simsrv.LoadStep(surgeAt, 1.6)},
-		{"flash crowd", simsrv.FlashCrowd(surgeAt, opts.Horizon/3, 1.6)},
-	}
+	surgeAt := o.Warmup + o.Horizon/3
 	var base []sweep.Point
-	var cellNames []string
-	for _, fam := range families {
-		for _, sc := range schedules {
-			cfg := opts.config(deltas, 0.85, fam.svc)
-			cfg.LoadSchedule = sc.phases
+	for _, svc := range []dist.Distribution{nil, lognormal} {
+		for _, phases := range [][]simsrv.LoadPhase{
+			simsrv.LoadStep(surgeAt, 1.6),
+			simsrv.FlashCrowd(surgeAt, o.Horizon/3, 1.6),
+		} {
+			cfg := o.config(tournamentDeltas, 0.85, svc)
+			cfg.LoadSchedule = phases
 			// The utilization bound sheds large jobs first, which
 			// decouples admitted counts from admitted work; estimate
 			// load from work so ρ̂ tracks the admitted process.
 			cfg.EstimateFromWork = true
 			base = append(base, sweep.Point{Cfg: cfg, Runs: 1})
-			cellNames = append(cellNames, fam.name+" x "+sc.name)
 		}
 	}
-	points, err := sweep.Tournament(base, TournamentPolicies)
+	expanded, err := sweep.Tournament(base, TournamentPolicies)
 	if err != nil {
-		return Figure{}, fmt.Errorf("figure 14: %w", err)
+		return nil, err
 	}
-	for i := range points {
-		adm, err := admission.NewUtilizationBound(0.95, points[i].Cfg.ApplyDefaults().Window)
+	pts := make([]point, len(expanded))
+	for i := range expanded {
+		adm, err := admission.NewUtilizationBound(0.95, expanded[i].Cfg.ApplyDefaults().Window)
 		if err != nil {
-			return Figure{}, fmt.Errorf("figure 14: %w", err)
+			return nil, err
 		}
-		points[i].Cfg.Admission = adm
+		expanded[i].Cfg.Admission = adm
+		pts[i].custom = &expanded[i]
 	}
-	eng := sweep.Engine{Workers: opts.Workers, Kind: opts.Engine}
-	aggs, err := eng.Run(points)
-	if err != nil {
-		return Figure{}, fmt.Errorf("figure 14: %w", err)
-	}
+	return pts, nil
+}
 
-	fig := Figure{
-		ID:     14,
+// tournamentRender plots three series per policy over the scenario cells
+// (X = 1..4 in tournamentCells order):
+//
+//	ratio error:    mean over classes of |achieved ratio / target − 1|
+//	mean slowdown:  the arrival-weighted system slowdown
+//	shed rate:      fraction of arrivals dropped by admission
+func tournamentRender(o Options, aggs []*simsrv.Aggregate) (Figure, error) {
+	d := tournamentDeltas
+	f := Figure{
 		Title:  "Policy tournament under overload (beyond the paper)",
 		XLabel: "Scenario cell",
 		YLabel: "Ratio error / slowdown / shed rate",
 		Notes: fmt.Sprintf("Cells: %v. deltas=(1,2,4), base load 85%%, surge x1.6 at t=%g; "+
 			"utilization-bound admission (bound 0.95); 1 run per cell. "+
 			"heSRPT runs packetized behind the same gate.",
-			cellNames, surgeAt),
+			tournamentCells, o.Warmup+o.Horizon/3),
 	}
-	nCells := len(base)
+	cells := make([]float64, len(tournamentCells))
+	for ci := range cells {
+		cells[ci] = float64(ci + 1)
+	}
 	for pi, name := range TournamentPolicies {
-		ratioErr := Series{Name: name + " ratio error"}
-		meanSlow := Series{Name: name + " mean slowdown"}
-		shed := Series{Name: name + " shed rate"}
-		for ci := 0; ci < nCells; ci++ {
-			agg := aggs[pi*nCells+ci]
-			var errSum float64
-			for i := 1; i < len(deltas); i++ {
-				target := deltas[i] / deltas[0]
-				errSum += math.Abs(agg.MeanRatios[i]/target - 1)
-			}
-			x := float64(ci + 1)
-			ratioErr.X = append(ratioErr.X, x)
-			ratioErr.Y = append(ratioErr.Y, errSum/float64(len(deltas)-1))
-			meanSlow.X = append(meanSlow.X, x)
-			meanSlow.Y = append(meanSlow.Y, agg.SystemSlowdown)
-			shed.X = append(shed.X, x)
-			shed.Y = append(shed.Y, agg.MeanShedRate)
-		}
-		fig.Series = append(fig.Series, ratioErr, meanSlow, shed)
+		pa := aggs[pi*len(cells) : (pi+1)*len(cells)]
+		f.Series = append(f.Series,
+			curve(name+" ratio error", cells, pa, func(a *simsrv.Aggregate) float64 {
+				var errSum float64
+				for i := 1; i < len(d); i++ {
+					errSum += math.Abs(a.MeanRatios[i]/(d[i]/d[0]) - 1)
+				}
+				return errSum / float64(len(d)-1)
+			}),
+			curve(name+" mean slowdown", cells, pa, func(a *simsrv.Aggregate) float64 { return a.SystemSlowdown }),
+			curve(name+" shed rate", cells, pa, func(a *simsrv.Aggregate) float64 { return a.MeanShedRate }))
 	}
-	return fig, nil
-}
-
-// Generate runs one figure by ID (2–14; 13 and 14 are the beyond-paper
-// estimator transient study and the policy tournament).
-func Generate(id int, opts Options) (Figure, error) {
-	gens := map[int]func(Options) (Figure, error){
-		2: Figure2, 3: Figure3, 4: Figure4, 5: Figure5, 6: Figure6,
-		7: Figure7, 8: Figure8, 9: Figure9, 10: Figure10, 11: Figure11, 12: Figure12,
-		13: Figure13, 14: Figure14,
-	}
-	g, ok := gens[id]
-	if !ok {
-		return Figure{}, fmt.Errorf("figures: no figure %d (valid: 2-14)", id)
-	}
-	return g(opts)
+	return f, nil
 }

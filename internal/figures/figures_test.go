@@ -2,9 +2,14 @@ package figures
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"psd/internal/analytic"
+	"psd/internal/sweep"
 )
 
 // tiny returns minimal-fidelity options for unit tests. The top load is
@@ -24,13 +29,82 @@ func TestGenerateRejectsUnknownID(t *testing.T) {
 	}
 }
 
+// allIDs are every figure's ids, in order.
+func allIDs() []int {
+	var ids []int
+	for id := 2; id <= 14; id++ {
+		ids = append(ids, id)
+	}
+	return ids
+}
+
+// TestGenerateAllMatchesEachAlone: one grid over every figure, where
+// shared points are simulated once, must write the same CSV bytes as each
+// figure generated alone, under the DES and under the Auto router (where
+// a mean figure's points take the closed form while the percentile
+// figures' equal points simulate).
+func TestGenerateAllMatchesEachAlone(t *testing.T) {
+	for _, kind := range []sweep.EngineKind{sweep.DES, sweep.Auto} {
+		opts := tiny()
+		opts.Engine = kind
+		all, err := GenerateAll(allIDs(), opts)
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		for i, id := range allIDs() {
+			alone, err := Generate(id, opts)
+			if err != nil {
+				t.Fatalf("%v: figure %d: %v", kind, id, err)
+			}
+			var a, b bytes.Buffer
+			if err := WriteCSV(&a, all[i]); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteCSV(&b, alone); err != nil {
+				t.Fatal(err)
+			}
+			if all[i].ID != id || !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Errorf("%v: figure %d from the whole grid (id %d) differs from the figure alone", kind, id, all[i].ID)
+			}
+			if all[i].Title != alone.Title || all[i].Notes != alone.Notes {
+				t.Errorf("%v: figure %d headers differ: %q / %q", kind, id, all[i].Title, alone.Title)
+			}
+		}
+	}
+}
+
+// TestGenerateAllAnalyticNamesFigureOnce: Figures 2–4 have closed forms,
+// so under sweep.Analytic the whole grid fails at Figure 5's first point,
+// and the error names that figure exactly once and no other.
+func TestGenerateAllAnalyticNamesFigureOnce(t *testing.T) {
+	opts := tiny()
+	opts.Engine = sweep.Analytic
+	figs, err := GenerateAll(allIDs(), opts)
+	if err == nil {
+		t.Fatalf("analytic grid over every figure succeeded with %d figures", len(figs))
+	}
+	if !errors.Is(err, analytic.ErrNeedsSimulation) {
+		t.Fatalf("error %v does not wrap ErrNeedsSimulation", err)
+	}
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "figure 5: sweep: point ") || strings.Count(msg, "figure") != 1 {
+		t.Fatalf("error %q, want it to name figure 5 once", msg)
+	}
+	for _, id := range []int{7, 14} {
+		_, err := Generate(id, opts)
+		if !errors.Is(err, analytic.ErrNeedsSimulation) || strings.Count(err.Error(), fmt.Sprintf("figure %d", id)) != 1 {
+			t.Errorf("figure %d alone: error %v, want ErrNeedsSimulation naming it once", id, err)
+		}
+	}
+}
+
 // TestFigure14PolicyTournament checks the beyond-paper tournament
 // figure: three series (ratio error, mean slowdown, shed rate) per
 // racing policy, one point per scenario cell, finite non-negative
 // values, and a shed series for the packetized heSRPT policy that shows
 // the admission gate at work there too.
 func TestFigure14PolicyTournament(t *testing.T) {
-	f, err := Figure14(tiny())
+	f, err := Generate(14, tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +145,7 @@ func TestFigure14PolicyTournament(t *testing.T) {
 // figure: both estimator series plus the target line, a time axis that
 // spans the step, and finite positive ratios.
 func TestFigure13EstimatorTransient(t *testing.T) {
-	f, err := Figure13(tiny())
+	f, err := Generate(13, tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +166,7 @@ func TestFigure13EstimatorTransient(t *testing.T) {
 		t.Fatalf("target series wrong: %+v", f.Series[2].Name)
 	}
 	// Deterministic regeneration.
-	g, err := Figure13(tiny())
+	g, err := Generate(13, tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +178,7 @@ func TestFigure13EstimatorTransient(t *testing.T) {
 }
 
 func TestFigure2ShapeAndAgreement(t *testing.T) {
-	f, err := Figure2(tiny())
+	f, err := Generate(2, tiny())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +229,7 @@ func TestFigure9RatiosNearTargets(t *testing.T) {
 		opts.Loads = []float64{0.6}
 		opts.Horizon = 20000
 		opts.Seed = seed
-		f, err := Figure9(opts)
+		f, err := Generate(9, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +250,7 @@ func TestFigure9RatiosNearTargets(t *testing.T) {
 func TestFigure5PercentileOrdering(t *testing.T) {
 	opts := tiny()
 	opts.Loads = []float64{0.5}
-	f, err := Figure5(opts)
+	f, err := Generate(5, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +270,7 @@ func TestFigure5PercentileOrdering(t *testing.T) {
 
 func TestFigure7RecordsRequests(t *testing.T) {
 	opts := tiny()
-	f, err := Figure7(opts)
+	f, err := Generate(7, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +290,7 @@ func TestFigure7RecordsRequests(t *testing.T) {
 
 func TestFigure11Monotonicity(t *testing.T) {
 	opts := tiny()
-	f, err := Figure11(opts)
+	f, err := Generate(11, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +311,7 @@ func TestFigure11Monotonicity(t *testing.T) {
 
 func TestFigure12Monotonicity(t *testing.T) {
 	opts := tiny()
-	f, err := Figure12(opts)
+	f, err := Generate(12, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -249,6 +249,14 @@ type Server struct {
 	// crosses to the lock-free admit path through this atomic.
 	ladderHold atomic.Bool
 
+	// publishSeq brackets reallocate's writes of one tick's scrape gauges
+	// (λ̂, effective δ, window slowdown, degradation level, ladder
+	// shedding, rate and the tick counters): odd while they are being
+	// written. Snapshot retries
+	// until it reads the same even value before and after its loads, so
+	// it never mixes two ticks' vectors.
+	publishSeq atomic.Uint64
+
 	// Stale-tick watchdog: lastTickNano is the wall clock of the last
 	// reallocation attempt, staleAfter the stall threshold (0 disables).
 	// The monitor goroutine never takes loopMu — a stalled tick may be
@@ -734,6 +742,7 @@ func (s *Server) reallocate() {
 	// snapshots read them without ever taking loopMu.
 	s.loop.LambdasInto(s.tickLambdas)
 	s.loop.EffectiveDeltasInto(s.tickDeltas)
+	s.publishSeq.Add(1)
 	for i := range s.classes {
 		s.met.lambda.At(i).Set(s.tickLambdas[i])
 		s.met.effDelta.At(i).Set(s.tickDeltas[i])
@@ -748,13 +757,14 @@ func (s *Server) reallocate() {
 	}
 	if err != nil {
 		s.met.allocFailures.Inc() // transient infeasibility: keep previous rates
-		return
+	} else {
+		s.met.reallocations.Inc()
+		for i, cr := range s.classes {
+			cr.setRate(rates[i])
+			s.met.rate.At(i).Set(rates[i])
+		}
 	}
-	s.met.reallocations.Inc()
-	for i, cr := range s.classes {
-		cr.setRate(rates[i])
-		s.met.rate.At(i).Set(rates[i])
-	}
+	s.publishSeq.Add(1)
 }
 
 // closeShedWindow fills tickShed with each class's work shed since the

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"runtime"
 	"time"
 
 	"psd/internal/obs"
@@ -181,49 +182,62 @@ func jsonSafe(v float64) float64 {
 // Snapshot assembles the current metrics document entirely from registry
 // atomics — it takes no lock at all, and in particular never touches the
 // control-plane mutex, so a slow (or adversarial) scrape can never delay
-// a reallocation tick; conversely a long tick never blocks a scrape. The
-// control-plane gauges (rates, λ̂, effective δ) are published by the tick
-// that computes them.
+// a reallocation tick, and a long tick holds a scrape up only while it
+// writes its gauges. The control-plane gauges (rates, λ̂, effective δ,
+// window slowdowns, degradation levels) and the tick counters are
+// published by the tick that computes them, between two steps of
+// publishSeq; Snapshot re-reads them until one pass saw no tick publish,
+// so the rate vector it returns is always one tick's partition.
 func (s *Server) Snapshot() MetricsDocument {
 	n := len(s.classes)
 	doc := MetricsDocument{
 		UptimeSeconds:   time.Since(s.started).Seconds(),
 		Estimator:       s.cfg.Estimator.String(),
-		Reallocations:   s.met.reallocations.Load(),
-		AllocFailures:   s.met.allocFailures.Load(),
 		AdmissionPolicy: "none",
 
 		TickInputRejected:  s.met.tickInputRejected.Load(),
 		WatchdogStaleTicks: s.met.watchdogStaleTicks.Load(),
 		WatchdogStalled:    s.met.watchdogStalled.Load() != 0,
-		LadderShedding:     s.met.ladderShedding.Load() != 0,
 		Classes:            make([]ClassMetrics, n),
 		SlowdownRatios:     make([]float64, n),
 	}
 	if s.adm != nil {
 		doc.AdmissionPolicy = s.adm.Name()
 	}
+	for seq := s.publishSeq.Load(); ; seq = s.publishSeq.Load() {
+		if seq&1 != 0 {
+			runtime.Gosched() // a tick is publishing
+			continue
+		}
+		doc.Reallocations = s.met.reallocations.Load()
+		doc.AllocFailures = s.met.allocFailures.Load()
+		doc.LadderShedding = s.met.ladderShedding.Load() != 0
+		for i := range doc.Classes {
+			cm := &doc.Classes[i]
+			cm.EffectiveDelta = s.met.effDelta.At(i).Load()
+			cm.Rate = s.met.rate.At(i).Load()
+			cm.LambdaEstimate = s.met.lambda.At(i).Load()
+			cm.WindowSlowdown = jsonSafe(s.met.windowSlow.At(i).Load())
+			cm.DegradationLevel = int(s.met.degradationLevel.At(i).Load())
+		}
+		if s.publishSeq.Load() == seq {
+			break
+		}
+	}
 	var base float64
 	var snap obs.HistogramSnapshot
 	for i, cr := range s.classes {
 		s.met.slowdown.At(i).SnapshotInto(&snap)
-		cm := ClassMetrics{
-			Delta:             s.cfg.Deltas[i],
-			EffectiveDelta:    s.met.effDelta.At(i).Load(),
-			Rate:              s.met.rate.At(i).Load(),
-			LambdaEstimate:    s.met.lambda.At(i).Load(),
-			Served:            snap.Count,
-			MeanSlowdown:      jsonSafe(snap.Mean()),
-			WindowSlowdown:    jsonSafe(s.met.windowSlow.At(i).Load()),
-			QueueDepth:        len(cr.queue),
-			RejectedAdmission: s.met.rejAdmission.At(i).Load(),
-			RejectedQueueFull: s.met.rejQueueFull.At(i).Load(),
-			RejectedWork:      s.met.rejWork.At(i).Load(),
-			RateFloorClamps:   s.met.rateFloorClamps.At(i).Load(),
-			DegradationLevel:  int(s.met.degradationLevel.At(i).Load()),
-		}
+		cm := &doc.Classes[i]
+		cm.Delta = s.cfg.Deltas[i]
+		cm.Served = snap.Count
+		cm.MeanSlowdown = jsonSafe(snap.Mean())
+		cm.QueueDepth = len(cr.queue)
+		cm.RejectedAdmission = s.met.rejAdmission.At(i).Load()
+		cm.RejectedQueueFull = s.met.rejQueueFull.At(i).Load()
+		cm.RejectedWork = s.met.rejWork.At(i).Load()
+		cm.RateFloorClamps = s.met.rateFloorClamps.At(i).Load()
 		doc.RateFloorClamps += cm.RateFloorClamps
-		doc.Classes[i] = cm
 		if i == 0 {
 			base = cm.MeanSlowdown
 		}

@@ -280,6 +280,28 @@ func TestStormTicksScrapesLoad(t *testing.T) {
 	}
 }
 
+// TestSnapshotWaitsForTickPublish: while a tick is writing its gauges
+// (publishSeq odd), Snapshot must not return a rate vector half old and
+// half new; once the tick closes the sequence it reads the new vector
+// whole.
+func TestSnapshotWaitsForTickPublish(t *testing.T) {
+	s, _ := fastServer(t, Config{Window: 1e9})
+	s.publishSeq.Add(1)
+	s.met.rate.At(0).Set(0.9) // class 1 still holds its old rate
+	got := make(chan MetricsDocument, 1)
+	go func() { got <- s.Snapshot() }()
+	select {
+	case doc := <-got:
+		t.Fatalf("Snapshot returned rates %v, %v mid-publish", doc.Classes[0].Rate, doc.Classes[1].Rate)
+	case <-time.After(20 * time.Millisecond):
+	}
+	s.met.rate.At(1).Set(0.1)
+	s.publishSeq.Add(1)
+	if doc := <-got; doc.Classes[0].Rate != 0.9 || doc.Classes[1].Rate != 0.1 {
+		t.Fatalf("rates %v, %v after the publish, want 0.9, 0.1", doc.Classes[0].Rate, doc.Classes[1].Rate)
+	}
+}
+
 // BenchmarkFrontDoor measures the sharded admitted path end to end
 // (admission → queue → paced service → completion accounting) under
 // contention, and hard-gates its allocation behavior: the steady-state
