@@ -339,6 +339,20 @@ func (lp *Loop) Observe(class int, size float64) {
 	lp.curWork[class] += size
 }
 
+// OpenWindow returns class's arrival count and work observed so far in
+// the open window, and SetOpenWindow replaces them: a caller that
+// observes a run of arrivals into a local pair, count++ and work += size
+// each, and writes it back once builds the very sums Observe would.
+func (lp *Loop) OpenWindow(class int) (count, work float64) {
+	return lp.curCount[class], lp.curWork[class]
+}
+
+// SetOpenWindow replaces class's open-window count and work (see
+// OpenWindow).
+func (lp *Loop) SetOpenWindow(class int, count, work float64) {
+	lp.curCount[class], lp.curWork[class] = count, work
+}
+
 // observeWindow folds one closed window's per-class counts and work into
 // the configured estimator core.
 func (lp *Loop) observeWindow(counts, work []float64) {

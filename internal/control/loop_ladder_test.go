@@ -134,10 +134,13 @@ var fuzzValues = [16]float64{
 	0.25, 1, 2, 3, 5, 8, 12, 20, 40, 120, 1e3, 1e300,
 }
 
-// FuzzLoopTick drives a psd loop and a downgrading loop in lockstep
-// through byte-decoded tick scripts (counts, work, slowdowns, oracle λ
-// and shed work, corrupt values included) and checks the tick's contract: no panic;
-// successful rates finite, positive and summing to at most 1;
+// FuzzLoopTick drives a psd loop, a downgrading loop and a psd loop
+// floored at 1e-3 (Floored, core.MinRate) in lockstep through
+// byte-decoded tick scripts (counts, work, slowdowns, oracle λ and shed
+// work, corrupt values included; a mask bit idles class 1 for the
+// floored loop, the case its floor is for) and checks the tick's
+// contract: no panic; successful rates finite, positive and summing to
+// at most 1;
 // InputRejected counting exactly the corrupt ticks; the ladder moving at
 // most one rung per tick; the gate held open exactly while the ladder
 // has a rung left; and the downgrading loop bit-identical to psd until
@@ -149,6 +152,10 @@ func FuzzLoopTick(f *testing.F) {
 	// Engage on an infeasible tick, then send negative slowdowns: dropped
 	// unseen while degraded, so only the psd loop counts them.
 	f.Add([]byte{0x01, 0x01, 12, 12, 12, 12, 12, 12, 5, 5, 5, 0, 0, 0, 0x01, 5, 5, 5, 5, 5, 5, 3, 3, 3, 0, 0, 0})
+	// Class 1 idle for the floored loop while the others' ρ̂ reaches
+	// 0.9999 over three windows: more than the donors' slack is owed to
+	// the floor, the case in which MinRate once kept PSD's rate 0.
+	f.Add([]byte{0x00, 0x08, 5, 12, 12, 5, 5, 5, 0, 0, 0, 0, 0, 0, 0x08, 5, 11, 6, 5, 5, 5, 0, 0, 0, 0, 0, 0, 0x08, 5, 5, 4, 5, 5, 5, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -174,6 +181,11 @@ func FuzzLoopTick(f *testing.F) {
 		}
 		base.Allocator = core.Downgrading{}
 		down, err := NewLoop(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base.Allocator = Floored(core.PSD{}, 1e-3)
+		floored, err := NewLoop(base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,12 +260,26 @@ func FuzzLoopTick(f *testing.F) {
 
 			pr, perr := plain.Tick(in)
 			dr, derr := down.Tick(in)
+			fin := in
+			if mask&8 != 0 {
+				idle := func(v []float64) []float64 {
+					if v == nil {
+						return nil
+					}
+					return append([]float64{0}, v[1:]...)
+				}
+				fin.Counts, fin.Work, fin.OracleLambdas = idle(in.Counts), idle(in.Work), idle(in.OracleLambdas)
+			}
+			fr, ferr := floored.Tick(fin)
 
 			if perr == nil {
 				checkRates(tick, pr)
 			}
 			if derr == nil {
 				checkRates(tick, dr)
+			}
+			if ferr == nil {
+				checkRates(tick, fr)
 			}
 			if got := plain.InputRejected(); got != wantPlain {
 				t.Fatalf("tick %d: psd InputRejected = %d, want %d", tick, got, wantPlain)

@@ -30,6 +30,12 @@ func (d deterministic) InverseMoment() float64 { return 1 / d.v }
 // component never perturbs sibling streams.
 func (d deterministic) Sample(*rng.Source) float64 { return d.v }
 
+func (d deterministic) Fill(_ *rng.Source, dst []float64) {
+	for j := range dst {
+		dst[j] = d.v
+	}
+}
+
 func (d deterministic) String() string { return fmt.Sprintf("Deterministic(%g)", d.v) }
 
 // exponential is the memoryless law with service rate mu (mean 1/mu),
@@ -56,6 +62,14 @@ func (d exponential) InverseMoment() float64 { return math.Inf(1) }
 // Sample is the Source's exponential, which is strictly positive (a
 // zero job size would poison downstream 1/x slowdown statistics).
 func (d exponential) Sample(src *rng.Source) float64 { return src.ExpFloat64(d.mu) }
+
+// Fill divides unit exponentials by the rate, as ExpFloat64 does.
+func (d exponential) Fill(src *rng.Source, dst []float64) {
+	src.FillExp(dst)
+	for j := range dst {
+		dst[j] /= d.mu
+	}
+}
 
 func (d exponential) String() string { return fmt.Sprintf("Exponential(rate=%g)", d.mu) }
 
@@ -91,6 +105,12 @@ func (d uniform) InverseMoment() float64 {
 
 func (d uniform) Sample(src *rng.Source) float64 {
 	return d.a + (d.b-d.a)*src.Float64()
+}
+
+func (d uniform) Fill(src *rng.Source, dst []float64) {
+	for j := range dst {
+		dst[j] = d.Sample(src)
+	}
 }
 
 func (d uniform) String() string { return fmt.Sprintf("Uniform[%g, %g]", d.a, d.b) }

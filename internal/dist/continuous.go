@@ -50,6 +50,12 @@ func (d lognormal) Sample(src *rng.Source) float64 {
 	return math.Exp(d.mu + d.sigma*src.NormFloat64())
 }
 
+func (d lognormal) Fill(src *rng.Source, dst []float64) {
+	for j := range dst {
+		dst[j] = d.Sample(src)
+	}
+}
+
 func (d lognormal) String() string {
 	return fmt.Sprintf("Lognormal(mu=%g, sigma=%g)", d.mu, d.sigma)
 }

@@ -62,6 +62,17 @@ type Distribution interface {
 	String() string
 }
 
+// Filler is a Distribution whose draws are a function of the stream
+// alone, so a consumer may draw ahead of need: Fill writes to dst the
+// values len(dst) successive Sample(src) calls would return, in order,
+// and leaves src where those calls would. The package's own laws opt in,
+// except a Scaled one, which cannot vouch for the law it wraps; a law
+// whose Sample keeps state of its own between draws must not.
+type Filler interface {
+	Distribution
+	Fill(src *rng.Source, dst []float64)
+}
+
 // checkParam validates a strictly positive, finite scalar parameter.
 func checkParam(name string, v float64) error {
 	if !(v > 0) || math.IsInf(v, 0) || math.IsNaN(v) {

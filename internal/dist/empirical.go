@@ -48,6 +48,12 @@ func (d *empirical) Sample(src *rng.Source) float64 {
 	return d.sizes[src.Intn(len(d.sizes))]
 }
 
+func (d *empirical) Fill(src *rng.Source, dst []float64) {
+	for j := range dst {
+		dst[j] = d.Sample(src)
+	}
+}
+
 func (d *empirical) String() string {
 	return fmt.Sprintf("Empirical(n=%d, mean=%.4g)", len(d.sizes), d.mean)
 }

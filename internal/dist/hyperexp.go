@@ -70,6 +70,12 @@ func (d hyperExp2) Sample(src *rng.Source) float64 {
 	return src.ExpFloat64(mu)
 }
 
+func (d hyperExp2) Fill(src *rng.Source, dst []float64) {
+	for j := range dst {
+		dst[j] = d.Sample(src)
+	}
+}
+
 func (d hyperExp2) String() string {
 	return fmt.Sprintf("HyperExp2(mean=%g, scv=%g)", d.mean, d.scv)
 }

@@ -137,6 +137,24 @@ func (d *BoundedPareto) Sample(src *rng.Source) float64 {
 	return d.sampleSlow(z, src, b)
 }
 
+// Fill is Sample over dst, the fast path inline.
+func (d *BoundedPareto) Fill(src *rng.Source, dst []float64) {
+	z := d.zig.Load()
+	if z == nil {
+		z = d.buildZiggurat()
+	}
+	k := d.K
+	for j := range dst {
+		b := src.Uint64()
+		i := b & (bpLayers - 1)
+		if dx := rng.Unit53(b) * z.w[i]; dx < z.w[i+1] {
+			dst[j] = k + dx
+		} else {
+			dst[j] = d.sampleSlow(z, src, b)
+		}
+	}
+}
+
 // Scaled returns this law under Lemma 2's capacity transform: job sizes
 // divided by rate, as seen by a server of that capacity.
 func (d *BoundedPareto) Scaled(rate float64) (Distribution, error) {

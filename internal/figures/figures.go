@@ -505,6 +505,7 @@ func transientRender(o Options, aggs []*simsrv.Aggregate) (Figure, error) {
 			"ewma alpha=0.5; target ratio 2.", stepAt),
 	}
 	window := win.ApplyDefaults().Window
+	ticks := win.Warmup - math.Mod(win.Warmup, window) // the measurement windows start at a tick
 	names := []string{"window estimator", "ewma estimator"}
 	for pi, agg := range aggs {
 		s := Series{Name: names[pi]}
@@ -512,7 +513,7 @@ func transientRender(o Options, aggs []*simsrv.Aggregate) (Figure, error) {
 			if math.IsNaN(v) {
 				continue
 			}
-			s.X = append(s.X, win.Warmup+float64(k+1)*window)
+			s.X = append(s.X, ticks+float64(k+1)*window)
 			s.Y = append(s.Y, v)
 		}
 		f.Series = append(f.Series, s)

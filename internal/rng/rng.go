@@ -27,6 +27,8 @@
 // TestCommonRandomNumbersAcrossPolicies).
 package rng
 
+import "math/bits"
+
 // Source is a xoshiro256** PRNG. It is NOT safe for concurrent use; create
 // one Source per goroutine (see Split).
 type Source struct {
@@ -90,19 +92,20 @@ func (r *Source) SplitInto(dst *Source, id uint64) {
 	}
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *Source) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	x, s0, s1, s2, s3 := step(r.s[0], r.s[1], r.s[2], r.s[3])
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return x
+}
+
+// step is one xoshiro256** step on a state held in four words: the
+// output and the next state. A loop that draws many words keeps the
+// state in locals through it (FillExp).
+func step(s0, s1, s2, s3 uint64) (x, n0, n1, n2, n3 uint64) {
+	s2 ^= s0
+	s3 ^= s1
+	return bits.RotateLeft64(s1*5, 7) * 9, s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)
 }
 
 // Float64 returns a uniformly distributed float64 in [0, 1) with 53 bits of

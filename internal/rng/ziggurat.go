@@ -149,6 +149,28 @@ func (r *Source) ExpFloat64(rate float64) float64 {
 	return r.expSlow(i, x) / rate
 }
 
+// FillExp writes the stream's next len(dst) unit exponentials to dst,
+// for a consumer that draws ahead of need: dst[j]/rate is, bit for bit,
+// what the j-th of len(dst) successive ExpFloat64(rate) calls would have
+// returned, whatever the rate, and the Source is left where those calls
+// would leave it.
+func (r *Source) FillExp(dst []float64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for j := range dst {
+		var b uint64
+		b, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		i := b & zigMask
+		x := Unit53(b) * expZig.x[i]
+		if x >= expZig.x[i+1] {
+			r.s = [4]uint64{s0, s1, s2, s3}
+			x = r.expSlow(i, x)
+			s0, s1, s2, s3 = r.s[0], r.s[1], r.s[2], r.s[3]
+		}
+		dst[j] = x
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
 // expSlow finishes a unit-exponential draw whose first point (layer i,
 // abscissa x) missed the fast path.
 func (r *Source) expSlow(i uint64, x float64) float64 {

@@ -235,3 +235,44 @@ func TestExpSqueezeMatchesExp(t *testing.T) {
 		t.Errorf("squeeze decides %.4f of wedge points, want ≥ 0.95", share)
 	}
 }
+
+// TestFillExpMatchesExpFloat64 is the draw-ahead contract: unit
+// exponentials taken ahead by FillExp, in chunks of every length from 1
+// to 97 and divided by a rate that changes between chunks, equal
+// successive ExpFloat64(rate) calls bit for bit over 10⁶ draws, slow-path
+// and tail draws included, and leave the Source in the same state.
+func TestFillExpMatchesExpFloat64(t *testing.T) {
+	const n = 1_000_000
+	rates := []float64{1, 0.7, 3e-5, 40, 1.5e9}
+	ahead, single, probe := New(5), New(5), New(5)
+	buf := make([]float64, 97)
+	for drawn, chunk := 0, 0; drawn < n; chunk++ {
+		dst := buf[:1+chunk%len(buf)]
+		rate := rates[chunk%len(rates)]
+		ahead.FillExp(dst)
+		for j, u := range dst {
+			if got, want := u/rate, single.ExpFloat64(rate); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("draw %d (chunk %d, rate %v): %v ahead, %v from ExpFloat64", drawn+j, chunk, rate, got, want)
+			}
+		}
+		drawn += len(dst)
+	}
+	if a, s := ahead.Uint64(), single.Uint64(); a != s {
+		t.Fatalf("sources part after the draws: next words %#x and %#x", a, s)
+	}
+	// The same stream, counting how its draws ended.
+	slow, tail := 0, 0
+	for j := 0; j < n; j++ {
+		b := probe.Uint64()
+		i := b & zigMask
+		if x := Unit53(b) * expZig.x[i]; x >= expZig.x[i+1] {
+			slow++
+			if probe.expSlow(i, x) > expR {
+				tail++
+			}
+		}
+	}
+	if slow < 5000 || tail < 200 {
+		t.Fatalf("%d slow-path and %d tail draws in %d, want ≥ 5000 and ≥ 200", slow, tail, n)
+	}
+}

@@ -92,7 +92,7 @@ func NewAggregator(cfg Config) *Aggregator {
 	nc := len(cfg.Classes)
 	a := &Aggregator{
 		nc:         nc,
-		numWindows: int(math.Ceil(cfg.Horizon / cfg.Window)),
+		numWindows: measuredWindows(&cfg),
 		perClass:   make([]stats.Welford, nc),
 		ratioMeans: make([]stats.Welford, nc),
 		ratios:     make([]stats.StreamingSummary, nc),
@@ -102,6 +102,13 @@ func NewAggregator(cfg Config) *Aggregator {
 		a.ratios[i].Init()
 	}
 	return a
+}
+
+// measuredWindows is how many measurement windows a run of cfg reports
+// (ClassStats.WindowMeans): the control windows from the last tick at or
+// before Warmup to the end of the run.
+func measuredWindows(cfg *Config) int {
+	return int(math.Ceil((math.Mod(cfg.Warmup, cfg.Window) + cfg.Horizon) / cfg.Window))
 }
 
 // TrackWindowRatios additionally accumulates each measurement window's

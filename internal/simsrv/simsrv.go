@@ -28,8 +28,12 @@
 // time unit and sizes are in work units. Rates are reallocated every
 // Window time units from the mean load of the past HistoryWindows windows;
 // the simulator warms up for Warmup time units and then measures for
-// Horizon time units; per-class slowdown is also aggregated per Window for
-// the predictability analysis (Figures 5–8).
+// Horizon time units; per-class slowdown is also aggregated per window for
+// the predictability analysis (Figures 5–8). A measurement window is the
+// control window: the tick that reallocates also closes the window's
+// slowdown batch, whose mean is the window's ClassStats.WindowMeans entry
+// (which says where the windows fall when Warmup is not a multiple of
+// Window).
 //
 // The execution engine is arena-based: a Simulator owns every buffer a
 // replication needs (event set, request rings, estimator ring, per-class
@@ -43,10 +47,16 @@
 // and RunInto steps it that way: one class at a time, finishing each
 // request when it arrives by Lindley's recursion (start = max(arrival,
 // server free), completion = start + size/rate) unless it would cross the
-// boundary, then the boundary through the event set. The shared-server
-// models, admission, trace replay and request recording couple the
-// classes at every event and run one global (time, seq) scan instead.
-// Both give the same Result to the last bit (FuzzClassSteppingVsScan).
+// boundary, then the boundary through the event set. That class kernel
+// calls nothing between buffer refills: each class draws its arrival
+// gaps and job sizes ahead into small fixed buffers in the arena, and
+// keeps what its requests add up to (slowdown batch, delay and service
+// sums, feedback sums, the loop's open-window count and work) in locals
+// that it writes back once per boundary. The shared-server models,
+// admission, trace replay and request recording couple the classes at
+// every event and run one global (time, seq) scan instead, reading
+// through the same buffers and recording through the same routine. Both
+// give the same Result to the last bit (FuzzClassSteppingVsScan).
 package simsrv
 
 import (
@@ -237,8 +247,23 @@ type ClassStats struct {
 	MaxSlowdown  float64
 	MeanDelay    float64
 	MeanService  float64
-	// WindowMeans[i] is the mean slowdown of requests completing in
-	// measurement window i (NaN for empty windows).
+	// WindowMeans[i] is the mean slowdown of the measured requests that
+	// completed in measurement window i (NaN when none did). A
+	// measurement window is the control window: the span between two
+	// ticks, or between a tick and the end of the run, reported when it
+	// reaches past Warmup and starts before the end. With Warmup a
+	// multiple of Window, window i is [Warmup + i·Window, Warmup +
+	// (i+1)·Window) cut at the end, ⌈Horizon/Window⌉ windows in all.
+	// Otherwise the first runs from Warmup to the next tick: with Warmup
+	// 1500, Window 1000 and Horizon 20000 they are [1500, 2000), [2000,
+	// 3000), …, [21000, 21500), 21 windows (⌈(Warmup mod Window +
+	// Horizon)/Window⌉ in general).
+	// A request counts in the window that was open when it completed. One
+	// that completes exactly on a tick counts in the window the tick
+	// closes if its completion fired first, having been armed before the
+	// tick was — on a partitioned task server, a job in service at the
+	// previous tick, whose completion that tick re-armed before arming
+	// this one — and in the next window otherwise.
 	WindowMeans []float64
 }
 
@@ -282,41 +307,133 @@ type Result struct {
 	Records []RequestRecord
 }
 
+// drawAhead is how many draws a class takes ahead from each of its two
+// streams: 2 × 64 float64s, 1 KiB per class inside the arena.
+const drawAhead = 64
+
 // classState is everything Fig. 1 draws around the server box for one
 // class: the generator's streams and arrival process, and the metrics.
-// Class states live by value in the runner's arena; the window series is
-// retained across resets.
+// Class states live by value in the runner's arena, draw-ahead buffers
+// included; the window means are retained across resets.
 //
-// A completion costs the metrics adds and compares only (plus the
-// slowdown's own division and the window series' index): slowdowns
-// gather in slow, a stats.Window that folds into slowRun at every
-// control tick and once more when the result is collected, and
-// delay and service time are read only for their means, so they are
-// plain sums.
+// Both streams are read through their buffers by every consumer — the
+// class kernel, HandleRole, armArrival and so the phase redraw — so each
+// is consumed in the order one draw per request would consume it: the
+// arrival stream as unit exponentials (a gap is one divided by
+// curLambda, exactly as ExpFloat64 divides), the size stream in
+// drawAhead batches when the law is a dist.Filler and one draw per
+// request otherwise.
 type classState struct {
 	cfg     ClassConfig
 	service dist.Distribution
+	filler  dist.Filler // service, when it may be drawn ahead; else nil
 
 	arrivalRng rng.Source
 	sizeRng    rng.Source
+	// gaps and sizes hold the draws taken ahead; gapAt and sizeAt index
+	// the next unread one (drawAhead: none left).
+	gaps, sizes   [drawAhead]float64
+	gapAt, sizeAt int
 
 	// curLambda is the phase-adjusted Poisson rate (= cfg.Lambda while no
 	// LoadSchedule phase is active).
 	curLambda float64
 
-	slow     stats.Window  // measured slowdowns since the last fold
+	acc      classAcc      // what the requests completed since the last tick add up to
 	slowRun  stats.Welford // measured slowdowns folded in so far
-	delaySum float64       // Σ queueing delay of measured requests
-	svcSum   float64       // Σ service time of measured requests
-	windows  stats.WindowSeries
-	// winSlowN and winSlowSum count and sum the current reallocation
-	// window's slowdowns (including warmup), the feedback controller's
-	// input; reset at every reallocation tick. Untouched without
-	// Config.Feedback.
-	winSlowN   int64
-	winSlowSum float64
+	winMeans []float64     // mean slowdown of each measurement window closed so far
 	// rejected counts arrivals dropped by the admission controller.
 	rejected int64
+}
+
+// classAcc is what a class's completions add into between two control
+// ticks, with adds and compares only (plus the slowdown's own division):
+// measured slowdowns gather in slow, a stats.Window whose mean at the
+// tick is the window's WindowMeans entry and which then folds into the
+// run's Welford; delay and service time are read only for their means,
+// so they are plain sums; fbN and fbSum count and sum every slowdown,
+// warm-up included, for the feedback controller.
+type classAcc struct {
+	slow             stats.Window
+	delaySum, svcSum float64
+	fbN              int64
+	fbSum            float64
+}
+
+// slowdownOf is a request's queueing delay over its service time (0 for
+// a service time that is not positive).
+func slowdownOf(delay, service float64) float64 {
+	if service > 0 {
+		return delay / service
+	}
+	return 0
+}
+
+// record adds one completion with the given slowdown (slowdownOf),
+// queueing delay and service time, measured (completed at or after
+// Warmup) or not: the one copy of the per-request accumulation, which
+// served runs on the class's accumulators and the class kernel on a
+// local copy of them. It stays within the compiler's inlining budget, so
+// the kernel's loop makes no call for it.
+func (a *classAcc) record(slowdown, delay, service float64, measured bool) {
+	a.fbN++
+	a.fbSum += slowdown
+	if measured {
+		a.slow.Add(slowdown)
+		a.delaySum += delay
+		a.svcSum += service
+	}
+}
+
+// nextGap returns the time from the class's arrival to its next at rate
+// curLambda > 0.
+func (cs *classState) nextGap() float64 {
+	if cs.gapAt == drawAhead {
+		cs.refillGaps()
+	}
+	cs.gapAt++
+	return cs.gaps[cs.gapAt-1] / cs.curLambda
+}
+
+// refillGaps draws the next drawAhead unit exponentials. It stays out
+// of line so that nextGap, the per-arrival part, inlines.
+//
+//go:noinline
+func (cs *classState) refillGaps() {
+	cs.arrivalRng.FillExp(cs.gaps[:])
+	cs.gapAt = 0
+}
+
+// nextSize returns the size of the class's next request.
+func (cs *classState) nextSize() float64 {
+	if cs.sizeAt == drawAhead {
+		cs.refillSizes()
+	}
+	cs.sizeAt++
+	return cs.sizes[cs.sizeAt-1]
+}
+
+// refillSizes draws ahead the whole buffer from a dist.Filler, and from
+// any other law the next size alone, into the last slot.
+func (cs *classState) refillSizes() {
+	if cs.filler == nil {
+		cs.sizeAt = drawAhead - 1
+		cs.sizes[cs.sizeAt] = cs.service.Sample(&cs.sizeRng)
+		return
+	}
+	cs.filler.Fill(&cs.sizeRng, cs.sizes[:])
+	cs.sizeAt = 0
+}
+
+// closeWindow ends the class's measurement window at a control tick or
+// at the end of the run: its mean slowdown becomes the next WindowMeans
+// entry when the window is reported (see ClassStats.WindowMeans), and
+// its slowdowns fold into the run's.
+func (cs *classState) closeWindow(reported bool) {
+	if reported {
+		cs.winMeans = append(cs.winMeans, cs.acc.slow.Mean())
+	}
+	cs.acc.slow.FoldInto(&cs.slowRun)
 }
 
 // serviceModel is the "server" box of Fig. 1 — the one part §2.2 swaps.
@@ -364,8 +481,9 @@ type runner struct {
 	traceIdx int            // next trace entry to arrive
 	phaseIdx int            // next LoadSchedule phase to apply
 
-	compBase, tickRole int    // role layout, see above
-	stepped            uint64 // model events runByClass handled outside r.sim
+	compBase, tickRole int     // role layout, see above
+	stepped            uint64  // model events runByClass handled outside r.sim
+	winFrom            float64 // when the open control window began
 
 	// Reallocation scratch, reused every window tick (the loop owns its
 	// own estimator/allocator buffers; these feed its Tick inputs).
@@ -390,8 +508,7 @@ type runner struct {
 func (r *runner) HandleRole(role int) {
 	switch {
 	case role < r.compBase:
-		cs := &r.classes[role]
-		r.arrive(role, cs.service.Sample(&cs.sizeRng))
+		r.arrive(role, r.classes[role].nextSize())
 		r.armArrival(role)
 	case role < r.tickRole:
 		r.model.complete(role - r.compBase)
@@ -443,7 +560,7 @@ func (r *runner) reset(cfg *Config, w core.Workload, model serviceModel, trace [
 		// rates, so replay runs without phases.
 		r.cfg.LoadSchedule = nil
 	}
-	r.traceIdx, r.phaseIdx, r.stepped = 0, 0, 0
+	r.traceIdx, r.phaseIdx, r.stepped, r.winFrom = 0, 0, 0, 0
 	r.reallocOK = 0
 	r.reallocFail = 0
 	r.records = r.records[:0]
@@ -466,15 +583,14 @@ func (r *runner) reset(cfg *Config, w core.Workload, model serviceModel, trace [
 		}
 		cs.cfg = cc
 		cs.service = svc
+		cs.filler, _ = svc.(dist.Filler)
 		r.src.SplitInto(&cs.arrivalRng, uint64(2*i+1))
 		r.src.SplitInto(&cs.sizeRng, uint64(2*i+2))
+		cs.gapAt, cs.sizeAt = drawAhead, drawAhead
 		cs.curLambda = cc.Lambda
-		cs.slow = stats.Window{}
+		cs.acc = classAcc{}
 		cs.slowRun = stats.Welford{}
-		cs.delaySum, cs.svcSum = 0, 0
-		cs.winSlowN, cs.winSlowSum = 0, 0
-		cs.windows.Width = cfg.Window
-		cs.windows.Reset()
+		cs.winMeans = cs.winMeans[:0]
 		cs.rejected = 0
 	}
 	r.allocDeltas = resizeFloat(r.allocDeltas, nc)
@@ -586,7 +702,7 @@ func (r *runner) armArrival(i int) {
 		r.sim.Clear(i)
 		return
 	}
-	r.sim.SetAfter(i, cs.arrivalRng.ExpFloat64(cs.curLambda))
+	r.sim.SetAfter(i, cs.nextGap())
 }
 
 // armTrace arms the trace cursor at the next entry within the run.
@@ -613,30 +729,17 @@ func (r *runner) shed(class int, size, now float64) bool {
 }
 
 // served records one request finished at now, the one place every
-// service model and both steppings report a completion. service is the
-// time it occupied its server: completion − start on a paced task
-// server, the size itself on the full-speed processor. It only adds and
-// compares into the class's accumulators; onRealloc and collectInto
-// fold them.
+// service model and the global scan report a completion (the class
+// kernel records into a local copy of the same accumulators, through the
+// same classAcc.record). service is the time it occupied its server:
+// completion − start on a paced task server, the size itself on the
+// full-speed processor. onRealloc and collectInto fold what it adds.
 func (r *runner) served(now float64, class int, size, arrival, start, service float64) {
-	cs := &r.classes[class]
+	measured := now >= r.cfg.Warmup
 	delay := start - arrival
-	var slowdown float64
-	if service > 0 {
-		slowdown = delay / service
-	}
-	if r.cfg.Feedback {
-		cs.winSlowN++
-		cs.winSlowSum += slowdown
-	}
-	if now < r.cfg.Warmup {
-		return
-	}
-	cs.slow.Add(slowdown)
-	cs.delaySum += delay
-	cs.svcSum += service
-	cs.windows.Observe(now-r.cfg.Warmup, slowdown)
-	if r.cfg.RecordRequests && now >= r.cfg.RecordFrom && now < r.cfg.RecordTo {
+	slowdown := slowdownOf(delay, service)
+	r.classes[class].acc.record(slowdown, delay, service, measured)
+	if measured && r.cfg.RecordRequests && now >= r.cfg.RecordFrom && now < r.cfg.RecordTo {
 		r.records = append(r.records, RequestRecord{
 			Class: class, Arrival: arrival, ServiceStart: start,
 			Completion: now, Size: size, Slowdown: slowdown,
@@ -644,8 +747,9 @@ func (r *runner) served(now float64, class int, size, arrival, start, service fl
 	}
 }
 
-// onRealloc drives one tick of the shared control plane: fold each
-// class's window of slowdowns into its run statistics, feed the loop
+// onRealloc drives one tick of the shared control plane: close each
+// class's measurement window (its mean joins WindowMeans once the window
+// reaches past Warmup; its slowdowns fold into the run's), feed the loop
 // this window's mean slowdowns (feedback mode), the true rates (oracle
 // mode) and the work the admission gate shed, let control.Loop close the
 // estimation window, re-run the allocator and step its degradation
@@ -656,22 +760,21 @@ func (r *runner) served(now float64, class int, size, arrival, start, service fl
 // completion order, so the folds, and with them every statistic, agree
 // to the last bit.
 func (r *runner) onRealloc() {
+	now := r.sim.Now()
+	measured := r.allocMeasured
 	for i := range r.classes {
 		cs := &r.classes[i]
-		cs.slow.FoldInto(&cs.slowRun)
+		cs.closeWindow(now > r.cfg.Warmup)
+		if cs.acc.fbN > 0 {
+			measured[i] = cs.acc.fbSum / float64(cs.acc.fbN)
+		} else {
+			measured[i] = math.NaN()
+		}
+		cs.acc.fbN, cs.acc.fbSum = 0, 0
 	}
+	r.winFrom = now
 	var in control.TickInput
 	if r.cfg.Feedback {
-		measured := r.allocMeasured
-		for i := range r.classes {
-			cs := &r.classes[i]
-			if cs.winSlowN > 0 {
-				measured[i] = cs.winSlowSum / float64(cs.winSlowN)
-			} else {
-				measured[i] = math.NaN()
-			}
-			cs.winSlowN, cs.winSlowSum = 0, 0
-		}
 		in.MeasuredSlowdowns = measured
 	}
 	if r.cfg.Oracle {
@@ -695,9 +798,9 @@ func (r *runner) onRealloc() {
 		r.reallocFail++
 	}
 	if math.IsNaN(r.ladderEngagedAt) && r.loop.LadderEngaged() {
-		r.ladderEngagedAt = r.sim.Now()
+		r.ladderEngagedAt = now
 	}
-	if r.sim.Now() < r.total {
+	if now < r.total {
 		r.sim.SetAfter(r.tickRole, r.cfg.Window)
 	}
 }
@@ -747,27 +850,21 @@ func (r *runner) collectInto(res *Result) {
 	// for the next replication (ping-pong, so neither side reallocates).
 	r.records, res.Records = res.Records[:0], r.records
 
-	numWindows := int(math.Ceil(r.cfg.Horizon / r.cfg.Window))
 	var sysSlow, sysCount float64
 	for i := range r.classes {
 		cs := &r.classes[i]
 		st := &res.Classes[i]
-		cs.slow.FoldInto(&cs.slowRun)
+		// The open window ends with the run; one that a tick at the end
+		// opened lies wholly after it.
+		cs.closeWindow(r.winFrom < r.total)
 		st.Count = cs.slowRun.N()
 		st.Rejected = cs.rejected
 		st.MeanSlowdown = cs.slowRun.Mean()
 		st.StdSlowdown = cs.slowRun.Std()
 		st.MaxSlowdown = cs.slowRun.Max()
-		st.MeanDelay = cs.delaySum / float64(st.Count)
-		st.MeanService = cs.svcSum / float64(st.Count)
-		st.WindowMeans = resizeFloat(st.WindowMeans, numWindows)
-		for wi := 0; wi < numWindows; wi++ {
-			if m, ok := cs.windows.WindowMean(wi); ok {
-				st.WindowMeans[wi] = m
-			} else {
-				st.WindowMeans[wi] = math.NaN()
-			}
-		}
+		st.MeanDelay = cs.acc.delaySum / float64(st.Count)
+		st.MeanService = cs.acc.svcSum / float64(st.Count)
+		st.WindowMeans = append(st.WindowMeans[:0], cs.winMeans...)
 		if st.Count > 0 {
 			sysSlow += st.MeanSlowdown * float64(st.Count)
 			sysCount += float64(st.Count)

@@ -1,6 +1,7 @@
 package simsrv
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"testing"
@@ -349,7 +350,115 @@ func TestStatisticsMatchRecords(t *testing.T) {
 					}
 				}
 			}
+			// No completion ties with a tick at random times, so each
+			// counts in the window of its completion time.
+			byTime := windowMeansOf(res.Records, cfg, func(RequestRecord) bool { return false })
+			for i, st := range res.Classes {
+				checkWindowMeans(t, fmt.Sprintf("class %d", i), st.WindowMeans, byTime[i])
+			}
 		})
+	}
+}
+
+// TestWindowsMisalignedWarmup pins where the measurement windows fall
+// when Warmup is not a multiple of Window: they are the control windows,
+// so the first runs from Warmup to the next tick and the last from the
+// last tick to the end — [1500, 2000), [2000, 3000), …, [21000, 21500)
+// for Warmup 1500, Window 1000 and Horizon 20000, 21 windows where a
+// Window-aligned warm-up has ⌈Horizon/Window⌉ = 20; 21 again for Horizon
+// 20200 (the last is [21000, 21700)) and 22 for 20600. The class kernel
+// (no records) and the global scan (records) report the same means, and
+// the Aggregator sizes its per-window rows to match.
+func TestWindowsMisalignedWarmup(t *testing.T) {
+	for _, tc := range []struct {
+		horizon float64
+		windows int
+	}{{20000, 21}, {20200, 21}, {20600, 22}} {
+		cfg := fastConfig([]float64{1, 4}, 0.7)
+		cfg.Warmup, cfg.Horizon = 1500, tc.horizon
+		recorded := cfg
+		recorded.RecordRequests, recorded.RecordFrom, recorded.RecordTo = true, cfg.Warmup, math.Inf(1)
+		res, err := Run(recorded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stepped, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := cfg.ApplyDefaults(); measuredWindows(&d) != tc.windows {
+			t.Fatalf("horizon %v: the Aggregator expects %d windows, want %d", tc.horizon, measuredWindows(&d), tc.windows)
+		}
+		want := windowMeansOf(res.Records, cfg, func(RequestRecord) bool { return false })
+		for i := range res.Classes {
+			if n := len(res.Classes[i].WindowMeans); n != tc.windows {
+				t.Fatalf("horizon %v, class %d: %d windows, want %d", tc.horizon, i, n, tc.windows)
+			}
+			label := fmt.Sprintf("horizon %v, class %d", tc.horizon, i)
+			checkWindowMeans(t, label+", recorded run", res.Classes[i].WindowMeans, want[i])
+			checkWindowMeans(t, label+", stepped run", stepped.Classes[i].WindowMeans, want[i])
+		}
+		// The first window holds only what completed in [1500, 2000).
+		sum, n := 0.0, 0
+		for _, r := range res.Records {
+			if r.Class == 0 && r.Completion < 2000 {
+				sum += r.Slowdown
+				n++
+			}
+		}
+		if n == 0 || res.Classes[0].WindowMeans[0] != sum/float64(n) {
+			t.Fatalf("horizon %v: class 0 window 0 mean %v, want %v over the %d requests completed in [1500, 2000)", tc.horizon, res.Classes[0].WindowMeans[0], sum/float64(n), n)
+		}
+	}
+}
+
+// windowMeansOf recomputes each class's WindowMeans from a run's records
+// of every measured request, by the documented rule: control window k is
+// [k·Window, (k+1)·Window), reported from the first that reaches past
+// Warmup to the last that starts before the end, and a request counts in
+// the window of its completion time — or, when before says it fired
+// ahead of a tick it tied with, in the window that tick closes. Sums run
+// in record order, which is each class's completion order.
+func windowMeansOf(recs []RequestRecord, cfg Config, before func(RequestRecord) bool) [][]float64 {
+	cfg = cfg.ApplyDefaults()
+	first := int(math.Floor(cfg.Warmup / cfg.Window))
+	last := int(math.Ceil((cfg.Warmup+cfg.Horizon)/cfg.Window)) - 1
+	sums := make([][]float64, len(cfg.Classes))
+	counts := make([][]int, len(cfg.Classes))
+	for i := range sums {
+		sums[i] = make([]float64, last-first+1)
+		counts[i] = make([]int, last-first+1)
+	}
+	for _, r := range recs {
+		k := int(math.Floor(r.Completion / cfg.Window))
+		if before(r) {
+			k--
+		}
+		if k -= first; k >= 0 && k < len(sums[r.Class]) {
+			sums[r.Class][k] += r.Slowdown
+			counts[r.Class][k]++
+		}
+	}
+	means := make([][]float64, len(cfg.Classes))
+	for i := range means {
+		means[i] = make([]float64, len(sums[i]))
+		for k := range means[i] {
+			means[i][k] = sums[i][k] / float64(counts[i][k])
+		}
+	}
+	return means
+}
+
+// checkWindowMeans requires got to equal want bit for bit (NaN for NaN).
+func checkWindowMeans(t *testing.T, label string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d window means, want %d", label, len(got), len(want))
+	}
+	for k := range got {
+		if got[k] != want[k] && !(math.IsNaN(got[k]) && math.IsNaN(want[k])) {
+			t.Fatalf("%s: window %d mean %.17g, records give %.17g", label, k, got[k], want[k])
+		}
 	}
 }
 

@@ -147,14 +147,16 @@ func FuzzClassSteppingVsScan(f *testing.F) {
 // replays its class's arrival stream (stream 2i+1 split off the
 // replication's root source, as runner.reset derives it) and, for a
 // class served at a fixed rate, sizes each request so that it completes
-// exactly at the control tick before the next arrival when there is one,
-// else exactly at the next arrival (every other request; the rest take
-// half the gap). Sample hands the sizes out in arrival order and ignores
-// its source.
+// exactly at the second control tick after its arrival when the next
+// arrival comes later still (spanning the tick between), else exactly
+// at the control tick before the next arrival when there is one, else
+// exactly at the next arrival (every other request; the rest take half
+// the gap). Sample hands the sizes out in arrival order and ignores its
+// source.
 type tieLaw struct {
-	sizes                 []float64
-	next                  int
-	arrivalTies, tickTies int
+	sizes                           []float64
+	next                            int
+	arrivalTies, tickTies, spanTies int
 }
 
 func newTieLaw(seed uint64, class int, lambda, rate, window, total float64) *tieLaw {
@@ -167,7 +169,13 @@ func newTieLaw(seed uint64, class int, lambda, rate, window, total float64) *tie
 		next := a + arrivals.ExpFloat64(lambda)
 		tick := (math.Floor(a/window) + 1) * window
 		size := (next - a) * rate / 2
+		// A spanning job's remaining work is synced at the tick between
+		// and its completion re-armed from there.
+		span := (tick + window - a) * rate
 		switch {
+		case tick+window < next && tick+(span-(tick-a)*rate)/rate == tick+window:
+			size = span
+			law.spanTies++
 		case tick < next && a+(tick-a)*rate/rate == tick:
 			size = (tick - a) * rate
 			law.tickTies++
@@ -199,10 +207,14 @@ func (l *tieLaw) Sample(*rng.Source) float64 {
 // rate sync leaves at zero remaining work and re-arms at the same
 // instant, so it is served after the tick. Feedback and a flight
 // recorder make that order visible: the tick's measured window slowdowns
-// must not include it.
+// must not include it. A third kind of tie is a job that spans a tick and
+// completes exactly on the next: its completion, re-armed by the tick it
+// spans, fires before the tick it ties with, so it counts in the window
+// that tick closes, where int((t − Warmup)/Window) would put it in the
+// next. A recorded run pins that rule on every class's WindowMeans.
 func TestClassSteppingExactTies(t *testing.T) {
 	const seed, window, lambda, rate = 11, 10.0, 0.4, 0.5
-	run := func(scan bool) (string, []*tieLaw) {
+	config := func() (Config, []*tieLaw) {
 		cfg := EqualLoadConfig([]float64{1, 2}, 0.5, nil)
 		cfg.Allocator = core.EqualShare{}
 		cfg.Window, cfg.Warmup, cfg.Horizon, cfg.Seed = window, 100, 3000, seed
@@ -213,6 +225,10 @@ func TestClassSteppingExactTies(t *testing.T) {
 			laws[i] = newTieLaw(seed, i, lambda, rate, window, cfg.Warmup+cfg.Horizon)
 			cfg.Classes[i].Lambda, cfg.Classes[i].Service = lambda, laws[i]
 		}
+		return cfg, laws
+	}
+	run := func(scan bool) (string, []*tieLaw) {
+		cfg, laws := config()
 		return runStepping(t, cfg, scan) + fmt.Sprintf("%+v", cfg.Recorder.Snapshot()), laws
 	}
 	scan, laws := run(true)
@@ -226,5 +242,46 @@ func TestClassSteppingExactTies(t *testing.T) {
 	}
 	if step, _ := run(false); step != scan {
 		t.Fatalf("class stepping differs from the scan under exact ties\nscan: %s\nstep: %s", scan, step)
+	}
+
+	cfg, laws := config()
+	cfg.RecordRequests, cfg.RecordFrom, cfg.RecordTo = true, cfg.Warmup, math.Inf(1)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepped, _ := config()
+	var sim Simulator
+	var want Result
+	if err := sim.Reset(stepped, stepped.Seed); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.RunInto(&want); err != nil {
+		t.Fatal(err)
+	}
+	spans := 0
+	for _, law := range laws {
+		spans += law.spanTies
+	}
+	spanned := func(r RequestRecord) bool {
+		return math.Mod(r.Completion, window) == 0 && r.ServiceStart < r.Completion-window
+	}
+	counted := 0
+	for _, r := range res.Records {
+		if spanned(r) {
+			counted++
+		}
+	}
+	if spans < 5 || counted < 5 {
+		t.Fatalf("%d spanning ties arranged, %d recorded, want ≥ 5 of each", spans, counted)
+	}
+	byFold := windowMeansOf(res.Records, cfg, spanned)
+	byTime := windowMeansOf(res.Records, cfg, func(RequestRecord) bool { return false })
+	for i := range res.Classes {
+		checkWindowMeans(t, fmt.Sprintf("class %d, recorded run", i), res.Classes[i].WindowMeans, byFold[i])
+		checkWindowMeans(t, fmt.Sprintf("class %d, stepped run", i), want.Classes[i].WindowMeans, byFold[i])
+	}
+	if fmt.Sprint(byFold) == fmt.Sprint(byTime) {
+		t.Fatal("the spanning ties move no window mean: the test pins nothing")
 	}
 }

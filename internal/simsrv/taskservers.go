@@ -225,9 +225,16 @@ func (m *taskServers) recomputeEffectiveRates() {
 // first one that does not, or that finds the rate at 0, is left in
 // service exactly as startService leaves it, and later arrivals queue
 // behind it. A backlog carried over the last boundary drains first, the
-// same way. Per-class FCFS completes jobs in arrival order, so served
-// sees them in the scan's order, and served and Loop.Observe touch
-// disjoint per-class state, so their interleaving is free.
+// same way. Per-class FCFS completes jobs in arrival order, so the
+// statistics see them in the scan's order.
+//
+// Between buffer refills the arrival loop calls nothing on its common
+// path (only queueing an arrival behind a job that crosses the boundary
+// calls push): gaps and sizes come from the class's draw-ahead buffers,
+// and the completions and arrivals add into locals — a copy of the class's accumulators, through
+// the classAcc.record that served uses, and the loop's open-window count
+// and work, as Loop.Observe would build them — written back once at the
+// end. Nothing else reads them before the boundary.
 //
 // At the end the class's two roles are written back as the scan would
 // leave them: a role re-armed in this window gets a fresh sequence number
@@ -244,14 +251,17 @@ func (m *taskServers) stepClass(i int, bound float64) (events uint64) {
 		return 0
 	}
 	cs := &r.classes[i]
-	rate := ts.effRate
+	rate, warmup := ts.effRate, r.cfg.Warmup
+	acc := cs.acc
+	seen, work := r.loop.OpenWindow(i)
 	free := math.Inf(-1) // when the jobs served on the spot release the server
 	armedC := false      // whether the completion role was re-armed or disarmed
 	startC := 0.0        // when the in-service job started, if armedC and busy
 	for tc < bound {     // the backlog carried over the last boundary
 		events++
 		req := &ts.current
-		r.served(tc, i, req.size, req.arrival, req.serviceStart, tc-req.serviceStart)
+		delay, service := req.serviceStart-req.arrival, tc-req.serviceStart
+		acc.record(slowdownOf(delay, service), delay, service, tc >= warmup)
 		armedC = true
 		if ts.queue.len() == 0 {
 			ts.busy, ts.remaining = false, 0
@@ -270,8 +280,9 @@ func (m *taskServers) stepClass(i int, bound float64) (events uint64) {
 	lastA := -1.0 // the last arrival's time; arrivals are never negative
 	for ta < bound {
 		events++
-		size := cs.service.Sample(&cs.sizeRng)
-		r.loop.Observe(i, size)
+		size := cs.nextSize()
+		seen++
+		work += size
 		if ts.busy {
 			ts.queue.push(request{size: size, arrival: ta})
 		} else {
@@ -281,7 +292,8 @@ func (m *taskServers) stepClass(i int, bound float64) (events uint64) {
 			}
 			if done < bound {
 				events++
-				r.served(done, i, size, ta, start, done-start)
+				delay, service := start-ta, done-start
+				acc.record(slowdownOf(delay, service), delay, service, done >= warmup)
 				free = done
 			} else {
 				ts.current = request{size: size, arrival: ta, serviceStart: start}
@@ -291,11 +303,13 @@ func (m *taskServers) stepClass(i int, bound float64) (events uint64) {
 		}
 		lastA = ta
 		if cs.curLambda > 0 {
-			ta += cs.arrivalRng.ExpFloat64(cs.curLambda)
+			ta += cs.nextGap()
 		} else {
 			ta = math.Inf(1)
 		}
 	}
+	cs.acc = acc
+	r.loop.SetOpenWindow(i, seen, work)
 	completionLast := armedC && startC > lastA
 	if armedC && !completionLast {
 		m.writeCompletion(ts, tc)

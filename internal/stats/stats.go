@@ -1,12 +1,15 @@
 // Package stats provides the streaming and batch statistics used by the
 // simulation harness: numerically stable moments (Welford), exact and
-// streaming quantiles, windowed time series, and normal-approximation
-// confidence intervals. (Histograms live in internal/obs.)
+// streaming quantiles, and normal-approximation confidence intervals.
+// (Histograms live in internal/obs.)
 //
 // Welford is the one run-level moment type. A hot path that records a
 // value per request (the simulator's completions) adds into a Window
 // instead — adds and compares, no division — and folds it into a
 // Welford once per batch (a control window), by the pairwise update.
+// The batch's own mean, read just before the fold, is the per-window
+// series of §4.1 ("measured for every thousand time units"): there is
+// no second, per-value series.
 //
 // Heavy-tailed slowdown data is the common case here, so the quantile
 // machinery is designed for values spanning several orders of magnitude.
@@ -140,6 +143,14 @@ func (b *Window) Add(x float64) {
 	if x > b.max {
 		b.max = x
 	}
+}
+
+// Mean returns the batch's Σx/n (NaN when empty).
+func (b *Window) Mean() float64 {
+	if b.n == 0 {
+		return math.NaN()
+	}
+	return b.sum / float64(b.n)
 }
 
 // FoldInto merges the batch into w by the pairwise update of Chan,

@@ -231,40 +231,6 @@ func TestP2PanicsOnBadQuantile(t *testing.T) {
 	}
 }
 
-func TestWindowSeries(t *testing.T) {
-	s := WindowSeries{Width: 1000}
-	s.Observe(0, 2)
-	s.Observe(999.9, 4)
-	s.Observe(1000, 10)
-	s.Observe(2500, 7)
-	s.Observe(-5, 100) // ignored
-	m, ok := s.WindowMean(0)
-	if !ok || m != 3 {
-		t.Fatalf("window 0 mean = %v ok=%v", m, ok)
-	}
-	m, ok = s.WindowMean(1)
-	if !ok || m != 10 {
-		t.Fatalf("window 1 mean = %v", m)
-	}
-	if m, ok = s.WindowMean(2); !ok || m != 7 {
-		t.Fatalf("window 2 mean = %v ok=%v", m, ok)
-	}
-	if _, ok := s.WindowMean(3); ok {
-		t.Fatal("out-of-range window should report !ok")
-	}
-	s.Reset()
-	if _, ok := s.WindowMean(0); ok {
-		t.Fatal("Reset kept window 0")
-	}
-	s.Observe(1500, 5)
-	if _, ok := s.WindowMean(0); ok {
-		t.Fatal("window 0 of a reset series has no observations")
-	}
-	if m, ok = s.WindowMean(1); !ok || m != 5 {
-		t.Fatalf("window 1 mean after Reset = %v ok=%v", m, ok)
-	}
-}
-
 func TestQuantileSortedProperty(t *testing.T) {
 	f := func(raw []float64) bool {
 		var xs []float64

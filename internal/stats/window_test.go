@@ -63,6 +63,34 @@ func relClose(got, want, tol float64) bool {
 	return math.Abs(got-want) <= tol*math.Abs(want)
 }
 
+// TestWindowMean pins the batch mean the simulator reports per window:
+// Σx/n with the sum taken in Add order, NaN for an empty batch, and a
+// fresh batch after a fold.
+func TestWindowMean(t *testing.T) {
+	var b Window
+	if !math.IsNaN(b.Mean()) {
+		t.Fatalf("empty batch mean = %v, want NaN", b.Mean())
+	}
+	xs := []float64{0.1, 0.2, 0.3, 1e9, 3}
+	sum := 0.0
+	for _, x := range xs {
+		b.Add(x)
+		sum += x
+	}
+	if got, want := b.Mean(), sum/float64(len(xs)); got != want {
+		t.Fatalf("mean = %.17g, want Σx/n = %.17g", got, want)
+	}
+	var w Welford
+	b.FoldInto(&w)
+	if !math.IsNaN(b.Mean()) {
+		t.Fatalf("folded batch mean = %v, want NaN", b.Mean())
+	}
+	b.Add(5)
+	if b.Mean() != 5 {
+		t.Fatalf("batch after a fold: mean = %v, want 5", b.Mean())
+	}
+}
+
 func TestWindowFoldMatchesWelford(t *testing.T) {
 	ramp := make([]float64, 300)
 	for i := range ramp {
