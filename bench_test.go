@@ -20,6 +20,7 @@ import (
 	"psd/internal/sched"
 	"psd/internal/simsrv"
 	"psd/internal/sweep"
+	"psd/internal/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -301,7 +302,7 @@ func BenchmarkReplication(b *testing.B) {
 				if tc.overload {
 					crowd = 1.5
 				}
-				cfg.LoadSchedule = simsrv.FlashCrowd(30000, 12000, crowd)
+				cfg.LoadSchedule = workload.FlashCrowd(30000, 12000, crowd)
 				cfg.Feedback = true
 				cfg.Allocator = core.Downgrading{}
 			}

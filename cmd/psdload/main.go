@@ -4,15 +4,18 @@
 // Usage:
 //
 //	psdload -url http://localhost:8080/ -lambdas 0.1,0.1 -duration 30s
-//	psdload -lambdas 0.1,0.1 -duration 30s -step-after 15s -step-lambdas 0.3,0.3
+//	psdload -lambdas 0.1,0.1 -duration 30s -load-step 3
 //
 // Lambdas are per time unit (match the server's -timeunit); each class
-// gets an independent Poisson stream with Bounded Pareto sizes. With
-// -step-after/-step-lambdas the run becomes a two-phase load step and
-// the report breaks out each phase — the client-side twin of the
-// simulator's LoadStep schedule. -report-json writes the full machine-
-// readable report — including per-class client-side latency histograms
-// (log₂ ms buckets) — to a file ("-" for stdout).
+// gets an independent Poisson stream with Bounded Pareto sizes, walked by
+// the simulator's own arrival script (internal/workload): -seed S sends
+// the requests a simsrv run with seed S simulates (psdsim derives each
+// replication's seed from its -seed). -load-step FACTOR scales every rate
+// by FACTOR halfway through the run, as psdsim -load-step does halfway
+// through its measured horizon, and the report breaks out each phase.
+// -report-json writes the full machine-readable report — including
+// per-class client-side latency histograms (log₂ ms buckets) — to a file
+// ("-" for stdout).
 //
 // Requests are issued by a fixed worker pool (-workers) over kept-alive,
 // reused connections; arrivals that find the dispatch queue
@@ -36,12 +39,14 @@ import (
 	"psd/internal/cli"
 	"psd/internal/loadgen"
 	"psd/internal/obs"
+	"psd/internal/workload"
 )
 
 func main() {
 	var cfg loadgen.Config
 	sizeLaw := cli.SizeLaw(flag.CommandLine)
 	cli.Seed(flag.CommandLine, &cfg.Seed)
+	loadStep := cli.LoadStep(flag.CommandLine)
 	flag.StringVar(&cfg.BaseURL, "url", "http://localhost:8080/", "work endpoint URL")
 	flag.DurationVar(&cfg.TimeUnit, "timeunit", 10*time.Millisecond, "wall-clock duration of one time unit (match server)")
 	flag.DurationVar(&cfg.Drain, "drain", 0, "extra wait for in-flight requests after arrivals stop")
@@ -49,40 +54,28 @@ func main() {
 	flag.IntVar(&cfg.MaxPending, "max-pending", 0, "dispatch queue bound before client-side shedding (0: default 4x -workers)")
 	flag.DurationVar(&cfg.Timeout, "timeout", 0, "per-attempt request timeout (0: client default only)")
 	flag.IntVar(&cfg.MaxRetries, "retries", 0, "max retries per arrival after transport errors or 5xx (capped exponential backoff with jitter)")
+	flag.DurationVar(&cfg.Duration, "duration", 30*time.Second, "run length")
 	var (
-		lambdas     = flag.String("lambdas", "0.1,0.1", "per-class arrival rates (requests per time unit)")
-		duration    = flag.Duration("duration", 30*time.Second, "run length")
-		stepAfter   = flag.Duration("step-after", 0, "step the load at this point of the run (0: no step)")
-		stepLambdas = flag.String("step-lambdas", "", "per-class arrival rates after -step-after")
-		reportJSON  = flag.String("report-json", "", `write the full report as JSON to this file ("-": stdout)`)
+		lambdas    = flag.String("lambdas", "0.1,0.1", "per-class arrival rates (requests per time unit)")
+		reportJSON = flag.String("report-json", "", `write the full report as JSON to this file ("-": stdout)`)
 	)
 	flag.Parse()
 
-	ls, err := cli.Floats(*lambdas)
-	if err != nil {
+	var err error
+	if cfg.Lambdas, err = cli.Floats(*lambdas); err != nil {
 		cli.Fatalf("bad -lambdas: %v", err)
 	}
 	cfg.Service = sizeLaw()
-	if *stepAfter > 0 {
-		if !(*stepAfter < *duration) {
-			cli.Fatalf("-step-after %v must fall inside -duration %v", *stepAfter, *duration)
-		}
-		ls2, err := cli.Floats(*stepLambdas)
-		if err != nil {
-			cli.Fatalf("bad -step-lambdas: %v", err)
-		}
-		cfg.Phases = []loadgen.Phase{
-			{Lambdas: ls, Duration: *stepAfter},
-			{Lambdas: ls2, Duration: *duration - *stepAfter},
-		}
-		fmt.Printf("driving %v of load at %s (lambdas %v → %v at %v, per %v time unit)\n",
-			*duration, cfg.BaseURL, ls, ls2, *stepAfter, cfg.TimeUnit)
-	} else {
-		cfg.Lambdas = ls
-		cfg.Duration = *duration
-		fmt.Printf("driving %v of load at %s (lambdas %v per %v time unit)\n",
-			*duration, cfg.BaseURL, ls, cfg.TimeUnit)
+	if cfg.TimeUnit == 0 {
+		cfg.TimeUnit = 10 * time.Millisecond // loadgen's default, which the step's start is counted in
 	}
+	step := ""
+	if factor := loadStep(); factor != 0 {
+		cfg.Schedule = workload.LoadStep(float64(cfg.Duration/2)/float64(cfg.TimeUnit), factor)
+		step = fmt.Sprintf(", ×%g at %v", factor, cfg.Duration/2)
+	}
+	fmt.Printf("driving %v of load at %s (lambdas %v per %v time unit%s)\n",
+		cfg.Duration, cfg.BaseURL, cfg.Lambdas, cfg.TimeUnit, step)
 	rep, err := loadgen.Run(context.Background(), cfg)
 	if err != nil {
 		cli.Fatalf("load run failed: %v", err)

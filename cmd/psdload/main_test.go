@@ -25,8 +25,8 @@ func TestMain(m *testing.M) {
 }
 
 // TestSpinningLoadRefused: an arrival rate or time unit that would make
-// the generator spin must exit 1 with a message before any request is
-// sent.
+// the generator spin, or a load step that is negative, NaN or infinite,
+// must exit 1 with a message before any request is sent.
 func TestSpinningLoadRefused(t *testing.T) {
 	var hits atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { hits.Add(1) }))
@@ -36,6 +36,9 @@ func TestSpinningLoadRefused(t *testing.T) {
 		"-lambdas NaN,0.1",
 		"-lambdas 1e300,0.1 -timeunit 1ms",
 		"-timeunit -1ms",
+		"-load-step -2",
+		"-load-step NaN",
+		"-load-step Inf",
 	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^$")
 		cmd.Env = append(os.Environ(), argsEnv+"=-url "+ts.URL+"/ -duration 200ms -workers 2 "+args)

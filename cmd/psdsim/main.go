@@ -46,6 +46,7 @@ func main() {
 	controlFlags := cli.Control(flag.CommandLine, &cfg.Spec)
 	sweepFlags := cli.Sweep(flag.CommandLine)
 	cli.Seed(flag.CommandLine, &cfg.Seed)
+	loadStep := cli.LoadStep(flag.CommandLine)
 	flag.Float64Var(&cfg.Horizon, "horizon", 60000, "measured duration (time units)")
 	flag.Float64Var(&cfg.Warmup, "warmup", 10000, "warmup duration (time units)")
 	flag.Float64Var(&cfg.Window, "window", 1000, "estimation/reallocation window")
@@ -56,7 +57,6 @@ func main() {
 		load      = flag.Float64("load", 0.5, "total system utilization in (0,1)")
 		runs      = flag.Int("runs", 10, "independent replications (paper: 100)")
 		tracePath = flag.String("trace", "", `replay this arrival trace (psdtrace gen CSV; "-": stdin) instead of Poisson arrivals`)
-		loadStep  = flag.Float64("load-step", 0, "transient ablation: scale all arrival rates by this factor at mid-horizon (0 = stationary)")
 		flightrec = flag.Int("flightrec", 0, "flight-record the last N control ticks of one dedicated replication (0: off)")
 		flightOut = flag.String("flightrec-out", "-", `flight recorder dump destination ("-": stdout)`)
 	)
@@ -68,8 +68,8 @@ func main() {
 	eng := sweepFlags()
 	cfg.Classes = simsrv.EqualLoadConfig(deltas, *load, svc).Classes
 	cfg.Service = svc
-	if *loadStep > 0 {
-		cfg.LoadSchedule = simsrv.LoadStep(cfg.Warmup+cfg.Horizon/2, *loadStep)
+	if factor := loadStep(); factor != 0 {
+		cfg.LoadSchedule = workload.LoadStep(cfg.Warmup+cfg.Horizon/2, factor)
 	}
 	// The registry resolved cfg.Allocator for the summary/flight-record
 	// paths; the sweep point carries the policy name so size-aware

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"math"
 	"os"
 	"os/exec"
@@ -48,6 +49,20 @@ func TestClosedFormEngines(t *testing.T) {
 				t.Errorf("psdsim -engine %s printed a per-window line:\n%s", engine, out)
 			}
 		})
+	}
+}
+
+// TestBadLoadStepRefused: a -load-step factor that is negative, NaN or
+// infinite must exit 1 naming the flag, not silently run stationary.
+func TestBadLoadStepRefused(t *testing.T) {
+	for _, step := range []string{"-2", "NaN", "Inf", "-Inf"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^$")
+		cmd.Env = append(os.Environ(), argsEnv+"=-engine auto -load-step "+step)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), "psdsim: bad -load-step") {
+			t.Errorf("psdsim -load-step %s: %v, want exit 1 with the refusal\n%s", step, err, out)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"psd/internal/dist"
 	"psd/internal/simsrv"
 	"psd/internal/sweep"
+	"psd/internal/workload"
 )
 
 // mustDist panics on a bad test distribution so the grid tables below
@@ -229,7 +230,7 @@ func TestNeedsSimulation(t *testing.T) {
 	}{
 		{"load-schedule", func() simsrv.Config {
 			c := base()
-			c.LoadSchedule = simsrv.LoadStep(5000, 2)
+			c.LoadSchedule = workload.LoadStep(5000, 2)
 			return c
 		}},
 		{"work-conserving", func() simsrv.Config {

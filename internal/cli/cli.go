@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -90,6 +91,20 @@ func SizeLaw(fs *flag.FlagSet) func() *dist.BoundedPareto {
 			Fatalf("bad Bounded Pareto parameters: %v", err)
 		}
 		return d
+	}
+}
+
+// LoadStep registers -load-step, the transient ablation: a factor by
+// which every arrival rate steps halfway through the measured run. The
+// resolver returns it, 0 for none, and refuses a negative, NaN or
+// infinite one.
+func LoadStep(fs *flag.FlagSet) func() float64 {
+	factor := fs.Float64("load-step", 0, "transient ablation: scale all arrival rates by this factor halfway through the measured run (0 = stationary)")
+	return func() float64 {
+		if !(*factor >= 0) || math.IsInf(*factor, 0) {
+			Fatalf("bad -load-step %v: want a finite factor >= 0 (0: no step)", *factor)
+		}
+		return *factor
 	}
 }
 

@@ -26,6 +26,7 @@ func TestGroupFlags(t *testing.T) {
 		{"size law", func(fs *flag.FlagSet) { SizeLaw(fs) }, map[string]string{"alpha": "1.5", "lower": "0.1", "upper": "100"}},
 		{"control", func(fs *flag.FlagSet) { Control(fs, new(control.Spec)) }, map[string]string{"allocator": "psd", "estimator": "window", "ewma-alpha": "0.3"}},
 		{"sweep", func(fs *flag.FlagSet) { Sweep(fs) }, map[string]string{"engine": "des", "workers": "0"}},
+		{"load step", func(fs *flag.FlagSet) { LoadStep(fs) }, map[string]string{"load-step": "0"}},
 	}
 	for _, c := range cases {
 		fs := flag.NewFlagSet(c.group, flag.ContinueOnError)

@@ -47,6 +47,7 @@ import (
 	"psd/internal/dist"
 	"psd/internal/simsrv"
 	"psd/internal/sweep"
+	"psd/internal/workload"
 )
 
 // Options control fidelity and provenance.
@@ -471,7 +472,7 @@ func individualRequests(rho float64) row {
 func transient(o Options) (win, ewma simsrv.Config, stepAt float64) {
 	win = o.config([]float64{1, 2}, 0.4, nil)
 	stepAt = win.Warmup + o.Horizon/2
-	win.LoadSchedule = simsrv.LoadStep(stepAt, 2.2)
+	win.LoadSchedule = workload.LoadStep(stepAt, 2.2)
 	win.Estimator = control.Window
 	ewma = win
 	ewma.Estimator = control.EWMA
@@ -571,9 +572,9 @@ func tournamentPoints(o Options) ([]point, error) {
 	surgeAt := o.Warmup + o.Horizon/3
 	var base []sweep.Point
 	for _, svc := range []dist.Distribution{nil, lognormal} {
-		for _, phases := range [][]simsrv.LoadPhase{
-			simsrv.LoadStep(surgeAt, 1.6),
-			simsrv.FlashCrowd(surgeAt, o.Horizon/3, 1.6),
+		for _, phases := range [][]workload.Phase{
+			workload.LoadStep(surgeAt, 1.6),
+			workload.FlashCrowd(surgeAt, o.Horizon/3, 1.6),
 		} {
 			cfg := o.config(tournamentDeltas, 0.85, svc)
 			cfg.LoadSchedule = phases

@@ -16,6 +16,7 @@ import (
 	"psd/internal/dist"
 	"psd/internal/httpsrv"
 	"psd/internal/loadgen"
+	"psd/internal/workload"
 )
 
 // TestE2ESlowdownConvergence asserts the live stack's achieved slowdown
@@ -83,13 +84,14 @@ func runConvergenceAttempt(t *testing.T, attempt int, final bool) bool {
 		BaseURL:  ts.URL + "/",
 		TimeUnit: time.Millisecond,
 		Service:  sizes,
-		Phases: []loadgen.Phase{
-			// Phase 0 is warm-up only: it absorbs the cold start (estimator
-			// fill plus the feedback ramp) and is excluded from the band
-			// check below.
-			{Lambdas: []float64{0.36, 0.36}, Duration: 3 * time.Second},
-			{Lambdas: []float64{0.36, 0.36}, Duration: 4 * time.Second},
-			{Lambdas: []float64{0.45, 0.45}, Duration: 4 * time.Second},
+		Lambdas:  []float64{0.36, 0.36},
+		Duration: 11 * time.Second,
+		// Segment 0, the 3 s before the first phase, is warm-up only: it
+		// absorbs the cold start (estimator fill plus the feedback ramp)
+		// and is excluded from the band check below.
+		Schedule: []workload.Phase{
+			{Start: 3000, Scale: []float64{1}},
+			{Start: 7000, Scale: []float64{1.25}},
 		},
 		Drain: 1500 * time.Millisecond,
 		Seed:  3 + uint64(attempt)*57,

@@ -1,18 +1,18 @@
 // Package loadgen drives HTTP load at a PSD server (internal/httpsrv):
-// one open-loop Poisson arrival process per class, sizes drawn from a
-// configurable law, with client-side latency and server-reported slowdown
-// collection. Runs are either a single (Lambdas, Duration) phase or a
-// scripted piecewise-constant schedule (Phases) — the client-side
-// counterpart of the simulator's LoadSchedule — with per-phase reports,
-// so a mid-run load step can be asserted on directly. It backs
-// cmd/psdload and the httpserver example.
+// one open-loop Poisson arrival process per class with client-side
+// latency and server-reported slowdown collection. The arrivals are the
+// simulator's: each class walks a workload.Stream through the run's
+// workload.Phase schedule in time units, as internal/simsrv does, so for
+// one seed a live and a simulated run serve the same requests. Reports
+// break out each schedule segment, so a mid-run load step can be asserted
+// on directly. It backs cmd/psdload and the httpserver example.
 //
-// Arrivals are scheduled against an absolute next-arrival clock with a
-// reused timer: the gap timer never stacks on top of per-iteration work
-// (size sampling, dispatch), so the achieved rate tracks the nominal λ
-// even at thousands of requests per second (pinned by
-// TestOpenLoopRateAccuracy). Requests are issued by a fixed worker pool
-// over keep-alive connections (Config.Workers bounds in-flight
+// An arrival at t time units is sent at start + t·TimeUnit, against an
+// absolute clock with a reused timer, so per-iteration work (size
+// sampling, dispatch) never stacks onto the gaps, and the achieved rate
+// tracks the nominal λ even at thousands of requests per second (pinned
+// by TestOpenLoopRateAccuracy). Requests are issued by a fixed worker
+// pool over keep-alive connections (Config.Workers bounds in-flight
 // concurrency, Config.MaxPending the dispatch queue); an arrival that
 // would have to wait for a worker is shed client-side as sent+error, so
 // a saturated server degrades the report, never the arrival process.
@@ -37,6 +37,7 @@ import (
 	"psd/internal/rng"
 	"psd/internal/stats"
 	"psd/internal/timeutil"
+	"psd/internal/workload"
 )
 
 // Client-side latency histogram layout: log₂ buckets over
@@ -47,22 +48,12 @@ const (
 	latencyHistBuckets  = 21
 )
 
-// Phase is one piecewise-constant segment of a scripted load schedule.
-type Phase struct {
-	// Lambdas are the per-class arrival rates (requests per time unit)
-	// during this phase; every phase must have the same class count.
-	Lambdas []float64
-	// Duration is the phase's wall-clock length (> 0).
-	Duration time.Duration
-}
-
 // Config parametrizes a load run.
 type Config struct {
 	// BaseURL is the work endpoint (e.g. "http://127.0.0.1:8080/").
 	BaseURL string
-	// Lambdas are the per-class arrival rates in requests per *time
+	// Lambdas are the per-class base arrival rates in requests per *time
 	// unit*; TimeUnit converts to wall-clock (must match the server's).
-	// Ignored when Phases is set.
 	Lambdas []float64
 	// TimeUnit is the wall-clock duration of one time unit (default
 	// 10ms, matching httpsrv's default).
@@ -70,17 +61,17 @@ type Config struct {
 	// Service draws request sizes client-side so the server and client
 	// agree on the demand (default: the paper's Bounded Pareto).
 	Service dist.Distribution
-	// Duration is the wall-clock length of the run. Ignored when Phases
-	// is set.
+	// Duration is the wall-clock length of the run.
 	Duration time.Duration
-	// Phases optionally scripts a piecewise-constant load schedule in
-	// place of Lambdas/Duration: phases run back to back, each class's
-	// Poisson stream redrawing its pending arrival at every boundary
-	// (exact for piecewise-homogeneous Poisson, by memorylessness).
-	Phases []Phase
+	// Schedule optionally scales the base rates piecewise, as
+	// simsrv.Config.LoadSchedule does: each Start is in time units from
+	// the run's start and must fall inside Duration, and each class's
+	// pending arrival is redrawn at every boundary (exact for
+	// piecewise-homogeneous Poisson, by memorylessness).
+	Schedule []workload.Phase
 	// Drain extends the wait for in-flight requests after arrival
 	// generation stops (default 0: outstanding requests are canceled at
-	// the end of the last phase, biasing the tail of heavy-tailed runs).
+	// the end of the run, biasing the tail of heavy-tailed runs).
 	Drain time.Duration
 	// Workers sizes the request worker pool: the hard bound on
 	// concurrently in-flight HTTP requests across all classes (default
@@ -127,16 +118,8 @@ type Config struct {
 	Chaos *chaos.Injector
 }
 
-// phases normalizes the configured schedule to a non-empty phase list.
-func (cfg Config) phases() []Phase {
-	if len(cfg.Phases) > 0 {
-		return cfg.Phases
-	}
-	return []Phase{{Lambdas: cfg.Lambdas, Duration: cfg.Duration}}
-}
-
-// ClassReport aggregates one class's observations (for one phase, or the
-// whole run).
+// ClassReport aggregates one class's observations (for one segment of
+// the schedule, or the whole run).
 type ClassReport struct {
 	Sent      int64
 	Completed int64
@@ -166,8 +149,9 @@ type ClassReport struct {
 type Report struct {
 	// Classes aggregates the whole run.
 	Classes []ClassReport
-	// Phases holds one report per class per configured phase, attributed
-	// by launch time (length 1 for unphased runs).
+	// Phases holds one report per class per schedule segment, attributed
+	// by arrival time: the first runs until the first phase's Start, then
+	// one per phase (length 1 without a schedule).
 	Phases  [][]ClassReport
 	Elapsed time.Duration
 }
@@ -235,27 +219,26 @@ func validate(cfg Config) error {
 	if cfg.TimeUnit < 0 {
 		return fmt.Errorf("loadgen: time unit %v must not be negative", cfg.TimeUnit)
 	}
-	phases := cfg.phases()
-	n := len(phases[0].Lambdas)
+	n := len(cfg.Lambdas)
 	if n == 0 {
 		return errors.New("loadgen: no class lambdas")
 	}
-	for pi, ph := range phases {
-		if len(ph.Lambdas) != n {
-			return fmt.Errorf("loadgen: phase %d has %d classes, phase 0 has %d", pi, len(ph.Lambdas), n)
+	if cfg.Duration <= 0 {
+		return fmt.Errorf("loadgen: duration %v must be positive", cfg.Duration)
+	}
+	if err := workload.ValidateSchedule(cfg.Schedule, n); err != nil {
+		return fmt.Errorf("loadgen: %w", err)
+	}
+	for seg := 0; seg <= len(cfg.Schedule); seg++ {
+		if seg > 0 && !(cfg.Schedule[seg-1].Start < cfg.units()) {
+			return fmt.Errorf("loadgen: load phase %d start %v is not inside the %v run", seg-1, cfg.Schedule[seg-1].Start, cfg.Duration)
 		}
-		if ph.Duration <= 0 {
-			return fmt.Errorf("loadgen: phase %d duration %v must be positive", pi, ph.Duration)
-		}
-		for class, l := range ph.Lambdas {
-			// !(l >= 0) catches NaN; +Inf would draw zero gaps forever.
-			if !(l >= 0) || math.IsInf(l, 0) {
-				return fmt.Errorf("loadgen: phase %d class %d arrival rate %v must be finite and not negative", pi, class, l)
-			}
-			// A mean gap under the clock's 1 ns resolution draws
-			// zero-length gaps, so the generator spins as at +Inf.
-			if l > 0 && float64(cfg.TimeUnit)/l < 1 {
-				return fmt.Errorf("loadgen: phase %d class %d arrival rate %v per %v leaves a mean gap under 1ns", pi, class, l, cfg.TimeUnit)
+		for class := range cfg.Lambdas {
+			// !(l >= 0) catches NaN. A mean gap under the clock's 1 ns
+			// resolution, +Inf's included, draws zero-length gaps: the
+			// generator would spin.
+			if l := cfg.rate(seg, class); !(l >= 0) || (l > 0 && float64(cfg.TimeUnit)/l < 1) {
+				return fmt.Errorf("loadgen: segment %d class %d arrival rate %v per %v must be >= 0 with a mean gap of at least 1ns", seg, class, l, cfg.TimeUnit)
 			}
 		}
 	}
@@ -275,6 +258,45 @@ func validate(cfg Config) error {
 		return fmt.Errorf("loadgen: max retries %d must not be negative", cfg.MaxRetries)
 	}
 	return nil
+}
+
+// units returns the run's length in time units.
+func (cfg *Config) units() float64 { return float64(cfg.Duration) / float64(cfg.TimeUnit) }
+
+// rate returns class's arrival rate in schedule segment seg, scaled as
+// workload.Stream.Scale scales it.
+func (cfg *Config) rate(seg, class int) float64 {
+	if seg == 0 {
+		return cfg.Lambdas[class]
+	}
+	return cfg.Lambdas[class] * cfg.Schedule[seg-1].ScaleFor(class)
+}
+
+// walkArrivals is class's arrival script in time units from the run's
+// start, walked as the simulator walks it: each arrival a gap after the
+// last, and at each phase's Start the pending one redrawn from Start at
+// the new rate (none while it is 0). It hands send each arrival before
+// the end of the run, with its size and schedule segment, until send
+// returns false.
+func walkArrivals(cfg *Config, root *rng.Source, class int, send func(t, size float64, seg int) bool) {
+	var s workload.Stream
+	s.Reset(root, class, cfg.Lambdas[class], cfg.Service)
+	after := func(t float64) float64 {
+		if s.Rate() > 0 {
+			return t + s.NextGap()
+		}
+		return math.Inf(1)
+	}
+	end, seg := cfg.units(), 0
+	for t := after(0); ; t = after(t) {
+		for ; seg < len(cfg.Schedule) && t >= cfg.Schedule[seg].Start; seg++ {
+			s.Scale(cfg.Schedule[seg].ScaleFor(class))
+			t = after(cfg.Schedule[seg].Start)
+		}
+		if !(t < end) || !send(t, s.NextSize(), seg) {
+			return
+		}
+	}
 }
 
 // task is one scheduled arrival handed from a class's arrival generator
@@ -319,37 +341,32 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			},
 		}
 	}
-	phases := cfg.phases()
-	nClasses := len(phases[0].Lambdas)
-	var total time.Duration
-	for _, ph := range phases {
-		total += ph.Duration
-	}
+	nClasses := len(cfg.Lambdas)
+	segs := len(cfg.Schedule) + 1
 
-	// start anchors the phase boundaries and MUST be captured before the
+	// start anchors the arrival clock and MUST be captured before the
 	// context deadlines below: the deadlines then land at or after the
-	// last phaseEnd (start+total), so generation is never cut off inside
-	// the final phase of a normally-completed run.
+	// run's end (start+Duration), so generation is never cut off inside
+	// a normally-completed run.
 	start := time.Now()
 
 	// genCtx bounds arrival generation; reqCtx lets in-flight requests
-	// drain for cfg.Drain beyond the last phase.
-	genCtx, genCancel := context.WithTimeout(ctx, total)
+	// drain for cfg.Drain beyond the end of the run.
+	genCtx, genCancel := context.WithTimeout(ctx, cfg.Duration)
 	defer genCancel()
-	reqCtx, reqCancel := context.WithTimeout(ctx, total+cfg.Drain)
+	reqCtx, reqCancel := context.WithTimeout(ctx, cfg.Duration+cfg.Drain)
 	defer reqCancel()
 
-	perPhase := make([][]*classCollector, len(phases))
-	for pi := range perPhase {
-		perPhase[pi] = make([]*classCollector, nClasses)
-		for i := range perPhase[pi] {
-			perPhase[pi][i] = newCollector()
+	// One collector per class for each schedule segment, and one for the
+	// whole run.
+	cols := make([][]*classCollector, segs+1)
+	for k := range cols {
+		cols[k] = make([]*classCollector, nClasses)
+		for i := range cols[k] {
+			cols[k][i] = newCollector()
 		}
 	}
-	overall := make([]*classCollector, nClasses)
-	for i := range overall {
-		overall[i] = newCollector()
-	}
+	perPhase, overall := cols[:segs], cols[segs]
 
 	src := rng.New(cfg.Seed)
 	pol := retryPolicy{timeout: cfg.Timeout, maxRetries: cfg.MaxRetries, backoff: cfg.RetryBackoff}
@@ -384,49 +401,31 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	var wg sync.WaitGroup
 	for class := 0; class < nClasses; class++ {
 		wg.Add(1)
-		go func(class int, arrivals, sizes *rng.Source) {
+		go func(class int) {
 			defer wg.Done()
 			timer := timeutil.NewStoppedTimer()
 			defer timer.Stop()
-
-			phaseEnd := start
-			for pi := range phases {
-				lambda := phases[pi].Lambdas[class]
-				phaseStart := phaseEnd
-				phaseEnd = phaseStart.Add(phases[pi].Duration)
-				pcol, ocol := perPhase[pi][class], overall[class]
-				if lambda > 0 {
-					// Redraw the pending arrival at the boundary: exact
-					// for a piecewise-homogeneous Poisson process.
-					gap, ok := expGap(arrivals, lambda, cfg.TimeUnit)
-					next := phaseStart.Add(gap)
-					for ok && next.Before(phaseEnd) {
-						if !sleepUntil(genCtx, timer, next) {
-							return
-						}
-						tk := task{class: class, size: cfg.Service.Sample(sizes), pcol: pcol, ocol: ocol}
-						markSent(tk)
-						select {
-						case tasks <- tk:
-						default:
-							// Pool saturated and queue full: shed the
-							// arrival client-side (sent+error) instead of
-							// blocking the open-loop clock.
-							fail([]*classCollector{tk.pcol, tk.ocol})
-						}
-						// Absolute clock: the next arrival is scheduled
-						// from the previous arrival's nominal instant, so
-						// sampling and spawn overhead never accumulate
-						// into rate sag.
-						gap, ok = expGap(arrivals, lambda, cfg.TimeUnit)
-						next = next.Add(gap)
-					}
+			walkArrivals(&cfg, src, class, func(t, size float64, seg int) bool {
+				// Absolute clock: each arrival is sent at its scheduled
+				// instant from the run's start, so sampling and spawn
+				// overhead never accumulate into rate sag.
+				if !sleepUntil(genCtx, timer, start.Add(time.Duration(t*float64(cfg.TimeUnit)))) {
+					return false
 				}
-				if !sleepUntil(genCtx, timer, phaseEnd) {
-					return
+				tk := task{class: class, size: size, pcol: perPhase[seg][class], ocol: overall[class]}
+				markSent(tk)
+				select {
+				case tasks <- tk:
+				default:
+					// Pool saturated and queue full: shed the arrival
+					// client-side (sent+error) instead of blocking the
+					// open-loop clock.
+					fail([]*classCollector{tk.pcol, tk.ocol})
 				}
-			}
-		}(class, src.Split(uint64(2*class+1)), src.Split(uint64(2*class+2)))
+				return true
+			})
+			sleepUntil(genCtx, timer, start.Add(cfg.Duration))
+		}(class)
 	}
 	wg.Wait()
 	close(tasks) // generators done: let the pool drain and exit
@@ -436,60 +435,44 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 	rep := &Report{
 		Classes: make([]ClassReport, nClasses),
-		Phases:  make([][]ClassReport, len(phases)),
+		Phases:  make([][]ClassReport, segs),
 		Elapsed: time.Since(start),
 	}
 	// Rates are computed over the COVERED interval: if the caller's ctx
-	// cut the run short, each phase counts only the portion that actually
-	// ran (a fully skipped phase reports NaN achieved, not a fake 100%
-	// drift against its nominal λ).
-	covered := make([]time.Duration, len(phases))
-	var offset, coveredTotal time.Duration
-	for pi, ph := range phases {
-		c := rep.Elapsed - offset
-		if c < 0 {
-			c = 0
-		}
-		if c > ph.Duration {
-			c = ph.Duration
-		}
-		covered[pi] = c
-		coveredTotal += c
-		offset += ph.Duration
+	// cut the run short, each segment counts only the portion that
+	// actually ran (a fully skipped one reports NaN achieved, not a fake
+	// 100% drift against its nominal λ).
+	bounds := make([]time.Duration, segs+1) // segment k is [bounds[k], bounds[k+1])
+	for k, ph := range cfg.Schedule {
+		bounds[k+1] = time.Duration(ph.Start * float64(cfg.TimeUnit))
 	}
-	for pi, ph := range phases {
-		rep.Phases[pi] = make([]ClassReport, nClasses)
-		units := float64(covered[pi]) / float64(cfg.TimeUnit)
-		for i, col := range perPhase[pi] {
-			rep.Phases[pi][i] = col.report(ph.Lambdas[i], units)
+	bounds[segs] = cfg.Duration
+	covered := make([]time.Duration, segs)
+	for k := range covered {
+		covered[k] = min(max(rep.Elapsed-bounds[k], 0), bounds[k+1]-bounds[k])
+	}
+	coveredTotal := min(rep.Elapsed, cfg.Duration)
+	for k, cols := range perPhase {
+		rep.Phases[k] = make([]ClassReport, nClasses)
+		units := float64(covered[k]) / float64(cfg.TimeUnit)
+		for i, col := range cols {
+			rep.Phases[k][i] = col.report(cfg.rate(k, i), units)
 		}
 	}
 	for i, col := range overall {
-		// Whole-run nominal rate: the phase λs weighted by each phase's
-		// share of the covered time (a share, not nanoseconds, so the
-		// products stay as large as the λs themselves).
+		// Whole-run nominal rate: the segment λs weighted by each
+		// segment's share of the covered time (a share, not nanoseconds,
+		// so the products stay as large as the λs themselves).
 		nominal := math.NaN()
 		if coveredTotal > 0 {
 			nominal = 0
-			for pi, ph := range phases {
-				nominal += ph.Lambdas[i] * (float64(covered[pi]) / float64(coveredTotal))
+			for k := range covered {
+				nominal += float64(cfg.rate(k, i) * (float64(covered[k]) / float64(coveredTotal)))
 			}
 		}
 		rep.Classes[i] = col.report(nominal, float64(coveredTotal)/float64(cfg.TimeUnit))
 	}
 	return rep, nil
-}
-
-// expGap draws one exponential inter-arrival gap in wall-clock terms. ok
-// is false when the gap does not fit in a time.Duration (whose
-// conversion would overflow to a past instant): no further arrival comes
-// in the phase.
-func expGap(src *rng.Source, lambda float64, timeUnit time.Duration) (gap time.Duration, ok bool) {
-	g := src.ExpFloat64(lambda) * float64(timeUnit)
-	if !(g < math.MaxInt64) {
-		return 0, false
-	}
-	return time.Duration(g), true
 }
 
 // sleepUntil blocks until the absolute instant at (or ctx cancellation,

@@ -11,6 +11,7 @@ import (
 
 	"psd/internal/dist"
 	"psd/internal/httpsrv"
+	"psd/internal/workload"
 )
 
 func TestRunValidation(t *testing.T) {
@@ -36,9 +37,9 @@ func TestRunRefusesSpinningGenerators(t *testing.T) {
 		hits.Add(1)
 	}))
 	defer ts.Close()
-	run := func(lambdas []float64, unit time.Duration, phases []Phase) (*Report, error) {
+	run := func(lambdas []float64, unit time.Duration, schedule []workload.Phase) (*Report, error) {
 		return Run(context.Background(), Config{
-			BaseURL: ts.URL + "/", Lambdas: lambdas, TimeUnit: unit, Phases: phases,
+			BaseURL: ts.URL + "/", Lambdas: lambdas, TimeUnit: unit, Schedule: schedule,
 			Duration: 100 * time.Millisecond, Workers: 2, Seed: 1,
 		})
 	}
@@ -46,7 +47,7 @@ func TestRunRefusesSpinningGenerators(t *testing.T) {
 		name    string
 		lambdas []float64
 		unit    time.Duration
-		phases  []Phase
+		phases  []workload.Phase
 	}{
 		{"+Inf rate", []float64{math.Inf(1), 0.1}, time.Millisecond, nil},
 		{"NaN rate", []float64{math.NaN(), 0.1}, time.Millisecond, nil},
@@ -56,13 +57,17 @@ func TestRunRefusesSpinningGenerators(t *testing.T) {
 		{"1e300 per ms", []float64{1e300, 0.1}, time.Millisecond, nil},
 		{"a 0.5 ns mean gap", []float64{0.1, 2e6}, time.Millisecond, nil},
 		{"a 0.1 ns mean gap at the default unit", []float64{1e8, 0.1}, 0, nil},
-		{"1e300 per ms in a later phase", nil, time.Millisecond, []Phase{
-			{Lambdas: []float64{0.1, 0.1}, Duration: 50 * time.Millisecond},
-			{Lambdas: []float64{1e300, 0.1}, Duration: 50 * time.Millisecond},
+		{"1e300 per ms in a later phase", []float64{0.1, 0.1}, time.Millisecond, []workload.Phase{
+			{Start: 50, Scale: []float64{1e301, 1}},
 		}},
-		{"+Inf rate in a later phase", nil, time.Millisecond, []Phase{
-			{Lambdas: []float64{0.1, 0.1}, Duration: 50 * time.Millisecond},
-			{Lambdas: []float64{0.1, math.Inf(1)}, Duration: 50 * time.Millisecond},
+		{"+Inf rate in a later phase", []float64{0.1, 0.1}, time.Millisecond, []workload.Phase{
+			{Start: 50, Scale: []float64{1, math.Inf(1)}},
+		}},
+		{"a rate that overflows to +Inf in a later phase", []float64{0.1, 10}, time.Millisecond, []workload.Phase{
+			{Start: 50, Scale: []float64{1, 1e308}},
+		}},
+		{"a phase starting at the end of the run", []float64{0.1, 0.1}, time.Millisecond, []workload.Phase{
+			{Start: 100, Scale: []float64{2}},
 		}},
 	} {
 		if _, err := run(tc.lambdas, tc.unit, tc.phases); err == nil {
@@ -202,11 +207,10 @@ func TestPhasedScheduleSplitsReports(t *testing.T) {
 		BaseURL:  ts.URL + "/",
 		TimeUnit: time.Millisecond,
 		Service:  sizes,
-		Phases: []Phase{
-			{Lambdas: []float64{0.5}, Duration: 400 * time.Millisecond},
-			{Lambdas: []float64{1.5}, Duration: 400 * time.Millisecond},
-		},
-		Seed: 3,
+		Lambdas:  []float64{0.5},
+		Duration: 800 * time.Millisecond,
+		Schedule: workload.LoadStep(400, 3),
+		Seed:     3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -238,10 +242,12 @@ func TestPhasedScheduleSplitsReports(t *testing.T) {
 func TestPhaseValidation(t *testing.T) {
 	ctx := context.Background()
 	bad := []Config{
-		{BaseURL: "http://x", Phases: []Phase{{Lambdas: []float64{1}, Duration: 0}}},
-		{BaseURL: "http://x", Phases: []Phase{
-			{Lambdas: []float64{1}, Duration: time.Second},
-			{Lambdas: []float64{1, 2}, Duration: time.Second},
+		{BaseURL: "http://x", Lambdas: []float64{1}, Duration: time.Second, Schedule: []workload.Phase{
+			{Start: 50, Scale: []float64{1}},
+			{Start: 50, Scale: []float64{2}},
+		}},
+		{BaseURL: "http://x", Lambdas: []float64{1}, Duration: time.Second, Schedule: []workload.Phase{
+			{Start: 50, Scale: []float64{1, 2}},
 		}},
 		{BaseURL: "http://x", Lambdas: []float64{1}, Duration: time.Second, Drain: -time.Second},
 	}

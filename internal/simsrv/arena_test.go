@@ -7,6 +7,7 @@ import (
 	"psd/internal/admission"
 	"psd/internal/core"
 	"psd/internal/sched"
+	"psd/internal/workload"
 )
 
 // TestArenaModeCycling drives ONE Simulator through every combination of
@@ -27,7 +28,7 @@ func TestArenaModeCycling(t *testing.T) {
 
 	hesrpt := short(EqualLoadConfig([]float64{1, 2, 4}, 0.7, nil))
 	hesrpt.Allocator = core.HeSRPTWeights{}
-	hesrpt.LoadSchedule = FlashCrowd(1500, 800, 1.5)
+	hesrpt.LoadSchedule = workload.FlashCrowd(1500, 800, 1.5)
 
 	var trace []TraceRequest
 	for i := 0; i < 6000; i++ {

@@ -9,6 +9,7 @@ import (
 
 	"psd/internal/control"
 	"psd/internal/core"
+	"psd/internal/workload"
 )
 
 // Determinism goldens. Each scenario runs one seeded replication and
@@ -183,7 +184,7 @@ func TestGoldenDeterminismTransient8(t *testing.T) {
 	cfg.Warmup = 1000
 	cfg.Horizon = 8000
 	cfg.Seed = 19
-	cfg.LoadSchedule = FlashCrowd(3000, 1500, 1.4)
+	cfg.LoadSchedule = workload.FlashCrowd(3000, 1500, 1.4)
 	cfg.Feedback = true
 	cfg.Estimator = control.EWMA
 	cfg.Allocator = core.Downgrading{}

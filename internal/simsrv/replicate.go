@@ -352,7 +352,7 @@ func ExpectedSystemSlowdown(cfg Config, agg *Aggregate) float64 {
 		if math.IsNaN(agg.ExpectedSlowdowns[i]) {
 			return math.NaN()
 		}
-		num += agg.ExpectedSlowdowns[i] * c.Lambda
+		num += float64(agg.ExpectedSlowdowns[i] * c.Lambda)
 		den += c.Lambda
 	}
 	if den == 0 {

@@ -72,6 +72,7 @@ import (
 	"psd/internal/obs"
 	"psd/internal/rng"
 	"psd/internal/stats"
+	"psd/internal/workload"
 )
 
 // ClassConfig declares one request class.
@@ -120,14 +121,10 @@ type Config struct {
 	// allocator, so no in-flight request is stranded by a zero allocation
 	// (default 1e-4; negative disables it).
 	ServiceFloor float64
-	// LoadSchedule modulates the Poisson arrival rates over time as a
-	// piecewise-constant phase sequence (load step, flash crowd,
-	// class-mix churn — see LoadStep, FlashCrowd, ClassMixChurn). Empty
-	// means stationary arrivals, the paper's model. Phase switches
-	// exploit exponential memorylessness: each pending arrival is
-	// redrawn at the new rate, so the process is an exact
-	// piecewise-homogeneous Poisson process. Ignored by trace replay,
-	// whose arrivals are externally given.
+	// LoadSchedule scales the Poisson arrival rates piecewise over time
+	// (see workload.Phase); each pending arrival is redrawn at a switch.
+	// Empty means stationary arrivals, the paper's model. Ignored by trace
+	// replay, whose arrivals are externally given.
 	LoadSchedule []LoadPhase
 	// Admission optionally guards the door (related work §5): arrivals
 	// it rejects are dropped and counted per class instead of queued.
@@ -147,6 +144,22 @@ type Config struct {
 	// (internal/sweep replications run in parallel; attach a recorder to
 	// a dedicated single run instead).
 	Recorder *obs.FlightRecorder
+}
+
+// LoadPhase is one segment of Config.LoadSchedule; the schedule type, its
+// validation and its builders live in internal/workload, beside the
+// arrival stream that both the simulator and the load generator walk.
+type LoadPhase = workload.Phase
+
+// FlashCrowd is workload.FlashCrowd, kept here for the bench command.
+func FlashCrowd(at, duration, factor float64) []LoadPhase {
+	return workload.FlashCrowd(at, duration, factor)
+}
+
+// ClassMixChurn is workload.ClassMixChurn, kept here for the bench
+// command.
+func ClassMixChurn(classes int, at, period float64, count int, hi, lo float64) []LoadPhase {
+	return workload.ClassMixChurn(classes, at, period, count, hi, lo)
 }
 
 // ApplyDefaults fills unset fields with the paper's §4.1 values and
@@ -208,7 +221,7 @@ func (c *Config) validate() error {
 	if err := c.Spec.Validate(); err != nil {
 		return err
 	}
-	return validateSchedule(c.LoadSchedule, len(c.Classes))
+	return workload.ValidateSchedule(c.LoadSchedule, len(c.Classes))
 }
 
 // EqualLoadConfig builds the paper's standard scenario: len(deltas)
@@ -307,37 +320,14 @@ type Result struct {
 	Records []RequestRecord
 }
 
-// drawAhead is how many draws a class takes ahead from each of its two
-// streams: 2 × 64 float64s, 1 KiB per class inside the arena.
-const drawAhead = 64
-
 // classState is everything Fig. 1 draws around the server box for one
-// class: the generator's streams and arrival process, and the metrics.
-// Class states live by value in the runner's arena, draw-ahead buffers
-// included; the window means are retained across resets.
-//
-// Both streams are read through their buffers by every consumer — the
-// class kernel, HandleRole, armArrival and so the phase redraw — so each
-// is consumed in the order one draw per request would consume it: the
-// arrival stream as unit exponentials (a gap is one divided by
-// curLambda, exactly as ExpFloat64 divides), the size stream in
-// drawAhead batches when the law is a dist.Filler and one draw per
-// request otherwise.
+// class: the generator's request stream, which every consumer (the class
+// kernel, HandleRole, armArrival and so the phase redraw) reads through
+// NextGap and NextSize, and the metrics. It lives by value in the
+// runner's arena, stream buffers included; the window means are retained
+// across resets.
 type classState struct {
-	cfg     ClassConfig
-	service dist.Distribution
-	filler  dist.Filler // service, when it may be drawn ahead; else nil
-
-	arrivalRng rng.Source
-	sizeRng    rng.Source
-	// gaps and sizes hold the draws taken ahead; gapAt and sizeAt index
-	// the next unread one (drawAhead: none left).
-	gaps, sizes   [drawAhead]float64
-	gapAt, sizeAt int
-
-	// curLambda is the phase-adjusted Poisson rate (= cfg.Lambda while no
-	// LoadSchedule phase is active).
-	curLambda float64
+	workload.Stream
 
 	acc      classAcc      // what the requests completed since the last tick add up to
 	slowRun  stats.Welford // measured slowdowns folded in so far
@@ -383,46 +373,6 @@ func (a *classAcc) record(slowdown, delay, service float64, measured bool) {
 		a.delaySum += delay
 		a.svcSum += service
 	}
-}
-
-// nextGap returns the time from the class's arrival to its next at rate
-// curLambda > 0.
-func (cs *classState) nextGap() float64 {
-	if cs.gapAt == drawAhead {
-		cs.refillGaps()
-	}
-	cs.gapAt++
-	return cs.gaps[cs.gapAt-1] / cs.curLambda
-}
-
-// refillGaps draws the next drawAhead unit exponentials. It stays out
-// of line so that nextGap, the per-arrival part, inlines.
-//
-//go:noinline
-func (cs *classState) refillGaps() {
-	cs.arrivalRng.FillExp(cs.gaps[:])
-	cs.gapAt = 0
-}
-
-// nextSize returns the size of the class's next request.
-func (cs *classState) nextSize() float64 {
-	if cs.sizeAt == drawAhead {
-		cs.refillSizes()
-	}
-	cs.sizeAt++
-	return cs.sizes[cs.sizeAt-1]
-}
-
-// refillSizes draws ahead the whole buffer from a dist.Filler, and from
-// any other law the next size alone, into the last slot.
-func (cs *classState) refillSizes() {
-	if cs.filler == nil {
-		cs.sizeAt = drawAhead - 1
-		cs.sizes[cs.sizeAt] = cs.service.Sample(&cs.sizeRng)
-		return
-	}
-	cs.filler.Fill(&cs.sizeRng, cs.sizes[:])
-	cs.sizeAt = 0
 }
 
 // closeWindow ends the class's measurement window at a control tick or
@@ -508,7 +458,7 @@ type runner struct {
 func (r *runner) HandleRole(role int) {
 	switch {
 	case role < r.compBase:
-		r.arrive(role, r.classes[role].nextSize())
+		r.arrive(role, r.classes[role].NextSize())
 		r.armArrival(role)
 	case role < r.tickRole:
 		r.model.complete(role - r.compBase)
@@ -581,13 +531,7 @@ func (r *runner) reset(cfg *Config, w core.Workload, model serviceModel, trace [
 		if svc == nil {
 			svc = cfg.Service
 		}
-		cs.cfg = cc
-		cs.service = svc
-		cs.filler, _ = svc.(dist.Filler)
-		r.src.SplitInto(&cs.arrivalRng, uint64(2*i+1))
-		r.src.SplitInto(&cs.sizeRng, uint64(2*i+2))
-		cs.gapAt, cs.sizeAt = drawAhead, drawAhead
-		cs.curLambda = cc.Lambda
+		cs.Stream.Reset(&r.src, i, cc.Lambda, svc)
 		cs.acc = classAcc{}
 		cs.slowRun = stats.Welford{}
 		cs.winMeans = cs.winMeans[:0]
@@ -698,11 +642,11 @@ func (r *runner) runByClass() {
 // one (the memoryless redraw at a phase switch).
 func (r *runner) armArrival(i int) {
 	cs := &r.classes[i]
-	if cs.curLambda <= 0 {
+	if cs.Rate() <= 0 {
 		r.sim.Clear(i)
 		return
 	}
-	r.sim.SetAfter(i, cs.nextGap())
+	r.sim.SetAfter(i, cs.NextGap())
 }
 
 // armTrace arms the trace cursor at the next entry within the run.
@@ -780,7 +724,7 @@ func (r *runner) onRealloc() {
 	if r.cfg.Oracle {
 		oracle := r.allocLambdas
 		for i := range r.classes {
-			oracle[i] = r.classes[i].curLambda
+			oracle[i] = r.classes[i].Rate()
 		}
 		in.OracleLambdas = oracle
 	}
@@ -821,8 +765,7 @@ func (r *runner) onPhase() {
 	ph := r.cfg.LoadSchedule[r.phaseIdx]
 	r.phaseIdx++
 	for i := range r.classes {
-		cs := &r.classes[i]
-		cs.curLambda = cs.cfg.Lambda * ph.scaleFor(i)
+		r.classes[i].Scale(ph.ScaleFor(i))
 		r.armArrival(i)
 	}
 	r.armPhase()
@@ -866,7 +809,7 @@ func (r *runner) collectInto(res *Result) {
 		st.MeanService = cs.acc.svcSum / float64(st.Count)
 		st.WindowMeans = append(st.WindowMeans[:0], cs.winMeans...)
 		if st.Count > 0 {
-			sysSlow += st.MeanSlowdown * float64(st.Count)
+			sysSlow += float64(st.MeanSlowdown * float64(st.Count))
 			sysCount += float64(st.Count)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"psd/internal/dist"
 	"psd/internal/obs"
 	"psd/internal/rng"
+	"psd/internal/workload"
 )
 
 // fuzzSteppingConfig decodes data into a partitioned-model config whose
@@ -84,10 +85,10 @@ func fuzzSteppingConfig(data []byte) Config {
 	total := int((cfg.Warmup + cfg.Horizon) / cfg.Window)
 	switch at(12) % 3 {
 	case 1:
-		cfg.LoadSchedule = FlashCrowd(start(1+at(13)%total, at(14)),
+		cfg.LoadSchedule = workload.FlashCrowd(start(1+at(13)%total, at(14)),
 			cfg.Window*float64(1+at(15)%6), 3*float64(at(16))/255)
 	case 2:
-		cfg.LoadSchedule = ClassMixChurn(nc, start(at(13)%total, at(14)),
+		cfg.LoadSchedule = workload.ClassMixChurn(nc, start(at(13)%total, at(14)),
 			cfg.Window*float64(1+at(15)%4), 1+at(16)%6, 1+2*float64(at(17))/255, float64(at(18)%3)/2)
 	}
 	return cfg
@@ -144,15 +145,15 @@ func FuzzClassSteppingVsScan(f *testing.F) {
 }
 
 // tieLaw is a test size law that lands completions on exact ties. It
-// replays its class's arrival stream (stream 2i+1 split off the
-// replication's root source, as runner.reset derives it) and, for a
-// class served at a fixed rate, sizes each request so that it completes
-// exactly at the second control tick after its arrival when the next
-// arrival comes later still (spanning the tick between), else exactly
-// at the control tick before the next arrival when there is one, else
-// exactly at the next arrival (every other request; the rest take half
-// the gap). Sample hands the sizes out in arrival order and ignores its
-// source.
+// replays its class's arrival stream (split off the replication's root
+// source by workload.SplitClass, as the class's Stream derives it) and,
+// for a class served at a fixed rate, sizes each request so that it
+// completes exactly at the second control tick after its arrival when
+// the next arrival comes later still (spanning the tick between), else
+// exactly at the control tick before the next arrival when there is
+// one, else exactly at the next arrival (every other request; the rest
+// take half the gap). Sample hands the sizes out in arrival order and
+// ignores its source.
 type tieLaw struct {
 	sizes                           []float64
 	next                            int
@@ -160,9 +161,9 @@ type tieLaw struct {
 }
 
 func newTieLaw(seed uint64, class int, lambda, rate, window, total float64) *tieLaw {
-	var root, arrivals rng.Source
+	var root, arrivals, sizes rng.Source
 	root.Reseed(seed)
-	root.SplitInto(&arrivals, uint64(2*class+1))
+	workload.SplitClass(&root, class, &arrivals, &sizes)
 	law := &tieLaw{}
 	a := arrivals.ExpFloat64(lambda)
 	for k := 0; a <= total; k++ {

@@ -128,7 +128,7 @@ func (m *taskServers) syncRemaining(ts *taskServer) {
 	now := m.r.sim.Now()
 	elapsed := now - ts.lastSync
 	if elapsed > 0 && ts.effRate > 0 {
-		ts.remaining -= elapsed * ts.effRate
+		ts.remaining -= float64(elapsed * ts.effRate)
 		if ts.remaining < 0 {
 			ts.remaining = 0
 		}
@@ -251,6 +251,7 @@ func (m *taskServers) stepClass(i int, bound float64) (events uint64) {
 		return 0
 	}
 	cs := &r.classes[i]
+	st := &cs.Stream // one pointer the loop keeps in a register
 	rate, warmup := ts.effRate, r.cfg.Warmup
 	acc := cs.acc
 	seen, work := r.loop.OpenWindow(i)
@@ -280,7 +281,7 @@ func (m *taskServers) stepClass(i int, bound float64) (events uint64) {
 	lastA := -1.0 // the last arrival's time; arrivals are never negative
 	for ta < bound {
 		events++
-		size := cs.nextSize()
+		size := st.NextSize()
 		seen++
 		work += size
 		if ts.busy {
@@ -302,8 +303,8 @@ func (m *taskServers) stepClass(i int, bound float64) (events uint64) {
 			}
 		}
 		lastA = ta
-		if cs.curLambda > 0 {
-			ta += cs.nextGap()
+		if st.Rate() > 0 {
+			ta += st.NextGap()
 		} else {
 			ta = math.Inf(1)
 		}
@@ -315,7 +316,7 @@ func (m *taskServers) stepClass(i int, bound float64) (events uint64) {
 		m.writeCompletion(ts, tc)
 	}
 	if lastA >= 0 {
-		if cs.curLambda > 0 {
+		if st.Rate() > 0 {
 			r.sim.Set(i, ta)
 		} else {
 			r.sim.Clear(i)

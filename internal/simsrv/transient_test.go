@@ -5,18 +5,19 @@ import (
 	"testing"
 
 	"psd/internal/control"
+	"psd/internal/workload"
 )
 
 func TestLoadScheduleValidation(t *testing.T) {
 	cases := []struct {
 		name     string
-		schedule []LoadPhase
+		schedule []workload.Phase
 	}{
-		{"negative start", []LoadPhase{{Start: -1, Scale: []float64{1}}}},
-		{"unsorted", []LoadPhase{{Start: 100, Scale: []float64{1}}, {Start: 50, Scale: []float64{2}}}},
-		{"bad scale len", []LoadPhase{{Start: 10, Scale: []float64{1, 2, 3}}}},
-		{"negative scale", []LoadPhase{{Start: 10, Scale: []float64{-1}}}},
-		{"inf scale", []LoadPhase{{Start: 10, Scale: []float64{math.Inf(1)}}}},
+		{"negative start", []workload.Phase{{Start: -1, Scale: []float64{1}}}},
+		{"unsorted", []workload.Phase{{Start: 100, Scale: []float64{1}}, {Start: 50, Scale: []float64{2}}}},
+		{"bad scale len", []workload.Phase{{Start: 10, Scale: []float64{1, 2, 3}}}},
+		{"negative scale", []workload.Phase{{Start: 10, Scale: []float64{-1}}}},
+		{"inf scale", []workload.Phase{{Start: 10, Scale: []float64{math.Inf(1)}}}},
 	}
 	for _, tc := range cases {
 		cfg := fastConfig([]float64{1, 2}, 0.5)
@@ -26,7 +27,7 @@ func TestLoadScheduleValidation(t *testing.T) {
 		}
 	}
 	ok := fastConfig([]float64{1, 2}, 0.5)
-	ok.LoadSchedule = FlashCrowd(5000, 2000, 1.5)
+	ok.LoadSchedule = workload.FlashCrowd(5000, 2000, 1.5)
 	if err := ok.ApplyDefaults().Validate(); err != nil {
 		t.Fatalf("valid schedule rejected: %v", err)
 	}
@@ -47,7 +48,7 @@ func TestLoadStepShiftsArrivalVolume(t *testing.T) {
 		t.Fatal(err)
 	}
 	step := base
-	step.LoadSchedule = LoadStep(base.Warmup+base.Horizon/2, 1.6)
+	step.LoadSchedule = workload.LoadStep(base.Warmup+base.Horizon/2, 1.6)
 	st, err := Run(step)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +72,7 @@ func TestLoadStepShiftsArrivalVolume(t *testing.T) {
 // baseline while still inflating the total.
 func TestFlashCrowdReturnsToBase(t *testing.T) {
 	cfg := fastConfig([]float64{1, 2}, 0.5)
-	cfg.LoadSchedule = FlashCrowd(cfg.Warmup+2000, 4000, 2.0)
+	cfg.LoadSchedule = workload.FlashCrowd(cfg.Warmup+2000, 4000, 2.0)
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +94,7 @@ func TestFlashCrowdReturnsToBase(t *testing.T) {
 // TestClassMixChurnKeepsClassesActive: rotating the hot class must keep
 // every class serving traffic and preserve the slowdown ordering.
 func TestClassMixChurn(t *testing.T) {
-	phases := ClassMixChurn(2, 3000, 4000, 4, 1.5, 0.5)
+	phases := workload.ClassMixChurn(2, 3000, 4000, 4, 1.5, 0.5)
 	if len(phases) != 4 {
 		t.Fatalf("phase count %d", len(phases))
 	}
@@ -120,7 +121,7 @@ func TestClassMixChurn(t *testing.T) {
 // phase; a later phase restarts its arrival process.
 func TestZeroScalePausesClassAndResumes(t *testing.T) {
 	cfg := fastConfig([]float64{1, 2}, 0.5)
-	cfg.LoadSchedule = []LoadPhase{
+	cfg.LoadSchedule = []workload.Phase{
 		{Start: cfg.Warmup, Scale: []float64{1, 0}},
 		{Start: cfg.Warmup + cfg.Horizon/2, Scale: []float64{1, 1}},
 	}
@@ -155,7 +156,7 @@ func TestPacketizedLoadStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	step := base
-	step.LoadSchedule = LoadStep(base.Warmup, 1.6)
+	step.LoadSchedule = workload.LoadStep(base.Warmup, 1.6)
 	st, err := runPacketized(PacketizedConfig{Config: step})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +187,7 @@ func TestEWMARecoversFasterAfterStep(t *testing.T) {
 			cfg.Estimator = kind
 			cfg.EWMAAlpha = 0.5
 			stepAt := cfg.Warmup + 12000
-			cfg.LoadSchedule = LoadStep(stepAt, 2.2)
+			cfg.LoadSchedule = workload.LoadStep(stepAt, 2.2)
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"psd/internal/analytic"
 	"psd/internal/core"
 	"psd/internal/simsrv"
+	"psd/internal/workload"
 )
 
 // TestLocate pins the task → (point, replication) map on offset vectors
@@ -158,7 +159,7 @@ func mixedGrid(n, desEvery int) []Point {
 			case 0:
 				p.Packetized = true
 			case 1:
-				p.Cfg.LoadSchedule = simsrv.LoadStep(700, 1.3)
+				p.Cfg.LoadSchedule = workload.LoadStep(700, 1.3)
 			case 2:
 				p.NeedWindowStats = true
 			case 3:
@@ -318,7 +319,7 @@ func TestAnalyticKindRefusesFirstIneligiblePoint(t *testing.T) {
 		for i := range grid {
 			grid[i] = point([]float64{1, 2, 4}, 0.4, 1)
 		}
-		grid[first].Cfg.LoadSchedule = simsrv.LoadStep(2000, 1.2)
+		grid[first].Cfg.LoadSchedule = workload.LoadStep(2000, 1.2)
 		grid[later].Packetized = true
 		_, err := (&Engine{Kind: Analytic, Workers: workers}).Run(grid)
 		if !errors.Is(err, analytic.ErrNeedsSimulation) {

@@ -1,19 +1,19 @@
-// Package workload generates session-based e-commerce request streams.
+// Package workload describes the requests a PSD server is offered.
 //
-// The paper motivates the M/D/1 special case (Eq. 15) with session-based
-// E-commerce traffic: "a session is a sequence of requests of different
-// types made by a single customer during a single visit to a site.
-// Requests at some states such as home entry or register take
-// approximately the same service time" (§2.2). This package implements
-// that workload as a customer behavior model graph (CBMG): sessions walk
-// a Markov chain over site states, each state issuing one request whose
-// size is drawn from a per-state distribution (Deterministic for
-// home/register, heavy-tailed for browse/search) and whose class is the
-// session's service tier.
+// Its arrival script is the paper's model: each class an independent
+// Poisson Stream with its own size law, its rate scaled over time by a
+// Phase schedule. The simulator (internal/simsrv) and the HTTP load
+// generator (internal/loadgen) both walk it, so one seed names the same
+// requests in both.
 //
-// The generated streams feed the simulator (internal/simsrv) through its
-// trace interface and the HTTP load generator; traces round-trip through
-// CSV for record/replay.
+// Its sessions are the e-commerce traffic of §2.2, which motivates the
+// M/D/1 case (Eq. 15): "a session is a sequence of requests of different
+// types made by a single customer during a single visit to a site." A
+// customer behavior model graph (CBMG) walks each session through site
+// states, each issuing one request sized by a per-state law
+// (Deterministic for home/register, heavy-tailed for browse/search) in
+// the session's class. The simulator replays them as a trace, which
+// round-trips through CSV.
 package workload
 
 import (
@@ -272,8 +272,8 @@ func (m *Model) MeanRequestsPerSession() float64 {
 			visits[s] += cur[s]
 			for to := State(0); to < numStates; to++ {
 				if p := m.Transitions[s][to]; p > 0 {
-					next[to] += cur[s] * p
-					moved += cur[s] * p
+					next[to] += float64(cur[s] * p)
+					moved += float64(cur[s] * p)
 				}
 			}
 		}
@@ -391,7 +391,7 @@ func SizeMoments(reqs []Request) (mean, second, inverse float64, err error) {
 			return 0, 0, 0, fmt.Errorf("workload: non-positive size %v", r.Size)
 		}
 		mean += r.Size
-		second += r.Size * r.Size
+		second += float64(r.Size * r.Size)
 		inverse += 1 / r.Size
 	}
 	n := float64(len(reqs))

@@ -9,6 +9,7 @@ import (
 	"psd/internal/queueing"
 	"psd/internal/simsrv"
 	"psd/internal/sweep"
+	"psd/internal/workload"
 )
 
 // Re-exported core types: see the respective internal packages for full
@@ -59,7 +60,7 @@ type (
 	// EstimatorKind selects the control plane's load smoothing.
 	EstimatorKind = control.EstimatorKind
 	// LoadPhase is one segment of a transient arrival-rate schedule.
-	LoadPhase = simsrv.LoadPhase
+	LoadPhase = workload.Phase
 	// Policy is one registered allocation policy: name, summary,
 	// capability flags and allocator factory.
 	Policy = core.Policy
@@ -103,18 +104,18 @@ func EvaluateAnalytic(cfg SimConfig) (*AnalyticEvaluation, error) {
 
 // LoadStep builds a SimConfig.LoadSchedule with one global rate step at
 // time at (absolute simulation time, warmup included).
-func LoadStep(at, factor float64) []LoadPhase { return simsrv.LoadStep(at, factor) }
+func LoadStep(at, factor float64) []LoadPhase { return workload.LoadStep(at, factor) }
 
 // FlashCrowd builds a transient surge schedule: factor× the configured
 // rates during [at, at+duration), then back to base.
 func FlashCrowd(at, duration, factor float64) []LoadPhase {
-	return simsrv.FlashCrowd(at, duration, factor)
+	return workload.FlashCrowd(at, duration, factor)
 }
 
 // ClassMixChurn rotates a traffic surge across classes every period while
 // keeping the aggregate offered load roughly constant.
 func ClassMixChurn(classes int, at, period float64, count int, hi, lo float64) []LoadPhase {
-	return simsrv.ClassMixChurn(classes, at, period, count, hi, lo)
+	return workload.ClassMixChurn(classes, at, period, count, hi, lo)
 }
 
 // NewBoundedPareto constructs BP(k, p, α); the paper's default is
